@@ -64,6 +64,7 @@ from .tensor_model import (
     init_model,
     objective,
     predict,
+    predict_batch,
     train,
 )
 from .util import DataError, TrainingDiverged, ValidationError, VerbTensorError

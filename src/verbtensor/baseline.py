@@ -64,17 +64,14 @@ def calibrate_cutoff(model: KronBaselineModel, train_pos_scores, train_neg_score
     if pos.size == 0 or neg.size == 0:
         raise DataError("cutoff calibration needs both positive and negative scores")
     distinct = np.unique(np.concatenate([pos, neg]))
-    candidates = [-math.inf, math.inf]
-    candidates.extend(((distinct[:-1] + distinct[1:]) / 2.0).tolist())
-    best_threshold = None
-    best_gap = None
-    for threshold in candidates:
-        fpr = float(np.mean(neg >= threshold))
-        fnr = float(np.mean(pos < threshold))
-        gap = abs(fpr - fnr)
-        if best_gap is None or gap < best_gap or (gap == best_gap and threshold > best_threshold):
-            best_gap = gap
-            best_threshold = threshold
+    candidates = np.concatenate(
+        [[-math.inf, math.inf], (distinct[:-1] + distinct[1:]) / 2.0]
+    )
+    # counts of negatives at or above and positives below each threshold
+    n_neg_above = neg.size - np.searchsorted(np.sort(neg), candidates, side="left")
+    n_pos_below = np.searchsorted(np.sort(pos), candidates, side="left")
+    gap = np.abs(n_neg_above / neg.size - n_pos_below / pos.size)
+    best_threshold = candidates[gap == gap.min()].max()
     model.cutoff = float(best_threshold)
     return model.cutoff
 

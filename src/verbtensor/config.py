@@ -12,6 +12,10 @@ from pathlib import Path
 from .tensor_model import TrainConfig
 from .util import ValidationError, derive_seed
 
+# boolean config values, matched case-insensitively; anything else is an error
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -90,9 +94,15 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         raw = parser.get(section, key, fallback=None)
         if raw is None or not raw.strip():
             return default
+        if cast is bool:
+            value = raw.strip().lower()
+            if value in _TRUE_WORDS or value in _FALSE_WORDS:
+                return value in _TRUE_WORDS
+            raise ValidationError(
+                f"bad value for [{section}] {key}: {raw!r} (expected one of "
+                f"{', '.join(_TRUE_WORDS + _FALSE_WORDS)})"
+            )
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
             return cast(raw.strip())
         except ValueError as exc:
             raise ValidationError(f"bad value for [{section}] {key}: {raw!r}") from exc

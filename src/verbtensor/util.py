@@ -28,11 +28,6 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def sha256_tree(paths) -> dict:
-    """Map each path to its digest, keyed by string path, sorted."""
-    return {str(p): sha256_file(p) for p in sorted(paths, key=str)}
-
-
 class VerbTensorError(Exception):
     """Base class for errors raised by this package."""
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verbtensor.baseline import (
     KronBaselineModel,
@@ -122,6 +124,32 @@ class TestScore:
             assert abs(left - right) < 1e-10
 
 
+def loop_calibrate_cutoff(pos_scores, neg_scores):
+    """Reference equal-error search: one threshold at a time, in candidate order."""
+    pos = np.asarray(pos_scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    distinct = np.unique(np.concatenate([pos, neg]))
+    candidates = [-math.inf, math.inf]
+    candidates.extend(((distinct[:-1] + distinct[1:]) / 2.0).tolist())
+    best_threshold = None
+    best_gap = None
+    for threshold in candidates:
+        fpr = float(np.mean(neg >= threshold))
+        fnr = float(np.mean(pos < threshold))
+        gap = abs(fpr - fnr)
+        if best_gap is None or gap < best_gap or (gap == best_gap and threshold > best_threshold):
+            best_gap = gap
+            best_threshold = threshold
+    return float(best_threshold)
+
+
+# few distinct values so that ties are common, plus arbitrary floats
+SCORE = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.125, 0.5, 0.75, 1.0]),
+                  st.floats(-1.0, 1.0))
+FEW = st.lists(SCORE, min_size=1, max_size=3)
+MANY = st.lists(SCORE, min_size=1, max_size=60)
+
+
 class TestCalibrateCutoff:
     def make_model(self):
         return KronBaselineModel(verb="eat", avg_matrix=np.eye(2))
@@ -168,6 +196,13 @@ class TestCalibrateCutoff:
             for t in candidates:
                 if gap(t) == gap(cutoff):
                     assert cutoff >= t or gap(t) > best
+
+    @given(st.one_of(st.tuples(FEW, MANY), st.tuples(MANY, FEW), st.tuples(MANY, MANY)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop_reference(self, scores):
+        pos_scores, neg_scores = scores
+        cutoff = calibrate_cutoff(self.make_model(), pos_scores, neg_scores)
+        assert cutoff == loop_calibrate_cutoff(pos_scores, neg_scores)
 
     def test_empty_lists_rejected(self):
         with pytest.raises(DataError, match="calibration"):

@@ -10,6 +10,8 @@ from verbtensor.evaluation import (
     F_CRITICAL_10_5,
     METHOD_BASELINE,
     METHOD_TENSOR,
+    _fit_and_score,
+    _holdout_halves,
     f1_plausible,
     f_test_5x2cv,
     fold_metric_vector,
@@ -19,7 +21,7 @@ from verbtensor.evaluation import (
     run_5x2cv,
     summarize,
 )
-from verbtensor.tensor_model import TrainConfig
+from verbtensor.tensor_model import TrainConfig, predict, train
 from verbtensor.util import DataError
 
 POS, NEG = PLAUSIBLE, IMPLAUSIBLE
@@ -187,6 +189,21 @@ class TestRun5x2cv:
         summary = summarize(folds)
         assert 0.0 <= summary.mean_auc <= 1.0
         assert 0.0 <= summary.mean_f1 <= 1.0
+
+    def test_batched_fold_scores_match_per_triple_predict(self, planted):
+        dataset, embeddings = planted
+        pool, held = _holdout_halves(dataset, seed=5)
+        config = TrainConfig(epochs=5)
+        scores, labels = _fit_and_score(
+            METHOD_TENSOR, pool.triples, held.triples, embeddings, config, fold_seed=77
+        )
+        model = train(pool.triples, embeddings, TrainConfig(epochs=5, seed=77)).model
+        single = [
+            predict(model, embeddings.vector(t.subject), embeddings.vector(t.object))
+            for t in held.triples
+        ]
+        assert labels == [label for label, _ in single]
+        np.testing.assert_allclose(scores, [p for _, p in single], rtol=0, atol=1e-12)
 
     def test_fold_metric_vector_order(self, planted):
         dataset, embeddings = planted

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from verbtensor.cli import main as cli_main
+from verbtensor.cli import EXIT_VALIDATION, main as cli_main
 from verbtensor.config import load_config
 from verbtensor.data import read_dataset_jsonl
 from verbtensor.util import ValidationError, sha256_file
@@ -82,6 +82,32 @@ class TestConfigValidation:
         bad.write_text(text.replace("epochs = 25", "epochs = 0"))
         with pytest.raises(ValidationError, match="training"):
             load_config(bad)
+
+    @pytest.mark.parametrize(
+        "line", ["regularize_theta = true", "scale_by_singular_values = true"]
+    )
+    def test_bool_words(self, small_fixture, tmp_path, line):
+        key = line.split(" = ")[0]
+        text = Path(small_fixture).read_text()
+        assert line in text
+        path = tmp_path / "words.ini"
+        for word, expected in [("TRUE", True), ("On", True), ("1", True), ("yes", True),
+                               ("False", False), ("off", False), ("0", False), ("NO", False)]:
+            path.write_text(text.replace(line, f"{key} = {word}"))
+            config = load_config(path)
+            section = config.train if key == "regularize_theta" else config
+            assert getattr(section, key) is expected, word
+
+    @pytest.mark.parametrize(
+        "line", ["regularize_theta = true", "scale_by_singular_values = true"]
+    )
+    def test_bool_typo_rejected(self, small_fixture, tmp_path, line):
+        key = line.split(" = ")[0]
+        bad = tmp_path / "typo.ini"
+        bad.write_text(Path(small_fixture).read_text().replace(line, f"{key} = ture"))
+        with pytest.raises(ValidationError, match=key):
+            load_config(bad)
+        assert run_cli("--config", bad, "build-vectors") == EXIT_VALIDATION
 
     def test_seed_override_rebases_all_seeds(self, small_fixture):
         base = load_config(small_fixture)

@@ -8,6 +8,9 @@ from verbtensor.evaluation import _holdout_halves, roc_auc
 from verbtensor.tensor_model import (
     TrainConfig,
     VerbTensorModel,
+    _objective_arrays,
+    _split,
+    _Workspace,
     adagrad_step,
     forward,
     gradients,
@@ -60,6 +63,44 @@ def finite_difference_grads(model, example, lam, h=1e-5):
         minus.theta[idx] -= h
         g_theta[idx] = (value(plus) - value(minus)) / (2 * h)
     return g_tensor, g_theta
+
+
+def random_batch(rng, n, k):
+    """N random subject and object rows with random one-hot targets."""
+    targets = np.zeros((n, 2))
+    targets[np.arange(n), rng.integers(0, 2, n)] = 1.0
+    return rng.standard_normal((n, k)), rng.standard_normal((n, k)), targets
+
+
+def einsum_forward(tensor, theta, subjects, objects_):
+    """Reference forward pass: three-operand einsum contraction, row softmax."""
+    z = np.einsum("ni,ijc,nj->nc", subjects, tensor, objects_)
+    a = 1.0 / (1.0 + np.exp(-z))
+    logits = a @ theta[:, :2].T + theta[:, 2]
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return a, exp / exp.sum(axis=1, keepdims=True)
+
+
+def einsum_objective(tensor, theta, subjects, objects_, targets, lam, regularize_theta):
+    _, p = einsum_forward(tensor, theta, subjects, objects_)
+    losses = -np.log(p[np.arange(len(p)), np.argmax(targets, axis=1)])
+    reg = 0.5 * lam * np.sum(tensor * tensor)
+    if regularize_theta:
+        reg += 0.5 * lam * np.sum(theta * theta)
+    return float(losses.sum() + reg)
+
+
+def einsum_batch_gradient(model, subjects, objects_, targets, lam, regularize_theta):
+    """Reference summed gradient over N examples, contracted with einsum."""
+    tensor, theta = model.tensor, model.theta
+    a, p = einsum_forward(tensor, theta, subjects, objects_)
+    d_logit = p - targets
+    d_theta = np.concatenate([d_logit.T @ a, d_logit.sum(axis=0)[:, None]], axis=1)
+    if regularize_theta:
+        d_theta += lam * theta
+    d_z = (d_logit @ theta[:, :2]) * a * (1.0 - a)
+    d_tensor = np.einsum("ni,nj,nc->ijc", subjects, objects_, d_z) + lam * tensor
+    return d_tensor, d_theta
 
 
 def max_relative_error(analytic, numeric):
@@ -161,6 +202,21 @@ class TestObjective:
         model.theta[1] = [-1e308, -1e308, -1e308]
         with pytest.raises(TrainingDiverged):
             objective(model, [([1.0, 0.0], [0.0, 1.0], ONE_HOT_BOT)], 0.0)
+
+
+class TestObjectiveOracle:
+    @pytest.mark.parametrize("k", [2, 5, 20, 40])
+    def test_matches_einsum_reference(self, k):
+        rng = np.random.default_rng(100 + k)
+        subjects, objects_, targets = random_batch(rng, 400, k)
+        for scale in (0.01, 0.3):
+            tensor = rng.uniform(-scale, scale, (k, k, 2))
+            theta = rng.uniform(-1, 1, (2, 3))
+            for regularize_theta in (True, False):
+                args = (tensor, theta, subjects, objects_, targets, 1e-4, regularize_theta)
+                assert _objective_arrays(*args) == pytest.approx(
+                    einsum_objective(*args), rel=1e-12, abs=0
+                )
 
 
 class TestGradients:
@@ -281,6 +337,40 @@ class TestTrain:
         )
         with pytest.raises(ValueError, match="without embeddings"):
             train(bad, embeddings, TrainConfig(epochs=1))
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("update_mode", ["stochastic", "batch"])
+    @pytest.mark.parametrize("regularize_theta", [True, False])
+    def test_one_epoch_is_gradients_plus_adagrad(self, planted, update_mode, regularize_theta):
+        dataset, embeddings = planted
+        triple = dataset.triples[0]
+        config = TrainConfig(epochs=1, seed=4, l2_lambda=0.01, update_mode=update_mode,
+                             regularize_theta=regularize_theta)
+        trained = train([triple], embeddings, config).model
+        model = init_model(embeddings.dim, config)
+        example = (embeddings.vector(triple.subject), embeddings.vector(triple.object),
+                   triple.gold_dist)
+        grads = gradients(model, example, config.l2_lambda, regularize_theta)
+        for param, grad in ((model.tensor, grads.tensor), (model.theta, grads.theta)):
+            adagrad_step(param, grad, np.zeros_like(param),
+                         config.learning_rate, config.adagrad_epsilon)
+        assert np.array_equal(trained.tensor, model.tensor)
+        assert np.array_equal(trained.theta, model.theta)
+
+    @pytest.mark.parametrize("regularize_theta", [True, False])
+    def test_batch_gradient_matches_einsum_reference(self, regularize_theta):
+        # the GEMM backward sums the N examples in another order than einsum
+        rng = np.random.default_rng(31)
+        k = 20
+        subjects, objects_, targets = random_batch(rng, 400, k)
+        model = random_model(rng, k=k, scale=0.05)
+        work = _Workspace(model, 0.01, regularize_theta)
+        work.gradient(subjects, objects_, targets)
+        reference = einsum_batch_gradient(model, subjects, objects_, targets, 0.01,
+                                          regularize_theta)
+        for got, want in zip(_split(work.grad, k), reference):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestPredict:
