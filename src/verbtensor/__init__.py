@@ -46,7 +46,6 @@ from .evaluation import (
 )
 from .linalg import (
     SvdResult,
-    bilinear_contract,
     cosine,
     kronecker,
     l2_normalize_rows,

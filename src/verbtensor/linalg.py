@@ -7,8 +7,16 @@ Conventions used throughout the package:
 * arrays are kept C-contiguous, so the flat layout of a tensor enumerates
   ``(i, j, c)`` lexicographically, which also fixes the binary file order;
 * all operations are pure functions of their inputs.
+
+``truncated_svd`` picks its solver from the input: a sparse matrix with
+``2 * k < min(rows, cols)`` goes to the iterative ``svds`` solver started
+from a fixed vector, which computes only the k wanted singular triplets;
+anything else (a dense array, or a k too close to the smaller dimension for
+the iterative solver to be worthwhile) goes to a full LAPACK SVD, truncated.
 """
 
+import io
+import math
 import struct
 from dataclasses import dataclass
 
@@ -16,10 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 TVB_MAGIC = b"TVB1"
-
-# Sparse inputs smaller than this are densified before the SVD; LAPACK on a
-# dense array is both faster and exact at desk scale.
-SPARSE_SVD_MIN_DIM = 2048
 
 
 @dataclass(frozen=True)
@@ -67,33 +71,6 @@ def kronecker(u, v) -> np.ndarray:
     u = _as_vector(u, "u")
     v = _as_vector(v, "v")
     return np.outer(u, v)
-
-
-def bilinear_contract(tensor, subject, obj) -> np.ndarray:
-    """Contract an order-3 tensor with a subject and an object vector.
-
-    Returns the sentence-space vector ``z`` with
-    ``z[c] = sum_ij subject[i] * tensor[i, j, c] * obj[j]``.
-    """
-    tensor = np.ascontiguousarray(tensor, dtype=np.float64)
-    if tensor.ndim != 3:
-        raise ValueError(f"tensor must be 3-D, got shape {tensor.shape}")
-    subject = _as_vector(subject, "subject vector")
-    obj = _as_vector(obj, "object vector")
-    k_subj, k_obj, s_dim = tensor.shape
-    if subject.shape[0] != k_subj:
-        raise ValueError(
-            f"subject axis mismatch: vector has dim {subject.shape[0]}, "
-            f"tensor subject axis is {k_subj}"
-        )
-    if obj.shape[0] != k_obj:
-        raise ValueError(
-            f"object axis mismatch: vector has dim {obj.shape[0]}, "
-            f"tensor object axis is {k_obj}"
-        )
-    # (s V)[j, c] then o . (s V)
-    partial = (subject @ tensor.reshape(k_subj, k_obj * s_dim)).reshape(k_obj, s_dim)
-    return obj @ partial
 
 
 def cosine(a, b) -> float:
@@ -151,9 +128,9 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
 def truncated_svd(matrix, k: int) -> SvdResult:
     """Best rank-k factorization of a dense or sparse matrix.
 
-    Small or dense inputs go through LAPACK; large sparse inputs use an
-    iterative solver with a fixed starting vector so results stay
-    deterministic.
+    Sparse inputs with ``2 * k < min(rows, cols)`` use an iterative solver
+    with a fixed starting vector, so results stay deterministic; every other
+    input goes through LAPACK on a dense array.
     """
     if sp.issparse(matrix):
         rows, cols = matrix.shape
@@ -166,7 +143,7 @@ def truncated_svd(matrix, k: int) -> SvdResult:
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
 
     if sp.issparse(matrix):
-        if min(rows, cols) > SPARSE_SVD_MIN_DIM and k < min(rows, cols):
+        if 2 * k < min(rows, cols):
             from scipy.sparse.linalg import svds
 
             start = np.full(min(rows, cols), 1.0 / np.sqrt(min(rows, cols)))
@@ -220,17 +197,30 @@ def read_tvb(src) -> np.ndarray:
         return _read_tvb_stream(handle)
 
 
+def _read_exact(handle, size: int) -> bytes:
+    data = handle.read(size)
+    if len(data) != size:
+        raise ValueError("truncated TVB block")
+    return data
+
+
 def _read_tvb_stream(handle) -> np.ndarray:
     magic = handle.read(4)
     if magic != TVB_MAGIC:
         raise ValueError(f"bad magic bytes {magic!r}, expected {TVB_MAGIC!r}")
-    (order,) = struct.unpack("<Q", handle.read(8))
+    (order,) = struct.unpack("<Q", _read_exact(handle, 8))
     if order not in (2, 3):
         raise ValueError(f"unsupported tensor order {order}")
-    dims = struct.unpack(f"<{order}Q", handle.read(8 * order))
-    count = int(np.prod(dims))
-    payload = handle.read(8 * count)
-    if len(payload) != 8 * count:
-        raise ValueError("truncated TVB block")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    dims = struct.unpack(f"<{order}Q", _read_exact(handle, 8 * order))
+    # Python ints, so a huge header can neither wrap nor trigger a huge read.
+    size = 8 * math.prod(dims)
+    start = handle.tell()
+    left = handle.seek(0, io.SEEK_END) - start
+    handle.seek(start)
+    if size > left:
+        raise ValueError(
+            f"TVB header claims a {' x '.join(map(str, dims))} block of {size} bytes, "
+            f"but only {left} bytes follow"
+        )
+    values = np.frombuffer(_read_exact(handle, size), dtype="<f8").astype(np.float64)
     return np.ascontiguousarray(values.reshape(dims))

@@ -104,23 +104,19 @@ def build_vectors(config: PipelineConfig) -> dict:
     if dropped:
         log.info("dropped %d nouns with no informative co-occurrences", len(dropped))
 
-    top_n, sweep_trace = _choose_top_n(config, weighted)
-    selected = vec_mod.select_top_n(weighted, top_n)
+    if max(config.svd_dims) > min(weighted.weights.shape):
+        raise ValidationError(
+            f"svd dim {max(config.svd_dims)} exceeds the {weighted.weights.shape} weighted table"
+        )
+    top_n, sweep_trace, reduced = _choose_top_n(config, weighted)
 
     outputs = []
     freq_path = out_dir / "frequencies.tsv"
     corpus_mod.write_frequency_tsv(freq_path, frequencies)
     outputs.append(freq_path)
 
-    max_k = min(selected.weights.shape)
     for k in config.svd_dims:
-        if k > max_k:
-            raise ValidationError(
-                f"svd dim {k} exceeds the {selected.weights.shape} weighted table"
-            )
-        emb = vec_mod.reduce_to_embeddings(
-            selected, k, scale_by_singular_values=config.scale_by_singular_values
-        )
+        emb = reduced.leading(k)
         tsv_path = out_dir / f"embeddings_k{k}.tsv"
         vec_mod.write_embeddings_tsv(tsv_path, emb)
         bin_path = out_dir / f"embeddings_k{k}.tvb"
@@ -145,34 +141,44 @@ def build_vectors(config: PipelineConfig) -> dict:
     return {"top_n": top_n, "outputs": [str(p) for p in outputs], "manifest": str(manifest)}
 
 
+def _reduce(config: PipelineConfig, weighted, top_n: int):
+    """Embeddings of the top-N selected table at the largest configured dim."""
+    return vec_mod.reduce_to_embeddings(
+        weighted, max(config.svd_dims), top_n=top_n,
+        scale_by_singular_values=config.scale_by_singular_values,
+    )
+
+
 def _choose_top_n(config: PipelineConfig, weighted):
-    """Explicit config value, else a dev-pair sweep, else the fixed default."""
+    """Explicit config value, else a dev-pair sweep, else the fixed default.
+
+    Returns the chosen N, the sweep trace and the embeddings of the table
+    selected with N at ``max(svd_dims)``. Each candidate table is decomposed
+    once; the sweep scores its first ``primary_k`` dims, and every configured
+    dim is later written from the winner's leading columns.
+    """
     if config.top_n is not None:
-        return config.top_n, []
+        return config.top_n, [], _reduce(config, weighted, config.top_n)
     if config.dev_pairs is None:
-        return vec_mod.DEFAULT_TOP_N, []
+        return vec_mod.DEFAULT_TOP_N, [], _reduce(config, weighted, vec_mod.DEFAULT_TOP_N)
     pairs = vec_mod.read_pairs_tsv(config.dev_pairs)
-    k = min(config.primary_k, min(weighted.weights.shape))
     trace = []
     best = None
     for candidate in config.top_n_sweep:
-        emb = vec_mod.reduce_to_embeddings(
-            weighted, k, top_n=candidate,
-            scale_by_singular_values=config.scale_by_singular_values,
-        )
+        emb = _reduce(config, weighted, candidate)
         try:
-            rho = vec_mod.spearman_similarity_eval(emb, pairs)
+            rho = vec_mod.spearman_similarity_eval(emb.leading(config.primary_k), pairs)
         except ValueError:
             continue
         trace.append({"top_n": candidate, "spearman": rho})
         if best is None or rho > best[1]:
-            best = (candidate, rho)
+            best = (candidate, rho, emb)
     if best is None:
         log.warning("top-N sweep produced no usable evaluation; using default %d",
                     vec_mod.DEFAULT_TOP_N)
-        return vec_mod.DEFAULT_TOP_N, trace
+        return vec_mod.DEFAULT_TOP_N, trace, _reduce(config, weighted, vec_mod.DEFAULT_TOP_N)
     log.info("top-N sweep selected N=%d (spearman %.4f)", best[0], best[1])
-    return best[0], trace
+    return best[0], trace, best[2]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from scipy.special import expit
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
 from .linalg import read_tvb, write_tvb
-from .util import TrainingDiverged, derive_seed
+from .util import DataError, TrainingDiverged, derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -391,9 +391,19 @@ def save_model(base_path, model: VerbTensorModel, config: TrainConfig, objective
 
 def load_model(base_path) -> VerbTensorModel:
     base = str(base_path)
-    with open(base + ".tvbm", "rb") as handle:
-        tensor = read_tvb(handle)
-        theta = read_tvb(handle)
+    path = base + ".tvbm"
+    with open(path, "rb") as handle:
+        try:
+            tensor = read_tvb(handle)
+            theta = read_tvb(handle)
+        except ValueError as exc:
+            raise DataError(f"malformed model file {path}: {exc}") from exc
+    k = tensor.shape[0]
+    if tensor.shape != (k, k, SENTENCE_DIM) or theta.shape != (2, SENTENCE_DIM + 1):
+        raise DataError(
+            f"malformed model file {path}: tensor {tensor.shape} and theta "
+            f"{theta.shape} are not (K, K, {SENTENCE_DIM}) and (2, {SENTENCE_DIM + 1})"
+        )
     verb = ""
     try:
         with open(base + ".meta", "r", encoding="utf-8") as handle:

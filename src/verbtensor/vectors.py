@@ -49,6 +49,12 @@ class EmbeddingTable:
     def vector(self, noun: str) -> np.ndarray:
         return self.matrix[self.nouns.position(noun)]
 
+    def leading(self, k: int) -> "EmbeddingTable":
+        """The first k dimensions: rank-k embeddings of the same decomposition."""
+        if not 1 <= k <= self.dim:
+            raise ValueError(f"cannot take {k} leading dims of a {self.dim}-dim table")
+        return EmbeddingTable(self.nouns, k, np.ascontiguousarray(self.matrix[:, :k]))
+
 
 @dataclass(frozen=True)
 class SimilarityPair:
@@ -98,19 +104,15 @@ def select_top_n(table: WeightedVectorTable, n: int) -> WeightedVectorTable:
         raise ValueError(f"top-N must be at least 1, got {n}")
     src = table.weights
     words = table.contexts.words
-    rows, cols, data = [], [], []
-    for i in range(src.shape[0]):
-        start, end = src.indptr[i], src.indptr[i + 1]
-        idx = src.indices[start:end]
-        vals = src.data[start:end]
-        if len(idx) > n:
-            order = sorted(range(len(idx)), key=lambda t: (-vals[t], words[idx[t]]))[:n]
-            idx = idx[order]
-            vals = vals[order]
-        rows.extend([i] * len(idx))
-        cols.extend(idx.tolist())
-        data.extend(vals.tolist())
-    out = sp.csr_matrix((data, (rows, cols)), shape=src.shape, dtype=np.float64)
+    word_rank = np.empty(len(words), dtype=np.int64)
+    word_rank[sorted(range(len(words)), key=words.__getitem__)] = np.arange(len(words))
+    rows = np.repeat(np.arange(src.shape[0]), np.diff(src.indptr))
+    # Rows stay grouped in place; within a row, weight descending, then word.
+    order = np.lexsort((word_rank[src.indices], -src.data, rows))
+    keep = order[np.arange(src.nnz) - src.indptr[rows] < n]
+    out = sp.csr_matrix(
+        (src.data[keep], (rows[keep], src.indices[keep])), shape=src.shape, dtype=np.float64
+    )
     return WeightedVectorTable(table.nouns, table.contexts, out)
 
 

@@ -2,14 +2,18 @@ import csv
 import json
 import os
 import shutil
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from verbtensor.cli import EXIT_VALIDATION, main as cli_main
+from verbtensor.cli import EXIT_RUNTIME, EXIT_VALIDATION, main as cli_main
 from verbtensor.config import load_config
 from verbtensor.data import read_dataset_jsonl
+from verbtensor.linalg import TVB_MAGIC, write_tvb
 from verbtensor.util import ValidationError, sha256_file
+from verbtensor.vectors import read_embeddings_tsv
 
 
 def run_cli(*args):
@@ -153,6 +157,32 @@ class TestBuildVectors:
 
         emb = read_embeddings_tsv(config.vectors_dir() / f"embeddings_k{config.primary_k}.tsv")
         assert emb.dim == config.primary_k
+
+    def test_smaller_dims_are_leading_columns(self, built):
+        """Every embedding file comes from one decomposition of the chosen table."""
+        config = load_config(built)
+        small, large = sorted(config.svd_dims)
+        low = read_embeddings_tsv(config.vectors_dir() / f"embeddings_k{small}.tsv")
+        high = read_embeddings_tsv(config.vectors_dir() / f"embeddings_k{large}.tsv")
+        assert low.nouns.words == high.nouns.words
+        np.testing.assert_array_equal(low.matrix, high.matrix[:, :small])
+
+    def test_svd_dim_out_of_range_fails_before_any_svd(self, small_fixture, tmp_path,
+                                                        monkeypatch):
+        import verbtensor.vectors as vec_mod
+
+        calls = []
+        monkeypatch.setattr(vec_mod, "truncated_svd", lambda *args: calls.append(args))
+        fixture_dir = tmp_path / "world"
+        shutil.copytree(Path(small_fixture).parent, fixture_dir,
+                        ignore=shutil.ignore_patterns("out"))
+        config_path = fixture_dir / "config.ini"
+        text = config_path.read_text()
+        assert "svd_dims = 6,10" in text
+        config_path.write_text(text.replace("svd_dims = 6,10", "svd_dims = 6,100000"))
+        assert run_cli("--config", config_path, "build-vectors") == EXIT_VALIDATION
+        assert calls == []
+        assert not list(fixture_dir.rglob("embeddings_*"))
 
 
 class TestGenData:
@@ -338,6 +368,29 @@ class TestTrainPredictEval:
             "--verb", "devour", "--subject", "a", "--object", "b",
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("malformed", ["huge_header", "wrong_shapes"])
+    def test_predict_malformed_model_fails_cleanly(self, built, tmp_path, caplog, malformed):
+        config = load_config(built)
+        out = tmp_path / "badmodel"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        model = out / "models" / f"devour_k{config.primary_k}.tvbm"
+        model.parent.mkdir()
+        if malformed == "huge_header":
+            model.write_bytes(TVB_MAGIC + struct.pack("<4Q", 3, 2**40, 2**40, 2) + b"\0" * 64)
+        else:
+            with open(model, "wb") as handle:
+                write_tvb(handle, np.zeros((2, 2)))
+                write_tvb(handle, np.zeros((2, 3)))
+        emb = read_embeddings_tsv(out / "vectors" / f"embeddings_k{config.primary_k}.tsv")
+        subject, obj = emb.nouns.words[:2]
+        rc = run_cli(
+            "--config", built, "--out", out, "predict",
+            "--verb", "devour", "--subject", subject, "--object", obj,
+        )
+        assert rc == EXIT_RUNTIME
+        assert not any(record.exc_info for record in caplog.records)
+        assert any(str(model) in record.getMessage() for record in caplog.records)
 
     def test_predict_oov_noun(self, built):
         config = load_config(built)

@@ -85,6 +85,47 @@ class TestTtestWeight:
             ttest_weight(make_table([[0, 0], [0, 0]]))
 
 
+def select_top_n_loop(table, n):
+    """Reference per-row sort: weight descending, then context word ascending."""
+    src = table.weights
+    words = table.contexts.words
+    rows, cols, data = [], [], []
+    for i in range(src.shape[0]):
+        start, end = src.indptr[i], src.indptr[i + 1]
+        idx = src.indices[start:end]
+        vals = src.data[start:end]
+        if len(idx) > n:
+            order = sorted(range(len(idx)), key=lambda t: (-vals[t], words[idx[t]]))[:n]
+            idx = idx[order]
+            vals = vals[order]
+        rows.extend([i] * len(idx))
+        cols.extend(idx.tolist())
+        data.extend(vals.tolist())
+    return sp.csr_matrix((data, (rows, cols)), shape=src.shape, dtype=np.float64)
+
+
+@st.composite
+def tied_weight_tables(draw):
+    """Small sparse tables whose weights come from a few values, so ties are common."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 9))
+    contexts = draw(
+        st.lists(st.text("abcz", min_size=1, max_size=3), min_size=n_cols,
+                 max_size=n_cols, unique=True)
+    )
+    cells = st.sampled_from([0.0, 0.0, 0.25, 0.5, -0.5, 1.0])
+    weights = draw(st.lists(st.lists(cells, min_size=n_cols, max_size=n_cols),
+                            min_size=n_rows, max_size=n_rows))
+    from verbtensor.vectors import WeightedVectorTable
+
+    table = WeightedVectorTable(
+        Vocabulary.from_words([f"n{i}" for i in range(n_rows)]),
+        Vocabulary.from_words(contexts),
+        sp.csr_matrix(np.asarray(weights)),
+    )
+    return table, draw(st.integers(1, n_cols + 1))
+
+
 class TestSelectTopN:
     def make_weighted(self, rows, contexts=None):
         table = make_table(np.ones_like(np.asarray(rows)), contexts=contexts)
@@ -123,6 +164,16 @@ class TestSelectTopN:
         assert out.weight("n0", "aa") == 0.5
         assert out.weight("n0", "mm") == 0.5
         assert out.weight("n0", "zz") == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_weight_tables())
+    def test_matches_loop_reference(self, case):
+        table, n = case
+        out = select_top_n(table, n).weights
+        expected = select_top_n_loop(table, n)
+        np.testing.assert_array_equal(out.indptr, expected.indptr)
+        np.testing.assert_array_equal(out.indices, expected.indices)
+        np.testing.assert_array_equal(out.data, expected.data)
 
     def test_rejects_bad_n(self):
         weighted = self.make_weighted([[0.5]])
