@@ -1,16 +1,27 @@
 """Corpus scanning: word frequencies, sentence co-occurrence, frequency buckets.
 
+``scan_corpus`` reads the corpus once. It maps every token to an integer
+word-type id, counts frequencies with one ``np.bincount``, and gets the
+noun-by-context co-occurrence table from one sparse product of a
+sentence-by-word count matrix with itself, less each noun's frequency on
+its own (noun, noun) cell because a token never pairs with itself. The
+table covers every word type; ``CooccurrenceTable.restrict`` narrows it to
+the context vocabulary chosen from the frequencies.
+
 The corpus format is deliberately dumb: UTF-8 text, one sentence per line,
 whitespace-separated tokens that are already lemmatized and lowercased.
 Everything linguistic (tokenization, parsing, lemmatization) happens upstream
 of this package.
 """
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from .util import DataError
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,22 @@ class CooccurrenceTable:
     def total(self) -> int:
         return int(self.counts.sum())
 
+    def restrict(self, vocab: Vocabulary) -> "CooccurrenceTable":
+        """The same counts over the context columns ``vocab``, in its order.
+
+        A word of ``vocab`` that the table has no column for gets an empty one.
+        """
+        src = np.array([self.contexts.index.get(word, -1) for word in vocab.words],
+                       dtype=np.intp)
+        dst = np.flatnonzero(src >= 0)
+        select = sp.csr_matrix(
+            (np.ones(len(dst), dtype=np.int64), (src[dst], dst)),
+            shape=(len(self.contexts), len(vocab)),
+        )
+        counts = (self.counts @ select).tocsr()
+        counts.sort_indices()
+        return CooccurrenceTable(self.target_nouns, vocab, counts)
+
 
 @dataclass(frozen=True)
 class FrequencyBuckets:
@@ -75,68 +102,110 @@ class FrequencyBuckets:
 
 
 def iter_corpus_lines(path):
-    """Yield raw sentence lines from a corpus file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        yield from handle
+    """Yield raw sentence lines from a corpus file.
+
+    A file that is not UTF-8 raises ``DataError`` naming the file and the
+    first line that does not decode.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield from handle
+    except UnicodeDecodeError as exc:
+        lineno = _first_undecodable_line(path)
+        raise DataError(f"{path}:{lineno}: corpus is not UTF-8 ({exc.reason})") from None
 
 
-def scan_corpus(sentences, target_nouns, context_vocab: Vocabulary | None = None):
+def _first_undecodable_line(path) -> int:
+    """1-based number of the first line that is not UTF-8, or 0 if none."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
+
+
+class _TypeIds(dict):
+    """Word -> integer id, giving an unseen word the next id on lookup."""
+
+    def __missing__(self, word):
+        self[word] = index = len(self)
+        return index
+
+
+def scan_corpus(sentences, target_nouns):
     """Count token frequencies and noun-context sentence co-occurrences.
 
-    ``sentences`` is an iterable of whitespace-tokenized lines. Co-occurrence
-    uses occurrence-pair counting: every occurrence of a target noun pairs
-    with every occurrence of a context word in the same sentence, except the
-    noun's own token position. A noun therefore does co-occur with *other*
-    occurrences of its own lemma.
+    ``sentences`` is an iterable of whitespace-tokenized lines, read once.
+    Co-occurrence uses occurrence-pair counting: every occurrence of a
+    target noun pairs with every occurrence of a context word in the same
+    sentence, except the noun's own token position. A noun therefore does
+    co-occur with *other* occurrences of its own lemma.
 
-    Returns ``(frequency_counter, CooccurrenceTable)``. When ``context_vocab``
-    is None the context vocabulary is every word type seen, sorted.
+    The pass gives each word type an integer id, takes frequencies from one
+    ``np.bincount`` and builds a sentence-by-word count matrix ``S`` over the
+    sentences that hold a target noun. The table is then one sparse product,
+    ``S[:, nouns].T @ S``: cell (n, w) sums ``count(n) * count(w)`` over
+    sentences. At (n, n) that sum includes each token pairing with itself
+    once per occurrence, and every sentence holding n is in ``S``, so the
+    self-pair correction is exactly ``freq[n]``, subtracted from that cell.
+
+    Returns ``(frequency_counter, CooccurrenceTable)``. The table's rows are
+    the sorted target nouns (a noun that never occurs has an empty row) and
+    its columns every word type seen, sorted; ``CooccurrenceTable.restrict``
+    narrows it to a chosen context vocabulary.
     """
-    target_nouns = set(target_nouns)
-    freq: Counter = Counter()
-    pair_counts: dict = {}
-    n_sentences = 0
+    first_id = _TypeIds()  # word -> id in order of first occurrence
+    raw_ids, lengths = array("i"), []
     for line in sentences:
-        tokens = line.split()
-        if not tokens:
-            continue
-        n_sentences += 1
-        token_counts = Counter(tokens)
-        freq.update(token_counts)
-        if not target_nouns:
-            continue
-        present = [t for t in token_counts if t in target_nouns]
-        if not present:
-            continue
-        for noun in present:
-            n_occ = token_counts[noun]
-            for word, w_occ in token_counts.items():
-                if context_vocab is not None and word not in context_vocab:
-                    continue
-                pairs = n_occ * w_occ
-                if word == noun:
-                    pairs -= n_occ  # a token never pairs with itself
-                if pairs:
-                    key = (noun, word)
-                    pair_counts[key] = pair_counts.get(key, 0) + pairs
-    if n_sentences == 0:
+        words = line.split()
+        if words:
+            raw_ids.extend(map(first_id.__getitem__, words))
+            lengths.append(len(words))
+    if not lengths:
         raise ValueError("empty corpus: no non-blank sentences found")
 
-    noun_vocab = Vocabulary.from_words(sorted(target_nouns))
-    if context_vocab is None:
-        context_vocab = Vocabulary.from_words(sorted(freq))
-    rows, cols, data = [], [], []
-    for (noun, word), count in pair_counts.items():
-        rows.append(noun_vocab.position(noun))
-        cols.append(context_vocab.position(word))
-        data.append(count)
-    counts = sp.csr_matrix(
-        (data, (rows, cols)),
-        shape=(len(noun_vocab), len(context_vocab)),
-        dtype=np.int64,
+    # Renumber in sorted word order, so column j of S is the j-th sorted type.
+    types = sorted(first_id)
+    type_id = {word: i for i, word in enumerate(types)}
+    renumber = np.fromiter(map(type_id.__getitem__, first_id), dtype=np.int32, count=len(types))
+    ids = renumber[np.frombuffer(raw_ids, dtype=np.int32)]
+    del raw_ids
+    counts = np.bincount(ids, minlength=len(types))
+    freq = Counter(dict(zip(types, counts.tolist())))
+
+    noun_vocab = Vocabulary.from_words(sorted(set(target_nouns)))
+    noun_row = np.full(len(types), -1, dtype=np.int32)  # word id -> table row
+    for row, noun in enumerate(noun_vocab.words):
+        if noun in type_id:
+            noun_row[type_id[noun]] = row
+    nouns = np.flatnonzero(noun_row >= 0)
+
+    # A sentence's tokens are contiguous in ids, so the rows of S (the kept
+    # sentences) are runs of ids and need no row index per token.
+    lengths = np.array(lengths)
+    is_noun = noun_row[ids] >= 0
+    nouns_per_sentence = np.add.reduceat(is_noun, np.cumsum(lengths) - lengths, dtype=np.int64)
+    kept = nouns_per_sentence > 0
+    in_kept = np.repeat(kept, lengths)
+    sentence_words = sp.csr_matrix(
+        (np.ones(int(in_kept.sum()), dtype=np.int64), ids[in_kept],
+         np.concatenate(([0], np.cumsum(lengths[kept])))),
+        shape=(int(kept.sum()), len(types)),
     )
-    counts.sum_duplicates()
-    return freq, CooccurrenceTable(noun_vocab, context_vocab, counts)
+    # S[:, nouns], with each noun's column placed at its table row.
+    sentence_nouns = sp.csr_matrix(
+        (np.ones(int(is_noun.sum()), dtype=np.int64), noun_row[ids[is_noun]],
+         np.concatenate(([0], np.cumsum(nouns_per_sentence[kept])))),
+        shape=(int(kept.sum()), len(noun_vocab)),
+    )
+    shape = (len(noun_vocab), len(types))
+    self_pairs = sp.csr_matrix((counts[nouns], (noun_row[nouns], nouns)), shape=shape)
+    table = (sentence_nouns.T @ sentence_words - self_pairs).tocsr()
+    table.eliminate_zeros()
+    table.sort_indices()
+    return freq, CooccurrenceTable(noun_vocab, Vocabulary(tuple(types), type_id), table)
 
 
 def build_context_vocab(frequencies, stopwords, size: int = 10000) -> Vocabulary:

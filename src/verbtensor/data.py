@@ -70,7 +70,11 @@ class CvSplit:
 
 
 def read_triples_tsv(path) -> list:
-    """Read ``subject<TAB>verb<TAB>object<TAB>count`` rows."""
+    """Read ``subject<TAB>verb<TAB>object<TAB>count`` rows.
+
+    A row without four fields or with a count that is not an integer raises
+    ``DataError`` naming the file and line.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -79,9 +83,14 @@ def read_triples_tsv(path) -> list:
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
+                raise DataError(
+                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
+                )
             subject, verb, obj, count = parts
-            rows.append((subject, verb, obj, int(count)))
+            try:
+                rows.append((subject, verb, obj, int(count)))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
     return rows
 
 

@@ -25,7 +25,6 @@ from . import evaluation as eval_mod
 from . import tensor_model as tm
 from . import vectors as vec_mod
 from .config import PipelineConfig, require_input_files
-from .linalg import write_tvb
 from .util import (
     DataError,
     ValidationError,
@@ -88,17 +87,13 @@ def build_vectors(config: PipelineConfig) -> dict:
     if not targets:
         raise ValidationError(f"no triples found in {config.triples}")
 
-    log.info("scanning corpus for frequencies: %s", config.corpus)
-    frequencies, _ = corpus_mod.scan_corpus(
-        corpus_mod.iter_corpus_lines(config.corpus), target_nouns=set()
+    log.info("scanning corpus %s for %d target nouns", config.corpus, len(targets))
+    frequencies, cooc = corpus_mod.scan_corpus(
+        corpus_mod.iter_corpus_lines(config.corpus), targets
     )
     vocab = corpus_mod.build_context_vocab(frequencies, stopwords, config.context_vocab_size)
     log.info("context vocabulary: %d words", len(vocab))
-
-    log.info("scanning corpus for co-occurrences of %d target nouns", len(targets))
-    _, cooc = corpus_mod.scan_corpus(
-        corpus_mod.iter_corpus_lines(config.corpus), set(targets), vocab
-    )
+    cooc = cooc.restrict(vocab)
     weighted = vec_mod.ttest_weight(cooc)
     weighted, dropped = vec_mod.drop_zero_rows(weighted)
     if dropped:
@@ -119,9 +114,7 @@ def build_vectors(config: PipelineConfig) -> dict:
         emb = reduced.leading(k)
         tsv_path = out_dir / f"embeddings_k{k}.tsv"
         vec_mod.write_embeddings_tsv(tsv_path, emb)
-        bin_path = out_dir / f"embeddings_k{k}.tvb"
-        write_tvb(bin_path, emb.matrix)
-        outputs.extend([tsv_path, bin_path])
+        outputs.append(tsv_path)
         log.info("wrote %d x %d embeddings to %s", emb.matrix.shape[0], k, tsv_path)
 
     inputs = [config.corpus, config.stopwords, config.triples]

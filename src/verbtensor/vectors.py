@@ -15,6 +15,7 @@ from scipy import stats
 
 from .corpus import CooccurrenceTable, Vocabulary
 from .linalg import cosine, l2_normalize_rows, truncated_svd
+from .util import DataError
 
 log = logging.getLogger(__name__)
 
@@ -208,18 +209,43 @@ def write_embeddings_tsv(path, embeddings: EmbeddingTable) -> None:
 
 
 def read_embeddings_tsv(path) -> EmbeddingTable:
-    nouns, rows = [], []
+    """Read ``noun<TAB>v1<TAB>...<TAB>vK`` rows, one noun per line.
+
+    A row wider or narrower than the first, a value that is not a finite
+    float, a repeated noun or a file without rows raises ``DataError``
+    naming the file (and the line, where there is one).
+    """
+    index, rows, linenos = {}, [], []
+    width = None
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            nouns.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            if width is None:
+                width = len(parts)
+            elif len(parts) != width:
+                raise DataError(
+                    f"{path}:{lineno}: expected {width - 1} values, got {len(parts) - 1}"
+                )
+            noun = parts[0]
+            if noun in index:
+                raise DataError(
+                    f"{path}:{lineno}: noun {noun!r} repeats line {linenos[index[noun]]}"
+                )
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            index[noun] = len(linenos)
+            linenos.append(lineno)
     if not rows:
-        raise ValueError(f"no embeddings found in {path}")
+        raise DataError(f"no embeddings found in {path}")
     matrix = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
     return EmbeddingTable(
-        nouns=Vocabulary.from_words(nouns), dim=matrix.shape[1], matrix=matrix
+        nouns=Vocabulary(tuple(index), index), dim=matrix.shape[1], matrix=matrix
     )

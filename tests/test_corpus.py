@@ -1,11 +1,14 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verbtensor.corpus import (
+    CooccurrenceTable,
     Vocabulary,
     build_context_vocab,
     frequency_buckets,
@@ -36,22 +39,74 @@ def naive_pair_count(sentences, targets, context_vocab=None):
     return total, per_pair
 
 
+def loop_scan_corpus(sentences, target_nouns, context_vocab=None):
+    """Per-sentence loop scan, the reference for ``scan_corpus``.
+
+    Counts each sentence's tokens and adds ``n_occ * w_occ`` pairs per
+    (target noun, word), less ``n_occ`` when the word is the noun itself.
+    """
+    target_nouns = set(target_nouns)
+    freq: Counter = Counter()
+    pair_counts: dict = {}
+    n_sentences = 0
+    for line in sentences:
+        tokens = line.split()
+        if not tokens:
+            continue
+        n_sentences += 1
+        token_counts = Counter(tokens)
+        freq.update(token_counts)
+        present = [t for t in token_counts if t in target_nouns]
+        for noun in present:
+            n_occ = token_counts[noun]
+            for word, w_occ in token_counts.items():
+                if context_vocab is not None and word not in context_vocab:
+                    continue
+                pairs = n_occ * w_occ
+                if word == noun:
+                    pairs -= n_occ  # a token never pairs with itself
+                if pairs:
+                    key = (noun, word)
+                    pair_counts[key] = pair_counts.get(key, 0) + pairs
+    if n_sentences == 0:
+        raise ValueError("empty corpus: no non-blank sentences found")
+
+    noun_vocab = Vocabulary.from_words(sorted(target_nouns))
+    if context_vocab is None:
+        context_vocab = Vocabulary.from_words(sorted(freq))
+    rows, cols, data = [], [], []
+    for (noun, word), count in pair_counts.items():
+        rows.append(noun_vocab.position(noun))
+        cols.append(context_vocab.position(word))
+        data.append(count)
+    counts = sp.csr_matrix(
+        (data, (rows, cols)),
+        shape=(len(noun_vocab), len(context_vocab)),
+        dtype=np.int64,
+    )
+    counts.sum_duplicates()
+    return freq, CooccurrenceTable(noun_vocab, context_vocab, counts)
+
+
 class TestScanCorpus:
     def test_single_sentence(self):
         vocab = Vocabulary.from_words(["eat", "fish"])
-        freq, table = scan_corpus(["cat eat fish"], {"cat"}, vocab)
+        freq, table = scan_corpus(["cat eat fish"], {"cat"})
+        table = table.restrict(vocab)
         assert table.count("cat", "eat") == 1
         assert table.count("cat", "fish") == 1
         assert freq == Counter({"cat": 1, "eat": 1, "fish": 1})
 
     def test_absent_target_has_zero_row(self):
         vocab = Vocabulary.from_words(["eat"])
-        _, table = scan_corpus(["dog eat bone"], {"cat", "dog"}, vocab)
+        _, table = scan_corpus(["dog eat bone"], {"cat", "dog"})
+        table = table.restrict(vocab)
         assert table.count("cat", "eat") == 0
         assert table.count("dog", "eat") == 1
 
     def test_repeated_noun_multiplicity(self):
-        _, table = scan_corpus(["cat cat eat"], {"cat"}, Vocabulary.from_words(["eat", "cat"]))
+        _, table = scan_corpus(["cat cat eat"], {"cat"})
+        table = table.restrict(Vocabulary.from_words(["eat", "cat"]))
         assert table.count("cat", "eat") == 2
         # two occurrences of the lemma pair with each other, not with themselves
         assert table.count("cat", "cat") == 2
@@ -72,7 +127,8 @@ class TestScanCorpus:
 
     def test_restricted_context_vocab(self):
         vocab = Vocabulary.from_words(["eat"])
-        _, table = scan_corpus(["cat eat fish", "cat purr"], {"cat"}, vocab)
+        _, table = scan_corpus(["cat eat fish", "cat purr"], {"cat"})
+        table = table.restrict(vocab)
         assert table.count("cat", "eat") == 1
         assert "fish" not in table.contexts
 
@@ -200,3 +256,58 @@ def test_total_count_matches_oracle_property(seed):
     freq, table = scan_corpus(sentences, targets)
     expected_total, _ = naive_pair_count(sentences, targets)
     assert table.total() == expected_total
+
+
+def assert_tables_equal(table, expected):
+    assert table.target_nouns.words == expected.target_nouns.words
+    assert table.contexts.words == expected.contexts.words
+    assert table.counts.shape == expected.counts.shape
+    assert table.counts.dtype == expected.counts.dtype
+    np.testing.assert_array_equal(table.counts.indptr, expected.counts.indptr)
+    np.testing.assert_array_equal(table.counts.indices, expected.counts.indices)
+    np.testing.assert_array_equal(table.counts.data, expected.counts.data)
+
+
+@st.composite
+def corpora(draw):
+    """Random corpora with repeated lemmas, blank lines and unseen targets.
+
+    Returns ``(sentences, targets, vocab)``. Targets are drawn from the
+    corpus words plus words that never occur; the context vocabulary is a
+    random subset of the same words in random order, so some targets fall
+    outside it and some contexts never occur.
+    """
+    words = [f"w{i}" for i in range(draw(st.integers(1, 12)))]
+    sentence = st.lists(st.sampled_from(words), min_size=1, max_size=10).map(" ".join)
+    line = st.one_of(sentence, sentence, sentence, st.sampled_from(["", "  ", "\t"]))
+    sentences = draw(st.lists(line, min_size=1, max_size=40))
+    sentences.append(draw(sentence))
+    ghosts = [f"ghost{i}" for i in range(3)]
+    targets = draw(st.sets(st.sampled_from(words + ghosts), max_size=len(words) + 3))
+    vocab = draw(st.permutations(words + ghosts[:1]).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda n: order[:n])))
+    return sentences, targets, Vocabulary.from_words(vocab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora())
+def test_restricted_scan_matches_loop_reference(case):
+    sentences, targets, vocab = case
+    freq, table = scan_corpus(sentences, targets)
+    expected_freq, expected = loop_scan_corpus(sentences, targets, vocab)
+    assert freq == expected_freq
+    assert_tables_equal(table.restrict(vocab), expected)
+    _, expected_full = loop_scan_corpus(sentences, targets)
+    assert_tables_equal(table, expected_full)
+
+
+def test_repeated_targets_in_one_sentence_match_loop_reference():
+    sentences = ["cat cat cat dog dog eat", "", "dog cat eat eat", "fish"]
+    targets = {"cat", "dog", "ghost"}
+    vocab = Vocabulary.from_words(["eat", "dog", "fish"])
+    freq, table = scan_corpus(sentences, targets)
+    expected_freq, expected = loop_scan_corpus(sentences, targets, vocab)
+    assert freq == expected_freq
+    assert_tables_equal(table.restrict(vocab), expected)
+    assert table.count("cat", "cat") == 3 * 2
+    assert table.count("ghost", "eat") == 0

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verbtensor.corpus import frequency_buckets
 from verbtensor.data import (
@@ -11,6 +13,7 @@ from verbtensor.data import (
     load_positives,
     make_5x2cv_splits,
     read_dataset_jsonl,
+    read_triples_tsv,
     subsample,
     write_dataset_jsonl,
     write_splits_jsonl,
@@ -242,3 +245,51 @@ class TestJsonl:
         write_splits_jsonl(a, make_5x2cv_splits(dataset, seed=2))
         write_splits_jsonl(b, make_5x2cv_splits(dataset, seed=2))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestReadTriplesTsv:
+    def test_round_trip(self, triple_file):
+        rows = read_triples_tsv(triple_file)
+        assert rows[0] == ("court", "apply", "law", 50)
+        assert len(rows) == 5
+
+    def test_wrong_field_count_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tv\tb\t3\n\na\tv\tb\n")
+        with pytest.raises(DataError, match=r"t\.tsv:3: expected 4 tab-separated fields, got 3"):
+            read_triples_tsv(path)
+
+    def test_non_integer_count_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tv\tb\t3\nc\tv\td\tx1\n")
+        with pytest.raises(DataError, match=r"t\.tsv:2: count 'x1' is not an integer"):
+            read_triples_tsv(path)
+
+
+BAD_COUNTS = ["x1", "1.5", "", "one", "1e3", "nan", "3 3"]
+
+
+@st.composite
+def corrupted_triples(draw):
+    """Triples file lines with one corrupted row, and that row's line number."""
+    n = draw(st.integers(1, 6))
+    rows = [[f"s{i}", "v", f"o{i}", str(draw(st.integers(0, 99)))] for i in range(n)]
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["drop", "extra", "count"]))
+    if kind == "drop":
+        del rows[i][draw(st.integers(0, 3))]
+    elif kind == "extra":
+        rows[i].insert(draw(st.integers(0, 4)), "x")
+    else:
+        rows[i][3] = draw(st.sampled_from(BAD_COUNTS))
+    return ["\t".join(row) for row in rows], i + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_triples())
+def test_corrupted_triples_raise_only_data_error(tmp_path_factory, case):
+    lines, lineno = case
+    path = tmp_path_factory.mktemp("triples") / "triples.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"triples\.tsv:{lineno}: "):
+        read_triples_tsv(path)

@@ -127,7 +127,6 @@ class TestBuildVectors:
         out = config.vectors_dir()
         for k in config.svd_dims:
             assert (out / f"embeddings_k{k}.tsv").is_file()
-            assert (out / f"embeddings_k{k}.tvb").is_file()
         assert (out / "frequencies.tsv").is_file()
 
     def test_manifest_checksums_match_inputs(self, built):
@@ -138,7 +137,7 @@ class TestBuildVectors:
             "corpus.txt", "stopwords.txt", "triples.tsv", "dev_pairs.tsv"
         }
         assert set(manifest["outputs"]) == {"vectors/frequencies.tsv"} | {
-            f"vectors/embeddings_k{k}.{ext}" for k in config.svd_dims for ext in ("tsv", "tvb")
+            f"vectors/embeddings_k{k}.tsv" for k in config.svd_dims
         }
         assert_manifest_digests(config, manifest["inputs"])
         assert_manifest_digests(config, manifest["outputs"])
@@ -442,3 +441,55 @@ class TestTrainPredictEval:
             assert run_cli("--config", built, "--out", out, "train", "--verb", verb) == 0
         name = f"{verb}_k{config.primary_k}.tvbm"
         assert sha256_file(out_a / "models" / name) == sha256_file(out_b / "models" / name)
+
+
+def copy_fixture(small_fixture, tmp_path) -> Path:
+    """A copy of the fixture's input files, without its outputs."""
+    broken_dir = tmp_path / "broken"
+    shutil.copytree(Path(small_fixture).parent, broken_dir, ignore=shutil.ignore_patterns("out"))
+    return broken_dir
+
+
+def assert_clean_failure(caplog, needle):
+    """One logged error names ``needle``, and no record carries a traceback."""
+    assert not any(record.exc_info for record in caplog.records)
+    assert "Traceback" not in caplog.text
+    assert any(needle in record.getMessage() for record in caplog.records), caplog.text
+
+
+class TestMalformedInputs:
+    def test_non_utf8_corpus_fails_cleanly(self, small_fixture, tmp_path, caplog):
+        broken = copy_fixture(small_fixture, tmp_path)
+        corpus = broken / "corpus.txt"
+        n_lines = len(corpus.read_bytes().splitlines())
+        with open(corpus, "ab") as handle:
+            handle.write(b"\xff\xfe bad\n")
+        rc = run_cli("--config", broken / "config.ini", "--out", tmp_path / "out",
+                     "build-vectors")
+        assert rc == EXIT_RUNTIME
+        assert_clean_failure(caplog, f"corpus.txt:{n_lines + 1}: corpus is not UTF-8")
+
+    def test_non_integer_triple_count_fails_cleanly(self, small_fixture, tmp_path, caplog):
+        broken = copy_fixture(small_fixture, tmp_path)
+        triples = broken / "triples.tsv"
+        lines = triples.read_text().splitlines()
+        subject, verb, obj, _ = lines[2].split("\t")
+        lines[2] = f"{subject}\t{verb}\t{obj}\tx1"
+        triples.write_text("\n".join(lines) + "\n")
+        rc = run_cli("--config", broken / "config.ini", "--out", tmp_path / "out",
+                     "build-vectors")
+        assert rc == EXIT_RUNTIME
+        assert_clean_failure(caplog, "triples.tsv:3: count 'x1' is not an integer")
+
+    def test_non_finite_embedding_fails_gen_data(self, built, tmp_path, caplog):
+        config = load_config(built)
+        out = tmp_path / "nanvec"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        emb = out / "vectors" / f"embeddings_k{config.primary_k}.tsv"
+        lines = emb.read_text().splitlines()
+        noun, _, rest = lines[1].split("\t", 2)
+        lines[1] = f"{noun}\tnan\t{rest}"
+        emb.write_text("\n".join(lines) + "\n")
+        assert run_cli("--config", built, "--out", out, "gen-data") == EXIT_RUNTIME
+        assert_clean_failure(caplog, f"{emb.name}:2: non-finite value")
+        assert not (out / "datasets" / "manifest.json").exists()

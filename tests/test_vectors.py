@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from verbtensor.corpus import CooccurrenceTable, Vocabulary
 from verbtensor.linalg import cosine
+from verbtensor.util import DataError
 from verbtensor.vectors import (
     EmbeddingTable,
     SimilarityPair,
@@ -353,11 +354,66 @@ class TestEmbeddingIo:
         assert loaded.nouns.words == ("x", "y")
         np.testing.assert_array_equal(loaded.matrix, emb.matrix)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\t1.0\t2.0\nb\t3.0\n", r"emb\.tsv:2: expected 2 values, got 1"),
+            ("a\t1.0\n\nb\t3.0\t4.0\n", r"emb\.tsv:3: expected 1 values, got 2"),
+            ("a\t1.0\nb\tnan\n", r"emb\.tsv:2: non-finite value"),
+            ("a\t-inf\nb\t1.0\n", r"emb\.tsv:1: non-finite value"),
+            ("a\t1.0\nb\t2.0\na\t3.0\n", r"emb\.tsv:3: noun 'a' repeats line 1"),
+            ("a\t1.0\nb\tx1\n", r"emb\.tsv:2: could not convert"),
+            ("\n", r"no embeddings found in .*emb\.tsv"),
+        ],
+        ids=["narrow", "wide", "nan", "inf", "repeat", "text", "empty"],
+    )
+    def test_malformed_tsv_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "emb.tsv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_embeddings_tsv(path)
+
     def test_pairs_round_trip(self, tmp_path):
         path = tmp_path / "pairs.tsv"
         path.write_text("a\tb\t0.5\nc\td\t0.25\n")
         pairs = read_pairs_tsv(path)
         assert pairs[1] == SimilarityPair("c", "d", 0.25)
+
+
+BAD_VALUES = ["nan", "NaN", "inf", "-inf", "1e999", "", "x1", "0x10", "1,5"]
+
+
+@st.composite
+def corrupted_embeddings(draw):
+    """Embedding file lines with one corruption, and the line that shows it."""
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    values = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: repr(float(v)))
+    rows = [[f"n{i}"] + draw(st.lists(values, min_size=k, max_size=k)) for i in range(n)]
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["drop", "extra", "value", "repeat"]))
+    if kind == "drop":
+        del rows[i][draw(st.integers(1, k))]
+    elif kind == "extra":
+        rows[i].insert(draw(st.integers(1, k + 1)), "0.5")
+    elif kind == "value":
+        rows[i][draw(st.integers(1, k))] = draw(st.sampled_from(BAD_VALUES))
+    else:
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        i, j = max(i, j), min(i, j)
+        rows[i][0] = rows[j][0]
+    # a row of the wrong width is reported on the first row that differs
+    lineno = 2 if kind in ("drop", "extra") and i == 0 else i + 1
+    return ["\t".join(row) for row in rows], lineno
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_embeddings())
+def test_corrupted_embeddings_raise_only_data_error(tmp_path_factory, case):
+    lines, lineno = case
+    path = tmp_path_factory.mktemp("emb") / "embeddings_k4.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"embeddings_k4\.tsv:{lineno}: "):
+        read_embeddings_tsv(path)
 
 
 @settings(max_examples=40, deadline=None)
