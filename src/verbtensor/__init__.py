@@ -41,13 +41,11 @@ from .evaluation import (
     f_test_5x2cv,
     learning_curve,
     roc_auc,
-    roc_auc_trapezoidal,
     run_5x2cv,
 )
 from .linalg import (
     SvdResult,
     cosine,
-    kronecker,
     l2_normalize_rows,
     read_tvb,
     truncated_svd,

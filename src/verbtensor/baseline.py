@@ -1,8 +1,15 @@
 """Corpus-driven baseline: average Kronecker product of positive pairs.
 
-The verb is summarized by the mean outer product of its positive subject and
-object embeddings. A new pair is scored by the cosine between its own outer
-product and that average. Labels use a score cutoff placed at the equal-error
+The verb is summarized by the mean outer product ``M`` of its positive
+subject and object embeddings. A new pair is scored by the cosine between
+its own outer product and that average, which factors without forming the
+K x K product::
+
+    cos(s ⊗ o, M) = sᵀ M o / (‖s‖ ‖o‖ ‖M‖_F)
+
+Everything works on a leading example axis: training is one ``Sᵀ O`` over
+the stacked positive rows, and scoring N pairs is one ``S @ M`` plus a
+row-wise dot with ``O``. Labels use a score cutoff placed at the equal-error
 point of the training ROC, the threshold where false-positive and
 false-negative rates come closest.
 """
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
-from .linalg import cosine, kronecker, read_tvb, write_tvb
+from .linalg import _as_dense_matrix
 from .util import DataError
 
 
@@ -28,27 +35,42 @@ def train_baseline(positives, embeddings) -> KronBaselineModel:
     """Average the Kronecker products of the positive (subject, object) pairs.
 
     Only positively labeled triples are accepted; the baseline never sees
-    negatives until cutoff calibration. Pairs are summed in a canonical
-    sorted order so the result is exactly permutation invariant.
+    negatives until cutoff calibration. Pairs are stacked in a canonical
+    sorted order, so ``Sᵀ O / n`` is exactly permutation invariant.
     """
     usable = [t for t in positives if t.subject in embeddings and t.object in embeddings]
     if not usable:
         raise DataError("no positive triples with embedded nouns")
     if any(not t.is_plausible for t in usable):
         raise ValueError("train_baseline accepts positive triples only")
-    verb = usable[0].verb
     ordered = sorted(usable, key=lambda t: (t.subject, t.object))
-    k_s = embeddings.vector(ordered[0].subject).shape[0]
-    k_o = embeddings.vector(ordered[0].object).shape[0]
-    total = np.zeros((k_s, k_o))
-    for t in ordered:
-        total += kronecker(embeddings.vector(t.subject), embeddings.vector(t.object))
-    return KronBaselineModel(verb=verb, avg_matrix=total / len(ordered))
+    subjects = embeddings.rows(t.subject for t in ordered)
+    objects_ = embeddings.rows(t.object for t in ordered)
+    return KronBaselineModel(verb=usable[0].verb, avg_matrix=subjects.T @ objects_ / len(ordered))
 
 
-def score(model: KronBaselineModel, n_s, n_o) -> float:
-    """Cosine between the query pair's outer product and the verb average."""
-    return cosine(kronecker(n_s, n_o), model.avg_matrix)
+def score(model: KronBaselineModel, subjects, objects_) -> np.ndarray:
+    """Cosines between each pair's outer product and the verb average.
+
+    ``subjects`` and ``objects_`` are (N, K); one pair is the N = 1 case.
+    Non-finite inputs, mismatched shapes and a zero subject row, object row
+    or average raise ``ValueError``, as the cosine of a zero vector is
+    undefined.
+    """
+    avg = _as_dense_matrix(model.avg_matrix, "average matrix")
+    subjects = _as_dense_matrix(subjects, "subjects")
+    objects_ = _as_dense_matrix(objects_, "objects")
+    n, k_s = subjects.shape
+    if objects_.shape[0] != n or (k_s, objects_.shape[1]) != avg.shape:
+        raise ValueError(
+            f"shape mismatch: subjects {subjects.shape}, objects {objects_.shape}, "
+            f"average {avg.shape}"
+        )
+    norms = np.linalg.norm(subjects, axis=1) * np.linalg.norm(objects_, axis=1)
+    norms *= np.linalg.norm(avg)
+    if not norms.all():
+        raise ValueError("cosine undefined for a zero vector")
+    return ((subjects @ avg) * objects_).sum(axis=1) / norms
 
 
 def calibrate_cutoff(model: KronBaselineModel, train_pos_scores, train_neg_scores) -> float:
@@ -76,39 +98,14 @@ def calibrate_cutoff(model: KronBaselineModel, train_pos_scores, train_neg_score
     return model.cutoff
 
 
-def predict_baseline(model: KronBaselineModel, n_s, n_o):
-    """Label a pair with the calibrated cutoff; returns (label, score)."""
+def predict_baseline(model: KronBaselineModel, subjects, objects_):
+    """Labels and scores for N pairs under the calibrated cutoff.
+
+    Mirrors ``tensor_model.predict_batch``: returns ``(labels, scores)``
+    with ``score >= cutoff`` labeled plausible.
+    """
     if model.cutoff is None:
         raise ValueError("baseline model has no calibrated cutoff")
-    value = score(model, n_s, n_o)
-    label = PLAUSIBLE if value >= model.cutoff else IMPLAUSIBLE
-    return label, value
-
-
-def save_baseline(base_path, model: KronBaselineModel, stats: dict | None = None) -> None:
-    """Write ``<base>.tvbm`` (average matrix) and a text sidecar."""
-    base = str(base_path)
-    write_tvb(base + ".tvbm", model.avg_matrix)
-    lines = [f"verb = {model.verb}", f"k = {model.avg_matrix.shape[0]}"]
-    cutoff = "none" if model.cutoff is None else repr(model.cutoff)
-    lines.append(f"cutoff = {cutoff}")
-    for key in sorted(stats or {}):
-        lines.append(f"{key} = {stats[key]!r}")
-    with open(base + ".meta", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def load_baseline(base_path) -> KronBaselineModel:
-    base = str(base_path)
-    avg = read_tvb(base + ".tvbm")
-    verb = ""
-    cutoff = None
-    with open(base + ".meta", "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line.startswith("verb = "):
-                verb = line[len("verb = "):]
-            elif line.startswith("cutoff = "):
-                raw = line[len("cutoff = "):]
-                cutoff = None if raw == "none" else float(raw)
-    return KronBaselineModel(verb=verb, avg_matrix=avg, cutoff=cutoff)
+    values = score(model, subjects, objects_)
+    labels = [PLAUSIBLE if value >= model.cutoff else IMPLAUSIBLE for value in values]
+    return labels, values

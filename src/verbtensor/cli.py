@@ -29,7 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transitive-verb tensor learning over a plausibility sentence space",
     )
     parser.add_argument("--config", required=True, help="pipeline config file (INI)")
-    parser.add_argument("--out", default=None, help="override the configured output directory")
+    parser.add_argument("--out", default=None,
+                        help="output directory in place of the config's [paths] output_dir, "
+                             "relative to the working directory (paths inside the config "
+                             "are relative to the config file)")
     parser.add_argument("--seed", type=int, default=None,
                         help="rebase all pipeline seeds from this value")
     parser.add_argument("--jobs", type=int, default=1, help="parallel verbs for experiments")

@@ -69,7 +69,9 @@ def _parse_str_tuple(raw: str) -> tuple:
 def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
     """Parse and sanity-check a pipeline config file.
 
-    ``out_override`` replaces the configured output directory; a
+    Relative paths inside the file resolve against the file's directory;
+    ``out_override``, a command-line path, replaces the configured output
+    directory and resolves against the working directory. A
     ``seed_override`` rebases every named seed deterministically, which gives
     a one-flag way to rerun the whole pipeline with fresh randomness.
     """
@@ -111,10 +113,7 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
     stopwords = _path("paths", "stopwords")
     triples = _path("paths", "triples")
     dev_pairs = _path("paths", "dev_pairs", required=False)
-    output_dir = out_override or _path("paths", "output_dir")
-    output_dir = Path(output_dir)
-    if not output_dir.is_absolute():
-        output_dir = base / output_dir
+    output_dir = Path(out_override) if out_override else _path("paths", "output_dir")
 
     train_seed = _get("training", "seed", int, 13)
     cv_seed = _get("experiment", "cv_seed", int, 17)

@@ -105,14 +105,20 @@ def iter_corpus_lines(path):
     """Yield raw sentence lines from a corpus file.
 
     A file that is not UTF-8 raises ``DataError`` naming the file and the
-    first line that does not decode.
+    first line that does not decode; so does a file with no non-blank line,
+    naming its last line.
     """
+    lineno, blank = 0, True
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            yield from handle
+            for lineno, line in enumerate(handle, start=1):
+                blank = blank and line.isspace()
+                yield line
     except UnicodeDecodeError as exc:
         lineno = _first_undecodable_line(path)
         raise DataError(f"{path}:{lineno}: corpus is not UTF-8 ({exc.reason})") from None
+    if blank:
+        raise DataError(f"{path}:{lineno}: empty corpus: no non-blank sentences found")
 
 
 def _first_undecodable_line(path) -> int:
@@ -164,7 +170,7 @@ def scan_corpus(sentences, target_nouns):
             raw_ids.extend(map(first_id.__getitem__, words))
             lengths.append(len(words))
     if not lengths:
-        raise ValueError("empty corpus: no non-blank sentences found")
+        raise DataError("empty corpus: no non-blank sentences found")
 
     # Renumber in sorted word order, so column j of S is the j-th sorted type.
     types = sorted(first_id)

@@ -232,20 +232,50 @@ def write_dataset_jsonl(path, dataset: VerbDataset) -> None:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+_RECORD_KEYS = ("subject", "verb", "object", "label", "gold_dist")
+
+
 def read_dataset_jsonl(path) -> VerbDataset:
+    """Read a dataset written by ``write_dataset_jsonl``.
+
+    A line that is not a JSON object, a missing key, a bad label or a
+    ``gold_dist`` that disagrees with the label raises ``DataError`` naming
+    the file and line.
+    """
+    records = []
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle if line.strip()]
-    if not lines:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: not a JSON line ({exc})") from None
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            records.append((lineno, record))
+    if not records:
         raise DataError(f"empty dataset file {Path(path).name}")
-    header = json.loads(lines[0])
-    triples = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        triple = LabeledTriple(
-            record["subject"], record["verb"], record["object"], record["label"]
-        )
-        if tuple(record["gold_dist"]) != triple.gold_dist:
-            raise DataError(f"inconsistent gold_dist for {record}")
+    (lineno, header), triples = records[0], []
+    if not isinstance(header.get("verb"), str):
+        raise DataError(f"{path}:{lineno}: header has no verb")
+    for lineno, record in records[1:]:
+        missing = [key for key in _RECORD_KEYS if key not in record]
+        if missing:
+            raise DataError(f"{path}:{lineno}: missing key {missing[0]!r}")
+        if not all(isinstance(record[key], str) for key in _RECORD_KEYS[:3]):
+            raise DataError(f"{path}:{lineno}: subject, verb and object must be strings")
+        try:
+            triple = LabeledTriple(
+                record["subject"], record["verb"], record["object"], record["label"]
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if record["gold_dist"] != list(triple.gold_dist):
+            raise DataError(
+                f"{path}:{lineno}: gold_dist {record['gold_dist']!r} disagrees with "
+                f"label {triple.label!r}"
+            )
         triples.append(triple)
     return VerbDataset(verb=header["verb"], triples=triples, metadata=header.get("metadata", {}))
 

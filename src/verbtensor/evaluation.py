@@ -1,9 +1,8 @@
 """Metrics and experiment drivers: AUC, F1, 5x2cv, the paired F-test, curves.
 
-AUC is the Mann-Whitney pair-counting statistic (ties count one half); an
-independent trapezoidal integration over the full ROC is also provided and
-the two must agree to machine precision. Method comparison uses the combined
-5x2cv F-test with 10 and 5 degrees of freedom.
+AUC is the Mann-Whitney pair-counting statistic (ties count one half).
+Method comparison uses the combined 5x2cv F-test with 10 and 5 degrees of
+freedom.
 """
 
 import logging
@@ -14,8 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import rankdata
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 from . import baseline as kron
 from . import tensor_model as tm
@@ -88,39 +85,6 @@ def roc_auc(scores, labels) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def roc_auc_trapezoidal(scores, labels) -> float:
-    """AUC by trapezoidal integration over the full ROC curve.
-
-    Walks every distinct threshold from high to low, collecting (FPR, TPR)
-    points, and integrates. Serves as the independent cross-check for the
-    pair-counting implementation.
-    """
-    scores = np.asarray(list(scores), dtype=np.float64)
-    labels = list(labels)
-    if len(scores) != len(labels):
-        raise ValueError("scores and labels differ in length")
-    n_pos, n_neg = _check_binary(labels)
-    is_pos = np.asarray([lab == PLAUSIBLE for lab in labels])
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_pos = is_pos[order]
-    tpr = [0.0]
-    fpr = [0.0]
-    tp = fp = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        fp += (j - i) - int(sorted_pos[i:j].sum())
-        tpr.append(tp / n_pos)
-        fpr.append(fp / n_neg)
-        i = j
-    return float(_trapezoid(tpr, fpr))
-
-
 def f1_plausible(predicted_labels, gold_labels) -> float:
     """F1 over the plausible class; zero when precision + recall is zero."""
     predicted_labels = list(predicted_labels)
@@ -136,44 +100,34 @@ def f1_plausible(predicted_labels, gold_labels) -> float:
     return 2.0 * tp / denom
 
 
+def _pair_rows(triples, embeddings):
+    """The (N, K) subject and object embedding rows of the triples."""
+    return embeddings.rows(t.subject for t in triples), embeddings.rows(t.object for t in triples)
+
+
 def _fit_and_score(method, train_triples, test_triples, embeddings, train_config, fold_seed):
     """Train one method on the train half and score the test half.
 
-    Returns (scores, predicted_labels) aligned with ``test_triples``. The
-    tensor ranks by its plausibility probability, scored for the whole test
-    half in one batched forward pass; the baseline ranks by
-    cosine and labels with its equal-error cutoff calibrated on the train
-    half.
+    Returns (scores, predicted_labels) aligned with ``test_triples``. Each
+    half's embedding rows are gathered once and every scoring step is one
+    batched call. The tensor ranks by its plausibility probability from one
+    forward pass over the test half. The baseline ranks by
+    ``cos(s ⊗ o, M) = sᵀ M o / (‖s‖ ‖o‖ ‖M‖_F)``: one ``kron.score`` call
+    scores the whole train half, a label mask splits it for the equal-error
+    cutoff, and one ``predict_baseline`` call labels the test half.
     """
+    test_rows = _pair_rows(test_triples, embeddings)
     if method == METHOD_TENSOR:
         result = tm.train(train_triples, embeddings, replace(train_config, seed=fold_seed))
-        labels, scores = tm.predict_batch(
-            result.model,
-            [embeddings.vector(t.subject) for t in test_triples],
-            [embeddings.vector(t.object) for t in test_triples],
-        )
+        labels, scores = tm.predict_batch(result.model, *test_rows)
         return scores.tolist(), labels
     if method == METHOD_BASELINE:
-        positives = [t for t in train_triples if t.is_plausible]
-        model = kron.train_baseline(positives, embeddings)
-        pos_scores = [
-            kron.score(model, embeddings.vector(t.subject), embeddings.vector(t.object))
-            for t in train_triples
-            if t.is_plausible
-        ]
-        neg_scores = [
-            kron.score(model, embeddings.vector(t.subject), embeddings.vector(t.object))
-            for t in train_triples
-            if not t.is_plausible
-        ]
-        kron.calibrate_cutoff(model, pos_scores, neg_scores)
-        scored = [
-            kron.predict_baseline(model, embeddings.vector(t.subject), embeddings.vector(t.object))
-            for t in test_triples
-        ]
-        labels = [lab for lab, _ in scored]
-        scores = [val for _, val in scored]
-        return scores, labels
+        model = kron.train_baseline([t for t in train_triples if t.is_plausible], embeddings)
+        train_scores = kron.score(model, *_pair_rows(train_triples, embeddings))
+        positive = np.fromiter((t.is_plausible for t in train_triples), dtype=bool)
+        kron.calibrate_cutoff(model, train_scores[positive], train_scores[~positive])
+        labels, scores = kron.predict_baseline(model, *test_rows)
+        return scores.tolist(), labels
     raise ValueError(f"unknown method {method!r}")
 
 

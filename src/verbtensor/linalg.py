@@ -46,17 +46,6 @@ class SvdResult:
         return (self.U * self.singular_values) @ self.V.T
 
 
-def _as_vector(x, name: str = "vector") -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
 def _as_dense_matrix(x, name: str = "matrix") -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if arr.ndim != 2:
@@ -64,13 +53,6 @@ def _as_dense_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
-
-
-def kronecker(u, v) -> np.ndarray:
-    """Outer product matrix ``result[i, j] = u[i] * v[j]``."""
-    u = _as_vector(u, "u")
-    v = _as_vector(v, "v")
-    return np.outer(u, v)
 
 
 def cosine(a, b) -> float:

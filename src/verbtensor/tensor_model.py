@@ -262,8 +262,8 @@ def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch=None)
 
 
 def _lookup_triples(triples, embeddings):
-    subjects = np.asarray([embeddings.vector(t.subject) for t in triples])
-    objects_ = np.asarray([embeddings.vector(t.object) for t in triples])
+    subjects = embeddings.rows(t.subject for t in triples)
+    objects_ = embeddings.rows(t.object for t in triples)
     targets = np.asarray([t.gold_dist for t in triples], dtype=np.float64)
     return subjects, objects_, targets
 

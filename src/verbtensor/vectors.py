@@ -50,6 +50,10 @@ class EmbeddingTable:
     def vector(self, noun: str) -> np.ndarray:
         return self.matrix[self.nouns.position(noun)]
 
+    def rows(self, nouns) -> np.ndarray:
+        """The (N, dim) stack of the nouns' vectors, in order, as one gather."""
+        return self.matrix[np.fromiter(map(self.nouns.position, nouns), dtype=np.intp)]
+
     def leading(self, k: int) -> "EmbeddingTable":
         """The first k dimensions: rank-k embeddings of the same decomposition."""
         if not 1 <= k <= self.dim:
@@ -188,15 +192,29 @@ def spearman_similarity_eval(embeddings: EmbeddingTable, pairs) -> float:
 
 
 def read_pairs_tsv(path) -> list:
-    """Read ``word_a<TAB>word_b<TAB>score`` similarity pairs."""
+    """Read ``word_a<TAB>word_b<TAB>score`` similarity pairs.
+
+    A row without three fields, a score that is not a finite float or a pair
+    that repeats its word raises ``DataError`` naming the file and line.
+    """
     pairs = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            word_a, word_b, score = line.split("\t")
-            pairs.append(SimilarityPair(word_a, word_b, float(score)))
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
+                )
+            try:
+                pair = SimilarityPair(parts[0], parts[1], float(parts[2]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(pair.gold_score):
+                raise DataError(f"{path}:{lineno}: score {parts[2]!r} is not finite")
+            pairs.append(pair)
     return pairs
 
 

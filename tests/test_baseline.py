@@ -2,24 +2,63 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from verbtensor.baseline import (
     KronBaselineModel,
     calibrate_cutoff,
-    load_baseline,
     predict_baseline,
-    save_baseline,
     score,
     train_baseline,
 )
 from verbtensor.corpus import Vocabulary
-from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple
-from verbtensor.evaluation import _holdout_halves, f1_plausible
-from verbtensor.linalg import cosine, kronecker
+from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, make_5x2cv_splits
+from verbtensor.evaluation import METHOD_BASELINE, _fit_and_score, _holdout_halves, f1_plausible
+from verbtensor.linalg import cosine
 from verbtensor.util import DataError
 from verbtensor.vectors import EmbeddingTable
+
+
+def kronecker(u, v) -> np.ndarray:
+    """Reference outer product ``result[i, j] = u[i] * v[j]`` of two finite vectors.
+
+    The baseline never forms it; the tests score pairs through it to check
+    the factored ``sᵀ M o / (‖s‖ ‖o‖ ‖M‖_F)`` form.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("kronecker inputs contain non-finite values")
+    return np.outer(u, v)
+
+
+class TestKronecker:
+    def test_basis_vectors(self):
+        np.testing.assert_array_equal(kronecker([1, 0], [0, 1]), [[0, 1], [0, 0]])
+
+    def test_scalars(self):
+        np.testing.assert_array_equal(kronecker([2], [3]), [[6]])
+
+    def test_direct_arithmetic(self):
+        np.testing.assert_array_equal(kronecker([1, 2], [3, 4]), [[3, 4], [6, 8]])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            kronecker([1.0, np.nan], [1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            kronecker([1.0], [np.inf, 1.0])
+
+    def test_cosine_factorization(self):
+        """cos(a x b, c x d) = cos(a, c) * cos(b, d) for nonzero vectors."""
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            a, c = rng.standard_normal((2, 4))
+            b, d = rng.standard_normal((2, 3))
+            left = cosine(kronecker(a, b), kronecker(c, d))
+            right = cosine(a, c) * cosine(b, d)
+            assert abs(left - right) < 1e-10
 
 
 def embeddings_from(vectors):
@@ -88,11 +127,51 @@ class TestTrainBaseline:
             train_baseline([pos("ghost", "o1")], simple_embeddings)
 
 
+def one(embeddings, noun):
+    """A (1, K) row: the one-pair case of the batched baseline calls."""
+    return embeddings.rows([noun])
+
+
+# finite entries, rows kept well away from zero norm below
+ENTRY = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@st.composite
+def scoring_cases(draw):
+    """An average matrix and (N, K) query rows with repeated pairs."""
+    k = draw(st.integers(1, 6))
+    n_distinct = draw(st.integers(1, 5))
+    distinct_s = draw(hnp.arrays(np.float64, (n_distinct, k), elements=ENTRY))
+    distinct_o = draw(hnp.arrays(np.float64, (n_distinct, k), elements=ENTRY))
+    avg = draw(hnp.arrays(np.float64, (k, k), elements=ENTRY))
+    pick = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1, max_size=12))
+    return avg, distinct_s[pick], distinct_o[pick], pick
+
+
+class TestTrainBaselineOracle:
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12),
+           st.randoms(use_true_random=False), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_invariant_and_naive_sum(self, pairs, shuffler, seed):
+        rng = np.random.default_rng(seed)
+        emb = embeddings_from({f"{r}{i}": rng.standard_normal(4) for r in "so" for i in range(4)})
+        triples = [pos(f"s{i}", f"o{j}") for i, j in pairs]
+        shuffled = list(triples)
+        shuffler.shuffle(shuffled)
+        model = train_baseline(triples, emb)
+        assert np.array_equal(model.avg_matrix, train_baseline(shuffled, emb).avg_matrix)
+        total = np.zeros((4, 4))
+        for t in triples:
+            total += kronecker(emb.vector(t.subject), emb.vector(t.object))
+        naive = total / len(triples)
+        np.testing.assert_allclose(model.avg_matrix, naive, rtol=0, atol=1e-12 * np.abs(naive).max())
+
+
 class TestScore:
     def test_self_similarity_is_one(self, simple_embeddings):
         model = train_baseline([pos("s1", "o1")], simple_embeddings)
         value = score(
-            model, simple_embeddings.vector("s1"), simple_embeddings.vector("o1")
+            model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1")
         )
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -101,13 +180,13 @@ class TestScore:
             {"s": [1.0, 0.0], "s_orth": [0.0, 1.0], "o": [0.0, 1.0]}
         )
         model = train_baseline([pos("s", "o")], emb)
-        value = score(model, emb.vector("s_orth"), emb.vector("o"))
+        value = score(model, one(emb, "s_orth"), one(emb, "o"))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_scale_invariance(self, simple_embeddings):
         model = train_baseline([pos("s1", "o1"), pos("s2", "o2")], simple_embeddings)
-        s = simple_embeddings.vector("s2")
-        o = simple_embeddings.vector("o1")
+        s = one(simple_embeddings, "s2")
+        o = one(simple_embeddings, "o1")
         assert score(model, 2.0 * s, o) == pytest.approx(score(model, s, o), abs=1e-12)
 
     def test_factorization_identity(self):
@@ -119,9 +198,67 @@ class TestScore:
                 {"st": s_train, "ot": o_train, "sq": s_query, "oq": o_query}
             )
             model = train_baseline([pos("st", "ot")], emb)
-            left = score(model, s_query, o_query)
+            left = score(model, s_query[None, :], o_query[None, :])
             right = cosine(s_query, s_train) * cosine(o_query, o_train)
             assert abs(left - right) < 1e-10
+
+
+class TestBatchedScoreOracle:
+    @given(scoring_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_pair_cosine_of_kronecker(self, case):
+        avg, subjects, objects_, pick = case
+        assume(np.linalg.norm(avg) > 1e-3)
+        assume((np.linalg.norm(subjects, axis=1) > 1e-3).all())
+        assume((np.linalg.norm(objects_, axis=1) > 1e-3).all())
+        model = KronBaselineModel(verb="eat", avg_matrix=avg)
+        batched = score(model, subjects, objects_)
+        oracle = [cosine(kronecker(s, o), avg) for s, o in zip(subjects, objects_)]
+        assert batched.shape == (len(pick),)
+        # cosines lie in [-1, 1], so 1e-12 absolute is 1e-12 of the score's range
+        np.testing.assert_allclose(batched, oracle, rtol=1e-12, atol=1e-12)
+        # a repeated pair scores bit-identically, so AUC ties stay ties
+        for i, j in enumerate(pick):
+            assert batched[i] == batched[pick.index(j)]
+
+    def test_zero_row_raises(self, simple_embeddings):
+        model = train_baseline([pos("s1", "o1")], simple_embeddings)
+        s = simple_embeddings.rows(["s1", "s2"])
+        o = simple_embeddings.rows(["o1", "o2"])
+        for subjects, objects_ in ((s * [[1.0], [0.0]], o), (s, o * [[0.0], [1.0]])):
+            with pytest.raises(ValueError, match="zero vector"):
+                score(model, subjects, objects_)
+
+    def test_non_finite_row_raises(self, simple_embeddings):
+        model = train_baseline([pos("s1", "o1")], simple_embeddings)
+        s = simple_embeddings.rows(["s1", "s2"])
+        o = simple_embeddings.rows(["o1", "o2"])
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = s.copy()
+            broken[1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                score(model, broken, o)
+            with pytest.raises(ValueError, match="non-finite"):
+                score(model, s, broken)
+        model.avg_matrix = model.avg_matrix.copy()
+        model.avg_matrix[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            score(model, s, o)
+
+    def test_zero_average_raises(self, simple_embeddings):
+        model = KronBaselineModel(verb="eat", avg_matrix=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="zero vector"):
+            score(model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1"))
+
+    def test_shape_mismatch_raises(self, simple_embeddings):
+        model = train_baseline([pos("s1", "o1")], simple_embeddings)
+        s = simple_embeddings.rows(["s1", "s2"])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            score(model, s, simple_embeddings.rows(["o1"]))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            score(model, s[:, :2], simple_embeddings.rows(["o1", "o2"]))
+        with pytest.raises(ValueError, match="2-D"):
+            score(model, simple_embeddings.vector("s1"), simple_embeddings.vector("o1"))
 
 
 def loop_calibrate_cutoff(pos_scores, neg_scores):
@@ -214,16 +351,16 @@ class TestCalibrateCutoff:
 class TestPredictBaseline:
     def test_rule_and_boundary(self, simple_embeddings):
         model = train_baseline([pos("s1", "o1")], simple_embeddings)
-        value = score(model, simple_embeddings.vector("s1"), simple_embeddings.vector("o1"))
+        [value] = score(model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1"))
         model.cutoff = value  # boundary: score == cutoff counts as plausible
-        label, returned = predict_baseline(
-            model, simple_embeddings.vector("s1"), simple_embeddings.vector("o1")
+        [label], [returned] = predict_baseline(
+            model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1")
         )
         assert label == PLAUSIBLE
         assert returned == pytest.approx(value)
         model.cutoff = value + 1e-6
-        label, _ = predict_baseline(
-            model, simple_embeddings.vector("s1"), simple_embeddings.vector("o1")
+        [label], _ = predict_baseline(
+            model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1")
         )
         assert label == IMPLAUSIBLE
 
@@ -231,7 +368,7 @@ class TestPredictBaseline:
         model = train_baseline([pos("s1", "o1")], simple_embeddings)
         with pytest.raises(ValueError, match="cutoff"):
             predict_baseline(
-                model, simple_embeddings.vector("s1"), simple_embeddings.vector("o1")
+                model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1")
             )
 
     def test_end_to_end_f1_on_separable_data(self, planted):
@@ -239,36 +376,52 @@ class TestPredictBaseline:
         pool, held = _holdout_halves(dataset, seed=55)
         model = train_baseline(pool.positives, embeddings)
         pos_scores = [
-            score(model, embeddings.vector(t.subject), embeddings.vector(t.object))
+            score(model, one(embeddings, t.subject), one(embeddings, t.object))[0]
             for t in pool.positives
         ]
         neg_scores = [
-            score(model, embeddings.vector(t.subject), embeddings.vector(t.object))
+            score(model, one(embeddings, t.subject), one(embeddings, t.object))[0]
             for t in pool.negatives
         ]
         calibrate_cutoff(model, pos_scores, neg_scores)
         predicted = [
             predict_baseline(
-                model, embeddings.vector(t.subject), embeddings.vector(t.object)
-            )[0]
+                model, one(embeddings, t.subject), one(embeddings, t.object)
+            )[0][0]
             for t in held.triples
         ]
         assert f1_plausible(predicted, [t.label for t in held.triples]) > 0.8
 
 
-class TestBaselineIo:
-    def test_round_trip(self, tmp_path, simple_embeddings):
-        model = train_baseline([pos("s1", "o1"), pos("s2", "o2")], simple_embeddings)
-        calibrate_cutoff(model, [0.9, 0.7], [0.2, 0.4])
-        base = tmp_path / "eat_k3"
-        save_baseline(base, model, stats={"n_positives": 2})
-        loaded = load_baseline(base)
-        np.testing.assert_array_equal(loaded.avg_matrix, model.avg_matrix)
-        assert loaded.cutoff == model.cutoff
-        assert loaded.verb == "eat"
+def per_triple_baseline(train_triples, test_triples, embeddings):
+    """Reference fold: sum outer products one pair at a time, score one cosine per triple."""
+    positives = sorted(
+        (t for t in train_triples if t.is_plausible), key=lambda t: (t.subject, t.object)
+    )
+    total = np.zeros((embeddings.dim, embeddings.dim))
+    for t in positives:
+        total += kronecker(embeddings.vector(t.subject), embeddings.vector(t.object))
+    avg = total / len(positives)
 
-    def test_uncalibrated_round_trip(self, tmp_path, simple_embeddings):
-        model = train_baseline([pos("s1", "o1")], simple_embeddings)
-        base = tmp_path / "eat_raw"
-        save_baseline(base, model)
-        assert load_baseline(base).cutoff is None
+    def one_score(t):
+        return cosine(kronecker(embeddings.vector(t.subject), embeddings.vector(t.object)), avg)
+
+    cutoff = loop_calibrate_cutoff(
+        [one_score(t) for t in train_triples if t.is_plausible],
+        [one_score(t) for t in train_triples if not t.is_plausible],
+    )
+    scores = [one_score(t) for t in test_triples]
+    return scores, [PLAUSIBLE if v >= cutoff else IMPLAUSIBLE for v in scores]
+
+
+class TestBatchedFold:
+    @pytest.mark.parametrize("fixture", ["planted", "noisy_planted"])
+    def test_matches_per_triple_path(self, fixture, request):
+        dataset, embeddings = request.getfixturevalue(fixture)
+        for split in make_5x2cv_splits(dataset, seed=3)[:4]:
+            train = [dataset.triples[i] for i in split.train]
+            test = [dataset.triples[i] for i in split.test]
+            scores, labels = _fit_and_score(METHOD_BASELINE, train, test, embeddings, None, 0)
+            ref_scores, ref_labels = per_triple_baseline(train, test, embeddings)
+            assert labels == ref_labels
+            np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)

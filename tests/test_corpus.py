@@ -12,12 +12,14 @@ from verbtensor.corpus import (
     Vocabulary,
     build_context_vocab,
     frequency_buckets,
+    iter_corpus_lines,
     read_buckets_tsv,
     read_frequency_tsv,
     scan_corpus,
     write_buckets_tsv,
     write_frequency_tsv,
 )
+from verbtensor.util import DataError
 
 
 def naive_pair_count(sentences, targets, context_vocab=None):
@@ -140,10 +142,17 @@ class TestScanCorpus:
         assert table_a.contexts.words == table_b.contexts.words
 
     def test_empty_corpus_raises(self):
-        with pytest.raises(ValueError, match="empty corpus"):
+        with pytest.raises(DataError, match="empty corpus"):
             scan_corpus([], {"cat"})
-        with pytest.raises(ValueError, match="empty corpus"):
+        with pytest.raises(DataError, match="empty corpus"):
             scan_corpus(["", "   "], {"cat"})
+
+    @pytest.mark.parametrize("text, last_line", [("", 0), ("\n", 1), ("\n  \n\t\n", 3)])
+    def test_blank_corpus_file_names_file_and_line(self, tmp_path, text, last_line):
+        path = tmp_path / "corpus.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=rf"corpus\.txt:{last_line}: empty corpus"):
+            scan_corpus(iter_corpus_lines(path), {"cat"})
 
 
 class TestBuildContextVocab:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -293,3 +295,48 @@ def test_corrupted_triples_raise_only_data_error(tmp_path_factory, case):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=rf"triples\.tsv:{lineno}: "):
         read_triples_tsv(path)
+
+
+@st.composite
+def corrupted_datasets(draw):
+    """Dataset JSONL lines with one corrupted line, and that line's number."""
+    triples = balanced_dataset(draw(st.integers(1, 3)) * 2).triples
+    records = [
+        {"subject": t.subject, "verb": t.verb, "object": t.object, "label": t.label,
+         "gold_dist": list(t.gold_dist)}
+        for t in triples
+    ]
+    lines = [json.dumps({"verb": "eat", "metadata": {}})] + [json.dumps(r) for r in records]
+    kind = draw(st.sampled_from(["truncate", "not_object", "drop", "label", "gold", "noun"]))
+    if kind == "truncate":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i][: draw(st.integers(1, len(lines[i]) - 1))]
+    elif kind == "not_object":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(st.sampled_from(["[]", "3", "null", '"eat"', "[1, 2]"]))
+    else:
+        i = draw(st.integers(1, len(records)))
+        record = records[i - 1]
+        if kind == "drop":
+            del record[draw(st.sampled_from(sorted(record)))]
+        elif kind == "label":
+            record["label"] = draw(st.sampled_from(["maybe", "", "PLAUSIBLE", None, 1]))
+        elif kind == "gold":
+            wrong = [[0.0, 1.0], [1.0, 0.0]][record["label"] == IMPLAUSIBLE]
+            record["gold_dist"] = draw(st.sampled_from([wrong, [], [1.0], "x", [0.5, 0.5]]))
+        else:
+            record[draw(st.sampled_from(["subject", "verb", "object"]))] = draw(
+                st.sampled_from([None, 3, ["a"]])
+            )
+        lines[i] = json.dumps(record)
+    return lines, i + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_datasets())
+def test_corrupted_dataset_raises_only_data_error(tmp_path_factory, case):
+    lines, lineno = case
+    path = tmp_path_factory.mktemp("datasets") / "eat.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"eat\.jsonl:{lineno}: "):
+        read_dataset_jsonl(path)

@@ -17,7 +17,6 @@ from verbtensor.evaluation import (
     fold_metric_vector,
     learning_curve,
     roc_auc,
-    roc_auc_trapezoidal,
     run_5x2cv,
     summarize,
 )
@@ -25,6 +24,37 @@ from verbtensor.tensor_model import TrainConfig, predict, train
 from verbtensor.util import DataError
 
 POS, NEG = PLAUSIBLE, IMPLAUSIBLE
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def roc_auc_trapezoidal(scores, labels) -> float:
+    """AUC by trapezoidal integration over the full ROC curve.
+
+    Walks every distinct threshold from high to low, collecting (FPR, TPR)
+    points, and integrates: the independent cross-check for the package's
+    pair-counting ``roc_auc``.
+    """
+    scores = np.asarray(list(scores), dtype=np.float64)
+    is_pos = np.asarray([lab == PLAUSIBLE for lab in labels])
+    n_pos, n_neg = int(is_pos.sum()), int((~is_pos).sum())
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    sorted_pos = is_pos[order]
+    tpr = [0.0]
+    fpr = [0.0]
+    tp = fp = 0
+    i = 0
+    n = len(scores)
+    while i < n:
+        j = i
+        while j < n and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_pos[i:j].sum())
+        fp += (j - i) - int(sorted_pos[i:j].sum())
+        tpr.append(tp / n_pos)
+        fpr.append(fp / n_neg)
+        i = j
+    return float(_trapezoid(tpr, fpr))
 
 
 def labels_for(pos_scores, neg_scores):

@@ -11,39 +11,11 @@ from verbtensor.linalg import (
     TVB_MAGIC,
     SvdResult,
     cosine,
-    kronecker,
     l2_normalize_rows,
     read_tvb,
     truncated_svd,
     write_tvb,
 )
-
-
-class TestKronecker:
-    def test_basis_vectors(self):
-        np.testing.assert_array_equal(kronecker([1, 0], [0, 1]), [[0, 1], [0, 0]])
-
-    def test_scalars(self):
-        np.testing.assert_array_equal(kronecker([2], [3]), [[6]])
-
-    def test_direct_arithmetic(self):
-        np.testing.assert_array_equal(kronecker([1, 2], [3, 4]), [[3, 4], [6, 8]])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            kronecker([1.0, np.nan], [1.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            kronecker([1.0], [np.inf, 1.0])
-
-    def test_cosine_factorization(self):
-        """cos(a x b, c x d) = cos(a, c) * cos(b, d) for nonzero vectors."""
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            a, c = rng.standard_normal((2, 4))
-            b, d = rng.standard_normal((2, 3))
-            left = cosine(kronecker(a, b), kronecker(c, d))
-            right = cosine(a, c) * cosine(b, d)
-            assert abs(left - right) < 1e-10
 
 
 class TestCosine:

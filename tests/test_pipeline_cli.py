@@ -113,6 +113,21 @@ class TestConfigValidation:
             load_config(bad)
         assert run_cli("--config", bad, "build-vectors") == EXIT_VALIDATION
 
+    def test_relative_config_and_out_paths(self, small_fixture, tmp_path, monkeypatch):
+        """Paths in the config follow the config file; --out follows the working directory."""
+        shutil.copytree(Path(small_fixture).parent, tmp_path / "sub",
+                        ignore=shutil.ignore_patterns("out"))
+        monkeypatch.chdir(tmp_path)
+        config = load_config("sub/config.ini")
+        assert config.output_dir.resolve() == (tmp_path / "sub" / "out").resolve()
+        assert load_config("sub/config.ini", out_override="res").output_dir == Path("res")
+        assert run_cli("--config", "sub/config.ini", "build-vectors") == 0
+        assert run_cli("--config", "sub/config.ini", "--out", "res", "build-vectors") == 0
+        assert not (tmp_path / "sub" / "sub").exists()
+        assert not (tmp_path / "sub" / "res").exists()
+        assert (tmp_path / "res" / "vectors" / "manifest.json").is_file()
+        assert tree_hashes(tmp_path / "sub" / "out") == tree_hashes(tmp_path / "res")
+
     def test_seed_override_rebases_all_seeds(self, small_fixture):
         base = load_config(small_fixture)
         rebased = load_config(small_fixture, seed_override=99)
@@ -493,3 +508,29 @@ class TestMalformedInputs:
         assert run_cli("--config", built, "--out", out, "gen-data") == EXIT_RUNTIME
         assert_clean_failure(caplog, f"{emb.name}:2: non-finite value")
         assert not (out / "datasets" / "manifest.json").exists()
+
+    def test_blank_corpus_fails_cleanly(self, small_fixture, tmp_path, caplog):
+        broken = copy_fixture(small_fixture, tmp_path)
+        (broken / "corpus.txt").write_text("\n  \n\n")
+        rc = run_cli("--config", broken / "config.ini", "--out", tmp_path / "out",
+                     "build-vectors")
+        assert rc == EXIT_RUNTIME
+        assert_clean_failure(caplog, "corpus.txt:3: empty corpus")
+
+    def test_truncated_dataset_line_fails_train(self, built, tmp_path, caplog):
+        config = load_config(built)
+        out = tmp_path / "cut"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.datasets_dir(), out / "datasets")
+        dataset = out / "datasets" / "devour.jsonl"
+        lines = dataset.read_text().splitlines()
+        lines[3] = lines[3][: len(lines[3]) // 2]
+        dataset.write_text("\n".join(lines) + "\n")
+        assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == EXIT_RUNTIME
+        assert_clean_failure(caplog, "devour.jsonl:4: not a JSON line")
+
+    def test_short_pairs_row_fails_eval_vectors(self, built, tmp_path, caplog):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("a\tb\t0.5\nc\td\n")
+        assert run_cli("--config", built, "eval-vectors", "--pairs", pairs) == EXIT_RUNTIME
+        assert_clean_failure(caplog, "pairs.tsv:2: expected 3 tab-separated fields, got 2")

@@ -416,6 +416,37 @@ def test_corrupted_embeddings_raise_only_data_error(tmp_path_factory, case):
         read_embeddings_tsv(path)
 
 
+BAD_SCORES = ["nan", "inf", "-inf", "1e999", "", "x1", "0x10", "1,5"]
+
+
+@st.composite
+def corrupted_pairs(draw):
+    """Similarity-pair file lines with one corrupted row, and that row's number."""
+    n = draw(st.integers(1, 6))
+    rows = [[f"a{i}", f"b{i}", repr(draw(st.floats(-10, 10)))] for i in range(n)]
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["drop", "extra", "score", "repeat"]))
+    if kind == "drop":
+        del rows[i][draw(st.integers(0, 2))]
+    elif kind == "extra":
+        rows[i].insert(draw(st.integers(0, 3)), "x")
+    elif kind == "score":
+        rows[i][2] = draw(st.sampled_from(BAD_SCORES))
+    else:
+        rows[i][1] = rows[i][0]
+    return ["\t".join(row) for row in rows], i + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_pairs())
+def test_corrupted_pairs_raise_only_data_error(tmp_path_factory, case):
+    lines, lineno = case
+    path = tmp_path_factory.mktemp("pairs") / "pairs.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"pairs\.tsv:{lineno}: "):
+        read_pairs_tsv(path)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_ttest_range_property(seed):
