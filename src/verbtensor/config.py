@@ -5,7 +5,7 @@ All randomness in the pipeline flows from the named seeds here; nothing reads
 the clock or OS entropy, so identical configs give identical outputs.
 """
 
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +37,6 @@ class PipelineConfig:
     data_seed: int = 23
     curve_sizes: tuple = (10, 50, 100, 200)
     curve_repeats: int = 5
-    curve_verbs: tuple = ()
     small_cv_size: int = 52
     verbs: dict = field(default_factory=dict)  # verb -> concreteness score
 
@@ -62,10 +61,6 @@ def _parse_int_tuple(raw: str) -> tuple:
     return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
 
 
-def _parse_str_tuple(raw: str) -> tuple:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
 def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
     """Parse and sanity-check a pipeline config file.
 
@@ -73,17 +68,24 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
     ``out_override``, a command-line path, replaces the configured output
     directory and resolves against the working directory. A
     ``seed_override`` rebases every named seed deterministically, which gives
-    a one-flag way to rerun the whole pipeline with fresh randomness.
+    a one-flag way to rerun the whole pipeline with fresh randomness. A key
+    or section that nothing reads raises ``ValidationError``, so a misspelt
+    key cannot silently leave its default in place.
     """
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
     parser = ConfigParser(interpolation=None)
-    with open(path, "r", encoding="utf-8") as handle:
-        parser.read_file(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            parser.read_file(handle)
+    except (ConfigParserError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"unreadable config file {path}: {exc}") from None
     base = path.parent
+    read = set()  # (section, key) pairs looked up below; any other key is an error
 
     def _path(section, key, required=True):
+        read.add((section, key))
         raw = parser.get(section, key, fallback="").strip()
         if not raw:
             if required:
@@ -93,6 +95,7 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         return candidate if candidate.is_absolute() else (base / candidate)
 
     def _get(section, key, cast, default):
+        read.add((section, key))
         raw = parser.get(section, key, fallback=None)
         if raw is None or not raw.strip():
             return default
@@ -113,7 +116,9 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
     stopwords = _path("paths", "stopwords")
     triples = _path("paths", "triples")
     dev_pairs = _path("paths", "dev_pairs", required=False)
-    output_dir = Path(out_override) if out_override else _path("paths", "output_dir")
+    output_dir = _path("paths", "output_dir", required=not out_override)
+    if out_override:
+        output_dir = Path(out_override)
 
     train_seed = _get("training", "seed", int, 13)
     cv_seed = _get("experiment", "cv_seed", int, 17)
@@ -170,10 +175,18 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         data_seed=data_seed,
         curve_sizes=_get("experiment", "curve_sizes", _parse_int_tuple, (10, 50, 100, 200)),
         curve_repeats=_get("experiment", "curve_repeats", int, 5),
-        curve_verbs=_get("experiment", "curve_verbs", _parse_str_tuple, ()),
         small_cv_size=_get("experiment", "small_cv_size", int, 52),
         verbs=verbs,
     )
+    known_sections = {section for section, _ in read}
+    for section in parser.sections():
+        if section == "verbs":
+            continue
+        if section not in known_sections:
+            raise ValidationError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if (section, key) not in read:
+                raise ValidationError(f"unknown config key [{section}] {key}")
     _check_static(config)
     return config
 
@@ -189,9 +202,6 @@ def _check_static(config: PipelineConfig) -> None:
         raise ValidationError("top_n must be positive when set")
     if config.small_cv_size < 4:
         raise ValidationError("small_cv_size must be at least 4")
-    unknown = [v for v in config.curve_verbs if v not in config.verbs]
-    if unknown:
-        raise ValidationError(f"curve_verbs not in [verbs]: {unknown}")
 
 
 def require_input_files(config: PipelineConfig, *names) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .util import DataError
+from .util import DataError, numbered_lines
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,6 @@ class CooccurrenceTable:
     target_nouns: Vocabulary
     contexts: Vocabulary
     counts: sp.csr_matrix  # shape (len(target_nouns), len(contexts))
-
-    def count(self, noun: str, context: str) -> int:
-        if noun not in self.target_nouns or context not in self.contexts:
-            return 0
-        return int(self.counts[self.target_nouns.position(noun), self.contexts.position(context)])
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
     def restrict(self, vocab: Vocabulary) -> "CooccurrenceTable":
         """The same counts over the context columns ``vocab``, in its order.
@@ -109,27 +101,11 @@ def iter_corpus_lines(path):
     naming its last line.
     """
     lineno, blank = 0, True
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                blank = blank and line.isspace()
-                yield line
-    except UnicodeDecodeError as exc:
-        lineno = _first_undecodable_line(path)
-        raise DataError(f"{path}:{lineno}: corpus is not UTF-8 ({exc.reason})") from None
+    for lineno, line in numbered_lines(path, "corpus"):
+        blank = blank and line.isspace()
+        yield line
     if blank:
         raise DataError(f"{path}:{lineno}: empty corpus: no non-blank sentences found")
-
-
-def _first_undecodable_line(path) -> int:
-    """1-based number of the first line that is not UTF-8, or 0 if none."""
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return 0
 
 
 class _TypeIds(dict):
@@ -252,8 +228,7 @@ def frequency_buckets(frequencies, nouns, bucket_size: int = 10) -> FrequencyBuc
 
 def read_stopwords(path) -> set:
     """One stopword per line; blank lines ignored."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return {line.strip() for line in handle if line.strip()}
+    return {line.strip() for _, line in numbered_lines(path) if line.strip()}
 
 
 def write_frequency_tsv(path, frequencies) -> None:
@@ -265,14 +240,24 @@ def write_frequency_tsv(path, frequencies) -> None:
 
 
 def read_frequency_tsv(path) -> Counter:
+    """Read ``word<TAB>count`` rows.
+
+    A row without two fields or with a count that is not an integer raises
+    ``DataError`` naming the file and line.
+    """
     freq: Counter = Counter()
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            word, count = line.split("\t")
+    for lineno, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
+        word, count = parts
+        try:
             freq[word] = int(count)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
     return freq
 
 
@@ -283,27 +268,3 @@ def write_buckets_tsv(path, buckets: FrequencyBuckets) -> None:
             for noun in buckets.members[bucket_id]:
                 handle.write(f"{noun}\t{bucket_id}\n")
 
-
-def read_buckets_tsv(path) -> FrequencyBuckets:
-    bucket_of = {}
-    members: dict = {}
-    bucket_size = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# bucket_size\t"):
-                bucket_size = int(line.split("\t")[1])
-                continue
-            noun, bucket_id = line.split("\t")
-            bucket_id = int(bucket_id)
-            bucket_of[noun] = bucket_id
-            members.setdefault(bucket_id, []).append(noun)
-    if bucket_size is None:
-        raise ValueError(f"missing bucket_size header in {path}")
-    return FrequencyBuckets(
-        bucket_of=bucket_of,
-        members={b: tuple(ns) for b, ns in members.items()},
-        bucket_size=bucket_size,
-    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import FrequencyBuckets
-from .util import DataError, derive_seed
+from .util import DataError, derive_seed, numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -76,21 +76,18 @@ def read_triples_tsv(path) -> list:
     ``DataError`` naming the file and line.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
-                )
-            subject, verb, obj, count = parts
-            try:
-                rows.append((subject, verb, obj, int(count)))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
+    for lineno, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
+        subject, verb, obj, count = parts
+        try:
+            rows.append((subject, verb, obj, int(count)))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
     return rows
 
 
@@ -243,17 +240,16 @@ def read_dataset_jsonl(path) -> VerbDataset:
     the file and line.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: not a JSON line ({exc})") from None
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            records.append((lineno, record))
+    for lineno, line in numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: not a JSON line ({exc})") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object")
+        records.append((lineno, record))
     if not records:
         raise DataError(f"empty dataset file {Path(path).name}")
     (lineno, header), triples = records[0], []

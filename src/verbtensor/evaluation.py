@@ -16,7 +16,7 @@ from scipy.stats import rankdata
 
 from . import baseline as kron
 from . import tensor_model as tm
-from .data import PLAUSIBLE, VerbDataset, make_5x2cv_splits, subsample
+from .data import PLAUSIBLE, VerbDataset, subsample
 from .util import DataError, derive_seed
 
 log = logging.getLogger(__name__)
@@ -163,12 +163,6 @@ def evaluate_on_splits(method, dataset, splits, embeddings, train_config, seed) 
             )
         )
     return results
-
-
-def run_5x2cv(method, dataset, embeddings, train_config, seed) -> list:
-    """Five repetitions of stratified 2-fold CV; returns the 10 fold results."""
-    splits = make_5x2cv_splits(dataset, seed)
-    return evaluate_on_splits(method, dataset, splits, embeddings, train_config, seed)
 
 
 def summarize(fold_results) -> FoldSummary:

@@ -38,13 +38,6 @@ class SvdResult:
     singular_values: np.ndarray
     V: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return int(self.singular_values.shape[0])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ self.V.T
-
 
 def _as_dense_matrix(x, name: str = "matrix") -> np.ndarray:
     arr = np.ascontiguousarray(x, dtype=np.float64)

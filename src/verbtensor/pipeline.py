@@ -17,6 +17,7 @@ import csv
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -296,16 +297,7 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
         "small_cv_size": config.small_cv_size if which == "small-cv" else None,
         "curve_sizes": list(config.curve_sizes) if which == "curves" else None,
         "curve_repeats": config.curve_repeats if which == "curves" else None,
-        "train": {
-            "learning_rate": config.train.learning_rate,
-            "adagrad_epsilon": config.train.adagrad_epsilon,
-            "l2_lambda": config.train.l2_lambda,
-            "epochs": config.train.epochs,
-            "init_scale": config.train.init_scale,
-            "seed": config.train.seed,
-            "update_mode": config.train.update_mode,
-            "regularize_theta": config.train.regularize_theta,
-        },
+        "train": asdict(config.train),
         "verbs": sorted(r["verb"] for r in results),
         "failed_verbs": failures,
     }

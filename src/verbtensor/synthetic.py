@@ -1,13 +1,9 @@
-"""Synthetic corpora and datasets with planted selectional preferences.
+"""Synthetic worlds with planted selectional preferences.
 
-Two flavors:
-
-* :func:`planted_dataset` builds embeddings directly (no corpus) with subject
-  and object noun clusters, for fast unit tests of the learners;
-* :class:`WorldConfig` / :func:`write_fixture` generate a full desk-scale
-  world: a lemmatized corpus whose nouns carry class-specific context words,
-  a triples file whose verbs prefer certain subject and object classes, a
-  stopword list, similarity dev pairs and a ready-to-run pipeline config.
+:class:`WorldConfig` / :func:`write_fixture` generate a full desk-scale
+world: a lemmatized corpus whose nouns carry class-specific context words, a
+triples file whose verbs prefer certain subject and object classes, a
+stopword list, similarity dev pairs and a ready-to-run pipeline config.
 
 Noun frequencies decrease with a global rank that round-robins across the
 classes, so any run of adjacent ranks (a frequency bucket) mixes classes and
@@ -18,12 +14,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .corpus import Vocabulary
-from .data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, VerbDataset
 from .util import derive_seed, ensure_dir
-from .vectors import EmbeddingTable
 
 DEFAULT_STOPWORDS = ("the", "a", "of", "and", "to", "in")
 
@@ -160,61 +151,6 @@ def generate_dev_pairs(world: SyntheticWorld, n_pairs: int = 60) -> list:
     return pairs
 
 
-def planted_embeddings(k: int = 5, per_cluster: int = 30, noise: float = 0.35, seed: int = 0):
-    """Embeddings for four noun clusters around +-e1 (subjects) and +-e2 (objects)."""
-    if k < 2:
-        raise ValueError("planted embeddings need k >= 2")
-    rng = np.random.default_rng(derive_seed(seed, "planted-emb"))
-    names = []
-    rows = []
-    centers = {
-        "sp": np.eye(k)[0],
-        "sn": -np.eye(k)[0],
-        "op": np.eye(k)[1],
-        "on": -np.eye(k)[1],
-    }
-    for prefix in ("sp", "sn", "op", "on"):
-        for i in range(per_cluster):
-            names.append(f"{prefix}{i:03d}")
-            rows.append(centers[prefix] + noise * rng.standard_normal(k))
-    matrix = np.asarray(rows)
-    return EmbeddingTable(nouns=Vocabulary.from_words(names), dim=k, matrix=matrix)
-
-
-def planted_dataset(
-    k: int = 5,
-    n_triples: int = 200,
-    noise: float = 0.35,
-    seed: int = 0,
-    verb: str = "vex",
-):
-    """Separable synthetic dataset plus matching embeddings.
-
-    Positives pair a +subject-cluster noun with a +object-cluster noun;
-    negatives flip exactly one of the two clusters, which makes the task
-    bilinear-separable and solvable by both learners when noise is modest.
-    """
-    per_cluster = max(10, n_triples // 4)
-    embeddings = planted_embeddings(k=k, per_cluster=per_cluster, noise=noise, seed=seed)
-    rng = random.Random(derive_seed(seed, "planted-data"))
-    sp = [w for w in embeddings.nouns.words if w.startswith("sp")]
-    sn = [w for w in embeddings.nouns.words if w.startswith("sn")]
-    op = [w for w in embeddings.nouns.words if w.startswith("op")]
-    on = [w for w in embeddings.nouns.words if w.startswith("on")]
-    n_pos = n_triples // 2
-    n_neg = n_triples - n_pos
-    triples = []
-    for _ in range(n_pos):
-        triples.append(LabeledTriple(rng.choice(sp), verb, rng.choice(op), PLAUSIBLE))
-    for i in range(n_neg):
-        if i % 2 == 0:
-            triples.append(LabeledTriple(rng.choice(sn), verb, rng.choice(op), IMPLAUSIBLE))
-        else:
-            triples.append(LabeledTriple(rng.choice(sp), verb, rng.choice(on), IMPLAUSIBLE))
-    dataset = VerbDataset(verb=verb, triples=triples, metadata={"planted": True})
-    return dataset, embeddings
-
-
 def write_fixture(directory, config: WorldConfig = WorldConfig(), pipeline_overrides=None) -> Path:
     """Write a complete input directory plus pipeline config, return its path.
 
@@ -264,7 +200,6 @@ def write_fixture(directory, config: WorldConfig = WorldConfig(), pipeline_overr
         "experiment.data_seed": 23,
         "experiment.curve_sizes": "10,25,50,100",
         "experiment.curve_repeats": 5,
-        "experiment.curve_verbs": "",
         "experiment.small_cv_size": 52,
     }
     settings.update(pipeline_overrides or {})

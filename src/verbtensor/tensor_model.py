@@ -15,28 +15,29 @@ per-parameter Adagrad.
 
 The math exists once. ``_forward`` runs the forward pass over a leading
 example axis (a GEMM with the tensor, then one batched product with the
-objects); it serves the per-epoch objective, batch updates, ``forward``,
-``predict`` and ``predict_batch``. ``_Workspace.gradient`` is the one
-backward pass, used by every training step and by ``gradients``, and
-``adagrad_step`` the one update. During training the tensor and theta are
-views into one flat parameter vector, so a step is a single in-place
-Adagrad update over all K*K*2 + 6 values. A stochastic step performs the
-same floating-point operations in the same order as the earlier
-per-example code, so trained parameters are unchanged bit for bit. The
-objective trace comes from the GEMM forward pass rather than a three-operand
-``einsum`` and may differ from it in the last unit in the last place.
+objects); it serves the per-epoch objective, batch updates and
+``predict_batch``, of which ``predict`` is the one-row case.
+``_Workspace.gradient`` is the one backward pass, used by every training
+step and by ``gradients``, and ``adagrad_step`` the one update. During
+training the tensor and theta are views into one flat parameter vector, so
+a step is a single in-place Adagrad update over all K*K*2 + 6 values. A
+stochastic step performs the same floating-point operations in the same
+order as the earlier per-example code, so trained parameters are unchanged
+bit for bit. The objective trace comes from the GEMM forward pass rather
+than a three-operand ``einsum`` and may differ from it in the last unit in
+the last place.
 """
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
-from .linalg import read_tvb, write_tvb
-from .util import DataError, TrainingDiverged, derive_seed
+from .linalg import _as_dense_matrix, read_tvb, write_tvb
+from .util import DataError, TrainingDiverged, derive_seed, numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -79,16 +80,6 @@ class VerbTensorModel:
     @property
     def k(self) -> int:
         return int(self.tensor.shape[0])
-
-    def copy(self) -> "VerbTensorModel":
-        return VerbTensorModel(self.tensor.copy(), self.theta.copy(), self.verb)
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    z: np.ndarray  # bilinear pre-activations, dim 2
-    a: np.ndarray  # sigmoid outputs, dim 2
-    p: np.ndarray  # class distribution, dim 2
 
 
 @dataclass(frozen=True)
@@ -141,23 +132,6 @@ def _split(flat, k):
     """Tensor and theta views into a flat vector laid out like the parameters."""
     size = k * k * SENTENCE_DIM
     return flat[:size].reshape(k, k, SENTENCE_DIM), flat[size:].reshape(2, SENTENCE_DIM + 1)
-
-
-def forward(model: VerbTensorModel, n_s, n_o) -> ForwardTrace:
-    """Full forward pass for one pair: contraction, sigmoid, affine softmax."""
-    rows = []
-    for role, vector in (("subject", n_s), ("object", n_o)):
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (model.k,):
-            raise ValueError(
-                f"{role} axis mismatch: vector has shape {vector.shape}, "
-                f"tensor {role} axis is {model.k}"
-            )
-        if not np.isfinite(vector).all():
-            raise ValueError(f"{role} vector contains non-finite values")
-        rows.append(vector[None, :])
-    z, a, p = _forward(model.tensor, model.theta, *rows)
-    return ForwardTrace(z=z[0], a=a[0, :SENTENCE_DIM], p=p[0])
 
 
 def _batch_arrays(batch):
@@ -333,26 +307,28 @@ def train(dataset, embeddings, config: TrainConfig, verb: str | None = None) -> 
 
 
 def predict(model: VerbTensorModel, n_s, n_o):
-    """Label and plausibility probability for one subject-object pair.
-
-    Ties at exactly 0.5 resolve to plausible; the probability doubles as the
-    ranking score for AUC.
-    """
-    trace = forward(model, n_s, n_o)
-    p_plausible = float(trace.p[PLAUSIBLE_INDEX])
-    label = PLAUSIBLE if p_plausible >= 0.5 else IMPLAUSIBLE
-    return label, p_plausible
+    """Label and plausibility probability for one subject-object pair."""
+    labels, p_plausible = predict_batch(model, [n_s], [n_o])
+    return labels[0], float(p_plausible[0])
 
 
 def predict_batch(model: VerbTensorModel, subjects, objects_):
     """Labels and plausibility probabilities for N pairs, one forward pass.
 
-    ``subjects`` and ``objects_`` are (N, K). Agrees with per-pair ``predict``
-    to rounding (the GEMM may sum in another order), with the same tie rule.
+    ``subjects`` and ``objects_`` are (N, K). Ties at exactly 0.5 resolve to
+    plausible; the probability doubles as the ranking score for AUC. Rows of
+    the wrong width or with non-finite values raise ``ValueError``.
     """
-    subjects = np.asarray(subjects, dtype=np.float64)
-    objects_ = np.asarray(objects_, dtype=np.float64)
-    _, _, p = _forward(model.tensor, model.theta, subjects, objects_)
+    rows = []
+    for role, matrix in (("subject", subjects), ("object", objects_)):
+        matrix = _as_dense_matrix(matrix, f"{role} rows")
+        if matrix.shape[1] != model.k:
+            raise ValueError(
+                f"{role} axis mismatch: rows have width {matrix.shape[1]}, "
+                f"tensor {role} axis is {model.k}"
+            )
+        rows.append(matrix)
+    _, _, p = _forward(model.tensor, model.theta, *rows)
     p_plausible = p[:, PLAUSIBLE_INDEX]
     labels = [PLAUSIBLE if value >= 0.5 else IMPLAUSIBLE for value in p_plausible]
     return labels, p_plausible
@@ -368,22 +344,11 @@ def save_model(base_path, model: VerbTensorModel, config: TrainConfig, objective
     with open(base + ".tvbm", "wb") as handle:
         write_tvb(handle, model.tensor)
         write_tvb(handle, model.theta)
-    lines = [
-        f"verb = {model.verb}",
-        f"k = {model.k}",
-        f"s = {SENTENCE_DIM}",
-        f"learning_rate = {config.learning_rate!r}",
-        f"adagrad_epsilon = {config.adagrad_epsilon!r}",
-        f"l2_lambda = {config.l2_lambda!r}",
-        f"epochs = {config.epochs}",
-        f"init_scale = {config.init_scale!r}",
-        f"seed = {config.seed}",
-        f"update_mode = {config.update_mode}",
-        f"regularize_theta = {str(config.regularize_theta).lower()}",
-        "",
-        "[objective_trace]",
-        "epoch,objective",
-    ]
+    lines = [f"verb = {model.verb}", f"k = {model.k}", f"s = {SENTENCE_DIM}"]
+    for item in fields(TrainConfig):
+        value = getattr(config, item.name)
+        lines.append(f"{item.name} = {str(value).lower() if isinstance(value, bool) else value}")
+    lines += ["", "[objective_trace]", "epoch,objective"]
     lines += [f"{i},{value!r}" for i, value in enumerate(objective_trace)]
     with open(base + ".meta", "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -406,11 +371,10 @@ def load_model(base_path) -> VerbTensorModel:
         )
     verb = ""
     try:
-        with open(base + ".meta", "r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.startswith("verb = "):
-                    verb = line[len("verb = "):].strip()
-                    break
+        for _, line in numbered_lines(base + ".meta"):
+            if line.startswith("verb = "):
+                verb = line[len("verb = "):].strip()
+                break
     except FileNotFoundError:
         pass
     return VerbTensorModel(tensor=tensor, theta=theta, verb=verb)

@@ -48,6 +48,31 @@ class TrainingDiverged(VerbTensorError):
         self.epoch = epoch
 
 
+def numbered_lines(path, kind: str = "file"):
+    """Yield ``(lineno, line)`` for the lines of a UTF-8 text file, from 1.
+
+    A file that is not UTF-8 raises ``DataError`` naming the file, the first
+    line that does not decode and ``kind``, what the file holds.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield from enumerate(handle, start=1)
+    except UnicodeDecodeError as exc:
+        lineno = _first_undecodable_line(path)
+        raise DataError(f"{path}:{lineno}: {kind} is not UTF-8 ({exc.reason})") from None
+
+
+def _first_undecodable_line(path) -> int:
+    """1-based number of the first line that is not UTF-8, or 0 if none."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return 0
+
+
 def ensure_dir(path) -> Path:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)

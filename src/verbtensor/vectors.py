@@ -15,7 +15,7 @@ from scipy import stats
 
 from .corpus import CooccurrenceTable, Vocabulary
 from .linalg import cosine, l2_normalize_rows, truncated_svd
-from .util import DataError
+from .util import DataError, numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -29,11 +29,6 @@ class WeightedVectorTable:
     nouns: Vocabulary
     contexts: Vocabulary
     weights: sp.csr_matrix
-
-    def weight(self, noun: str, context: str) -> float:
-        if noun not in self.nouns or context not in self.contexts:
-            return 0.0
-        return float(self.weights[self.nouns.position(noun), self.contexts.position(context)])
 
 
 @dataclass(frozen=True)
@@ -198,23 +193,20 @@ def read_pairs_tsv(path) -> list:
     that repeats its word raises ``DataError`` naming the file and line.
     """
     pairs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-                )
-            try:
-                pair = SimilarityPair(parts[0], parts[1], float(parts[2]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(pair.gold_score):
-                raise DataError(f"{path}:{lineno}: score {parts[2]!r} is not finite")
-            pairs.append(pair)
+    for lineno, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        try:
+            pair = SimilarityPair(parts[0], parts[1], float(parts[2]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(pair.gold_score):
+            raise DataError(f"{path}:{lineno}: score {parts[2]!r} is not finite")
+        pairs.append(pair)
     return pairs
 
 
@@ -235,29 +227,24 @@ def read_embeddings_tsv(path) -> EmbeddingTable:
     """
     index, rows, linenos = {}, [], []
     width = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise DataError(
-                    f"{path}:{lineno}: expected {width - 1} values, got {len(parts) - 1}"
-                )
-            noun = parts[0]
-            if noun in index:
-                raise DataError(
-                    f"{path}:{lineno}: noun {noun!r} repeats line {linenos[index[noun]]}"
-                )
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            index[noun] = len(linenos)
-            linenos.append(lineno)
+    for lineno, line in numbered_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise DataError(f"{path}:{lineno}: expected {width - 1} values, got {len(parts) - 1}")
+        noun = parts[0]
+        if noun in index:
+            raise DataError(f"{path}:{lineno}: noun {noun!r} repeats line {linenos[index[noun]]}")
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        index[noun] = len(linenos)
+        linenos.append(lineno)
     if not rows:
         raise DataError(f"no embeddings found in {path}")
     matrix = np.asarray(rows, dtype=np.float64)

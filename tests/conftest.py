@@ -1,10 +1,94 @@
+import random
+
+import numpy as np
 import pytest
 
-from verbtensor.synthetic import (
-    planted_dataset,
-    small_world_config,
-    write_fixture,
-)
+from verbtensor.corpus import FrequencyBuckets, Vocabulary
+from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, VerbDataset
+from verbtensor.synthetic import small_world_config, write_fixture
+from verbtensor.util import derive_seed
+from verbtensor.vectors import EmbeddingTable
+
+
+def planted_embeddings(k: int = 5, per_cluster: int = 30, noise: float = 0.35, seed: int = 0):
+    """Embeddings for four noun clusters around +-e1 (subjects) and +-e2 (objects)."""
+    if k < 2:
+        raise ValueError("planted embeddings need k >= 2")
+    rng = np.random.default_rng(derive_seed(seed, "planted-emb"))
+    names = []
+    rows = []
+    centers = {
+        "sp": np.eye(k)[0],
+        "sn": -np.eye(k)[0],
+        "op": np.eye(k)[1],
+        "on": -np.eye(k)[1],
+    }
+    for prefix in ("sp", "sn", "op", "on"):
+        for i in range(per_cluster):
+            names.append(f"{prefix}{i:03d}")
+            rows.append(centers[prefix] + noise * rng.standard_normal(k))
+    matrix = np.asarray(rows)
+    return EmbeddingTable(nouns=Vocabulary.from_words(names), dim=k, matrix=matrix)
+
+
+def planted_dataset(
+    k: int = 5,
+    n_triples: int = 200,
+    noise: float = 0.35,
+    seed: int = 0,
+    verb: str = "vex",
+):
+    """Separable synthetic dataset plus matching embeddings.
+
+    Positives pair a +subject-cluster noun with a +object-cluster noun;
+    negatives flip exactly one of the two clusters, which makes the task
+    bilinear-separable and solvable by both learners when noise is modest.
+    """
+    per_cluster = max(10, n_triples // 4)
+    embeddings = planted_embeddings(k=k, per_cluster=per_cluster, noise=noise, seed=seed)
+    rng = random.Random(derive_seed(seed, "planted-data"))
+    sp = [w for w in embeddings.nouns.words if w.startswith("sp")]
+    sn = [w for w in embeddings.nouns.words if w.startswith("sn")]
+    op = [w for w in embeddings.nouns.words if w.startswith("op")]
+    on = [w for w in embeddings.nouns.words if w.startswith("on")]
+    n_pos = n_triples // 2
+    n_neg = n_triples - n_pos
+    triples = []
+    for _ in range(n_pos):
+        triples.append(LabeledTriple(rng.choice(sp), verb, rng.choice(op), PLAUSIBLE))
+    for i in range(n_neg):
+        if i % 2 == 0:
+            triples.append(LabeledTriple(rng.choice(sn), verb, rng.choice(op), IMPLAUSIBLE))
+        else:
+            triples.append(LabeledTriple(rng.choice(sp), verb, rng.choice(on), IMPLAUSIBLE))
+    dataset = VerbDataset(verb=verb, triples=triples, metadata={"planted": True})
+    return dataset, embeddings
+
+
+def read_buckets_tsv(path) -> FrequencyBuckets:
+    """Read a ``buckets.tsv`` written by ``corpus.write_buckets_tsv``."""
+    bucket_of = {}
+    members: dict = {}
+    bucket_size = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("# bucket_size\t"):
+                bucket_size = int(line.split("\t")[1])
+                continue
+            noun, bucket_id = line.split("\t")
+            bucket_id = int(bucket_id)
+            bucket_of[noun] = bucket_id
+            members.setdefault(bucket_id, []).append(noun)
+    if bucket_size is None:
+        raise ValueError(f"missing bucket_size header in {path}")
+    return FrequencyBuckets(
+        bucket_of=bucket_of,
+        members={b: tuple(ns) for b, ns in members.items()},
+        bucket_size=bucket_size,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE
+from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, make_5x2cv_splits
 from verbtensor.evaluation import (
     F_CRITICAL_10_5,
     METHOD_BASELINE,
     METHOD_TENSOR,
     _fit_and_score,
     _holdout_halves,
+    evaluate_on_splits,
     f1_plausible,
     f_test_5x2cv,
     fold_metric_vector,
     learning_curve,
     roc_auc,
-    run_5x2cv,
     summarize,
 )
 from verbtensor.tensor_model import TrainConfig, predict, train
@@ -25,6 +25,12 @@ from verbtensor.util import DataError
 
 POS, NEG = PLAUSIBLE, IMPLAUSIBLE
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def run_5x2cv(method, dataset, embeddings, train_config, seed) -> list:
+    """Five repetitions of stratified 2-fold CV; returns the 10 fold results."""
+    splits = make_5x2cv_splits(dataset, seed)
+    return evaluate_on_splits(method, dataset, splits, embeddings, train_config, seed)
 
 
 def roc_auc_trapezoidal(scores, labels) -> float:

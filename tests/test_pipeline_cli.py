@@ -135,6 +135,36 @@ class TestConfigValidation:
         assert rebased.cv_seed != base.cv_seed
         assert rebased.data_seed != base.data_seed
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("epochs = 25", "epoch = 5", r"\[training\] epoch$"),
+            ("curve_repeats = 2", "curve_repeat = 2", r"\[experiment\] curve_repeat$"),
+            ("curve_repeats = 2", "curve_repeats = 2\ncurve_verbs = devour",
+             r"\[experiment\] curve_verbs$"),
+            ("[training]", "[trainig]", r"section \[trainig\]"),
+        ],
+        ids=["typo-key", "misspelled-key", "leftover-curve-verbs", "unknown-section"],
+    )
+    def test_unknown_key_or_section_rejected(self, small_fixture, tmp_path, old, new, message):
+        text = Path(small_fixture).read_text()
+        assert old in text
+        bad = tmp_path / "unknown.ini"
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(ValidationError, match=message):
+            load_config(bad)
+        assert run_cli("--config", bad, "build-vectors") == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("content", [b"corpus = c.txt\n", b"[paths]\ncorpus = \xff\n"],
+                             ids=["no-section-header", "not-utf8"])
+    def test_unreadable_config_fails_validation(self, tmp_path, caplog, content):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(content)
+        with pytest.raises(ValidationError, match="unreadable config"):
+            load_config(bad)
+        assert run_cli("--config", bad, "build-vectors") == EXIT_VALIDATION
+        assert "Traceback" not in caplog.text
+
 
 class TestBuildVectors:
     def test_outputs_exist_with_configured_dims(self, built):
@@ -214,7 +244,7 @@ class TestGenData:
             assert len(dataset.positives) <= config.positive_cap
 
     def test_confounders_from_buckets(self, built):
-        from verbtensor.corpus import read_buckets_tsv
+        from conftest import read_buckets_tsv
 
         config = load_config(built)
         buckets = read_buckets_tsv(config.datasets_dir() / "buckets.tsv")
@@ -319,6 +349,33 @@ class TestExperimentReports:
             f"datasets/{verb}.jsonl" for verb in config.verbs
         } | {f"vectors/embeddings_k{k}.tsv" for k in config.svd_dims}
         assert_manifest_digests(config, manifest["inputs"])
+
+    def test_experiment_manifest_train_block(self, experimented):
+        config = load_config(experimented)
+        manifest = json.loads(
+            (config.reports_dir() / "manifest_experiment-full-cv.json").read_text()
+        )
+        train = manifest["parameters"]["train"]
+        assert train == {
+            "learning_rate": 0.05,
+            "adagrad_epsilon": 1e-8,
+            "l2_lambda": 1e-4,
+            "epochs": 25,
+            "init_scale": 0.01,
+            "seed": 13,
+            "update_mode": "stochastic",
+            "regularize_theta": True,
+        }
+        assert {key: type(value) for key, value in train.items()} == {
+            "learning_rate": float,
+            "adagrad_epsilon": float,
+            "l2_lambda": float,
+            "epochs": int,
+            "init_scale": float,
+            "seed": int,
+            "update_mode": str,
+            "regularize_theta": bool,
+        }
 
     def test_requires_datasets(self, small_fixture, tmp_path):
         out = tmp_path / "nodata"
@@ -528,6 +585,18 @@ class TestMalformedInputs:
         dataset.write_text("\n".join(lines) + "\n")
         assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == EXIT_RUNTIME
         assert_clean_failure(caplog, "devour.jsonl:4: not a JSON line")
+
+    def test_non_utf8_dataset_fails_train(self, built, tmp_path, caplog):
+        config = load_config(built)
+        out = tmp_path / "bytes"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.datasets_dir(), out / "datasets")
+        dataset = out / "datasets" / "devour.jsonl"
+        lines = dataset.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        dataset.write_bytes(b"".join(lines))
+        assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == EXIT_RUNTIME
+        assert_clean_failure(caplog, "devour.jsonl:3: file is not UTF-8")
 
     def test_short_pairs_row_fails_eval_vectors(self, built, tmp_path, caplog):
         pairs = tmp_path / "pairs.tsv"

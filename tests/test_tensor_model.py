@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from verbtensor.evaluation import _holdout_halves, roc_auc
 from verbtensor.tensor_model import (
     TrainConfig,
     VerbTensorModel,
+    _forward,
     _objective_arrays,
     _split,
     _Workspace,
     adagrad_step,
-    forward,
     gradients,
     init_model,
     load_model,
@@ -37,6 +38,18 @@ def random_model(rng, k=5, scale=0.5):
     )
 
 
+def copy_model(model):
+    """An independent copy of a model's parameters."""
+    return VerbTensorModel(model.tensor.copy(), model.theta.copy(), model.verb)
+
+
+def forward(model, n_s, n_o):
+    """Pre-activations ``z``, sigmoid outputs ``a`` and distribution ``p`` for one pair."""
+    rows = [np.asarray(v, dtype=np.float64)[None, :] for v in (n_s, n_o)]
+    z, a, p = _forward(model.tensor, model.theta, *rows)
+    return SimpleNamespace(z=z[0], a=a[0, :2], p=p[0])
+
+
 def random_example(rng, k=5):
     s = rng.standard_normal(k)
     o = rng.standard_normal(k)
@@ -52,13 +65,13 @@ def finite_difference_grads(model, example, lam, h=1e-5):
 
     g_tensor = np.zeros_like(model.tensor)
     for idx in np.ndindex(*model.tensor.shape):
-        plus, minus = model.copy(), model.copy()
+        plus, minus = copy_model(model), copy_model(model)
         plus.tensor[idx] += h
         minus.tensor[idx] -= h
         g_tensor[idx] = (value(plus) - value(minus)) / (2 * h)
     g_theta = np.zeros_like(model.theta)
     for idx in np.ndindex(*model.theta.shape):
-        plus, minus = model.copy(), model.copy()
+        plus, minus = copy_model(model), copy_model(model)
         plus.theta[idx] += h
         minus.theta[idx] -= h
         g_theta[idx] = (value(plus) - value(minus)) / (2 * h)
@@ -156,7 +169,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="axis"):
-            forward(zero_model(2), [1.0, 2.0, 3.0], [1.0, 2.0])
+            predict(zero_model(2), [1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 class TestObjective:
@@ -266,7 +279,7 @@ class TestGradients:
             if norm < 1e-10:
                 continue
             before = objective(model, [example], lam)
-            stepped = model.copy()
+            stepped = copy_model(model)
             adagrad_step(stepped.tensor, grads.tensor, np.zeros_like(stepped.tensor), 1e-3, 1e-8)
             adagrad_step(stepped.theta, grads.theta, np.zeros_like(stepped.theta), 1e-3, 1e-8)
             after = objective(stepped, [example], lam)
@@ -384,7 +397,7 @@ class TestPredict:
         model = random_model(rng, k=3)
         s, o = rng.standard_normal(3), rng.standard_normal(3)
         _, p = predict(model, s, o)
-        swapped = model.copy()
+        swapped = copy_model(model)
         swapped.theta = swapped.theta[::-1].copy()
         _, p_swapped = predict(swapped, s, o)
         assert p_swapped == pytest.approx(1.0 - p, abs=1e-12)
@@ -437,3 +450,28 @@ class TestModelIo:
         meta = (tmp_path / "vex_k5.meta").read_text()
         assert "epoch,objective" in meta
         assert f"k = {embeddings.dim}" in meta
+
+    def test_meta_text_is_golden(self, tmp_path):
+        config = TrainConfig(learning_rate=0.125, adagrad_epsilon=1e-06, l2_lambda=0.0,
+                             epochs=7, init_scale=0.5, seed=42, update_mode="batch",
+                             regularize_theta=False)
+        model = VerbTensorModel(np.zeros((2, 2, 2)), np.zeros((2, 3)), verb="vex")
+        save_model(tmp_path / "vex_k2", model, config, (1.5, 0.1 + 0.2))
+        assert (tmp_path / "vex_k2.meta").read_bytes() == (
+            b"verb = vex\n"
+            b"k = 2\n"
+            b"s = 2\n"
+            b"learning_rate = 0.125\n"
+            b"adagrad_epsilon = 1e-06\n"
+            b"l2_lambda = 0.0\n"
+            b"epochs = 7\n"
+            b"init_scale = 0.5\n"
+            b"seed = 42\n"
+            b"update_mode = batch\n"
+            b"regularize_theta = false\n"
+            b"\n"
+            b"[objective_trace]\n"
+            b"epoch,objective\n"
+            b"0,1.5\n"
+            b"1,0.30000000000000004\n"
+        )

@@ -21,6 +21,13 @@ from verbtensor.vectors import (
 )
 
 
+def weight(table, noun, context):
+    """The table's weight for (noun, context), 0.0 when either is absent."""
+    if noun not in table.nouns or context not in table.contexts:
+        return 0.0
+    return float(table.weights[table.nouns.position(noun), table.contexts.position(context)])
+
+
 def make_table(counts, nouns=None, contexts=None):
     counts = np.asarray(counts)
     nouns = nouns or [f"n{i}" for i in range(counts.shape[0])]
@@ -35,10 +42,10 @@ def make_table(counts, nouns=None, contexts=None):
 class TestTtestWeight:
     def test_two_by_two_diagonal(self):
         table = ttest_weight(make_table([[2, 0], [0, 2]]))
-        assert table.weight("n0", "c0") == pytest.approx(0.5, abs=1e-15)
-        assert table.weight("n1", "c1") == pytest.approx(0.5, abs=1e-15)
+        assert weight(table, "n0", "c0") == pytest.approx(0.5, abs=1e-15)
+        assert weight(table, "n1", "c1") == pytest.approx(0.5, abs=1e-15)
         # unobserved cells stay at zero rather than their negative value
-        assert table.weight("n0", "c1") == 0.0
+        assert weight(table, "n0", "c1") == 0.0
 
     def test_independent_table_is_zero(self):
         table = ttest_weight(make_table([[1, 1], [1, 1]]))
@@ -46,7 +53,7 @@ class TestTtestWeight:
 
     def test_single_cell_degenerate(self):
         table = ttest_weight(make_table([[4, 0], [0, 0]]))
-        assert table.weight("n0", "c0") == pytest.approx(0.0, abs=1e-15)
+        assert weight(table, "n0", "c0") == pytest.approx(0.0, abs=1e-15)
 
     def test_outer_product_margins_all_zero(self):
         rng = np.random.default_rng(3)
@@ -79,7 +86,7 @@ class TestTtestWeight:
                 p_w = counts[i].sum() / total
                 p_c = counts[:, j].sum() / total
                 expected = (p_wc - p_w * p_c) / np.sqrt(p_w * p_c)
-                assert table.weight(f"n{i}", f"c{j}") == pytest.approx(expected, abs=1e-14)
+                assert weight(table, f"n{i}", f"c{j}") == pytest.approx(expected, abs=1e-14)
 
     def test_empty_table_raises(self):
         with pytest.raises(ValueError, match="empty"):
@@ -139,9 +146,9 @@ class TestSelectTopN:
     def test_keeps_largest(self):
         weighted = self.make_weighted([[0.9, 0.1, 0.5]], contexts=["a", "b", "c"])
         out = select_top_n(weighted, 2)
-        assert out.weight("n0", "a") == 0.9
-        assert out.weight("n0", "c") == 0.5
-        assert out.weight("n0", "b") == 0.0
+        assert weight(out, "n0", "a") == 0.9
+        assert weight(out, "n0", "c") == 0.5
+        assert weight(out, "n0", "b") == 0.0
 
     def test_noop_when_n_exceeds_nonzeros(self):
         weighted = self.make_weighted([[0.3, 0.0, 0.2]])
@@ -162,9 +169,9 @@ class TestSelectTopN:
     def test_ties_break_by_context_word(self):
         weighted = self.make_weighted([[0.5, 0.5, 0.5]], contexts=["zz", "aa", "mm"])
         out = select_top_n(weighted, 2)
-        assert out.weight("n0", "aa") == 0.5
-        assert out.weight("n0", "mm") == 0.5
-        assert out.weight("n0", "zz") == 0.0
+        assert weight(out, "n0", "aa") == 0.5
+        assert weight(out, "n0", "mm") == 0.5
+        assert weight(out, "n0", "zz") == 0.0
 
     @settings(max_examples=300, deadline=None)
     @given(tied_weight_tables())
@@ -228,7 +235,7 @@ class TestReduce:
 
         normalized = l2_normalize_rows(sp.csr_matrix(rows)).toarray()
         svd = truncated_svd(normalized, 6)
-        assert np.linalg.norm(normalized - svd.reconstruct()) < 1e-8
+        assert np.linalg.norm(normalized - (svd.U * svd.singular_values) @ svd.V.T) < 1e-8
         # scaled embeddings preserve inner products of the normalized table
         emb = reduce_to_embeddings(weighted, 6)
         gram_emb = emb.matrix @ emb.matrix.T
@@ -264,7 +271,7 @@ class TestDropZeroRows:
         reduced, dropped = drop_zero_rows(weighted)
         assert dropped == ["drop"]
         assert reduced.nouns.words == ("keep", "also")
-        assert reduced.weight("also", "c1") == pytest.approx(0.2)
+        assert weight(reduced, "also", "c1") == pytest.approx(0.2)
 
 
 class TestSpearmanEval:
