@@ -202,6 +202,14 @@ def _check_static(config: PipelineConfig) -> None:
         raise ValidationError("top_n must be positive when set")
     if config.small_cv_size < 4:
         raise ValidationError("small_cv_size must be at least 4")
+    if any(n < 1 for n in config.top_n_sweep):
+        raise ValidationError(f"top_n_sweep entries must be positive, got {config.top_n_sweep}")
+    if not config.curve_sizes or any(n < 2 for n in config.curve_sizes):
+        raise ValidationError(
+            f"curve_sizes needs at least one size, each at least 2, got {config.curve_sizes}"
+        )
+    if config.curve_repeats < 1:
+        raise ValidationError("curve_repeats must be positive")
 
 
 def require_input_files(config: PipelineConfig, *names) -> None:

@@ -242,10 +242,12 @@ def write_frequency_tsv(path, frequencies) -> None:
 def read_frequency_tsv(path) -> Counter:
     """Read ``word<TAB>count`` rows.
 
-    A row without two fields or with a count that is not an integer raises
-    ``DataError`` naming the file and line.
+    A row without two fields, with a count that is not an integer or with a
+    word an earlier row already gave raises ``DataError`` naming the file and
+    line.
     """
     freq: Counter = Counter()
+    linenos = {}  # word -> the line that gave it
     for lineno, line in numbered_lines(path):
         line = line.rstrip("\n")
         if not line:
@@ -254,10 +256,13 @@ def read_frequency_tsv(path) -> Counter:
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
         word, count = parts
+        if word in linenos:
+            raise DataError(f"{path}:{lineno}: word {word!r} repeats line {linenos[word]}")
         try:
             freq[word] = int(count)
         except ValueError:
             raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
+        linenos[word] = lineno
     return freq
 
 

@@ -4,6 +4,11 @@ Positive subject-verb-object triples come from a pre-extracted TSV. For each
 positive a pseudo-negative is built by replacing both nouns with confounders
 drawn at random from the same corpus-frequency bucket, which keeps the
 negatives frequency-matched and the classes exactly balanced.
+
+The caller reads the TSV once (``read_triples_tsv``) and hands each verb its
+own rows (``load_positives``). Within one ``gen_confounders`` call each noun's
+list of confounder options is built once, on its first draw, and
+``write_dataset_jsonl`` JSON-encodes each distinct string once per file.
 """
 
 import json
@@ -19,6 +24,7 @@ log = logging.getLogger(__name__)
 
 PLAUSIBLE = "plausible"
 IMPLAUSIBLE = "implausible"
+_GOLD_DIST = {PLAUSIBLE: (1.0, 0.0), IMPLAUSIBLE: (0.0, 1.0)}
 
 DEFAULT_POSITIVE_CAP = 2000
 
@@ -31,12 +37,12 @@ class LabeledTriple:
     label: str
 
     def __post_init__(self):
-        if self.label not in (PLAUSIBLE, IMPLAUSIBLE):
+        if self.label not in _GOLD_DIST:
             raise ValueError(f"bad label {self.label!r}")
 
     @property
     def gold_dist(self) -> tuple:
-        return (1.0, 0.0) if self.label == PLAUSIBLE else (0.0, 1.0)
+        return _GOLD_DIST[self.label]
 
     @property
     def is_plausible(self) -> bool:
@@ -91,18 +97,22 @@ def read_triples_tsv(path) -> list:
     return rows
 
 
-def load_positives(triple_file, verb: str, cap: int = DEFAULT_POSITIVE_CAP, known_nouns=None) -> list:
-    """Load a verb's positive triples, filtered and frequency-capped.
+def load_positives(rows, verb: str, source, cap: int = DEFAULT_POSITIVE_CAP,
+                   known_nouns=None) -> tuple:
+    """A verb's positive triples, filtered and frequency-capped.
 
-    Triples whose subject or object is not in ``known_nouns`` (the embedding
-    vocabulary) are dropped and logged. Survivors are ordered by descending
-    corpus count, ties broken by (subject, object), and truncated to ``cap``.
+    ``rows`` are the verb's rows of ``read_triples_tsv(source)``, in file
+    order; ``source`` names the file in error messages. Triples whose subject
+    or object is not in ``known_nouns`` (the embedding vocabulary) are dropped
+    and logged. Survivors are ordered by descending corpus count, ties broken
+    by (subject, object), and truncated to ``cap``. Returns the positives and
+    the number of rows dropped for out-of-vocabulary nouns.
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    rows = [r for r in read_triples_tsv(triple_file) if r[1] == verb]
     if not rows:
-        raise DataError(f"unknown verb {verb!r}: no triples in {Path(triple_file).name}")
+        raise DataError(f"unknown verb {verb!r}: no triples in {Path(source).name}")
+    dropped = 0
     if known_nouns is not None:
         kept = [r for r in rows if r[0] in known_nouns and r[2] in known_nouns]
         dropped = len(rows) - len(kept)
@@ -111,21 +121,20 @@ def load_positives(triple_file, verb: str, cap: int = DEFAULT_POSITIVE_CAP, know
         rows = kept
     if not rows:
         raise DataError(f"verb {verb!r}: zero triples survive the vocabulary filter")
-    rows.sort(key=lambda r: (-r[3], r[0], r[2]))
-    rows = rows[:cap]
-    return [LabeledTriple(s, verb, o, PLAUSIBLE) for s, _, o, _ in rows]
+    rows = sorted(rows, key=lambda r: (-r[3], r[0], r[2]))[:cap]
+    return [LabeledTriple(s, verb, o, PLAUSIBLE) for s, _, o, _ in rows], dropped
 
 
-def _draw_confounder(noun: str, buckets: FrequencyBuckets, rng: random.Random) -> str:
-    """Random bucket-mate of ``noun``, excluding the noun itself.
+def _confounder_options(noun: str, buckets: FrequencyBuckets, max_id: int) -> list:
+    """Bucket-mates of ``noun``, excluding the noun itself.
 
     When the noun's bucket offers no alternative, the search widens to the
-    nearest buckets by rank distance, lower bucket id first.
+    nearest buckets by rank distance, lower bucket id first, and returns the
+    first non-empty list. ``max_id`` is the largest bucket id.
     """
     if noun not in buckets.bucket_of:
         raise DataError(f"noun {noun!r} has no frequency bucket")
     home = buckets.bucket_of[noun]
-    max_id = max(buckets.members)
     for dist in range(0, max_id + 1):
         candidates_ids = [home] if dist == 0 else [home - dist, home + dist]
         for bucket_id in candidates_ids:
@@ -134,17 +143,29 @@ def _draw_confounder(noun: str, buckets: FrequencyBuckets, rng: random.Random) -
                 continue
             options = [m for m in members if m != noun]
             if options:
-                return rng.choice(options)
+                return options
     raise DataError(f"no confounder available for {noun!r}: noun universe too small")
 
 
 def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int) -> list:
-    """One implausible triple per positive, both nouns confounded."""
+    """One implausible triple per positive, both nouns confounded.
+
+    Each confounder is ``rng.choice`` over the noun's options (see
+    ``_confounder_options``), drawn subject then object, positive by positive.
+    """
     rng = random.Random(rng_seed)
+    max_id = max(buckets.members, default=0)
+    options = {}  # noun -> its confounder options, built on its first draw
+
+    def draw(noun):
+        if noun not in options:
+            options[noun] = _confounder_options(noun, buckets, max_id)
+        return rng.choice(options[noun])
+
     negatives = []
     for triple in positives:
-        subject = _draw_confounder(triple.subject, buckets, rng)
-        obj = _draw_confounder(triple.object, buckets, rng)
+        subject = draw(triple.subject)
+        obj = draw(triple.object)
         negatives.append(LabeledTriple(subject, triple.verb, obj, IMPLAUSIBLE))
     return negatives
 
@@ -214,19 +235,24 @@ def subsample(dataset: VerbDataset, n: int, seed: int) -> VerbDataset:
 
 
 def write_dataset_jsonl(path, dataset: VerbDataset) -> None:
-    """One triple per line, with label and gold distribution."""
+    """One triple per line, with label and gold distribution.
+
+    Each record line is what ``json.dumps(record, sort_keys=True)`` gives,
+    built from a template in that key order with each distinct string
+    encoded once.
+    """
+    strings = {text for t in dataset.triples for text in (t.subject, t.verb, t.object, t.label)}
+    quoted = {text: json.dumps(text) for text in strings}
+    gold = {label: json.dumps(list(dist)) for label, dist in _GOLD_DIST.items()}
+    lines = [
+        f'{{"gold_dist": {gold[t.label]}, "label": {quoted[t.label]}, '
+        f'"object": {quoted[t.object]}, "subject": {quoted[t.subject]}, '
+        f'"verb": {quoted[t.verb]}}}\n'
+        for t in dataset.triples
+    ]
+    header = {"verb": dataset.verb, "metadata": dataset.metadata}
     with open(path, "w", encoding="utf-8") as handle:
-        header = {"verb": dataset.verb, "metadata": dataset.metadata}
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
-        for t in dataset.triples:
-            record = {
-                "subject": t.subject,
-                "verb": t.verb,
-                "object": t.object,
-                "label": t.label,
-                "gold_dist": list(t.gold_dist),
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.write(json.dumps(header, sort_keys=True) + "\n" + "".join(lines))
 
 
 _RECORD_KEYS = ("subject", "verb", "object", "label", "gold_dist")

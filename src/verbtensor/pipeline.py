@@ -180,7 +180,12 @@ def _choose_top_n(config: PipelineConfig, weighted):
 # ---------------------------------------------------------------------------
 
 def gen_data(config: PipelineConfig) -> dict:
-    """Per-verb datasets: capped positives plus bucket-confounded negatives."""
+    """Per-verb datasets: capped positives plus bucket-confounded negatives.
+
+    Each input is read once per call: ``triples.tsv`` is read once and its
+    rows grouped by verb, and the frequency buckets are built once and shared
+    by every verb's confounder draws.
+    """
     require_input_files(config, "triples")
     vectors_dir = config.vectors_dir()
     freq_path = vectors_dir / "frequencies.tsv"
@@ -189,6 +194,9 @@ def gen_data(config: PipelineConfig) -> dict:
         raise ValidationError(
             f"vectors not built yet: expected {freq_path} and {emb_path} (run build-vectors)"
         )
+    rows_by_verb = {}
+    for row in data_mod.read_triples_tsv(config.triples):
+        rows_by_verb.setdefault(row[1], []).append(row)
     out_dir = ensure_dir(config.datasets_dir())
     frequencies = corpus_mod.read_frequency_tsv(freq_path)
     embeddings = vec_mod.read_embeddings_tsv(emb_path)
@@ -200,10 +208,12 @@ def gen_data(config: PipelineConfig) -> dict:
     outputs = [buckets_path]
     written = []
     failures = {}
+    oov_dropped = {}
     for verb in sorted(config.verbs):
         try:
-            positives = data_mod.load_positives(
-                config.triples, verb, cap=config.positive_cap, known_nouns=known
+            positives, dropped = data_mod.load_positives(
+                rows_by_verb.get(verb, []), verb, config.triples,
+                cap=config.positive_cap, known_nouns=known,
             )
             dataset = data_mod.build_dataset(
                 verb,
@@ -223,6 +233,7 @@ def gen_data(config: PipelineConfig) -> dict:
         data_mod.write_dataset_jsonl(path, dataset)
         outputs.append(path)
         written.append(verb)
+        oov_dropped[verb] = dropped
         log.info(
             "verb %r: %d positives, %d negatives", verb,
             len(dataset.positives), len(dataset.negatives),
@@ -236,6 +247,7 @@ def gen_data(config: PipelineConfig) -> dict:
         "data_seed": config.data_seed,
         "verbs_written": written,
         "verbs_skipped": failures,
+        "oov_dropped": oov_dropped,
     }
     manifest = _write_manifest(
         config, out_dir, "gen-data", parameters, [config.triples, freq_path, emb_path], outputs

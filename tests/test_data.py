@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verbtensor.corpus import frequency_buckets
+from verbtensor.corpus import FrequencyBuckets, frequency_buckets
 from verbtensor.data import (
     IMPLAUSIBLE,
     PLAUSIBLE,
@@ -45,32 +46,51 @@ def triple_file(tmp_path):
 KNOWN = {"court", "law", "judge", "rule", "clerk", "stamp", "woman", "hair"}
 
 
+def verb_rows(path, verb):
+    """The rows of ``path`` for ``verb``, in file order, as ``gen_data`` groups them."""
+    return [row for row in read_triples_tsv(path) if row[1] == verb]
+
+
+def positives_of(path, verb, **kwargs):
+    triples, _ = load_positives(verb_rows(path, verb), verb, path, **kwargs)
+    return triples
+
+
 class TestLoadPositives:
     def test_cap_keeps_most_frequent(self, triple_file):
-        triples = load_positives(triple_file, "apply", cap=2, known_nouns=KNOWN)
+        triples = positives_of(triple_file, "apply", cap=2, known_nouns=KNOWN)
         assert [(t.subject, t.object) for t in triples] == [("court", "law"), ("judge", "rule")]
         assert all(t.label == PLAUSIBLE for t in triples)
 
     def test_oov_rows_dropped(self, triple_file):
-        triples = load_positives(triple_file, "apply", known_nouns=KNOWN)
+        triples = positives_of(triple_file, "apply", known_nouns=KNOWN)
         assert all(t.subject != "ghost" for t in triples)
         assert len(triples) == 3
 
     def test_unknown_verb(self, triple_file):
         with pytest.raises(DataError, match="unknown verb"):
-            load_positives(triple_file, "devour", known_nouns=KNOWN)
+            positives_of(triple_file, "devour", known_nouns=KNOWN)
 
     def test_zero_survivors(self, tmp_path):
         path = write_triples(tmp_path / "t.tsv", [("ghost", "haunt", "wall", 5)])
         with pytest.raises(DataError, match="zero triples"):
-            load_positives(path, "haunt", known_nouns={"somebody"})
+            positives_of(path, "haunt", known_nouns={"somebody"})
 
     def test_fixture_with_26_rows_yields_26(self, tmp_path):
         rows = [(f"s{i:02d}", "censor", f"o{i:02d}", 100 - i) for i in range(26)]
         path = write_triples(tmp_path / "censor.tsv", rows)
         nouns = {w for row in rows for w in (row[0], row[2])}
-        triples = load_positives(path, "censor", cap=2000, known_nouns=nouns)
+        triples = positives_of(path, "censor", cap=2000, known_nouns=nouns)
         assert len(triples) == 26
+
+    def test_counts_oov_rows_and_names_the_file(self, triple_file):
+        _, dropped = load_positives(verb_rows(triple_file, "apply"), "apply", triple_file,
+                                    known_nouns=KNOWN)
+        assert dropped == 1
+        _, dropped = load_positives(verb_rows(triple_file, "apply"), "apply", triple_file)
+        assert dropped == 0
+        with pytest.raises(DataError, match=r"^unknown verb 'devour': no triples in triples\.tsv$"):
+            load_positives([], "devour", triple_file)
 
 
 def make_buckets(noun_freqs, bucket_size=3):
@@ -137,6 +157,76 @@ class TestGenConfounders:
         positives = [LabeledTriple("only", "eat", "only", PLAUSIBLE)]
         with pytest.raises(DataError, match="no confounder"):
             gen_confounders(positives, buckets, rng_seed=0)
+
+
+def oracle_draw_confounder(noun, buckets, rng):
+    """Reference draw: rebuilds the largest bucket id and the option list per draw."""
+    if noun not in buckets.bucket_of:
+        raise DataError(f"noun {noun!r} has no frequency bucket")
+    home = buckets.bucket_of[noun]
+    max_id = max(buckets.members)
+    for dist in range(0, max_id + 1):
+        candidates_ids = [home] if dist == 0 else [home - dist, home + dist]
+        for bucket_id in candidates_ids:
+            members = buckets.members.get(bucket_id)
+            if not members:
+                continue
+            options = [m for m in members if m != noun]
+            if options:
+                return rng.choice(options)
+    raise DataError(f"no confounder available for {noun!r}: noun universe too small")
+
+
+def oracle_gen_confounders(positives, buckets, rng_seed):
+    rng = random.Random(rng_seed)
+    negatives = []
+    for triple in positives:
+        subject = oracle_draw_confounder(triple.subject, buckets, rng)
+        obj = oracle_draw_confounder(triple.object, buckets, rng)
+        negatives.append(LabeledTriple(subject, triple.verb, obj, IMPLAUSIBLE))
+    return negatives
+
+
+def outcome(generate, positives, buckets, seed):
+    """The negatives ``generate`` returns, or the message of the DataError it raises."""
+    try:
+        return generate(positives, buckets, seed)
+    except DataError as exc:
+        return str(exc)
+
+
+@st.composite
+def confounder_cases(draw):
+    """Random frequency buckets, positives over their nouns (and a stray one), a seed."""
+    n_nouns = draw(st.integers(1, 12))
+    freqs = {f"n{i}": draw(st.integers(0, 4)) for i in range(n_nouns)}
+    buckets = make_buckets(freqs, bucket_size=draw(st.integers(1, 4)))
+    nouns = st.sampled_from(sorted(freqs) + ["stray"] * draw(st.integers(0, 1)))
+    positives = [
+        LabeledTriple(draw(nouns), "eat", draw(nouns), PLAUSIBLE)
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    return positives, buckets, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(confounder_cases())
+def test_gen_confounders_matches_per_draw_oracle(case):
+    positives, buckets, seed = case
+    assert outcome(gen_confounders, positives, buckets, seed) == outcome(
+        oracle_gen_confounders, positives, buckets, seed
+    )
+
+
+def test_singleton_buckets_match_oracle_when_widening():
+    freqs = {f"n{i}": 20 - i for i in range(7)}
+    buckets = make_buckets(freqs, bucket_size=1)  # every draw widens to a neighbour
+    positives = [LabeledTriple(f"n{i}", "eat", f"n{6 - i}", PLAUSIBLE) for i in range(7)] * 3
+    assert gen_confounders(positives, buckets, 11) == oracle_gen_confounders(
+        positives, buckets, 11
+    )
+    empty = FrequencyBuckets(bucket_of={}, members={}, bucket_size=1)
+    assert gen_confounders([], empty, 0) == []
 
 
 def balanced_dataset(n, verb="eat"):
@@ -247,6 +337,40 @@ class TestJsonl:
         write_splits_jsonl(a, make_5x2cv_splits(dataset, seed=2))
         write_splits_jsonl(b, make_5x2cv_splits(dataset, seed=2))
         assert a.read_bytes() == b.read_bytes()
+
+
+
+def oracle_dataset_lines(dataset):
+    """Reference JSONL: ``json.dumps(record, sort_keys=True)`` per line."""
+    lines = [json.dumps({"verb": dataset.verb, "metadata": dataset.metadata}, sort_keys=True)]
+    for t in dataset.triples:
+        record = {"subject": t.subject, "verb": t.verb, "object": t.object, "label": t.label,
+                  "gold_dist": list(t.gold_dist)}
+        lines.append(json.dumps(record, sort_keys=True))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+AWKWARD_WORDS = ['say "hi"', "back\\slash", "tab\there", "café", "日本", "emoji 😀",
+                 "line\nbreak", "\x00nul", "\u2028sep", "plain"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(AWKWARD_WORDS) | st.text(min_size=1),
+                          st.sampled_from(AWKWARD_WORDS) | st.text(min_size=1),
+                          st.sampled_from([PLAUSIBLE, IMPLAUSIBLE])), max_size=8),
+       st.sampled_from(AWKWARD_WORDS))
+def test_dataset_writer_matches_json_dumps_lines(tmp_path_factory, rows, verb):
+    dataset = VerbDataset(
+        verb=verb,
+        triples=[LabeledTriple(s, verb, o, label) for s, o, label in rows],
+        metadata={"concreteness": 4.4, "note": "ünïcode"},
+    )
+    path = tmp_path_factory.mktemp("jsonl") / "awkward.jsonl"
+    write_dataset_jsonl(path, dataset)
+    assert path.read_bytes() == oracle_dataset_lines(dataset)
+    loaded = read_dataset_jsonl(path)
+    assert (loaded.verb, loaded.triples, loaded.metadata) == (
+        dataset.verb, dataset.triples, dataset.metadata)
 
 
 class TestReadTriplesTsv:

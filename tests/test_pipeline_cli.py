@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from verbtensor import data as data_mod
 from verbtensor.cli import EXIT_RUNTIME, EXIT_VALIDATION, main as cli_main
 from verbtensor.config import load_config
 from verbtensor.data import read_dataset_jsonl
@@ -155,6 +156,30 @@ class TestConfigValidation:
             load_config(bad)
         assert run_cli("--config", bad, "build-vectors") == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "old, new, command",
+        [
+            ("curve_repeats = 2", "curve_repeats = 0", ("experiment", "--which", "curves")),
+            ("curve_sizes = 8,16", "curve_sizes = 1", ("experiment", "--which", "curves")),
+            ("curve_sizes = 8,16", "curve_sizes = ,", ("experiment", "--which", "curves")),
+            ("top_n_sweep = 20,60", "top_n_sweep = 0, 5", ("build-vectors",)),
+        ],
+        ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0"],
+    )
+    def test_out_of_range_value_fails_before_work(self, built, tmp_path, old, new, command):
+        config = load_config(built)
+        inputs = copy_fixture(built, tmp_path)
+        text = (inputs / "config.ini").read_text()
+        assert old in text
+        (inputs / "config.ini").write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        for name in ("vectors", "datasets"):
+            shutil.copytree(config.output_dir / name, out / name)
+        before = tree_hashes(out)
+        assert run_cli("--config", inputs / "config.ini", "--out", out, *command) \
+            == EXIT_VALIDATION
+        assert tree_hashes(out) == before
+
     @pytest.mark.parametrize("content", [b"corpus = c.txt\n", b"[paths]\ncorpus = \xff\n"],
                              ids=["no-section-header", "not-utf8"])
     def test_unreadable_config_fails_validation(self, tmp_path, caplog, content):
@@ -288,6 +313,27 @@ class TestGenData:
         assert str(tmp_path) not in message
         assert "triples.tsv" in message
         assert len(manifest["parameters"]["verbs_written"]) == 2
+
+    def test_reads_triples_once_and_records_oov_drops(self, built, tmp_path, monkeypatch):
+        config = load_config(built)
+        inputs = copy_fixture(built, tmp_path)
+        subject, verb, obj, _ = (inputs / "triples.tsv").read_text().splitlines()[0].split("\t")
+        with open(inputs / "triples.tsv", "a", encoding="utf-8") as handle:
+            handle.write(f"unembedded\t{verb}\t{obj}\t1\n{subject}\t{verb}\tunembedded\t1\n")
+        out = tmp_path / "out"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        calls = []
+        read = data_mod.read_triples_tsv
+        monkeypatch.setattr(data_mod, "read_triples_tsv",
+                            lambda path: calls.append(path) or read(path))
+        assert run_cli("--config", inputs / "config.ini", "--out", out, "gen-data") == 0
+        assert calls == [inputs / "triples.tsv"]
+        parameters = json.loads((out / "datasets" / "manifest.json").read_text())["parameters"]
+        assert len(parameters["verbs_written"]) == 2
+        assert parameters["oov_dropped"] == {v: 2 if v == verb else 0 for v in config.verbs}
+        for name in parameters["verbs_written"]:
+            assert (out / "datasets" / f"{name}.jsonl").read_bytes() \
+                == (config.datasets_dir() / f"{name}.jsonl").read_bytes()
 
     def test_gen_data_requires_vectors(self, small_fixture, tmp_path):
         assert run_cli(

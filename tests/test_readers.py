@@ -32,6 +32,7 @@ def test_undecodable_line_names_file_and_line(tmp_path, reader):
         ("cat\t3\ndog\n", r"freq\.tsv:2: expected 2 tab-separated fields, got 1"),
         ("cat\t3\ndog\t1\tx\n", r"freq\.tsv:2: expected 2 tab-separated fields, got 3"),
         ("cat\t3\n\ndog\tmany\n", r"freq\.tsv:3: count 'many' is not an integer"),
+        ("cat\t3\ndog\t2\n\ncat\t1\n", r"freq\.tsv:4: word 'cat' repeats line 1"),
     ],
 )
 def test_malformed_frequency_row_names_file_and_line(tmp_path, text, message):
