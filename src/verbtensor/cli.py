@@ -35,7 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "are relative to the config file)")
     parser.add_argument("--seed", type=int, default=None,
                         help="rebase all pipeline seeds from this value")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel verbs for experiments")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="parallel verbs for experiments (at least 1; at most one "
+                             "worker per verb is started)")
     parser.add_argument("--log-level", default="WARNING",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"])
 

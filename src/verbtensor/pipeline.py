@@ -266,6 +266,8 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     """Run one of the three experiment protocols and write report CSVs."""
     if which not in EXPERIMENT_KINDS:
         raise ValidationError(f"unknown experiment {which!r}, expected one of {EXPERIMENT_KINDS}")
+    if jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     datasets_dir = config.datasets_dir()
     verb_paths = {v: datasets_dir / f"{v}.jsonl" for v in sorted(config.verbs)}
     available = [v for v, p in verb_paths.items() if p.is_file()]
@@ -279,8 +281,10 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     out_dir = ensure_dir(config.reports_dir())
     results = []
     failures = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at once, so never more than there are verbs
+    workers = min(jobs, len(available))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = list(pool.map(_experiment_verb_safe,
                                     [(config, verb, which) for verb in available]))
         for verb, payload, error in futures:

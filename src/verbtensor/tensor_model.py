@@ -13,22 +13,34 @@ the KL term is exactly the cross entropy -log p[correct], which is what the
 code computes. Gradients are exact chain-rule derivatives and updates use
 per-parameter Adagrad.
 
-The math exists once. ``_forward`` runs the forward pass over a leading
-example axis (a GEMM with the tensor, then one batched product with the
-objects); it serves the per-epoch objective, batch updates and
-``predict_batch``, of which ``predict`` is the one-row case.
-``_Workspace.gradient`` is the one backward pass, used by every training
-step and by ``gradients``, and ``adagrad_step`` the one update. During
-training the tensor and theta are views into one flat parameter vector, so
-a step is a single in-place Adagrad update over all K*K*2 + 6 values. A
-stochastic step performs the same floating-point operations in the same
-order as the earlier per-example code, so trained parameters are unchanged
-bit for bit. The objective trace comes from the GEMM forward pass rather
-than a three-operand ``einsum`` and may differ from it in the last unit in
-the last place.
+One forward pass, two backward kernels that agree bit for bit, one update.
+``_forward`` runs the forward pass over a leading example axis (a GEMM with
+the tensor, then one batched product with the objects); it serves the
+per-epoch objective, batch updates and ``predict_batch``, of which
+``predict`` is the one-row case. ``_Workspace.gradient`` is the N-example
+backward pass, used by batch mode (one step on the summed gradient per
+epoch) and by ``gradients``, and ``adagrad_step`` the one update. During
+training the tensor and theta are views into one flat parameter vector, so a
+step is a single in-place Adagrad update over all K*K*2 + 6 values.
+
+A stochastic step runs the one-example kernel from
+``_Workspace.example_step``: two vector-matrix products for the bilinear
+score, the two-class head in Python floats, and one outer-product GEMM for
+the tensor gradient, then the same L2 add and ``adagrad_step``. It performs
+the same floating-point operations as ``_Workspace.gradient`` on one row
+followed by ``adagrad_step``, so trained parameters are unchanged bit for
+bit; the tests hold it to that oracle. Bit-identity fixes which operations
+stay numpy: the logits and dL/da are BLAS products (BLAS fuses multiply and
+add, a Python sum does not), the one non-trivial softmax exponential is
+``np.exp`` (``math.exp`` rounds differently), while the sigmoid's
+``math.exp`` matches scipy's ``expit``, including 0.0 where ``-z``
+overflows. The objective trace comes from the GEMM forward pass rather than
+a three-operand ``einsum`` and may differ from it in the last unit in the
+last place.
 """
 
 import logging
+import math
 import random
 from dataclasses import dataclass, fields
 
@@ -110,6 +122,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     """
     exp = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
     return exp / (exp[:, :1] + exp[:, 1:])
+
+
+def _sigmoid(x: float) -> float:
+    """Logistic function of a Python float, bit for bit equal to ``expit``."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) is inf, where expit gives exactly 0.0
+        return 0.0
 
 
 def _forward(tensor, theta, subjects, objects_):
@@ -210,6 +230,57 @@ class _Workspace:
         if self.l2_lambda:
             self.reg_grad += np.multiply(self.reg_params, self.l2_lambda, out=self.reg_scratch)
 
+    def example_step(self, learning_rate: float, epsilon: float):
+        """The one-example Adagrad step, ``step(s, o, s_column, o_row, t0, t1)``.
+
+        ``s`` and ``o`` are (K,) rows, ``s_column`` and ``o_row`` their (K, 1)
+        and (1, K) views, and ``t0``, ``t1`` the target as floats. A step is
+        ``gradient`` on that one row followed by ``adagrad_step``, with the
+        same floating-point operations and so the same bits: the two-class
+        quantities are Python floats, and the tensor gradient is the GEMM of
+        the outer product s o^T, flattened to (K*K, 1), with dL/dz as (1, 2).
+        """
+        k = self.tensor.shape[0]
+        tensor_2k = self.tensor.reshape(k, k * SENTENCE_DIM)
+        theta_t, theta_w, g_theta = self.theta.T, self.theta_w, self.g_theta.reshape(-1)
+        a = np.ones(SENTENCE_DIM + 1)
+        d_logit = np.empty(SENTENCE_DIM)
+        d_z = np.empty((1, SENTENCE_DIM))
+        pairs = np.empty((k * k, 1))
+        pairs_kk = pairs.reshape(k, k)
+        g_tensor, params, grad, acc, scratch = (
+            self.g_tensor, self.params, self.grad, self.acc, self.scratch)
+        l2_lambda, reg_params, reg_grad, reg_scratch = (
+            self.l2_lambda, self.reg_params, self.reg_grad, self.reg_scratch)
+        dot, exp = np.dot, np.exp
+
+        def step(s, o, s_column, o_row, t0, t1):
+            z0, z1 = dot(o, dot(s, tensor_2k).reshape(k, SENTENCE_DIM)).tolist()
+            a0 = a[0] = _sigmoid(z0)
+            a1 = a[1] = _sigmoid(z1)
+            l0, l1 = dot(a, theta_t).tolist()
+            # softmax: the larger logit's exponential is exp(0) = 1, and
+            # l - l + 1.0 is 1.0 too, or NaN for an infinite l as in _softmax
+            if l0 >= l1:
+                e0, e1 = l0 - l0 + 1.0, float(exp(l1 - l0))
+            else:
+                e0, e1 = float(exp(l0 - l1)), l1 - l1 + 1.0
+            total = e0 + e1
+            d0 = d_logit[0] = e0 / total - t0
+            d1 = d_logit[1] = e1 / total - t1
+            g_theta[:] = (d0 * a0, d0 * a1, d0, d1 * a0, d1 * a1, d1)
+            g0, g1 = dot(d_logit, theta_w).tolist()
+            d_z[0, 0] = g0 * a0 * (1.0 - a0)
+            d_z[0, 1] = g1 * a1 * (1.0 - a1)
+            dot(s_column, o_row, out=pairs_kk)
+            dot(pairs, d_z, out=g_tensor)
+            if l2_lambda:
+                np.add(reg_grad, np.multiply(reg_params, l2_lambda, out=reg_scratch),
+                       out=reg_grad)
+            adagrad_step(params, grad, acc, learning_rate, epsilon, scratch)
+
+        return step
+
 
 def gradients(model: VerbTensorModel, example, l2_lambda: float, regularize_theta: bool = True) -> Gradients:
     """Exact gradients of one example's regularized loss (see ``_Workspace.gradient``)."""
@@ -246,10 +317,14 @@ def train(dataset, embeddings, config: TrainConfig, verb: str | None = None) -> 
     """Fit a verb tensor model on labeled triples with per-parameter Adagrad.
 
     Examples are visited in a freshly shuffled order every epoch (seeded from
-    the config), for the configured number of epochs; batch mode takes one
-    step on the summed gradient per epoch instead. The returned trace holds
-    the full-data objective at initialization and after every epoch; a
-    non-finite objective aborts with the offending epoch number.
+    the config), for the configured number of epochs, each through the
+    one-example kernel of ``_Workspace.example_step``; its arithmetic matches
+    ``_Workspace.gradient`` on one row plus ``adagrad_step`` bit for bit (see
+    the module docstring for which operations must stay numpy). Batch mode
+    takes one step per epoch on the summed gradient from
+    ``_Workspace.gradient`` instead. The returned trace holds the full-data
+    objective at initialization and after every epoch; a non-finite
+    objective aborts with the offending epoch number.
     """
     if hasattr(dataset, "triples"):
         triples = dataset.triples
@@ -283,14 +358,11 @@ def train(dataset, embeddings, config: TrainConfig, verb: str | None = None) -> 
             )
         return value
 
-    def step(*examples):
-        work.gradient(*examples)
-        adagrad_step(work.params, work.grad, work.acc, lr, eps, work.scratch)
-
     trace = [epoch_objective(0)]
-    # one-example views, shuffled in place: the order carries over between epochs
-    rows = [(subjects[i:i + 1], objects_[i:i + 1], targets[i:i + 1])
-            for i in range(len(triples))]
+    step = work.example_step(lr, eps)
+    # one-example arguments, shuffled in place: the order carries over between epochs
+    rows = [(s, o, s[:, None], o[None], t0, t1)
+            for s, o, (t0, t1) in zip(subjects, objects_, targets.tolist())]
     order_rng = random.Random(derive_seed(config.seed, "epoch-order"))
 
     for epoch in range(1, config.epochs + 1):
@@ -299,7 +371,8 @@ def train(dataset, embeddings, config: TrainConfig, verb: str | None = None) -> 
             for example in rows:
                 step(*example)
         else:
-            step(subjects, objects_, targets)
+            work.gradient(subjects, objects_, targets)
+            adagrad_step(work.params, work.grad, work.acc, lr, eps, work.scratch)
         trace.append(epoch_objective(epoch))
 
     model = VerbTensorModel(tensor=work.tensor, theta=work.theta, verb=verb)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from verbtensor import data as data_mod
+from verbtensor import pipeline
 from verbtensor.cli import EXIT_RUNTIME, EXIT_VALIDATION, main as cli_main
 from verbtensor.config import load_config
 from verbtensor.data import read_dataset_jsonl
@@ -443,6 +444,43 @@ class TestExperimentReports:
             "experiment", "--which", "small-cv",
         ) == 0
         assert tree_hashes(out_serial / "reports") == tree_hashes(out_parallel / "reports")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, built, caplog, monkeypatch, jobs):
+        def no_work(args):
+            raise AssertionError("a verb ran despite invalid --jobs")
+
+        monkeypatch.setattr(pipeline, "_experiment_verb_safe", no_work)
+        rc = run_cli("--config", built, "--jobs", jobs, "experiment", "--which", "small-cv")
+        assert rc == EXIT_VALIDATION
+        assert "--jobs must be at least 1" in caplog.text
+
+    def test_jobs_capped_at_verb_count(self, built, tmp_path, monkeypatch):
+        # a stand-in pool that records its size and runs the verbs in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "out"
+        source = load_config(built).output_dir
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(source / subdir, out / subdir)
+        rc = run_cli("--config", built, "--out", out, "--jobs", 5000,
+                     "experiment", "--which", "small-cv")
+        assert rc == 0
+        assert sizes == [len(load_config(built).verbs)] == [2]
 
     def test_manifests_independent_of_out_and_config_path(self, built, tmp_path, monkeypatch):
         """vectors/, datasets/ and models/ match across --out dirs and config spellings."""

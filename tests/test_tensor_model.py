@@ -1,15 +1,22 @@
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import planted_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE
+from verbtensor import tensor_model
+from verbtensor.corpus import Vocabulary
+from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, VerbDataset
 from verbtensor.evaluation import _holdout_halves, roc_auc
 from verbtensor.tensor_model import (
     TrainConfig,
     VerbTensorModel,
     _forward,
+    _lookup_triples,
     _objective_arrays,
     _split,
     _Workspace,
@@ -22,7 +29,8 @@ from verbtensor.tensor_model import (
     save_model,
     train,
 )
-from verbtensor.util import TrainingDiverged
+from verbtensor.util import TrainingDiverged, derive_seed
+from verbtensor.vectors import EmbeddingTable
 
 ONE_HOT_TOP = np.array([1.0, 0.0])
 ONE_HOT_BOT = np.array([0.0, 1.0])
@@ -114,6 +122,38 @@ def einsum_batch_gradient(model, subjects, objects_, targets, lam, regularize_th
     d_z = (d_logit @ theta[:, :2]) * a * (1.0 - a)
     d_tensor = np.einsum("ni,nj,nc->ijc", subjects, objects_, d_z) + lam * tensor
     return d_tensor, d_theta
+
+
+def reference_train(model, dataset, embeddings, config):
+    """Stochastic training as a loop over one-row views: ``_Workspace.gradient``
+    on each (1, K) row, then ``adagrad_step``, in the seeded epoch order.
+
+    Returns the trained workspace and the objective trace.
+    """
+    subjects, objects_, targets = _lookup_triples(dataset.triples, embeddings)
+    work = _Workspace(copy_model(model), config.l2_lambda, config.regularize_theta)
+
+    def value():
+        return _objective_arrays(work.tensor, work.theta, subjects, objects_, targets,
+                                 config.l2_lambda, config.regularize_theta)
+
+    trace = [value()]
+    rows = [(subjects[i:i + 1], objects_[i:i + 1], targets[i:i + 1])
+            for i in range(len(dataset.triples))]
+    order_rng = random.Random(derive_seed(config.seed, "epoch-order"))
+    for _ in range(config.epochs):
+        order_rng.shuffle(rows)
+        for example in rows:
+            work.gradient(*example)
+            adagrad_step(work.params, work.grad, work.acc, config.learning_rate,
+                         config.adagrad_epsilon, work.scratch)
+        trace.append(value())
+    return work, tuple(trace)
+
+
+def bits(array):
+    """The raw 64-bit patterns of a float array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
 
 
 def max_relative_error(analytic, numeric):
@@ -384,6 +424,95 @@ class TestTrainingStep:
                                           regularize_theta)
         for got, want in zip(_split(work.grad, k), reference):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestExampleStep:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        tensor_scale=st.sampled_from([0.01, 0.5, 30.0, 1e3]),
+        theta_scale=st.sampled_from([0.01, 1.0, 50.0, 1e3]),
+        target=st.sampled_from([(1.0, 0.0), (0.0, 1.0)]),
+        l2_lambda=st.sampled_from([0.0, 0.01]),
+        regularize_theta=st.booleans(),
+        tie=st.booleans(),
+        zeros=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_gradient_plus_adagrad(self, k, tensor_scale, theta_scale, target,
+                                           l2_lambda, regularize_theta, tie, zeros, seed):
+        # scales up to 1e3 saturate the sigmoid, past exp overflow; equal theta
+        # rows tie the logits exactly; zeroed entries give both signed zeros
+        rng = np.random.default_rng(seed)
+        model = VerbTensorModel(rng.uniform(-tensor_scale, tensor_scale, (k, k, 2)),
+                                rng.uniform(-theta_scale, theta_scale, (2, 3)))
+        if tie:
+            model.theta[1] = model.theta[0]
+        s, o = rng.standard_normal(k), rng.standard_normal(k)
+        if zeros:
+            s *= rng.random(k) < 0.5
+            o *= rng.random(k) < 0.5
+        accumulator = rng.uniform(0.0, 2.0, k * k * 2 + 6)
+        lr, eps = 0.05, 1e-8
+
+        oracle = _Workspace(model, l2_lambda, regularize_theta)
+        oracle.acc[:] = accumulator
+        oracle.gradient(s[None], o[None], np.array([target]))
+        adagrad_step(oracle.params, oracle.grad, oracle.acc, lr, eps, oracle.scratch)
+
+        work = _Workspace(model, l2_lambda, regularize_theta)
+        work.acc[:] = accumulator
+        work.example_step(lr, eps)(s, o, s[:, None], o[None], *target)
+
+        assert np.array_equal(bits(work.params), bits(oracle.params))
+        assert np.array_equal(bits(work.acc), bits(oracle.acc))
+
+    @pytest.mark.parametrize("rows", [(1e308, 0.0), (0.0, 1e308), (-1e308, 0.0),
+                                      (1e308, 1e308), (-1e308, -1e308)])
+    def test_infinite_logits_match_softmax(self, rows):
+        # a = (0.5, 0.5), so a row of 1e308 gives a logit of 2e308 = inf
+        model = VerbTensorModel(np.zeros((3, 3, 2)),
+                                np.array([[rows[0]] * 3, [rows[1]] * 3]))
+        s, o = np.ones(3), np.ones(3)
+        oracle = _Workspace(model, 0.01, True)
+        work = _Workspace(model, 0.01, True)
+        with np.errstate(invalid="ignore", over="ignore"):
+            oracle.gradient(s[None], o[None], np.array([[1.0, 0.0]]))
+            adagrad_step(oracle.params, oracle.grad, oracle.acc, 0.05, 1e-8, oracle.scratch)
+            work.example_step(0.05, 1e-8)(s, o, s[:, None], o[None], 1.0, 0.0)
+        np.testing.assert_array_equal(work.params, oracle.params)
+        np.testing.assert_array_equal(work.acc, oracle.acc)
+
+    @pytest.mark.parametrize("k", [2, 5, 20, 40])
+    @pytest.mark.parametrize("regularize_theta", [True, False])
+    def test_training_matches_per_row_loop(self, k, regularize_theta):
+        dataset, embeddings = planted_dataset(k=k, n_triples=200, noise=0.35, seed=11)
+        config = TrainConfig(epochs=3, seed=17, regularize_theta=regularize_theta)
+        result = train(dataset, embeddings, config)
+        work, trace = reference_train(init_model(k, config, dataset.verb), dataset,
+                                      embeddings, config)
+        assert result.objective_trace == trace
+        assert np.array_equal(bits(result.model.tensor), bits(work.tensor))
+        assert np.array_equal(bits(result.model.theta), bits(work.theta))
+
+    def test_saturated_sigmoid_trains_like_per_row_loop(self, monkeypatch):
+        # z = -960 for both classes: exp(-z) overflows where expit gives 0.0
+        embeddings = EmbeddingTable(Vocabulary.from_words(["n0", "n1"]), 2,
+                                    np.full((2, 2), 2.0))
+        dataset = VerbDataset("vex", [LabeledTriple("n0", "vex", "n1", PLAUSIBLE),
+                                      LabeledTriple("n1", "vex", "n0", IMPLAUSIBLE)])
+        config = TrainConfig(epochs=3, seed=5)
+        start = VerbTensorModel(np.full((2, 2, 2), -60.0), init_model(2, config).theta, "vex")
+        z, _, _ = _forward(start.tensor, start.theta, embeddings.matrix, embeddings.matrix)
+        assert np.all(z == -960.0)
+        monkeypatch.setattr(tensor_model, "init_model",
+                            lambda k, config, verb="": copy_model(start))
+        result = train(dataset, embeddings, config)
+        work, trace = reference_train(start, dataset, embeddings, config)
+        assert all(math.isfinite(value) for value in result.objective_trace)
+        assert result.objective_trace == trace
+        assert np.array_equal(bits(result.model.tensor), bits(work.tensor))
+        assert np.array_equal(bits(result.model.theta), bits(work.theta))
 
 
 class TestPredict:
