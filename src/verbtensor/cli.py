@@ -23,6 +23,10 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+_K_HELP = ("embedding dim: one of the config's [vectors] svd_dims "
+          "(default: the first of them)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verbtensor",
@@ -50,17 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train and save one verb's tensor model")
     train.add_argument("--verb", required=True)
-    train.add_argument("--k", type=int, default=None)
+    train.add_argument("--k", type=int, default=None, help=_K_HELP)
 
     predict = sub.add_parser("predict", help="classify one subject-verb-object triple")
     predict.add_argument("--verb", required=True)
     predict.add_argument("--subject", required=True)
     predict.add_argument("--object", dest="object_", required=True)
-    predict.add_argument("--k", type=int, default=None)
+    predict.add_argument("--k", type=int, default=None, help=_K_HELP)
 
     evalv = sub.add_parser("eval-vectors", help="Spearman check of embeddings on word pairs")
     evalv.add_argument("--pairs", default=None, help="word-pair TSV (defaults to dev_pairs)")
-    evalv.add_argument("--k", type=int, default=None)
+    evalv.add_argument("--k", type=int, default=None, help=_K_HELP)
     return parser
 
 

@@ -5,6 +5,7 @@ All randomness in the pipeline flows from the named seeds here; nothing reads
 the clock or OS entropy, so identical configs give identical outputs.
 """
 
+import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,6 +150,8 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
                 verbs[verb] = float(raw)
             except ValueError as exc:
                 raise ValidationError(f"bad concreteness for verb {verb!r}: {raw!r}") from exc
+            if not math.isfinite(verbs[verb]):
+                raise ValidationError(f"concreteness for verb {verb!r} must be finite: {raw!r}")
     if not verbs:
         raise ValidationError("config needs a [verbs] section with at least one verb")
 

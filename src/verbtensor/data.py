@@ -181,29 +181,35 @@ def _stratified_indices(triples):
     return pos, neg
 
 
-def make_5x2cv_splits(dataset, seed: int) -> list:
+def stratified_halves(triples, rng: random.Random) -> tuple:
+    """Two sorted index lists: each class shuffled with ``rng``, then halved.
+
+    The plausible indices are shuffled first, then the implausible ones; the
+    first half takes ``len // 2`` of each class and the second the rest.
+    """
+    pos, neg = _stratified_indices(triples)
+    if len(pos) < 2 or len(neg) < 2:
+        raise DataError(
+            f"dataset too small to stratify: {len(pos)} positive, {len(neg)} negative"
+        )
+    rng.shuffle(pos)
+    rng.shuffle(neg)
+    return (sorted(pos[: len(pos) // 2] + neg[: len(neg) // 2]),
+            sorted(pos[len(pos) // 2 :] + neg[len(neg) // 2 :]))
+
+
+def make_5x2cv_splits(dataset: VerbDataset, seed: int) -> list:
     """Ten (repetition, fold) splits: five stratified shuffled halvings.
 
     Within a repetition the two folds are mirror images: fold 1 trains on
     half A and tests on half B, fold 2 swaps them.
     """
-    triples = dataset.triples if isinstance(dataset, VerbDataset) else list(dataset)
-    pos, neg = _stratified_indices(triples)
-    if len(triples) < 4 or len(pos) < 2 or len(neg) < 2:
-        raise DataError(
-            f"dataset too small to stratify: {len(pos)} positive, {len(neg)} negative"
-        )
     splits = []
     for rep in range(1, 6):
         rng = random.Random(derive_seed(seed, "5x2cv", rep))
-        pos_shuffled = pos[:]
-        neg_shuffled = neg[:]
-        rng.shuffle(pos_shuffled)
-        rng.shuffle(neg_shuffled)
-        half_a = sorted(pos_shuffled[: len(pos) // 2] + neg_shuffled[: len(neg) // 2])
-        half_b = sorted(pos_shuffled[len(pos) // 2 :] + neg_shuffled[len(neg) // 2 :])
-        splits.append(CvSplit(repetition=rep, fold=1, train=tuple(half_a), test=tuple(half_b)))
-        splits.append(CvSplit(repetition=rep, fold=2, train=tuple(half_b), test=tuple(half_a)))
+        half_a, half_b = map(tuple, stratified_halves(dataset.triples, rng))
+        splits.append(CvSplit(repetition=rep, fold=1, train=half_a, test=half_b))
+        splits.append(CvSplit(repetition=rep, fold=2, train=half_b, test=half_a))
     return splits
 
 

@@ -2,24 +2,24 @@
 
 AUC is the Mann-Whitney pair-counting statistic (ties count one half).
 Method comparison uses the combined 5x2cv F-test with 10 and 5 degrees of
-freedom.
+freedom at ``F_TEST_ALPHA``. The drivers return plain values:
+``evaluate_on_splits`` gives ``(aucs, f1s)`` in split order,
+``learning_curve`` one ``(size, mean_auc, sd_auc)`` tuple per size and
+``f_test_5x2cv`` the pair ``(F, significant)``.
 """
 
-import logging
 import math
 import random
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import baseline as kron
 from . import tensor_model as tm
-from .data import PLAUSIBLE, VerbDataset, subsample
+from .data import PLAUSIBLE, VerbDataset, stratified_halves, subsample
 from .util import DataError, derive_seed
-
-log = logging.getLogger(__name__)
 
 METHOD_TENSOR = "tensor"
 METHOD_BASELINE = "baseline"
@@ -28,38 +28,6 @@ METHOD_BASELINE = "baseline"
 # freedom; the only significance level this test supports.
 F_CRITICAL_10_5 = 4.735
 F_TEST_ALPHA = 0.05
-
-
-@dataclass(frozen=True)
-class FoldResult:
-    repetition: int
-    fold: int
-    auc: float
-    f1: float
-    n_test: int
-
-
-@dataclass(frozen=True)
-class FoldSummary:
-    mean_auc: float
-    sd_auc: float
-    mean_f1: float
-    sd_f1: float
-    n_folds: int
-
-
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    f_statistic: float
-    significant: bool
-    alpha: float
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    size: int
-    mean_auc: float
-    sd_auc: float
 
 
 def _check_binary(labels):
@@ -131,15 +99,16 @@ def _fit_and_score(method, train_triples, test_triples, embeddings, train_config
     raise ValueError(f"unknown method {method!r}")
 
 
-def evaluate_on_splits(method, dataset, splits, embeddings, train_config, seed) -> list:
-    """Score one method on a fixed list of CV splits.
+def evaluate_on_splits(method, dataset: VerbDataset, splits, embeddings, train_config,
+                       seed) -> tuple:
+    """Score one method on a fixed list of CV splits: ``(aucs, f1s)`` in split order.
 
     Per-fold training seeds derive from (seed, repetition, fold), so two
     methods evaluated on the same splits with the same seed are directly
     comparable by the paired F-test.
     """
-    triples = dataset.triples if isinstance(dataset, VerbDataset) else list(dataset)
-    results = []
+    triples = dataset.triples
+    aucs, f1s = [], []
     for split in splits:
         train_triples = [triples[i] for i in split.train]
         test_triples = [triples[i] for i in split.test]
@@ -153,45 +122,22 @@ def evaluate_on_splits(method, dataset, splits, embeddings, train_config, seed) 
                 f"{method} failed on repetition {split.repetition} fold {split.fold}: {exc}"
             ) from exc
         gold = [t.label for t in test_triples]
-        results.append(
-            FoldResult(
-                repetition=split.repetition,
-                fold=split.fold,
-                auc=roc_auc(scores, gold),
-                f1=f1_plausible(predicted, gold),
-                n_test=len(test_triples),
-            )
-        )
-    return results
+        aucs.append(roc_auc(scores, gold))
+        f1s.append(f1_plausible(predicted, gold))
+    return aucs, f1s
 
 
-def summarize(fold_results) -> FoldSummary:
-    """Mean and sample standard deviation (n-1) of AUC and F1 across folds."""
-    aucs = [r.auc for r in fold_results]
-    f1s = [r.f1 for r in fold_results]
-    if len(aucs) < 2:
-        raise ValueError("need at least two folds to summarize")
-    return FoldSummary(
-        mean_auc=statistics.fmean(aucs),
-        sd_auc=statistics.stdev(aucs),
-        mean_f1=statistics.fmean(f1s),
-        sd_f1=statistics.stdev(f1s),
-        n_folds=len(aucs),
-    )
-
-
-def f_test_5x2cv(metric_a, metric_b, alpha: float = F_TEST_ALPHA) -> ComparisonVerdict:
+def f_test_5x2cv(metric_a, metric_b) -> tuple:
     """Combined 5x2cv F-test on two aligned lists of 10 fold metrics.
 
-    With per-fold differences d_ij (repetition i, fold j) and per-repetition
-    variance s_i^2 = (d_i1 - mean_i)^2 + (d_i2 - mean_i)^2, the statistic is
+    Returns ``(F, significant)`` at ``F_TEST_ALPHA``. With per-fold
+    differences d_ij (repetition i, fold j) and per-repetition variance
+    s_i^2 = (d_i1 - mean_i)^2 + (d_i2 - mean_i)^2, the statistic is
     F = sum(d_ij^2) / (2 sum(s_i^2)), compared against the F(10, 5) critical
     value. A zero denominator means the methods move in lockstep: with a zero
     numerator they are identical (not significant, F=0); with a nonzero
     numerator the difference is perfectly consistent (significant, F=inf).
     """
-    if alpha != F_TEST_ALPHA:
-        raise ValueError(f"only alpha={F_TEST_ALPHA} is supported (critical value is embedded)")
     a = [float(x) for x in metric_a]
     b = [float(x) for x in metric_b]
     if len(a) != 10 or len(b) != 10:
@@ -204,19 +150,9 @@ def f_test_5x2cv(metric_a, metric_b, alpha: float = F_TEST_ALPHA) -> ComparisonV
         denominator += (d1 - mean) ** 2 + (d2 - mean) ** 2
     denominator *= 2.0
     if denominator == 0.0:
-        if numerator == 0.0:
-            return ComparisonVerdict(f_statistic=0.0, significant=False, alpha=alpha)
-        return ComparisonVerdict(f_statistic=math.inf, significant=True, alpha=alpha)
+        return (0.0, False) if numerator == 0.0 else (math.inf, True)
     f_stat = numerator / denominator
-    return ComparisonVerdict(
-        f_statistic=f_stat, significant=f_stat > F_CRITICAL_10_5, alpha=alpha
-    )
-
-
-def fold_metric_vector(fold_results, metric: str) -> list:
-    """Metrics ordered by (repetition, fold), as the F-test expects."""
-    ordered = sorted(fold_results, key=lambda r: (r.repetition, r.fold))
-    return [getattr(r, metric) for r in ordered]
+    return f_stat, f_stat > F_CRITICAL_10_5
 
 
 def learning_curve(
@@ -230,18 +166,23 @@ def learning_curve(
 ) -> list:
     """AUC on a fixed held-out half as the training sample grows.
 
-    The dataset is halved once (stratified, seeded); every point subsamples
-    the training half to the requested size, trains, and scores the held-out
-    half. Each size repeats with ``repeats`` distinct seeds for a mean and
-    sample standard deviation.
+    The dataset is halved once (``stratified_halves``, seeded); every point
+    subsamples the first half to the requested size, trains, and scores the
+    second. Each size repeats with ``repeats`` distinct seeds; the result is
+    one ``(size, mean_auc, sd_auc)`` tuple per size, with the sample
+    standard deviation (0 for one repeat).
     """
     train_sizes = list(train_sizes)
-    pool, held_out = _holdout_halves(dataset, derive_seed(seed, "curve-holdout"))
-    if max(train_sizes) > len(pool):
+    triples = dataset.triples
+    pool_idx, held_idx = stratified_halves(
+        triples, random.Random(derive_seed(seed, "curve-holdout"))
+    )
+    if max(train_sizes) > len(pool_idx):
         raise DataError(
-            f"largest train size {max(train_sizes)} exceeds the training half ({len(pool)})"
+            f"largest train size {max(train_sizes)} exceeds the training half ({len(pool_idx)})"
         )
-    held_triples = held_out.triples
+    pool = VerbDataset(dataset.verb, [triples[i] for i in pool_idx])
+    held_triples = [triples[i] for i in held_idx]
     points = []
     for size in train_sizes:
         aucs = []
@@ -253,22 +194,5 @@ def learning_curve(
             )
             aucs.append(roc_auc(scores, [t.label for t in held_triples]))
         sd = statistics.stdev(aucs) if len(aucs) > 1 else 0.0
-        points.append(CurvePoint(size=size, mean_auc=statistics.fmean(aucs), sd_auc=sd))
+        points.append((size, statistics.fmean(aucs), sd))
     return points
-
-
-def _holdout_halves(dataset: VerbDataset, seed: int):
-    """Stratified halving into (training pool, held-out test half)."""
-    triples = dataset.triples
-    pos = [i for i, t in enumerate(triples) if t.is_plausible]
-    neg = [i for i, t in enumerate(triples) if not t.is_plausible]
-    if len(pos) < 2 or len(neg) < 2:
-        raise DataError("dataset too small to hold out a stratified half")
-    rng = random.Random(seed)
-    rng.shuffle(pos)
-    rng.shuffle(neg)
-    pool_idx = sorted(pos[: len(pos) // 2] + neg[: len(neg) // 2])
-    held_idx = sorted(pos[len(pos) // 2 :] + neg[len(neg) // 2 :])
-    pool = VerbDataset(dataset.verb, [triples[i] for i in pool_idx], dict(dataset.metadata))
-    held = VerbDataset(dataset.verb, [triples[i] for i in held_idx], dict(dataset.metadata))
-    return pool, held

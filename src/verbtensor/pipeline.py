@@ -11,11 +11,18 @@ under the output directory relative to it (``reports/small_cv.csv``), any
 other file relative to the config directory (``triples.tsv``), and a file
 under neither root by its absolute path. Roots and files are compared after
 ``Path.resolve()``, so a relative ``--config`` gives the same keys.
+
+``experiment`` goes straight from fold metrics to report rows: each verb's
+run returns its formatted CSV rows, one list per report table of the kind
+(``_REPORT_TABLES``), and one loop writes every table's note line, header
+and rows. A verb that fails is recorded in ``failed_verbs`` by its error
+text, with its files named by manifest key.
 """
 
 import csv
 import json
 import logging
+import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -74,6 +81,24 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+_EMBEDDINGS_FILE = "embeddings_k{}.tsv"
+
+
+def _embeddings_path(config: PipelineConfig, k: int | None = None) -> tuple:
+    """``(k, vectors/embeddings_k{k}.tsv)`` for a configured dim that has been built.
+
+    ``None`` means ``primary_k``; a ``k`` outside ``svd_dims`` or a missing
+    file raises ``ValidationError``.
+    """
+    k = config.primary_k if k is None else k
+    if k not in config.svd_dims:
+        raise ValidationError(f"k={k} is not one of the configured svd_dims {config.svd_dims}")
+    path = config.vectors_dir() / _EMBEDDINGS_FILE.format(k)
+    if not path.is_file():
+        raise ValidationError(f"missing embeddings for k={k}: {path} (run build-vectors)")
+    return k, path
+
+
 # ---------------------------------------------------------------------------
 # build-vectors
 # ---------------------------------------------------------------------------
@@ -113,7 +138,7 @@ def build_vectors(config: PipelineConfig) -> dict:
 
     for k in config.svd_dims:
         emb = reduced.leading(k)
-        tsv_path = out_dir / f"embeddings_k{k}.tsv"
+        tsv_path = out_dir / _EMBEDDINGS_FILE.format(k)
         vec_mod.write_embeddings_tsv(tsv_path, emb)
         outputs.append(tsv_path)
         log.info("wrote %d x %d embeddings to %s", emb.matrix.shape[0], k, tsv_path)
@@ -187,13 +212,10 @@ def gen_data(config: PipelineConfig) -> dict:
     by every verb's confounder draws.
     """
     require_input_files(config, "triples")
-    vectors_dir = config.vectors_dir()
-    freq_path = vectors_dir / "frequencies.tsv"
-    emb_path = vectors_dir / f"embeddings_k{config.primary_k}.tsv"
-    if not freq_path.is_file() or not emb_path.is_file():
-        raise ValidationError(
-            f"vectors not built yet: expected {freq_path} and {emb_path} (run build-vectors)"
-        )
+    _, emb_path = _embeddings_path(config)
+    freq_path = config.vectors_dir() / "frequencies.tsv"
+    if not freq_path.is_file():
+        raise ValidationError(f"missing {freq_path} (run build-vectors)")
     rows_by_verb = {}
     for row in data_mod.read_triples_tsv(config.triples):
         rows_by_verb.setdefault(row[1], []).append(row)
@@ -259,11 +281,28 @@ def gen_data(config: PipelineConfig) -> dict:
 # experiment
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_KINDS = ("full-cv", "small-cv", "curves")
+_METHODS = (eval_mod.METHOD_BASELINE, eval_mod.METHOD_TENSOR)
+_FOLD_COLUMNS = [f"r{rep}f{fold}" for rep in range(1, 6) for fold in (1, 2)]
+_CV_TABLES = (
+    ("", SD_NOTE, ["verb", "method", "k", "metric", "mean", "sd"] + _FOLD_COLUMNS),
+    ("_comparisons", "# f_statistic compares tensor minus baseline on aligned folds",
+     ["verb", "k", "metric", "f_statistic", "significant", "alpha"]),
+)
+# experiment kind -> its report tables as (file suffix, note line, header);
+# _experiment_verb returns one list of rows per table, in this order
+_REPORT_TABLES = {
+    "full-cv": _CV_TABLES,
+    "small-cv": _CV_TABLES,
+    "curves": (("", SD_NOTE, ["verb", "method", "k", "size", "mean_auc", "sd_auc"]),),
+}
+EXPERIMENT_KINDS = tuple(_REPORT_TABLES)
 
 
 def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
-    """Run one of the three experiment protocols and write report CSVs."""
+    """Run one of the three experiment protocols and write report CSVs.
+
+    A verb that fails is recorded in ``failed_verbs``; the reports hold the rest.
+    """
     if which not in EXPERIMENT_KINDS:
         raise ValidationError(f"unknown experiment {which!r}, expected one of {EXPERIMENT_KINDS}")
     if jobs < 1:
@@ -273,39 +312,30 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     available = [v for v, p in verb_paths.items() if p.is_file()]
     if not available:
         raise ValidationError(f"no datasets under {datasets_dir} (run gen-data)")
-    emb_paths = {k: config.vectors_dir() / f"embeddings_k{k}.tsv" for k in config.svd_dims}
-    for k, path in emb_paths.items():
-        if not path.is_file():
-            raise ValidationError(f"missing embeddings for k={k}: {path}")
+    emb_paths = [_embeddings_path(config, k)[1] for k in config.svd_dims]
 
     out_dir = ensure_dir(config.reports_dir())
-    results = []
-    failures = {}
+    tasks = [(config, verb, which) for verb in available]
     # the pool starts all its workers at once, so never more than there are verbs
     workers = min(jobs, len(available))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = list(pool.map(_experiment_verb_safe,
-                                    [(config, verb, which) for verb in available]))
-        for verb, payload, error in futures:
-            if error is not None:
-                failures[verb] = error
-            else:
-                results.append(payload)
+            outcomes = list(pool.map(_experiment_verb_safe, tasks))
     else:
-        for verb in available:
-            verb, payload, error = _experiment_verb_safe((config, verb, which))
-            if error is not None:
-                failures[verb] = error
-            else:
-                results.append(payload)
-    for verb, error in failures.items():
-        log.error("verb %r failed: %s", verb, error)
+        outcomes = map(_experiment_verb_safe, tasks)
+    results = {}  # verb -> (rows per report table, CV splits or None), in verb order
+    failures = {}
+    for verb, payload, error in outcomes:
+        if error is None:
+            results[verb] = payload
+        else:
+            log.error("verb %r failed: %s", verb, error)
+            failures[verb] = error
     if not results:
         raise VerbTensorError(f"every verb failed: {failures}")
 
-    outputs = _write_reports(config, which, results, out_dir)
-    inputs = [verb_paths[v] for v in available] + [emb_paths[k] for k in config.svd_dims]
+    outputs = _write_reports(which, results, out_dir)
+    inputs = [verb_paths[v] for v in available] + emb_paths
     parameters = {
         "which": which,
         "svd_dims": list(config.svd_dims),
@@ -314,7 +344,7 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
         "curve_sizes": list(config.curve_sizes) if which == "curves" else None,
         "curve_repeats": config.curve_repeats if which == "curves" else None,
         "train": asdict(config.train),
-        "verbs": sorted(r["verb"] for r in results),
+        "verbs": list(results),
         "failed_verbs": failures,
     }
     manifest = _write_manifest(config, out_dir, f"experiment-{which}", parameters, inputs, outputs)
@@ -324,53 +354,43 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
         )
     return {
         "which": which,
-        "verbs": [r["verb"] for r in results],
+        "verbs": list(results),
         "outputs": [str(p) for p in outputs],
         "manifest": str(manifest),
     }
 
 
 def _experiment_verb_safe(args):
+    """``(verb, payload, None)``, or ``(verb, None, error text)`` naming files by manifest key."""
     config, verb, which = args
     try:
         return verb, _experiment_verb(config, verb, which), None
     except Exception as exc:  # isolate per-verb failures
-        return verb, None, f"{type(exc).__name__}: {exc}"
+        message = f"{type(exc).__name__}: {exc}"
+        for directory in (config.datasets_dir(), config.vectors_dir()):
+            message = message.replace(str(directory), _manifest_key(directory, config))
+        return verb, None, message
 
 
-def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> dict:
+def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
+    """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``, and its splits."""
     dataset = data_mod.read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
     embeddings = {
-        k: vec_mod.read_embeddings_tsv(config.vectors_dir() / f"embeddings_k{k}.tsv")
-        for k in config.svd_dims
+        k: vec_mod.read_embeddings_tsv(_embeddings_path(config, k)[1]) for k in config.svd_dims
     }
-    payload = {"verb": verb, "rows": [], "comparisons": [], "curve_rows": [], "splits": None}
 
     if which == "curves":
         k = config.primary_k
-        sizes = list(config.curve_sizes)
-        for method in (eval_mod.METHOD_BASELINE, eval_mod.METHOD_TENSOR):
-            points = eval_mod.learning_curve(
-                method,
-                dataset,
-                sizes,
-                embeddings[k],
-                config.train,
-                derive_seed(config.cv_seed, "curves", verb),
+        seed = derive_seed(config.cv_seed, "curves", verb)
+        rows = [
+            [verb, method, k, size, _fmt(mean), _fmt(sd)]
+            for method in _METHODS
+            for size, mean, sd in eval_mod.learning_curve(
+                method, dataset, config.curve_sizes, embeddings[k], config.train, seed,
                 repeats=config.curve_repeats,
             )
-            for point in points:
-                payload["curve_rows"].append(
-                    {
-                        "verb": verb,
-                        "method": method,
-                        "k": k,
-                        "size": point.size,
-                        "mean_auc": point.mean_auc,
-                        "sd_auc": point.sd_auc,
-                    }
-                )
-        return payload
+        ]
+        return (rows,), None
 
     base = dataset
     if which == "small-cv":
@@ -378,101 +398,48 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> dict:
             dataset, config.small_cv_size, derive_seed(config.cv_seed, "small", verb)
         )
     splits = data_mod.make_5x2cv_splits(base, derive_seed(config.cv_seed, which, verb))
-    payload["splits"] = splits
+    rows, comparisons = [], []
     for k in config.svd_dims:
-        per_method = {}
-        for method in (eval_mod.METHOD_BASELINE, eval_mod.METHOD_TENSOR):
-            folds = eval_mod.evaluate_on_splits(
+        folds = {}  # method -> {metric: fold values in split order}
+        for method in _METHODS:
+            aucs, f1s = eval_mod.evaluate_on_splits(
                 method, base, splits, embeddings[k], config.train,
                 derive_seed(config.cv_seed, which, verb, k),
             )
-            per_method[method] = folds
-            summary = eval_mod.summarize(folds)
-            for metric, mean, sd in (
-                ("auc", summary.mean_auc, summary.sd_auc),
-                ("f1", summary.mean_f1, summary.sd_f1),
-            ):
-                payload["rows"].append(
-                    {
-                        "verb": verb,
-                        "method": method,
-                        "k": k,
-                        "metric": metric,
-                        "mean": mean,
-                        "sd": sd,
-                        "folds": eval_mod.fold_metric_vector(folds, metric),
-                    }
+            folds[method] = {"auc": aucs, "f1": f1s}
+            for metric, values in folds[method].items():
+                rows.append(
+                    [verb, method, k, metric,
+                     _fmt(statistics.fmean(values)), _fmt(statistics.stdev(values))]
+                    + [_fmt(v) for v in values]
                 )
         for metric in ("auc", "f1"):
-            verdict = eval_mod.f_test_5x2cv(
-                eval_mod.fold_metric_vector(per_method[eval_mod.METHOD_TENSOR], metric),
-                eval_mod.fold_metric_vector(per_method[eval_mod.METHOD_BASELINE], metric),
+            f_stat, significant = eval_mod.f_test_5x2cv(
+                folds[eval_mod.METHOD_TENSOR][metric], folds[eval_mod.METHOD_BASELINE][metric]
             )
-            payload["comparisons"].append(
-                {
-                    "verb": verb,
-                    "k": k,
-                    "metric": metric,
-                    "f_statistic": verdict.f_statistic,
-                    "significant": verdict.significant,
-                    "alpha": verdict.alpha,
-                }
+            comparisons.append(
+                [verb, k, metric, _fmt(f_stat), str(significant).lower(), eval_mod.F_TEST_ALPHA]
             )
-    return payload
+    return (rows, comparisons), splits
 
 
-def _write_reports(config: PipelineConfig, which: str, results, out_dir: Path):
-    outputs = []
-    results = sorted(results, key=lambda r: r["verb"])
+def _write_reports(which: str, results: dict, out_dir: Path) -> list:
+    """Write each report table (note line, header, every verb's rows), then the splits."""
     stem = which.replace("-", "_")
-    if which == "curves":
-        path = out_dir / "curves.csv"
+    outputs = []
+    for i, (suffix, note, header) in enumerate(_REPORT_TABLES[which]):
+        path = out_dir / f"{stem}{suffix}.csv"
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(SD_NOTE + "\n")
+            handle.write(note + "\n")
             writer = csv.writer(handle)
-            writer.writerow(["verb", "method", "k", "size", "mean_auc", "sd_auc"])
-            for result in results:
-                for row in result["curve_rows"]:
-                    writer.writerow(
-                        [row["verb"], row["method"], row["k"], row["size"],
-                         _fmt(row["mean_auc"]), _fmt(row["sd_auc"])]
-                    )
+            writer.writerow(header)
+            for tables, _ in results.values():
+                writer.writerows(tables[i])
         outputs.append(path)
-        return outputs
-
-    fold_headers = [f"r{rep}f{fold}" for rep in range(1, 6) for fold in (1, 2)]
-    path = out_dir / f"{stem}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(SD_NOTE + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(["verb", "method", "k", "metric", "mean", "sd"] + fold_headers)
-        for result in results:
-            for row in result["rows"]:
-                writer.writerow(
-                    [row["verb"], row["method"], row["k"], row["metric"],
-                     _fmt(row["mean"]), _fmt(row["sd"])]
-                    + [_fmt(v) for v in row["folds"]]
-                )
-    outputs.append(path)
-
-    comp_path = out_dir / f"{stem}_comparisons.csv"
-    with open(comp_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("# f_statistic compares tensor minus baseline on aligned folds\n")
-        writer = csv.writer(handle)
-        writer.writerow(["verb", "k", "metric", "f_statistic", "significant", "alpha"])
-        for result in results:
-            for row in result["comparisons"]:
-                writer.writerow(
-                    [row["verb"], row["k"], row["metric"],
-                     "inf" if row["f_statistic"] == float("inf") else _fmt(row["f_statistic"]),
-                     str(row["significant"]).lower(), row["alpha"]]
-                )
-    outputs.append(comp_path)
-
-    for result in results:
-        if result["splits"] is not None:
-            split_path = out_dir / f"{stem}_splits_{result['verb']}.jsonl"
-            data_mod.write_splits_jsonl(split_path, result["splits"])
+    for verb, (_, splits) in results.items():
+        if splits is not None:
+            split_path = out_dir / f"{stem}_splits_{verb}.jsonl"
+            data_mod.write_splits_jsonl(split_path, splits)
             outputs.append(split_path)
     return outputs
 
@@ -485,15 +452,10 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
     """Train one verb's tensor model on its full dataset and save it."""
     if verb not in config.verbs:
         raise ValidationError(f"verb {verb!r} is not in the config [verbs] section")
-    k = k or config.primary_k
-    if k not in config.svd_dims:
-        raise ValidationError(f"k={k} is not one of the configured svd_dims {config.svd_dims}")
+    k, emb_path = _embeddings_path(config, k)
     dataset_path = config.datasets_dir() / f"{verb}.jsonl"
-    emb_path = config.vectors_dir() / f"embeddings_k{k}.tsv"
     if not dataset_path.is_file():
         raise ValidationError(f"missing dataset {dataset_path} (run gen-data)")
-    if not emb_path.is_file():
-        raise ValidationError(f"missing embeddings {emb_path} (run build-vectors)")
     dataset = data_mod.read_dataset_jsonl(dataset_path)
     embeddings = vec_mod.read_embeddings_tsv(emb_path)
     result = tm.train(dataset, embeddings, config.train)
@@ -517,13 +479,10 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
 
 def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: int | None = None) -> dict:
     """Load a trained model and classify one subject-object pair."""
-    k = k or config.primary_k
+    k, emb_path = _embeddings_path(config, k)
     base = config.models_dir() / f"{verb}_k{k}"
     if not Path(str(base) + ".tvbm").is_file():
         raise ValidationError(f"no trained model at {base}.tvbm (run train --verb {verb})")
-    emb_path = config.vectors_dir() / f"embeddings_k{k}.tsv"
-    if not emb_path.is_file():
-        raise ValidationError(f"missing embeddings {emb_path}")
     embeddings = vec_mod.read_embeddings_tsv(emb_path)
     for noun, role in ((subject, "subject"), (obj, "object")):
         if noun not in embeddings:
@@ -544,15 +503,12 @@ def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: in
 
 def eval_vectors(config: PipelineConfig, pairs_path=None, k: int | None = None) -> dict:
     """Spearman correlation of embedding cosines against a word-pair file."""
-    k = k or config.primary_k
+    k, emb_path = _embeddings_path(config, k)
     pairs_path = Path(pairs_path) if pairs_path else config.dev_pairs
     if pairs_path is None:
         raise ValidationError("no pairs file given and no dev_pairs in the config")
     if not Path(pairs_path).is_file():
         raise ValidationError(f"pairs file not found: {pairs_path}")
-    emb_path = config.vectors_dir() / f"embeddings_k{k}.tsv"
-    if not emb_path.is_file():
-        raise ValidationError(f"missing embeddings {emb_path} (run build-vectors)")
     embeddings = vec_mod.read_embeddings_tsv(emb_path)
     pairs = vec_mod.read_pairs_tsv(pairs_path)
     usable = sum(

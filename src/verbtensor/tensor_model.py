@@ -69,6 +69,9 @@ class TrainConfig:
     regularize_theta: bool = True
 
     def __post_init__(self):
+        for name in ("learning_rate", "adagrad_epsilon", "l2_lambda", "init_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
         if self.adagrad_epsilon <= 0:

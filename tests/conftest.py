@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from verbtensor.corpus import FrequencyBuckets, Vocabulary
-from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, VerbDataset
+from verbtensor.data import (
+    IMPLAUSIBLE,
+    PLAUSIBLE,
+    LabeledTriple,
+    VerbDataset,
+    stratified_halves,
+)
 from verbtensor.synthetic import small_world_config, write_fixture
 from verbtensor.util import derive_seed
 from verbtensor.vectors import EmbeddingTable
@@ -63,6 +69,14 @@ def planted_dataset(
             triples.append(LabeledTriple(rng.choice(sp), verb, rng.choice(on), IMPLAUSIBLE))
     dataset = VerbDataset(verb=verb, triples=triples, metadata={"planted": True})
     return dataset, embeddings
+
+
+def holdout_halves(dataset, seed: int):
+    """The two ``stratified_halves`` of a dataset, drawn with ``random.Random(seed)``."""
+    halves = stratified_halves(dataset.triples, random.Random(seed))
+    return tuple(
+        VerbDataset(dataset.verb, [dataset.triples[i] for i in half]) for half in halves
+    )
 
 
 def read_buckets_tsv(path) -> FrequencyBuckets:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import holdout_halves
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -15,7 +16,7 @@ from verbtensor.baseline import (
 )
 from verbtensor.corpus import Vocabulary
 from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, make_5x2cv_splits
-from verbtensor.evaluation import METHOD_BASELINE, _fit_and_score, _holdout_halves, f1_plausible
+from verbtensor.evaluation import METHOD_BASELINE, _fit_and_score, f1_plausible
 from verbtensor.linalg import cosine
 from verbtensor.util import DataError
 from verbtensor.vectors import EmbeddingTable
@@ -373,7 +374,7 @@ class TestPredictBaseline:
 
     def test_end_to_end_f1_on_separable_data(self, planted):
         dataset, embeddings = planted
-        pool, held = _holdout_halves(dataset, seed=55)
+        pool, held = holdout_halves(dataset, seed=55)
         model = train_baseline(pool.positives, embeddings)
         pos_scores = [
             score(model, one(embeddings, t.subject), one(embeddings, t.object))[0]

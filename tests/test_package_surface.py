@@ -4,9 +4,11 @@ A public name (no leading underscore) defined at the top level of a module
 under ``src/verbtensor``, or as a method of such a class, must be referenced
 from ``src/`` or ``perfbench/``: as a bare name or as an attribute. Imports
 do not count as references, so a re-export alone does not keep a name
-alive. The match is by name, not by binding, so the check can miss a dead
-name that shares its spelling with a live one; it never flags a used name.
-Helpers that only tests need belong in ``tests/``.
+alive. Likewise every field of a dataclass in the package must be read as
+an attribute (``obj.field`` in a load context) somewhere in ``src/`` or
+``perfbench/``. The match is by name, not by binding, so the check can miss
+a dead name that shares its spelling with a live one; it never flags a used
+name. Helpers and fields that only tests need belong in ``tests/``.
 """
 
 import ast
@@ -16,8 +18,12 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "verbtensor"
 CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
 
-# Pinned by the finite-difference tests; the training loop uses their parts.
-ALLOWED = {"objective", "gradients"}
+ALLOWED = {
+    # pinned by the finite-difference tests; the training loop uses their parts
+    "objective", "gradients",
+    # SvdResult.V: the SVD tests' reconstruction check reads it
+    "V",
+}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -54,6 +60,41 @@ def unreferenced(package: Path, dirs) -> list:
     return sorted(q for q, name in public_definitions(package).items() if name not in used)
 
 
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def dataclass_fields(package: Path) -> dict:
+    """``module.Class.field`` -> the field name, for every dataclass in the package."""
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any(_is_dataclass_decorator(d) for d in node.decorator_list):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    found[f"{path.stem}.{node.name}.{item.target.id}"] = item.target.id
+    return found
+
+
+def loaded_attributes(dirs) -> set:
+    names = set()
+    for directory in dirs:
+        for path in sorted(directory.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+    return names
+
+
+def unread_fields(package: Path, dirs) -> list:
+    read = loaded_attributes(dirs) | ALLOWED
+    return sorted(q for q, name in dataclass_fields(package).items() if name not in read)
+
+
 def test_every_public_name_has_a_caller():
     assert unreferenced(PACKAGE, CALLER_DIRS) == []
 
@@ -69,3 +110,20 @@ def test_guard_flags_an_unused_function(tmp_path):
         "    def spare(self):\n        return 2\n"
     )
     assert unreferenced(package, [tmp_path / "src"]) == ["mod.Box.spare", "mod.unused"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(PACKAGE, CALLER_DIRS) == []
+
+
+def test_guard_flags_an_unread_field(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Point:\n    x: int\n    y: int\n\n\n"
+        "@dataclasses.dataclass\nclass Box:\n    size: int\n    spare: int = 0\n\n\n"
+        "class Plain:\n    unread: int = 0\n\n\n"
+        "def area(p, box):\n    box.spare = 1\n    return p.x * box.size\n"
+    )
+    assert unread_fields(package, [tmp_path / "src"]) == ["mod.Box.spare", "mod.Point.y"]

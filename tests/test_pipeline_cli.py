@@ -13,6 +13,7 @@ from verbtensor import pipeline
 from verbtensor.cli import EXIT_RUNTIME, EXIT_VALIDATION, main as cli_main
 from verbtensor.config import load_config
 from verbtensor.data import read_dataset_jsonl
+from verbtensor.evaluation import METHOD_TENSOR
 from verbtensor.linalg import TVB_MAGIC, write_tvb
 from verbtensor.util import ValidationError, sha256_file
 from verbtensor.vectors import read_embeddings_tsv
@@ -164,10 +165,19 @@ class TestConfigValidation:
             ("curve_sizes = 8,16", "curve_sizes = 1", ("experiment", "--which", "curves")),
             ("curve_sizes = 8,16", "curve_sizes = ,", ("experiment", "--which", "curves")),
             ("top_n_sweep = 20,60", "top_n_sweep = 0, 5", ("build-vectors",)),
+            ("init_scale = 0.01", "init_scale = inf", ("train", "--verb", "devour")),
+            ("learning_rate = 0.05", "learning_rate = nan", ("train", "--verb", "devour")),
+            ("adagrad_epsilon = 1e-08", "adagrad_epsilon = nan",
+             ("experiment", "--which", "small-cv")),
+            ("l2_lambda = 0.0001", "l2_lambda = nan", ("train", "--verb", "devour")),
+            ("devour = 4.4", "devour = inf", ("gen-data",)),
         ],
-        ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0"],
+        ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0",
+             "init-scale-inf", "learning-rate-nan", "adagrad-epsilon-nan", "l2-lambda-nan",
+             "concreteness-inf"],
     )
-    def test_out_of_range_value_fails_before_work(self, built, tmp_path, old, new, command):
+    def test_out_of_range_value_fails_before_work(self, built, tmp_path, caplog,
+                                                  old, new, command):
         config = load_config(built)
         inputs = copy_fixture(built, tmp_path)
         text = (inputs / "config.ini").read_text()
@@ -180,6 +190,7 @@ class TestConfigValidation:
         assert run_cli("--config", inputs / "config.ini", "--out", out, *command) \
             == EXIT_VALIDATION
         assert tree_hashes(out) == before
+        assert not any(record.exc_info for record in caplog.records)
 
     @pytest.mark.parametrize("content", [b"corpus = c.txt\n", b"[paths]\ncorpus = \xff\n"],
                              ids=["no-section-header", "not-utf8"])
@@ -482,6 +493,33 @@ class TestExperimentReports:
         assert rc == 0
         assert sizes == [len(load_config(built).verbs)] == [2]
 
+    def test_failed_verb_recorded_alike_for_any_out_and_jobs(self, built, tmp_path):
+        """A corrupt dataset fails its verb; the other verb reports, byte-identically."""
+        source = load_config(built).output_dir
+        outs = {1: tmp_path / "p1" / "out", 2: tmp_path / "p2" / "out"}
+        for jobs, out in outs.items():
+            for subdir in ("vectors", "datasets"):
+                shutil.copytree(source / subdir, out / subdir)
+            dataset = out / "datasets" / "assemble.jsonl"
+            lines = dataset.read_text().splitlines()
+            lines[5] = lines[5][: len(lines[5]) // 2]
+            dataset.write_text("\n".join(lines) + "\n")
+            assert run_cli("--config", built, "--out", out, "--jobs", jobs,
+                           "experiment", "--which", "small-cv") == EXIT_RUNTIME
+            rows = (out / "reports" / "small_cv.csv").read_text().splitlines()[2:]
+            assert rows and all(row.startswith("devour,") for row in rows)
+            assert (out / "reports" / "small_cv_splits_devour.jsonl").is_file()
+        assert tree_hashes(outs[1] / "reports") == tree_hashes(outs[2] / "reports")
+        manifest = json.loads(
+            (outs[1] / "reports" / "manifest_experiment-small-cv.json").read_text()
+        )
+        assert manifest["parameters"]["verbs"] == ["devour"]
+        failed = manifest["parameters"]["failed_verbs"]
+        assert list(failed) == ["assemble"]
+        assert failed["assemble"].startswith(
+            "DataError: datasets/assemble.jsonl:6: not a JSON line"
+        ), failed
+
     def test_manifests_independent_of_out_and_config_path(self, built, tmp_path, monkeypatch):
         """vectors/, datasets/ and models/ match across --out dirs and config spellings."""
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -494,6 +532,132 @@ class TestExperimentReports:
             assert (out_a / subdir / "manifest.json").is_file()
             assert tree_hashes(out_a / subdir) == tree_hashes(out_b / subdir), subdir
 
+
+# Dyadic fold metrics, so every difference the F-test takes is exact.
+STUB_AUC = [0.5 + i / 64 for i in range(10)]
+STUB_F1 = [0.25 + i / 128 for i in range(10)]
+STUB_SPREAD = [0.0, 0.125, 0.25, 0.0625, 0.5, 0.0, 0.375, 0.125, 0.25, 0.5]
+STUB_STEADY = [0.125, 0.140625, 0.125, 0.125, 0.109375, 0.125, 0.125, 0.125, 0.125, 0.140625]
+
+
+def stub_evaluate_on_splits(method, dataset, splits, embeddings, train_config, seed):
+    """Fixed fold metrics for each split, looked up by (repetition, fold).
+
+    At k=6 the tensor's AUC is the baseline's plus a constant (F = inf) and
+    its F1 equals the baseline's (F = 0); at k=10 its AUC differs unevenly
+    (small F) and its F1 steadily (large finite F).
+    """
+    shift = 1 / 256 if dataset.verb == "devour" else 0.0
+    aucs, f1s = [], []
+    for split in splits:
+        i = 2 * (split.repetition - 1) + (split.fold - 1)
+        auc, f1 = STUB_AUC[i] + shift, STUB_F1[i]
+        if method == METHOD_TENSOR and embeddings.dim == 6:
+            auc += 0.125
+        elif method == METHOD_TENSOR:
+            auc += STUB_SPREAD[i] / 4
+            f1 += STUB_STEADY[i]
+        aucs.append(auc)
+        f1s.append(f1)
+    return aucs, f1s
+
+
+def stub_learning_curve(method, dataset, sizes, embeddings, train_config, seed, repeats=5):
+    base = 0.625 if method == METHOD_TENSOR else 0.5
+    return [(size, base + size / 1024, 1 / 3) for size in sizes]
+
+
+def csv_bytes(note, rows):
+    """A report as written: the note line ends in LF, csv rows in CRLF."""
+    return (note + "\n" + "".join(row + "\r\n" for row in rows)).encode("utf-8")
+
+
+class TestReportGolden:
+    """Exact report bytes for fixed fold metrics: formatting, order, notes."""
+
+    @pytest.fixture
+    def stubbed_reports(self, built, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline.eval_mod, "evaluate_on_splits", stub_evaluate_on_splits)
+        monkeypatch.setattr(pipeline.eval_mod, "learning_curve", stub_learning_curve)
+        out = tmp_path / "out"
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(load_config(built).output_dir / subdir, out / subdir)
+        for which in ("full-cv", "curves"):
+            assert run_cli("--config", built, "--out", out, "experiment", "--which", which) == 0
+        return out / "reports"
+
+    def test_full_cv_bytes(self, stubbed_reports):
+        folds = ",".join(f"r{rep}f{fold}" for rep in range(1, 6) for fold in (1, 2))
+        assert (stubbed_reports / "full_cv.csv").read_bytes() == csv_bytes(
+            "# sd columns are sample standard deviations (ddof=1)",
+            [
+                f"verb,method,k,metric,mean,sd,{folds}",
+                "assemble,baseline,6,auc,0.570312,0.047307,0.500000,0.515625,0.531250,"
+                "0.546875,0.562500,0.578125,0.593750,0.609375,0.625000,0.640625",
+                "assemble,baseline,6,f1,0.285156,0.023654,0.250000,0.257812,0.265625,"
+                "0.273438,0.281250,0.289062,0.296875,0.304688,0.312500,0.320312",
+                "assemble,tensor,6,auc,0.695312,0.047307,0.625000,0.640625,0.656250,"
+                "0.671875,0.687500,0.703125,0.718750,0.734375,0.750000,0.765625",
+                "assemble,tensor,6,f1,0.285156,0.023654,0.250000,0.257812,0.265625,"
+                "0.273438,0.281250,0.289062,0.296875,0.304688,0.312500,0.320312",
+                "assemble,baseline,10,auc,0.570312,0.047307,0.500000,0.515625,0.531250,"
+                "0.546875,0.562500,0.578125,0.593750,0.609375,0.625000,0.640625",
+                "assemble,baseline,10,f1,0.285156,0.023654,0.250000,0.257812,0.265625,"
+                "0.273438,0.281250,0.289062,0.296875,0.304688,0.312500,0.320312",
+                "assemble,tensor,10,auc,0.625000,0.082021,0.500000,0.546875,0.593750,"
+                "0.562500,0.687500,0.578125,0.687500,0.640625,0.687500,0.765625",
+                "assemble,tensor,10,f1,0.411719,0.026055,0.375000,0.398438,0.390625,"
+                "0.398438,0.390625,0.414062,0.421875,0.429688,0.437500,0.460938",
+                "devour,baseline,6,auc,0.574219,0.047307,0.503906,0.519531,0.535156,"
+                "0.550781,0.566406,0.582031,0.597656,0.613281,0.628906,0.644531",
+                "devour,baseline,6,f1,0.285156,0.023654,0.250000,0.257812,0.265625,"
+                "0.273438,0.281250,0.289062,0.296875,0.304688,0.312500,0.320312",
+                "devour,tensor,6,auc,0.699219,0.047307,0.628906,0.644531,0.660156,"
+                "0.675781,0.691406,0.707031,0.722656,0.738281,0.753906,0.769531",
+                "devour,tensor,6,f1,0.285156,0.023654,0.250000,0.257812,0.265625,"
+                "0.273438,0.281250,0.289062,0.296875,0.304688,0.312500,0.320312",
+                "devour,baseline,10,auc,0.574219,0.047307,0.503906,0.519531,0.535156,"
+                "0.550781,0.566406,0.582031,0.597656,0.613281,0.628906,0.644531",
+                "devour,baseline,10,f1,0.285156,0.023654,0.250000,0.257812,0.265625,"
+                "0.273438,0.281250,0.289062,0.296875,0.304688,0.312500,0.320312",
+                "devour,tensor,10,auc,0.628906,0.082021,0.503906,0.550781,0.597656,"
+                "0.566406,0.691406,0.582031,0.691406,0.644531,0.691406,0.769531",
+                "devour,tensor,10,f1,0.411719,0.026055,0.375000,0.398438,0.390625,"
+                "0.398438,0.390625,0.414062,0.421875,0.429688,0.437500,0.460938",
+            ],
+        )
+
+    def test_comparisons_bytes(self, stubbed_reports):
+        assert (stubbed_reports / "full_cv_comparisons.csv").read_bytes() == csv_bytes(
+            "# f_statistic compares tensor minus baseline on aligned folds",
+            [
+                "verb,k,metric,f_statistic,significant,alpha",
+                "assemble,6,auc,inf,true,0.05",
+                "assemble,6,f1,0.000000,false,0.05",
+                "assemble,10,auc,1.880734,false,0.05",
+                "assemble,10,f1,219.666667,true,0.05",
+                "devour,6,auc,inf,true,0.05",
+                "devour,6,f1,0.000000,false,0.05",
+                "devour,10,auc,1.880734,false,0.05",
+                "devour,10,f1,219.666667,true,0.05",
+            ],
+        )
+
+    def test_curves_bytes(self, stubbed_reports):
+        assert (stubbed_reports / "curves.csv").read_bytes() == csv_bytes(
+            "# sd columns are sample standard deviations (ddof=1)",
+            [
+                "verb,method,k,size,mean_auc,sd_auc",
+                "assemble,baseline,6,8,0.507812,0.333333",
+                "assemble,baseline,6,16,0.515625,0.333333",
+                "assemble,tensor,6,8,0.632812,0.333333",
+                "assemble,tensor,6,16,0.640625,0.333333",
+                "devour,baseline,6,8,0.507812,0.333333",
+                "devour,baseline,6,16,0.515625,0.333333",
+                "devour,tensor,6,8,0.632812,0.333333",
+                "devour,tensor,6,16,0.640625,0.333333",
+            ],
+        )
 
 class TestTrainPredictEval:
     def test_train_then_predict(self, built, capsys):
@@ -556,6 +720,24 @@ class TestTrainPredictEval:
             "--subject", "not_a_noun", "--object", "also_not",
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "command",
+        [("train", "--verb", "devour"),
+         ("predict", "--verb", "devour", "--subject", "a", "--object", "b"),
+         ("eval-vectors",)],
+        ids=["train", "predict", "eval-vectors"],
+    )
+    def test_k_outside_svd_dims_rejected(self, built, tmp_path, caplog, command):
+        """``--k 0`` is not a configured dim, not a stand-in for the default."""
+        source = load_config(built).output_dir
+        out = tmp_path / "out"
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(source / subdir, out / subdir)
+        before = tree_hashes(out)
+        assert run_cli("--config", built, "--out", out, *command, "--k", 0) == EXIT_VALIDATION
+        assert tree_hashes(out) == before
+        assert_clean_failure(caplog, "k=0 is not one of the configured svd_dims")
 
     def test_train_unknown_verb(self, built):
         assert run_cli("--config", built, "train", "--verb", "unknown") == 1

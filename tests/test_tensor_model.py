@@ -4,14 +4,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import planted_dataset
+from conftest import holdout_halves, planted_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verbtensor import tensor_model
 from verbtensor.corpus import Vocabulary
 from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, VerbDataset
-from verbtensor.evaluation import _holdout_halves, roc_auc
+from verbtensor.evaluation import roc_auc
 from verbtensor.tensor_model import (
     TrainConfig,
     VerbTensorModel,
@@ -533,7 +533,7 @@ class TestPredict:
 
     def test_held_out_auc_on_separable_data(self, planted):
         dataset, embeddings = planted
-        pool, held = _holdout_halves(dataset, seed=123)
+        pool, held = holdout_halves(dataset, seed=123)
         result = train(pool, embeddings, TrainConfig(epochs=30, seed=7))
         scores = [
             predict(result.model, embeddings.vector(t.subject), embeddings.vector(t.object))[1]
@@ -550,6 +550,13 @@ class TestPredict:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", ["learning_rate", "adagrad_epsilon", "l2_lambda",
+                                      "init_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
