@@ -137,7 +137,6 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
             epochs=_get("training", "epochs", int, 100),
             init_scale=_get("training", "init_scale", float, 0.01),
             seed=train_seed,
-            update_mode=_get("training", "update_mode", str, "stochastic"),
             regularize_theta=_get("training", "regularize_theta", bool, True),
         )
     except ValueError as exc:
@@ -213,6 +212,10 @@ def _check_static(config: PipelineConfig) -> None:
         )
     if config.curve_repeats < 1:
         raise ValidationError("curve_repeats must be positive")
+    for section, key in (("vectors", "svd_dims"), ("experiment", "curve_sizes")):
+        values = getattr(config, key)
+        if len(set(values)) != len(values):
+            raise ValidationError(f"[{section}] {key} has repeated entries: {values}")
 
 
 def require_input_files(config: PipelineConfig, *names) -> None:

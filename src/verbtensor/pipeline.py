@@ -298,6 +298,11 @@ _REPORT_TABLES = {
 EXPERIMENT_KINDS = tuple(_REPORT_TABLES)
 
 
+def _experiment_dims(config: PipelineConfig, which: str) -> tuple:
+    """The embedding dims an experiment reads: ``primary_k`` for curves, else every svd dim."""
+    return (config.primary_k,) if which == "curves" else config.svd_dims
+
+
 def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     """Run one of the three experiment protocols and write report CSVs.
 
@@ -312,7 +317,7 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     available = [v for v, p in verb_paths.items() if p.is_file()]
     if not available:
         raise ValidationError(f"no datasets under {datasets_dir} (run gen-data)")
-    emb_paths = [_embeddings_path(config, k)[1] for k in config.svd_dims]
+    emb_paths = [_embeddings_path(config, k)[1] for k in _experiment_dims(config, which)]
 
     out_dir = ensure_dir(config.reports_dir())
     tasks = [(config, verb, which) for verb in available]
@@ -376,7 +381,8 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
     """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``, and its splits."""
     dataset = data_mod.read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
     embeddings = {
-        k: vec_mod.read_embeddings_tsv(_embeddings_path(config, k)[1]) for k in config.svd_dims
+        k: vec_mod.read_embeddings_tsv(_embeddings_path(config, k)[1])
+        for k in _experiment_dims(config, which)
     }
 
     if which == "curves":
@@ -399,11 +405,11 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
         )
     splits = data_mod.make_5x2cv_splits(base, derive_seed(config.cv_seed, which, verb))
     rows, comparisons = [], []
-    for k in config.svd_dims:
+    for k, table in embeddings.items():
         folds = {}  # method -> {metric: fold values in split order}
         for method in _METHODS:
             aucs, f1s = eval_mod.evaluate_on_splits(
-                method, base, splits, embeddings[k], config.train,
+                method, base, splits, table, config.train,
                 derive_seed(config.cv_seed, which, verb, k),
             )
             folds[method] = {"auc": aucs, "f1": f1s}
@@ -458,7 +464,7 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
         raise ValidationError(f"missing dataset {dataset_path} (run gen-data)")
     dataset = data_mod.read_dataset_jsonl(dataset_path)
     embeddings = vec_mod.read_embeddings_tsv(emb_path)
-    result = tm.train(dataset, embeddings, config.train)
+    result = tm.train(dataset.triples, embeddings, config.train, verb=dataset.verb)
     out_dir = ensure_dir(config.models_dir())
     base = out_dir / f"{verb}_k{k}"
     tm.save_model(base, result.model, config.train, result.objective_trace)

@@ -192,7 +192,6 @@ def write_fixture(directory, config: WorldConfig = WorldConfig(), pipeline_overr
         "training.epochs": 100,
         "training.init_scale": 0.01,
         "training.seed": 13,
-        "training.update_mode": "stochastic",
         "training.regularize_theta": "true",
         "experiment.positive_cap": 2000,
         "experiment.bucket_size": 10,

@@ -13,30 +13,26 @@ the KL term is exactly the cross entropy -log p[correct], which is what the
 code computes. Gradients are exact chain-rule derivatives and updates use
 per-parameter Adagrad.
 
-One forward pass, two backward kernels that agree bit for bit, one update.
-``_forward`` runs the forward pass over a leading example axis (a GEMM with
-the tensor, then one batched product with the objects); it serves the
-per-epoch objective, batch updates and ``predict_batch``, of which
-``predict`` is the one-row case. ``_Workspace.gradient`` is the N-example
-backward pass, used by batch mode (one step on the summed gradient per
-epoch) and by ``gradients``, and ``adagrad_step`` the one update. During
-training the tensor and theta are views into one flat parameter vector, so a
-step is a single in-place Adagrad update over all K*K*2 + 6 values.
+One forward pass, one training kernel, one update. ``_forward`` runs the
+forward pass over a leading example axis (a GEMM with the tensor, then one
+batched product with the objects); it serves the per-epoch objective and
+``predict_batch``, of which ``predict`` is the one-row case. During training
+the tensor and theta are views into one flat parameter vector, so a step is
+a single in-place Adagrad update (``adagrad_step``) over all K*K*2 + 6
+values.
 
-A stochastic step runs the one-example kernel from
-``_Workspace.example_step``: two vector-matrix products for the bilinear
-score, the two-class head in Python floats, and one outer-product GEMM for
-the tensor gradient, then the same L2 add and ``adagrad_step``. It performs
-the same floating-point operations as ``_Workspace.gradient`` on one row
-followed by ``adagrad_step``, so trained parameters are unchanged bit for
-bit; the tests hold it to that oracle. Bit-identity fixes which operations
-stay numpy: the logits and dL/da are BLAS products (BLAS fuses multiply and
-add, a Python sum does not), the one non-trivial softmax exponential is
-``np.exp`` (``math.exp`` rounds differently), while the sigmoid's
-``math.exp`` matches scipy's ``expit``, including 0.0 where ``-z``
-overflows. The objective trace comes from the GEMM forward pass rather than
-a three-operand ``einsum`` and may differ from it in the last unit in the
-last place.
+Each step runs the one-example kernel from ``_Workspace.example_step``: two
+vector-matrix products for the bilinear score, the two-class head in Python
+floats, and one outer-product GEMM for the tensor gradient, then the L2 add
+and ``adagrad_step``. The tests hold it, bit for bit, to an N-example
+backward pass kept in ``tests/`` as an oracle, which the finite-difference
+tests pin in turn. Bit-identity fixes which operations stay numpy: the
+logits and dL/da are BLAS products (BLAS fuses multiply and add, a Python
+sum does not), the one non-trivial softmax exponential is ``np.exp``
+(``math.exp`` rounds differently), while the sigmoid's ``math.exp`` matches
+scipy's ``expit``, including 0.0 where ``-z`` overflows. The objective trace
+comes from the GEMM forward pass rather than a three-operand ``einsum`` and
+may differ from it in the last unit in the last place.
 """
 
 import logging
@@ -65,7 +61,6 @@ class TrainConfig:
     epochs: int = 100
     init_scale: float = 0.01
     seed: int = 0
-    update_mode: str = "stochastic"  # or "batch"
     regularize_theta: bool = True
 
     def __post_init__(self):
@@ -82,8 +77,6 @@ class TrainConfig:
             raise ValueError("epochs must be a positive integer")
         if self.init_scale <= 0:
             raise ValueError("init_scale must be positive")
-        if self.update_mode not in ("stochastic", "batch"):
-            raise ValueError(f"unknown update_mode {self.update_mode!r}")
 
 
 @dataclass
@@ -95,12 +88,6 @@ class VerbTensorModel:
     @property
     def k(self) -> int:
         return int(self.tensor.shape[0])
-
-
-@dataclass(frozen=True)
-class Gradients:
-    tensor: np.ndarray
-    theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,13 +144,6 @@ def _split(flat, k):
     return flat[:size].reshape(k, k, SENTENCE_DIM), flat[size:].reshape(2, SENTENCE_DIM + 1)
 
 
-def _batch_arrays(batch):
-    subjects = np.asarray([np.asarray(s, dtype=np.float64) for s, _, _ in batch])
-    objects_ = np.asarray([np.asarray(o, dtype=np.float64) for _, o, _ in batch])
-    targets = np.asarray([np.asarray(t, dtype=np.float64) for _, _, t in batch])
-    return subjects, objects_, targets
-
-
 def _objective_arrays(tensor, theta, subjects, objects_, targets, l2_lambda, regularize_theta):
     # overflow here is the divergence signal the caller checks for, not noise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -174,23 +154,6 @@ def _objective_arrays(tensor, theta, subjects, objects_, targets, l2_lambda, reg
         if regularize_theta:
             reg += 0.5 * l2_lambda * float(np.sum(theta * theta))
         return float(losses.sum() + reg)
-
-
-def objective(model: VerbTensorModel, batch, l2_lambda: float, regularize_theta: bool = True) -> float:
-    """Summed cross entropy over the batch plus the L2 penalty.
-
-    Raises when the value is non-finite, which indicates diverging
-    parameters rather than a recoverable condition.
-    """
-    if not batch:
-        raise ValueError("objective requires a non-empty batch")
-    subjects, objects_, targets = _batch_arrays(batch)
-    value = _objective_arrays(
-        model.tensor, model.theta, subjects, objects_, targets, l2_lambda, regularize_theta
-    )
-    if not np.isfinite(value):
-        raise TrainingDiverged("objective is non-finite: parameters diverged")
-    return value
 
 
 class _Workspace:
@@ -214,34 +177,18 @@ class _Workspace:
         self.reg_grad = self.grad[:n_reg]
         self.reg_scratch = self.scratch[:n_reg]
 
-    def gradient(self, subjects, objects_, targets) -> None:
-        """Regularized loss gradient summed over N examples, into ``grad``.
-
-        Chain rule, layer by layer: dL/dlogit = p - t; the theta gradient is
-        the product of that with (a, 1); dL/da flows back through
-        theta's weight block; dL/dz scales by the sigmoid derivative a(1-a);
-        and the tensor gradient is the rank-1 expansion (s[i] * o[j]) * dz[c].
-        The L2 term adds lambda times each regularized parameter.
-        """
-        _, a, p = _forward(self.tensor, self.theta, subjects, objects_)
-        d_logit = p - targets
-        np.dot(d_logit.T, a, out=self.g_theta)
-        a = a[:, :SENTENCE_DIM]
-        d_z = np.dot(d_logit, self.theta_w) * a * (1.0 - a)
-        pairs = (subjects[:, :, None] * objects_[:, None, :]).reshape(len(subjects), -1)
-        np.dot(pairs.T, d_z, out=self.g_tensor)
-        if self.l2_lambda:
-            self.reg_grad += np.multiply(self.reg_params, self.l2_lambda, out=self.reg_scratch)
-
     def example_step(self, learning_rate: float, epsilon: float):
         """The one-example Adagrad step, ``step(s, o, s_column, o_row, t0, t1)``.
 
         ``s`` and ``o`` are (K,) rows, ``s_column`` and ``o_row`` their (K, 1)
-        and (1, K) views, and ``t0``, ``t1`` the target as floats. A step is
-        ``gradient`` on that one row followed by ``adagrad_step``, with the
-        same floating-point operations and so the same bits: the two-class
-        quantities are Python floats, and the tensor gradient is the GEMM of
-        the outer product s o^T, flattened to (K*K, 1), with dL/dz as (1, 2).
+        and (1, K) views, and ``t0``, ``t1`` the target as floats. Chain rule,
+        layer by layer: dL/dlogit = p - t; the theta gradient is the product
+        of that with (a, 1); dL/da flows back through theta's weight block;
+        dL/dz scales by the sigmoid derivative a(1-a); and the tensor
+        gradient is the GEMM of the outer product s o^T, flattened to
+        (K*K, 1), with dL/dz as (1, 2). The L2 term adds lambda times each
+        regularized parameter, then ``adagrad_step`` applies the update. The
+        two-class quantities are Python floats.
         """
         k = self.tensor.shape[0]
         tensor_2k = self.tensor.reshape(k, k * SENTENCE_DIM)
@@ -285,15 +232,6 @@ class _Workspace:
         return step
 
 
-def gradients(model: VerbTensorModel, example, l2_lambda: float, regularize_theta: bool = True) -> Gradients:
-    """Exact gradients of one example's regularized loss (see ``_Workspace.gradient``)."""
-    subjects, objects_, targets = _batch_arrays([example])
-    work = _Workspace(model, l2_lambda, regularize_theta)
-    work.gradient(subjects, objects_, targets)
-    d_tensor, d_theta = _split(work.grad, model.k)
-    return Gradients(tensor=d_tensor, theta=d_theta)
-
-
 def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch=None) -> None:
     """In-place Adagrad update: accumulate squared gradient, scale the step.
 
@@ -316,25 +254,16 @@ def _lookup_triples(triples, embeddings):
     return subjects, objects_, targets
 
 
-def train(dataset, embeddings, config: TrainConfig, verb: str | None = None) -> TrainResult:
-    """Fit a verb tensor model on labeled triples with per-parameter Adagrad.
+def train(triples, embeddings, config: TrainConfig, verb: str = "") -> TrainResult:
+    """Fit a verb tensor model on a sequence of labeled triples with Adagrad.
 
     Examples are visited in a freshly shuffled order every epoch (seeded from
     the config), for the configured number of epochs, each through the
-    one-example kernel of ``_Workspace.example_step``; its arithmetic matches
-    ``_Workspace.gradient`` on one row plus ``adagrad_step`` bit for bit (see
-    the module docstring for which operations must stay numpy). Batch mode
-    takes one step per epoch on the summed gradient from
-    ``_Workspace.gradient`` instead. The returned trace holds the full-data
-    objective at initialization and after every epoch; a non-finite
-    objective aborts with the offending epoch number.
+    one-example kernel of ``_Workspace.example_step`` (see the module
+    docstring for what the tests hold it to). The returned trace holds the
+    full-data objective at initialization and after every epoch; a
+    non-finite objective aborts with the offending epoch number.
     """
-    if hasattr(dataset, "triples"):
-        triples = dataset.triples
-        verb = verb if verb is not None else dataset.verb
-    else:
-        triples = list(dataset)
-        verb = verb or ""
     if not triples:
         raise ValueError("cannot train on an empty dataset")
     missing = [t for t in triples if t.subject not in embeddings or t.object not in embeddings]
@@ -349,8 +278,6 @@ def train(dataset, embeddings, config: TrainConfig, verb: str | None = None) -> 
         raise ValueError("subject and object embedding dims differ")
 
     work = _Workspace(init_model(k, config, verb), config.l2_lambda, config.regularize_theta)
-    lr = config.learning_rate
-    eps = config.adagrad_epsilon
 
     def epoch_objective(epoch):
         value = _objective_arrays(work.tensor, work.theta, subjects, objects_, targets,
@@ -362,20 +289,16 @@ def train(dataset, embeddings, config: TrainConfig, verb: str | None = None) -> 
         return value
 
     trace = [epoch_objective(0)]
-    step = work.example_step(lr, eps)
+    step = work.example_step(config.learning_rate, config.adagrad_epsilon)
     # one-example arguments, shuffled in place: the order carries over between epochs
     rows = [(s, o, s[:, None], o[None], t0, t1)
             for s, o, (t0, t1) in zip(subjects, objects_, targets.tolist())]
     order_rng = random.Random(derive_seed(config.seed, "epoch-order"))
 
     for epoch in range(1, config.epochs + 1):
-        if config.update_mode == "stochastic":
-            order_rng.shuffle(rows)
-            for example in rows:
-                step(*example)
-        else:
-            work.gradient(subjects, objects_, targets)
-            adagrad_step(work.params, work.grad, work.acc, lr, eps, work.scratch)
+        order_rng.shuffle(rows)
+        for example in rows:
+            step(*example)
         trace.append(epoch_objective(epoch))
 
     model = VerbTensorModel(tensor=work.tensor, theta=work.theta, verb=verb)

@@ -19,8 +19,6 @@ PACKAGE = ROOT / "src" / "verbtensor"
 CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
 
 ALLOWED = {
-    # pinned by the finite-difference tests; the training loop uses their parts
-    "objective", "gradients",
     # SvdResult.V: the SVD tests' reconstruction check reads it
     "V",
 }

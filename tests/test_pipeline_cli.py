@@ -146,8 +146,10 @@ class TestConfigValidation:
             ("curve_repeats = 2", "curve_repeats = 2\ncurve_verbs = devour",
              r"\[experiment\] curve_verbs$"),
             ("[training]", "[trainig]", r"section \[trainig\]"),
+            ("epochs = 25", "epochs = 25\nupdate_mode = batch", r"\[training\] update_mode$"),
         ],
-        ids=["typo-key", "misspelled-key", "leftover-curve-verbs", "unknown-section"],
+        ids=["typo-key", "misspelled-key", "leftover-curve-verbs", "unknown-section",
+             "leftover-update-mode"],
     )
     def test_unknown_key_or_section_rejected(self, small_fixture, tmp_path, old, new, message):
         text = Path(small_fixture).read_text()
@@ -171,10 +173,12 @@ class TestConfigValidation:
              ("experiment", "--which", "small-cv")),
             ("l2_lambda = 0.0001", "l2_lambda = nan", ("train", "--verb", "devour")),
             ("devour = 4.4", "devour = inf", ("gen-data",)),
+            ("svd_dims = 6,10", "svd_dims = 6,6", ("experiment", "--which", "small-cv")),
+            ("curve_sizes = 8,16", "curve_sizes = 8,8", ("experiment", "--which", "curves")),
         ],
         ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0",
              "init-scale-inf", "learning-rate-nan", "adagrad-epsilon-nan", "l2-lambda-nan",
-             "concreteness-inf"],
+             "concreteness-inf", "repeated-svd-dims", "repeated-curve-sizes"],
     )
     def test_out_of_range_value_fails_before_work(self, built, tmp_path, caplog,
                                                   old, new, command):
@@ -408,6 +412,25 @@ class TestExperimentReports:
         } | {f"vectors/embeddings_k{k}.tsv" for k in config.svd_dims}
         assert_manifest_digests(config, manifest["inputs"])
 
+    def test_curves_read_only_primary_k(self, built, tmp_path, monkeypatch):
+        config = load_config(built)
+        out = tmp_path / "out"
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(config.output_dir / subdir, out / subdir)
+        read = []
+
+        def counting_read(path):
+            read.append(Path(path).name)
+            return read_embeddings_tsv(path)
+
+        monkeypatch.setattr(pipeline.vec_mod, "read_embeddings_tsv", counting_read)
+        assert run_cli("--config", built, "--out", out, "experiment", "--which", "curves") == 0
+        assert read == [f"embeddings_k{config.primary_k}.tsv"] * len(config.verbs)
+        manifest = json.loads((out / "reports" / "manifest_experiment-curves.json").read_text())
+        assert set(manifest["inputs"]) == {
+            f"datasets/{verb}.jsonl" for verb in config.verbs
+        } | {f"vectors/embeddings_k{config.primary_k}.tsv"}
+
     def test_experiment_manifest_train_block(self, experimented):
         config = load_config(experimented)
         manifest = json.loads(
@@ -421,7 +444,6 @@ class TestExperimentReports:
             "epochs": 25,
             "init_scale": 0.01,
             "seed": 13,
-            "update_mode": "stochastic",
             "regularize_theta": True,
         }
         assert {key: type(value) for key, value in train.items()} == {
@@ -431,7 +453,6 @@ class TestExperimentReports:
             "epochs": int,
             "init_scale": float,
             "seed": int,
-            "update_mode": str,
             "regularize_theta": bool,
         }
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from verbtensor.corpus import Vocabulary
 from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, VerbDataset
 from verbtensor.evaluation import roc_auc
 from verbtensor.tensor_model import (
+    SENTENCE_DIM,
     TrainConfig,
     VerbTensorModel,
     _forward,
@@ -21,10 +23,8 @@ from verbtensor.tensor_model import (
     _split,
     _Workspace,
     adagrad_step,
-    gradients,
     init_model,
     load_model,
-    objective,
     predict,
     save_model,
     train,
@@ -34,6 +34,70 @@ from verbtensor.vectors import EmbeddingTable
 
 ONE_HOT_TOP = np.array([1.0, 0.0])
 ONE_HOT_BOT = np.array([0.0, 1.0])
+
+
+# The N-example backward pass and the objective of a batch of
+# (subject, object, target) examples: the oracle that ``example_step`` is
+# held to bit for bit. The finite-difference tests pin the oracle itself.
+
+@dataclass(frozen=True)
+class Gradients:
+    tensor: np.ndarray
+    theta: np.ndarray
+
+
+class OracleWorkspace(_Workspace):
+    def gradient(self, subjects, objects_, targets) -> None:
+        """Regularized loss gradient summed over N examples, into ``grad``.
+
+        Chain rule, layer by layer: dL/dlogit = p - t; the theta gradient is
+        the product of that with (a, 1); dL/da flows back through
+        theta's weight block; dL/dz scales by the sigmoid derivative a(1-a);
+        and the tensor gradient is the rank-1 expansion (s[i] * o[j]) * dz[c].
+        The L2 term adds lambda times each regularized parameter.
+        """
+        _, a, p = _forward(self.tensor, self.theta, subjects, objects_)
+        d_logit = p - targets
+        np.dot(d_logit.T, a, out=self.g_theta)
+        a = a[:, :SENTENCE_DIM]
+        d_z = np.dot(d_logit, self.theta_w) * a * (1.0 - a)
+        pairs = (subjects[:, :, None] * objects_[:, None, :]).reshape(len(subjects), -1)
+        np.dot(pairs.T, d_z, out=self.g_tensor)
+        if self.l2_lambda:
+            self.reg_grad += np.multiply(self.reg_params, self.l2_lambda, out=self.reg_scratch)
+
+
+def _batch_arrays(batch):
+    subjects = np.asarray([np.asarray(s, dtype=np.float64) for s, _, _ in batch])
+    objects_ = np.asarray([np.asarray(o, dtype=np.float64) for _, o, _ in batch])
+    targets = np.asarray([np.asarray(t, dtype=np.float64) for _, _, t in batch])
+    return subjects, objects_, targets
+
+
+def objective(model: VerbTensorModel, batch, l2_lambda: float, regularize_theta: bool = True) -> float:
+    """Summed cross entropy over the batch plus the L2 penalty.
+
+    Raises when the value is non-finite, which indicates diverging
+    parameters rather than a recoverable condition.
+    """
+    if not batch:
+        raise ValueError("objective requires a non-empty batch")
+    subjects, objects_, targets = _batch_arrays(batch)
+    value = _objective_arrays(
+        model.tensor, model.theta, subjects, objects_, targets, l2_lambda, regularize_theta
+    )
+    if not np.isfinite(value):
+        raise TrainingDiverged("objective is non-finite: parameters diverged")
+    return value
+
+
+def gradients(model: VerbTensorModel, example, l2_lambda: float, regularize_theta: bool = True) -> Gradients:
+    """Exact gradients of one example's regularized loss (see ``OracleWorkspace.gradient``)."""
+    subjects, objects_, targets = _batch_arrays([example])
+    work = OracleWorkspace(model, l2_lambda, regularize_theta)
+    work.gradient(subjects, objects_, targets)
+    d_tensor, d_theta = _split(work.grad, model.k)
+    return Gradients(tensor=d_tensor, theta=d_theta)
 
 
 def zero_model(k=2):
@@ -125,13 +189,13 @@ def einsum_batch_gradient(model, subjects, objects_, targets, lam, regularize_th
 
 
 def reference_train(model, dataset, embeddings, config):
-    """Stochastic training as a loop over one-row views: ``_Workspace.gradient``
+    """Stochastic training as a loop over one-row views: ``OracleWorkspace.gradient``
     on each (1, K) row, then ``adagrad_step``, in the seeded epoch order.
 
     Returns the trained workspace and the objective trace.
     """
     subjects, objects_, targets = _lookup_triples(dataset.triples, embeddings)
-    work = _Workspace(copy_model(model), config.l2_lambda, config.regularize_theta)
+    work = OracleWorkspace(copy_model(model), config.l2_lambda, config.regularize_theta)
 
     def value():
         return _objective_arrays(work.tensor, work.theta, subjects, objects_, targets,
@@ -332,7 +396,7 @@ class TestTrain:
     def test_learns_separable_data(self, planted):
         dataset, embeddings = planted
         config = TrainConfig(epochs=30, seed=5)
-        result = train(dataset, embeddings, config)
+        result = train(dataset.triples, embeddings, config)
         assert result.objective_trace[-1] < result.objective_trace[0]
         correct = 0
         for t in dataset.triples:
@@ -345,7 +409,7 @@ class TestTrain:
     def test_zero_learning_rate_is_identity(self, planted):
         dataset, embeddings = planted
         config = TrainConfig(learning_rate=0.0, epochs=3, seed=9)
-        result = train(dataset, embeddings, config)
+        result = train(dataset.triples, embeddings, config)
         reference = init_model(embeddings.dim, config, dataset.verb)
         np.testing.assert_array_equal(result.model.tensor, reference.tensor)
         np.testing.assert_array_equal(result.model.theta, reference.theta)
@@ -353,32 +417,26 @@ class TestTrain:
     def test_bit_identical_under_seed(self, planted):
         dataset, embeddings = planted
         config = TrainConfig(epochs=5, seed=21)
-        a = train(dataset, embeddings, config)
-        b = train(dataset, embeddings, config)
+        a = train(dataset.triples, embeddings, config)
+        b = train(dataset.triples, embeddings, config)
         assert a.objective_trace == b.objective_trace
         assert np.array_equal(a.model.tensor, b.model.tensor)
         assert np.array_equal(a.model.theta, b.model.theta)
-        c = train(dataset, embeddings, TrainConfig(epochs=5, seed=22))
+        c = train(dataset.triples, embeddings, TrainConfig(epochs=5, seed=22))
         assert not np.array_equal(a.model.tensor, c.model.tensor)
 
     def test_final_objective_not_worse_than_init(self, planted):
         dataset, embeddings = planted
         config = TrainConfig(epochs=12, seed=2, l2_lambda=1e-3)
-        result = train(dataset, embeddings, config)
+        result = train(dataset.triples, embeddings, config)
         assert result.objective_trace[-1] <= result.objective_trace[0]
         assert math.isfinite(result.objective_trace[-1])
-
-    def test_batch_mode_also_learns(self, planted):
-        dataset, embeddings = planted
-        config = TrainConfig(epochs=60, seed=5, update_mode="batch", learning_rate=0.5)
-        result = train(dataset, embeddings, config)
-        assert result.objective_trace[-1] < result.objective_trace[0]
 
     def test_divergence_reports_epoch(self, planted):
         dataset, embeddings = planted
         config = TrainConfig(init_scale=1e300, epochs=2, seed=1)
         with pytest.raises(TrainingDiverged) as excinfo:
-            train(dataset, embeddings, config)
+            train(dataset.triples, embeddings, config)
         assert excinfo.value.epoch is not None
 
     def test_missing_embedding_rejected(self, planted):
@@ -389,16 +447,15 @@ class TestTrain:
             "vex", dataset.triples + [LabeledTriple("ghost", "vex", "sp000", PLAUSIBLE)]
         )
         with pytest.raises(ValueError, match="without embeddings"):
-            train(bad, embeddings, TrainConfig(epochs=1))
+            train(bad.triples, embeddings, TrainConfig(epochs=1))
 
 
 class TestTrainingStep:
-    @pytest.mark.parametrize("update_mode", ["stochastic", "batch"])
     @pytest.mark.parametrize("regularize_theta", [True, False])
-    def test_one_epoch_is_gradients_plus_adagrad(self, planted, update_mode, regularize_theta):
+    def test_one_epoch_is_gradients_plus_adagrad(self, planted, regularize_theta):
         dataset, embeddings = planted
         triple = dataset.triples[0]
-        config = TrainConfig(epochs=1, seed=4, l2_lambda=0.01, update_mode=update_mode,
+        config = TrainConfig(epochs=1, seed=4, l2_lambda=0.01,
                              regularize_theta=regularize_theta)
         trained = train([triple], embeddings, config).model
         model = init_model(embeddings.dim, config)
@@ -418,7 +475,7 @@ class TestTrainingStep:
         k = 20
         subjects, objects_, targets = random_batch(rng, 400, k)
         model = random_model(rng, k=k, scale=0.05)
-        work = _Workspace(model, 0.01, regularize_theta)
+        work = OracleWorkspace(model, 0.01, regularize_theta)
         work.gradient(subjects, objects_, targets)
         reference = einsum_batch_gradient(model, subjects, objects_, targets, 0.01,
                                           regularize_theta)
@@ -455,7 +512,7 @@ class TestExampleStep:
         accumulator = rng.uniform(0.0, 2.0, k * k * 2 + 6)
         lr, eps = 0.05, 1e-8
 
-        oracle = _Workspace(model, l2_lambda, regularize_theta)
+        oracle = OracleWorkspace(model, l2_lambda, regularize_theta)
         oracle.acc[:] = accumulator
         oracle.gradient(s[None], o[None], np.array([target]))
         adagrad_step(oracle.params, oracle.grad, oracle.acc, lr, eps, oracle.scratch)
@@ -474,7 +531,7 @@ class TestExampleStep:
         model = VerbTensorModel(np.zeros((3, 3, 2)),
                                 np.array([[rows[0]] * 3, [rows[1]] * 3]))
         s, o = np.ones(3), np.ones(3)
-        oracle = _Workspace(model, 0.01, True)
+        oracle = OracleWorkspace(model, 0.01, True)
         work = _Workspace(model, 0.01, True)
         with np.errstate(invalid="ignore", over="ignore"):
             oracle.gradient(s[None], o[None], np.array([[1.0, 0.0]]))
@@ -488,7 +545,7 @@ class TestExampleStep:
     def test_training_matches_per_row_loop(self, k, regularize_theta):
         dataset, embeddings = planted_dataset(k=k, n_triples=200, noise=0.35, seed=11)
         config = TrainConfig(epochs=3, seed=17, regularize_theta=regularize_theta)
-        result = train(dataset, embeddings, config)
+        result = train(dataset.triples, embeddings, config)
         work, trace = reference_train(init_model(k, config, dataset.verb), dataset,
                                       embeddings, config)
         assert result.objective_trace == trace
@@ -507,7 +564,7 @@ class TestExampleStep:
         assert np.all(z == -960.0)
         monkeypatch.setattr(tensor_model, "init_model",
                             lambda k, config, verb="": copy_model(start))
-        result = train(dataset, embeddings, config)
+        result = train(dataset.triples, embeddings, config)
         work, trace = reference_train(start, dataset, embeddings, config)
         assert all(math.isfinite(value) for value in result.objective_trace)
         assert result.objective_trace == trace
@@ -534,7 +591,7 @@ class TestPredict:
     def test_held_out_auc_on_separable_data(self, planted):
         dataset, embeddings = planted
         pool, held = holdout_halves(dataset, seed=123)
-        result = train(pool, embeddings, TrainConfig(epochs=30, seed=7))
+        result = train(pool.triples, embeddings, TrainConfig(epochs=30, seed=7))
         scores = [
             predict(result.model, embeddings.vector(t.subject), embeddings.vector(t.object))[1]
             for t in held.triples
@@ -568,15 +625,13 @@ class TestConfigValidation:
             TrainConfig(l2_lambda=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(init_scale=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(update_mode="minibatch")
 
 
 class TestModelIo:
     def test_round_trip(self, tmp_path, planted):
         dataset, embeddings = planted
         config = TrainConfig(epochs=2, seed=3)
-        result = train(dataset, embeddings, config)
+        result = train(dataset.triples, embeddings, config, verb=dataset.verb)
         base = tmp_path / "vex_k5"
         save_model(base, result.model, config, result.objective_trace)
         loaded = load_model(base)
@@ -589,7 +644,7 @@ class TestModelIo:
 
     def test_meta_text_is_golden(self, tmp_path):
         config = TrainConfig(learning_rate=0.125, adagrad_epsilon=1e-06, l2_lambda=0.0,
-                             epochs=7, init_scale=0.5, seed=42, update_mode="batch",
+                             epochs=7, init_scale=0.5, seed=42,
                              regularize_theta=False)
         model = VerbTensorModel(np.zeros((2, 2, 2)), np.zeros((2, 3)), verb="vex")
         save_model(tmp_path / "vex_k2", model, config, (1.5, 0.1 + 0.2))
@@ -603,7 +658,6 @@ class TestModelIo:
             b"epochs = 7\n"
             b"init_scale = 0.5\n"
             b"seed = 42\n"
-            b"update_mode = batch\n"
             b"regularize_theta = false\n"
             b"\n"
             b"[objective_trace]\n"
