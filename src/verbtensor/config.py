@@ -3,19 +3,17 @@
 Relative paths in ``[paths]`` resolve against the config file's directory.
 All randomness in the pipeline flows from the named seeds here; nothing reads
 the clock or OS entropy, so identical configs give identical outputs.
+Training defaults live on ``TrainConfig``'s fields; every other default is
+the fallback ``load_config`` passes when it reads the key.
 """
 
 import math
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .tensor_model import TrainConfig
 from .util import ValidationError, derive_seed
-
-# boolean config values, matched case-insensitively; anything else is an error
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
 
 
 @dataclass(frozen=True)
@@ -26,20 +24,19 @@ class PipelineConfig:
     triples: Path
     dev_pairs: Path | None
     output_dir: Path
-    context_vocab_size: int = 10000
-    top_n: int | None = None
-    top_n_sweep: tuple = (25, 50, 100, 200, 400)
-    svd_dims: tuple = (20, 40)
-    scale_by_singular_values: bool = True
-    train: TrainConfig = field(default_factory=TrainConfig)
-    positive_cap: int = 2000
-    bucket_size: int = 10
-    cv_seed: int = 17
-    data_seed: int = 23
-    curve_sizes: tuple = (10, 50, 100, 200)
-    curve_repeats: int = 5
-    small_cv_size: int = 52
-    verbs: dict = field(default_factory=dict)  # verb -> concreteness score
+    context_vocab_size: int
+    top_n: int | None
+    top_n_sweep: tuple
+    svd_dims: tuple
+    train: TrainConfig
+    positive_cap: int
+    bucket_size: int
+    cv_seed: int
+    data_seed: int
+    curve_sizes: tuple
+    curve_repeats: int
+    small_cv_size: int
+    verbs: dict  # verb -> concreteness score
 
     @property
     def primary_k(self) -> int:
@@ -100,14 +97,6 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         raw = parser.get(section, key, fallback=None)
         if raw is None or not raw.strip():
             return default
-        if cast is bool:
-            value = raw.strip().lower()
-            if value in _TRUE_WORDS or value in _FALSE_WORDS:
-                return value in _TRUE_WORDS
-            raise ValidationError(
-                f"bad value for [{section}] {key}: {raw!r} (expected one of "
-                f"{', '.join(_TRUE_WORDS + _FALSE_WORDS)})"
-            )
         try:
             return cast(raw.strip())
         except ValueError as exc:
@@ -121,24 +110,17 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
     if out_override:
         output_dir = Path(out_override)
 
-    train_seed = _get("training", "seed", int, 13)
+    training = {item.name: _get("training", item.name, type(item.default), item.default)
+                for item in fields(TrainConfig)}
     cv_seed = _get("experiment", "cv_seed", int, 17)
     data_seed = _get("experiment", "data_seed", int, 23)
     if seed_override is not None:
-        train_seed = seed_override
+        training["seed"] = seed_override
         cv_seed = derive_seed(seed_override, "cv")
         data_seed = derive_seed(seed_override, "data")
 
     try:
-        train = TrainConfig(
-            learning_rate=_get("training", "learning_rate", float, 0.05),
-            adagrad_epsilon=_get("training", "adagrad_epsilon", float, 1e-8),
-            l2_lambda=_get("training", "l2_lambda", float, 1e-4),
-            epochs=_get("training", "epochs", int, 100),
-            init_scale=_get("training", "init_scale", float, 0.01),
-            seed=train_seed,
-            regularize_theta=_get("training", "regularize_theta", bool, True),
-        )
+        train = TrainConfig(**training)
     except ValueError as exc:
         raise ValidationError(f"bad training configuration: {exc}") from exc
 
@@ -169,7 +151,6 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         top_n=_get("vectors", "top_n", int, None),
         top_n_sweep=_get("vectors", "top_n_sweep", _parse_int_tuple, (25, 50, 100, 200, 400)),
         svd_dims=svd_dims,
-        scale_by_singular_values=_get("vectors", "scale_by_singular_values", bool, True),
         train=train,
         positive_cap=_get("experiment", "positive_cap", int, 2000),
         bucket_size=_get("experiment", "bucket_size", int, 10),
@@ -212,7 +193,8 @@ def _check_static(config: PipelineConfig) -> None:
         )
     if config.curve_repeats < 1:
         raise ValidationError("curve_repeats must be positive")
-    for section, key in (("vectors", "svd_dims"), ("experiment", "curve_sizes")):
+    for section, key in (("vectors", "svd_dims"), ("vectors", "top_n_sweep"),
+                         ("experiment", "curve_sizes")):
         values = getattr(config, key)
         if len(set(values)) != len(values):
             raise ValidationError(f"[{section}] {key} has repeated entries: {values}")

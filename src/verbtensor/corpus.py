@@ -190,7 +190,7 @@ def scan_corpus(sentences, target_nouns):
     return freq, CooccurrenceTable(noun_vocab, Vocabulary(tuple(types), type_id), table)
 
 
-def build_context_vocab(frequencies, stopwords, size: int = 10000) -> Vocabulary:
+def build_context_vocab(frequencies, stopwords, size: int) -> Vocabulary:
     """Pick the ``size`` most frequent non-stopword types.
 
     Ties at the same count break lexicographically ascending, so the result
@@ -208,7 +208,7 @@ def build_context_vocab(frequencies, stopwords, size: int = 10000) -> Vocabulary
     return Vocabulary.from_words(ranked[:size])
 
 
-def frequency_buckets(frequencies, nouns, bucket_size: int = 10) -> FrequencyBuckets:
+def frequency_buckets(frequencies, nouns, bucket_size: int) -> FrequencyBuckets:
     """Bucket nouns into consecutive runs of ``bucket_size`` by frequency.
 
     Nouns missing from the frequency table count as frequency 0.

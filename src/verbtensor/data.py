@@ -26,8 +26,6 @@ PLAUSIBLE = "plausible"
 IMPLAUSIBLE = "implausible"
 _GOLD_DIST = {PLAUSIBLE: (1.0, 0.0), IMPLAUSIBLE: (0.0, 1.0)}
 
-DEFAULT_POSITIVE_CAP = 2000
-
 
 @dataclass(frozen=True)
 class LabeledTriple:
@@ -97,8 +95,7 @@ def read_triples_tsv(path) -> list:
     return rows
 
 
-def load_positives(rows, verb: str, source, cap: int = DEFAULT_POSITIVE_CAP,
-                   known_nouns=None) -> tuple:
+def load_positives(rows, verb: str, source, cap: int, known_nouns=None) -> tuple:
     """A verb's positive triples, filtered and frequency-capped.
 
     ``rows`` are the verb's rows of ``read_triples_tsv(source)``, in file

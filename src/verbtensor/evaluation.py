@@ -162,7 +162,7 @@ def learning_curve(
     embeddings,
     train_config,
     seed,
-    repeats: int = 5,
+    repeats: int,
 ) -> list:
     """AUC on a fixed held-out half as the training sample grows.
 

@@ -99,6 +99,14 @@ def _embeddings_path(config: PipelineConfig, k: int | None = None) -> tuple:
     return k, path
 
 
+def _read_embeddings(path, k: int):
+    """Read an embeddings file, whose width must be the ``k`` in its name."""
+    table = vec_mod.read_embeddings_tsv(path)
+    if table.dim != k:
+        raise DataError(f"{path}: {table.dim}-dim embeddings in the file for k={k}")
+    return table
+
+
 # ---------------------------------------------------------------------------
 # build-vectors
 # ---------------------------------------------------------------------------
@@ -152,7 +160,6 @@ def build_vectors(config: PipelineConfig) -> dict:
         "top_n_source": "config" if config.top_n else ("sweep" if sweep_trace else "default"),
         "top_n_sweep": sweep_trace,
         "svd_dims": list(config.svd_dims),
-        "scale_by_singular_values": config.scale_by_singular_values,
         "dropped_nouns": dropped,
         "n_target_nouns": len(targets),
     }
@@ -162,10 +169,7 @@ def build_vectors(config: PipelineConfig) -> dict:
 
 def _reduce(config: PipelineConfig, weighted, top_n: int):
     """Embeddings of the top-N selected table at the largest configured dim."""
-    return vec_mod.reduce_to_embeddings(
-        weighted, max(config.svd_dims), top_n=top_n,
-        scale_by_singular_values=config.scale_by_singular_values,
-    )
+    return vec_mod.reduce_to_embeddings(weighted, max(config.svd_dims), top_n=top_n)
 
 
 def _choose_top_n(config: PipelineConfig, weighted):
@@ -212,7 +216,7 @@ def gen_data(config: PipelineConfig) -> dict:
     by every verb's confounder draws.
     """
     require_input_files(config, "triples")
-    _, emb_path = _embeddings_path(config)
+    k, emb_path = _embeddings_path(config)
     freq_path = config.vectors_dir() / "frequencies.tsv"
     if not freq_path.is_file():
         raise ValidationError(f"missing {freq_path} (run build-vectors)")
@@ -221,7 +225,7 @@ def gen_data(config: PipelineConfig) -> dict:
         rows_by_verb.setdefault(row[1], []).append(row)
     out_dir = ensure_dir(config.datasets_dir())
     frequencies = corpus_mod.read_frequency_tsv(freq_path)
-    embeddings = vec_mod.read_embeddings_tsv(emb_path)
+    embeddings = _read_embeddings(emb_path, k)
     known = set(embeddings.nouns.words)
     buckets = corpus_mod.frequency_buckets(frequencies, known, config.bucket_size)
     buckets_path = out_dir / "buckets.tsv"
@@ -381,7 +385,7 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
     """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``, and its splits."""
     dataset = data_mod.read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
     embeddings = {
-        k: vec_mod.read_embeddings_tsv(_embeddings_path(config, k)[1])
+        k: _read_embeddings(_embeddings_path(config, k)[1], k)
         for k in _experiment_dims(config, which)
     }
 
@@ -463,7 +467,7 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
     if not dataset_path.is_file():
         raise ValidationError(f"missing dataset {dataset_path} (run gen-data)")
     dataset = data_mod.read_dataset_jsonl(dataset_path)
-    embeddings = vec_mod.read_embeddings_tsv(emb_path)
+    embeddings = _read_embeddings(emb_path, k)
     result = tm.train(dataset.triples, embeddings, config.train, verb=dataset.verb)
     out_dir = ensure_dir(config.models_dir())
     base = out_dir / f"{verb}_k{k}"
@@ -489,7 +493,7 @@ def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: in
     base = config.models_dir() / f"{verb}_k{k}"
     if not Path(str(base) + ".tvbm").is_file():
         raise ValidationError(f"no trained model at {base}.tvbm (run train --verb {verb})")
-    embeddings = vec_mod.read_embeddings_tsv(emb_path)
+    embeddings = _read_embeddings(emb_path, k)
     for noun, role in ((subject, "subject"), (obj, "object")):
         if noun not in embeddings:
             raise ValidationError(f"{role} {noun!r} has no embedding")
@@ -515,7 +519,7 @@ def eval_vectors(config: PipelineConfig, pairs_path=None, k: int | None = None) 
         raise ValidationError("no pairs file given and no dev_pairs in the config")
     if not Path(pairs_path).is_file():
         raise ValidationError(f"pairs file not found: {pairs_path}")
-    embeddings = vec_mod.read_embeddings_tsv(emb_path)
+    embeddings = _read_embeddings(emb_path, k)
     pairs = vec_mod.read_pairs_tsv(pairs_path)
     usable = sum(
         1 for p in pairs if p.word_a in embeddings and p.word_b in embeddings

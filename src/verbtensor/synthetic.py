@@ -185,14 +185,12 @@ def write_fixture(directory, config: WorldConfig = WorldConfig(), pipeline_overr
         "vectors.top_n": "",
         "vectors.top_n_sweep": "25,50,100,200",
         "vectors.svd_dims": "20,40",
-        "vectors.scale_by_singular_values": "true",
         "training.learning_rate": 0.05,
         "training.adagrad_epsilon": 1e-8,
         "training.l2_lambda": 1e-4,
         "training.epochs": 100,
         "training.init_scale": 0.01,
         "training.seed": 13,
-        "training.regularize_theta": "true",
         "experiment.positive_cap": 2000,
         "experiment.bucket_size": 10,
         "experiment.cv_seed": 17,

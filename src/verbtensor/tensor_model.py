@@ -60,8 +60,7 @@ class TrainConfig:
     l2_lambda: float = 1e-4
     epochs: int = 100
     init_scale: float = 0.01
-    seed: int = 0
-    regularize_theta: bool = True
+    seed: int = 13
 
     def __post_init__(self):
         for name in ("learning_rate", "adagrad_epsilon", "l2_lambda", "init_scale"):
@@ -144,15 +143,14 @@ def _split(flat, k):
     return flat[:size].reshape(k, k, SENTENCE_DIM), flat[size:].reshape(2, SENTENCE_DIM + 1)
 
 
-def _objective_arrays(tensor, theta, subjects, objects_, targets, l2_lambda, regularize_theta):
+def _objective_arrays(tensor, theta, subjects, objects_, targets, l2_lambda):
     # overflow here is the divergence signal the caller checks for, not noise
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _, _, p = _forward(tensor, theta, subjects, objects_)
         correct = np.argmax(targets, axis=1)
         losses = -np.log(p[np.arange(len(p)), correct])
         reg = 0.5 * l2_lambda * float(np.sum(tensor * tensor))
-        if regularize_theta:
-            reg += 0.5 * l2_lambda * float(np.sum(theta * theta))
+        reg += 0.5 * l2_lambda * float(np.sum(theta * theta))
         return float(losses.sum() + reg)
 
 
@@ -160,7 +158,7 @@ class _Workspace:
     """Flat parameters with tensor and theta views, plus flat gradient,
     Adagrad accumulator and scratch buffers, allocated once per model."""
 
-    def __init__(self, model: VerbTensorModel, l2_lambda: float, regularize_theta: bool):
+    def __init__(self, model: VerbTensorModel, l2_lambda: float):
         k = model.k
         self.params = np.concatenate([model.tensor.ravel(), model.theta.ravel()])
         self.tensor, self.theta = _split(self.params, k)
@@ -170,12 +168,7 @@ class _Workspace:
         g_tensor, self.g_theta = _split(self.grad, k)
         self.g_tensor = g_tensor.reshape(k * k, SENTENCE_DIM)
         self.theta_w = self.theta[:, :SENTENCE_DIM]
-        # the L2 term covers the tensor, then theta too when it is regularized
-        n_reg = self.tensor.size + (self.theta.size if regularize_theta else 0)
         self.l2_lambda = l2_lambda
-        self.reg_params = self.params[:n_reg]
-        self.reg_grad = self.grad[:n_reg]
-        self.reg_scratch = self.scratch[:n_reg]
 
     def example_step(self, learning_rate: float, epsilon: float):
         """The one-example Adagrad step, ``step(s, o, s_column, o_row, t0, t1)``.
@@ -186,9 +179,9 @@ class _Workspace:
         of that with (a, 1); dL/da flows back through theta's weight block;
         dL/dz scales by the sigmoid derivative a(1-a); and the tensor
         gradient is the GEMM of the outer product s o^T, flattened to
-        (K*K, 1), with dL/dz as (1, 2). The L2 term adds lambda times each
-        regularized parameter, then ``adagrad_step`` applies the update. The
-        two-class quantities are Python floats.
+        (K*K, 1), with dL/dz as (1, 2). The L2 term adds lambda times every
+        parameter, tensor and theta alike, then ``adagrad_step`` applies the
+        update. The two-class quantities are Python floats.
         """
         k = self.tensor.shape[0]
         tensor_2k = self.tensor.reshape(k, k * SENTENCE_DIM)
@@ -198,10 +191,8 @@ class _Workspace:
         d_z = np.empty((1, SENTENCE_DIM))
         pairs = np.empty((k * k, 1))
         pairs_kk = pairs.reshape(k, k)
-        g_tensor, params, grad, acc, scratch = (
-            self.g_tensor, self.params, self.grad, self.acc, self.scratch)
-        l2_lambda, reg_params, reg_grad, reg_scratch = (
-            self.l2_lambda, self.reg_params, self.reg_grad, self.reg_scratch)
+        g_tensor, params, grad, acc, scratch, l2_lambda = (
+            self.g_tensor, self.params, self.grad, self.acc, self.scratch, self.l2_lambda)
         dot, exp = np.dot, np.exp
 
         def step(s, o, s_column, o_row, t0, t1):
@@ -225,8 +216,7 @@ class _Workspace:
             dot(s_column, o_row, out=pairs_kk)
             dot(pairs, d_z, out=g_tensor)
             if l2_lambda:
-                np.add(reg_grad, np.multiply(reg_params, l2_lambda, out=reg_scratch),
-                       out=reg_grad)
+                np.add(grad, np.multiply(params, l2_lambda, out=scratch), out=grad)
             adagrad_step(params, grad, acc, learning_rate, epsilon, scratch)
 
         return step
@@ -277,11 +267,11 @@ def train(triples, embeddings, config: TrainConfig, verb: str = "") -> TrainResu
     if objects_.shape[1] != k:
         raise ValueError("subject and object embedding dims differ")
 
-    work = _Workspace(init_model(k, config, verb), config.l2_lambda, config.regularize_theta)
+    work = _Workspace(init_model(k, config, verb), config.l2_lambda)
 
     def epoch_objective(epoch):
         value = _objective_arrays(work.tensor, work.theta, subjects, objects_, targets,
-                                  config.l2_lambda, config.regularize_theta)
+                                  config.l2_lambda)
         if not np.isfinite(value):
             raise TrainingDiverged(
                 f"objective became non-finite at epoch {epoch}", epoch=epoch
@@ -344,9 +334,7 @@ def save_model(base_path, model: VerbTensorModel, config: TrainConfig, objective
         write_tvb(handle, model.tensor)
         write_tvb(handle, model.theta)
     lines = [f"verb = {model.verb}", f"k = {model.k}", f"s = {SENTENCE_DIM}"]
-    for item in fields(TrainConfig):
-        value = getattr(config, item.name)
-        lines.append(f"{item.name} = {str(value).lower() if isinstance(value, bool) else value}")
+    lines += [f"{item.name} = {getattr(config, item.name)}" for item in fields(TrainConfig)]
     lines += ["", "[objective_trace]", "epoch,objective"]
     lines += [f"{i},{value!r}" for i, value in enumerate(objective_trace)]
     with open(base + ".meta", "w", encoding="utf-8") as handle:

@@ -133,19 +133,14 @@ def drop_zero_rows(table: WeightedVectorTable):
     return WeightedVectorTable(vocab, table.contexts, csr[keep]), dropped
 
 
-def reduce_to_embeddings(
-    table: WeightedVectorTable,
-    k: int,
-    top_n: int | None = None,
-    scale_by_singular_values: bool = True,
-) -> EmbeddingTable:
+def reduce_to_embeddings(table: WeightedVectorTable, k: int,
+                         top_n: int | None = None) -> EmbeddingTable:
     """Run selection, row normalization and truncated SVD to K dimensions.
 
     Pass ``top_n`` to apply context selection here; leave it None when the
-    table has already been selected. Embeddings default to the
+    table has already been selected. Embeddings are the
     singular-value-scaled rows ``U @ diag(s)``, which preserve the inner
-    products of the normalized table; plain ``U`` is available for sweeps
-    that only care about cosine geometry.
+    products of the normalized table.
     """
     if top_n is not None:
         table = select_top_n(table, top_n)
@@ -156,7 +151,7 @@ def reduce_to_embeddings(
         )
     normalized = l2_normalize_rows(table.weights)
     svd = truncated_svd(normalized, k)
-    matrix = svd.U * svd.singular_values if scale_by_singular_values else svd.U.copy()
+    matrix = svd.U * svd.singular_values
     return EmbeddingTable(nouns=table.nouns, dim=k, matrix=np.ascontiguousarray(matrix))
 
 
@@ -221,9 +216,9 @@ def write_embeddings_tsv(path, embeddings: EmbeddingTable) -> None:
 def read_embeddings_tsv(path) -> EmbeddingTable:
     """Read ``noun<TAB>v1<TAB>...<TAB>vK`` rows, one noun per line.
 
-    A row wider or narrower than the first, a value that is not a finite
-    float, a repeated noun or a file without rows raises ``DataError``
-    naming the file (and the line, where there is one).
+    A row wider or narrower than the first, rows with no values, a value
+    that is not a finite float, a repeated noun or a file without rows
+    raises ``DataError`` naming the file (and the line, where there is one).
     """
     index, rows, linenos = {}, [], []
     width = None
@@ -247,6 +242,8 @@ def read_embeddings_tsv(path) -> EmbeddingTable:
         linenos.append(lineno)
     if not rows:
         raise DataError(f"no embeddings found in {path}")
+    if width == 1:
+        raise DataError(f"{path}:{linenos[0]}: row has no values")
     matrix = np.asarray(rows, dtype=np.float64)
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():

@@ -63,18 +63,18 @@ class TestLoadPositives:
         assert all(t.label == PLAUSIBLE for t in triples)
 
     def test_oov_rows_dropped(self, triple_file):
-        triples = positives_of(triple_file, "apply", known_nouns=KNOWN)
+        triples = positives_of(triple_file, "apply", cap=2000, known_nouns=KNOWN)
         assert all(t.subject != "ghost" for t in triples)
         assert len(triples) == 3
 
     def test_unknown_verb(self, triple_file):
         with pytest.raises(DataError, match="unknown verb"):
-            positives_of(triple_file, "devour", known_nouns=KNOWN)
+            positives_of(triple_file, "devour", cap=2000, known_nouns=KNOWN)
 
     def test_zero_survivors(self, tmp_path):
         path = write_triples(tmp_path / "t.tsv", [("ghost", "haunt", "wall", 5)])
         with pytest.raises(DataError, match="zero triples"):
-            positives_of(path, "haunt", known_nouns={"somebody"})
+            positives_of(path, "haunt", cap=2000, known_nouns={"somebody"})
 
     def test_fixture_with_26_rows_yields_26(self, tmp_path):
         rows = [(f"s{i:02d}", "censor", f"o{i:02d}", 100 - i) for i in range(26)]
@@ -85,12 +85,13 @@ class TestLoadPositives:
 
     def test_counts_oov_rows_and_names_the_file(self, triple_file):
         _, dropped = load_positives(verb_rows(triple_file, "apply"), "apply", triple_file,
-                                    known_nouns=KNOWN)
+                                    cap=2000, known_nouns=KNOWN)
         assert dropped == 1
-        _, dropped = load_positives(verb_rows(triple_file, "apply"), "apply", triple_file)
+        _, dropped = load_positives(verb_rows(triple_file, "apply"), "apply", triple_file,
+                                    cap=2000)
         assert dropped == 0
         with pytest.raises(DataError, match=r"^unknown verb 'devour': no triples in triples\.tsv$"):
-            load_positives([], "devour", triple_file)
+            load_positives([], "devour", triple_file, cap=2000)
 
 
 def make_buckets(noun_freqs, bucket_size=3):

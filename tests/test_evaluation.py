@@ -279,7 +279,7 @@ class TestLearningCurve:
         with pytest.raises(DataError, match="exceeds"):
             learning_curve(
                 METHOD_BASELINE, dataset, [10_000], embeddings,
-                TrainConfig(epochs=1), seed=1,
+                TrainConfig(epochs=1), seed=1, repeats=1,
             )
 
 

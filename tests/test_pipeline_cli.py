@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -83,38 +84,39 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="verbs"):
             load_config(path)
 
+    def test_defaults_are_golden(self, tmp_path):
+        """A config holding only [paths] and [verbs] takes every default, with its type."""
+        path = tmp_path / "minimal.ini"
+        path.write_text("[paths]\ncorpus = c.txt\nstopwords = s.txt\ntriples = t.tsv\n"
+                        "output_dir = out\n\n[verbs]\ndevour = 4.4\n")
+        config = load_config(path)
+        pipeline_defaults = {
+            "config_dir": tmp_path, "corpus": tmp_path / "c.txt",
+            "stopwords": tmp_path / "s.txt", "triples": tmp_path / "t.tsv",
+            "dev_pairs": None, "output_dir": tmp_path / "out",
+            "context_vocab_size": 10000, "top_n": None,
+            "top_n_sweep": (25, 50, 100, 200, 400), "svd_dims": (20, 40),
+            "positive_cap": 2000, "bucket_size": 10, "cv_seed": 17, "data_seed": 23,
+            "curve_sizes": (10, 50, 100, 200), "curve_repeats": 5, "small_cv_size": 52,
+            "verbs": {"devour": 4.4},
+        }
+        train_defaults = {
+            "learning_rate": 0.05, "adagrad_epsilon": 1e-8, "l2_lambda": 1e-4,
+            "epochs": 100, "init_scale": 0.01, "seed": 13,
+        }
+        for obj, expected, skip in ((config, pipeline_defaults, {"train"}),
+                                    (config.train, train_defaults, set())):
+            names = [f.name for f in fields(obj) if f.name not in skip]
+            assert names == list(expected)
+            assert {n: (getattr(obj, n), type(getattr(obj, n))) for n in names} \
+                == {n: (value, type(value)) for n, value in expected.items()}
+
     def test_bad_values_rejected(self, small_fixture, tmp_path):
         text = Path(small_fixture).read_text()
         bad = tmp_path / "bad.ini"
         bad.write_text(text.replace("epochs = 25", "epochs = 0"))
         with pytest.raises(ValidationError, match="training"):
             load_config(bad)
-
-    @pytest.mark.parametrize(
-        "line", ["regularize_theta = true", "scale_by_singular_values = true"]
-    )
-    def test_bool_words(self, small_fixture, tmp_path, line):
-        key = line.split(" = ")[0]
-        text = Path(small_fixture).read_text()
-        assert line in text
-        path = tmp_path / "words.ini"
-        for word, expected in [("TRUE", True), ("On", True), ("1", True), ("yes", True),
-                               ("False", False), ("off", False), ("0", False), ("NO", False)]:
-            path.write_text(text.replace(line, f"{key} = {word}"))
-            config = load_config(path)
-            section = config.train if key == "regularize_theta" else config
-            assert getattr(section, key) is expected, word
-
-    @pytest.mark.parametrize(
-        "line", ["regularize_theta = true", "scale_by_singular_values = true"]
-    )
-    def test_bool_typo_rejected(self, small_fixture, tmp_path, line):
-        key = line.split(" = ")[0]
-        bad = tmp_path / "typo.ini"
-        bad.write_text(Path(small_fixture).read_text().replace(line, f"{key} = ture"))
-        with pytest.raises(ValidationError, match=key):
-            load_config(bad)
-        assert run_cli("--config", bad, "build-vectors") == EXIT_VALIDATION
 
     def test_relative_config_and_out_paths(self, small_fixture, tmp_path, monkeypatch):
         """Paths in the config follow the config file; --out follows the working directory."""
@@ -147,9 +149,14 @@ class TestConfigValidation:
              r"\[experiment\] curve_verbs$"),
             ("[training]", "[trainig]", r"section \[trainig\]"),
             ("epochs = 25", "epochs = 25\nupdate_mode = batch", r"\[training\] update_mode$"),
+            ("epochs = 25", "epochs = 25\nregularize_theta = true",
+             r"\[training\] regularize_theta$"),
+            ("svd_dims = 6,10", "svd_dims = 6,10\nscale_by_singular_values = true",
+             r"\[vectors\] scale_by_singular_values$"),
         ],
         ids=["typo-key", "misspelled-key", "leftover-curve-verbs", "unknown-section",
-             "leftover-update-mode"],
+             "leftover-update-mode", "leftover-regularize-theta",
+             "leftover-scale-by-singular-values"],
     )
     def test_unknown_key_or_section_rejected(self, small_fixture, tmp_path, old, new, message):
         text = Path(small_fixture).read_text()
@@ -175,10 +182,12 @@ class TestConfigValidation:
             ("devour = 4.4", "devour = inf", ("gen-data",)),
             ("svd_dims = 6,10", "svd_dims = 6,6", ("experiment", "--which", "small-cv")),
             ("curve_sizes = 8,16", "curve_sizes = 8,8", ("experiment", "--which", "curves")),
+            ("top_n_sweep = 20,60", "top_n_sweep = 20,20", ("build-vectors",)),
         ],
         ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0",
              "init-scale-inf", "learning-rate-nan", "adagrad-epsilon-nan", "l2-lambda-nan",
-             "concreteness-inf", "repeated-svd-dims", "repeated-curve-sizes"],
+             "concreteness-inf", "repeated-svd-dims", "repeated-curve-sizes",
+             "repeated-top-n-sweep"],
     )
     def test_out_of_range_value_fails_before_work(self, built, tmp_path, caplog,
                                                   old, new, command):
@@ -444,7 +453,6 @@ class TestExperimentReports:
             "epochs": 25,
             "init_scale": 0.01,
             "seed": 13,
-            "regularize_theta": True,
         }
         assert {key: type(value) for key, value in train.items()} == {
             "learning_rate": float,
@@ -453,7 +461,6 @@ class TestExperimentReports:
             "epochs": int,
             "init_scale": float,
             "seed": int,
-            "regularize_theta": bool,
         }
 
     def test_requires_datasets(self, small_fixture, tmp_path):
@@ -583,7 +590,7 @@ def stub_evaluate_on_splits(method, dataset, splits, embeddings, train_config, s
     return aucs, f1s
 
 
-def stub_learning_curve(method, dataset, sizes, embeddings, train_config, seed, repeats=5):
+def stub_learning_curve(method, dataset, sizes, embeddings, train_config, seed, repeats):
     base = 0.625 if method == METHOD_TENSOR else 0.5
     return [(size, base + size / 1024, 1 / 3) for size in sizes]
 
@@ -852,6 +859,25 @@ class TestMalformedInputs:
         assert run_cli("--config", built, "--out", out, "gen-data") == EXIT_RUNTIME
         assert_clean_failure(caplog, f"{emb.name}:2: non-finite value")
         assert not (out / "datasets" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("kind", ["other-k-file", "noun-only-rows"])
+    def test_embeddings_not_k_wide_fail_train(self, built, tmp_path, caplog, kind):
+        config = load_config(built)
+        out = tmp_path / kind
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.datasets_dir(), out / "datasets")
+        k, other = config.svd_dims
+        emb = out / "vectors" / f"embeddings_k{k}.tsv"
+        if kind == "other-k-file":
+            shutil.copy(out / "vectors" / f"embeddings_k{other}.tsv", emb)
+            needle = f"{emb.name}: {other}-dim embeddings in the file for k={k}"
+        else:
+            nouns = [line.split("\t")[0] for line in emb.read_text().splitlines()]
+            emb.write_text("".join(f"{noun}\n" for noun in nouns))
+            needle = f"{emb.name}:1: row has no values"
+        assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == EXIT_RUNTIME
+        assert_clean_failure(caplog, needle)
+        assert not list(out.rglob("*.tvbm"))
 
     def test_blank_corpus_fails_cleanly(self, small_fixture, tmp_path, caplog):
         broken = copy_fixture(small_fixture, tmp_path)

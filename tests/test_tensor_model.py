@@ -54,7 +54,7 @@ class OracleWorkspace(_Workspace):
         the product of that with (a, 1); dL/da flows back through
         theta's weight block; dL/dz scales by the sigmoid derivative a(1-a);
         and the tensor gradient is the rank-1 expansion (s[i] * o[j]) * dz[c].
-        The L2 term adds lambda times each regularized parameter.
+        The L2 term adds lambda times every parameter.
         """
         _, a, p = _forward(self.tensor, self.theta, subjects, objects_)
         d_logit = p - targets
@@ -64,7 +64,7 @@ class OracleWorkspace(_Workspace):
         pairs = (subjects[:, :, None] * objects_[:, None, :]).reshape(len(subjects), -1)
         np.dot(pairs.T, d_z, out=self.g_tensor)
         if self.l2_lambda:
-            self.reg_grad += np.multiply(self.reg_params, self.l2_lambda, out=self.reg_scratch)
+            self.grad += np.multiply(self.params, self.l2_lambda, out=self.scratch)
 
 
 def _batch_arrays(batch):
@@ -74,7 +74,7 @@ def _batch_arrays(batch):
     return subjects, objects_, targets
 
 
-def objective(model: VerbTensorModel, batch, l2_lambda: float, regularize_theta: bool = True) -> float:
+def objective(model: VerbTensorModel, batch, l2_lambda: float) -> float:
     """Summed cross entropy over the batch plus the L2 penalty.
 
     Raises when the value is non-finite, which indicates diverging
@@ -83,18 +83,16 @@ def objective(model: VerbTensorModel, batch, l2_lambda: float, regularize_theta:
     if not batch:
         raise ValueError("objective requires a non-empty batch")
     subjects, objects_, targets = _batch_arrays(batch)
-    value = _objective_arrays(
-        model.tensor, model.theta, subjects, objects_, targets, l2_lambda, regularize_theta
-    )
+    value = _objective_arrays(model.tensor, model.theta, subjects, objects_, targets, l2_lambda)
     if not np.isfinite(value):
         raise TrainingDiverged("objective is non-finite: parameters diverged")
     return value
 
 
-def gradients(model: VerbTensorModel, example, l2_lambda: float, regularize_theta: bool = True) -> Gradients:
+def gradients(model: VerbTensorModel, example, l2_lambda: float) -> Gradients:
     """Exact gradients of one example's regularized loss (see ``OracleWorkspace.gradient``)."""
     subjects, objects_, targets = _batch_arrays([example])
-    work = OracleWorkspace(model, l2_lambda, regularize_theta)
+    work = OracleWorkspace(model, l2_lambda)
     work.gradient(subjects, objects_, targets)
     d_tensor, d_theta = _split(work.grad, model.k)
     return Gradients(tensor=d_tensor, theta=d_theta)
@@ -166,23 +164,21 @@ def einsum_forward(tensor, theta, subjects, objects_):
     return a, exp / exp.sum(axis=1, keepdims=True)
 
 
-def einsum_objective(tensor, theta, subjects, objects_, targets, lam, regularize_theta):
+def einsum_objective(tensor, theta, subjects, objects_, targets, lam):
     _, p = einsum_forward(tensor, theta, subjects, objects_)
     losses = -np.log(p[np.arange(len(p)), np.argmax(targets, axis=1)])
     reg = 0.5 * lam * np.sum(tensor * tensor)
-    if regularize_theta:
-        reg += 0.5 * lam * np.sum(theta * theta)
+    reg += 0.5 * lam * np.sum(theta * theta)
     return float(losses.sum() + reg)
 
 
-def einsum_batch_gradient(model, subjects, objects_, targets, lam, regularize_theta):
+def einsum_batch_gradient(model, subjects, objects_, targets, lam):
     """Reference summed gradient over N examples, contracted with einsum."""
     tensor, theta = model.tensor, model.theta
     a, p = einsum_forward(tensor, theta, subjects, objects_)
     d_logit = p - targets
     d_theta = np.concatenate([d_logit.T @ a, d_logit.sum(axis=0)[:, None]], axis=1)
-    if regularize_theta:
-        d_theta += lam * theta
+    d_theta += lam * theta
     d_z = (d_logit @ theta[:, :2]) * a * (1.0 - a)
     d_tensor = np.einsum("ni,nj,nc->ijc", subjects, objects_, d_z) + lam * tensor
     return d_tensor, d_theta
@@ -195,11 +191,11 @@ def reference_train(model, dataset, embeddings, config):
     Returns the trained workspace and the objective trace.
     """
     subjects, objects_, targets = _lookup_triples(dataset.triples, embeddings)
-    work = OracleWorkspace(copy_model(model), config.l2_lambda, config.regularize_theta)
+    work = OracleWorkspace(copy_model(model), config.l2_lambda)
 
     def value():
         return _objective_arrays(work.tensor, work.theta, subjects, objects_, targets,
-                                 config.l2_lambda, config.regularize_theta)
+                                 config.l2_lambda)
 
     trace = [value()]
     rows = [(subjects[i:i + 1], objects_[i:i + 1], targets[i:i + 1])
@@ -299,16 +295,6 @@ class TestObjective:
         params_sq = float(np.sum(model.tensor**2) + np.sum(model.theta**2))
         assert full - data_term == pytest.approx(0.5 * lam * params_sq, rel=1e-12)
 
-    def test_theta_regularization_switch(self):
-        rng = np.random.default_rng(2)
-        model = random_model(rng)
-        batch = [random_example(rng)]
-        lam = 0.5
-        with_theta = objective(model, batch, lam, regularize_theta=True)
-        without_theta = objective(model, batch, lam, regularize_theta=False)
-        theta_sq = float(np.sum(model.theta**2))
-        assert with_theta - without_theta == pytest.approx(0.5 * lam * theta_sq, rel=1e-12)
-
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             objective(zero_model(), [], 0.0)
@@ -329,11 +315,10 @@ class TestObjectiveOracle:
         for scale in (0.01, 0.3):
             tensor = rng.uniform(-scale, scale, (k, k, 2))
             theta = rng.uniform(-1, 1, (2, 3))
-            for regularize_theta in (True, False):
-                args = (tensor, theta, subjects, objects_, targets, 1e-4, regularize_theta)
-                assert _objective_arrays(*args) == pytest.approx(
-                    einsum_objective(*args), rel=1e-12, abs=0
-                )
+            args = (tensor, theta, subjects, objects_, targets, 1e-4)
+            assert _objective_arrays(*args) == pytest.approx(
+                einsum_objective(*args), rel=1e-12, abs=0
+            )
 
 
 class TestGradients:
@@ -451,34 +436,30 @@ class TestTrain:
 
 
 class TestTrainingStep:
-    @pytest.mark.parametrize("regularize_theta", [True, False])
-    def test_one_epoch_is_gradients_plus_adagrad(self, planted, regularize_theta):
+    def test_one_epoch_is_gradients_plus_adagrad(self, planted):
         dataset, embeddings = planted
         triple = dataset.triples[0]
-        config = TrainConfig(epochs=1, seed=4, l2_lambda=0.01,
-                             regularize_theta=regularize_theta)
+        config = TrainConfig(epochs=1, seed=4, l2_lambda=0.01)
         trained = train([triple], embeddings, config).model
         model = init_model(embeddings.dim, config)
         example = (embeddings.vector(triple.subject), embeddings.vector(triple.object),
                    triple.gold_dist)
-        grads = gradients(model, example, config.l2_lambda, regularize_theta)
+        grads = gradients(model, example, config.l2_lambda)
         for param, grad in ((model.tensor, grads.tensor), (model.theta, grads.theta)):
             adagrad_step(param, grad, np.zeros_like(param),
                          config.learning_rate, config.adagrad_epsilon)
         assert np.array_equal(trained.tensor, model.tensor)
         assert np.array_equal(trained.theta, model.theta)
 
-    @pytest.mark.parametrize("regularize_theta", [True, False])
-    def test_batch_gradient_matches_einsum_reference(self, regularize_theta):
+    def test_batch_gradient_matches_einsum_reference(self):
         # the GEMM backward sums the N examples in another order than einsum
         rng = np.random.default_rng(31)
         k = 20
         subjects, objects_, targets = random_batch(rng, 400, k)
         model = random_model(rng, k=k, scale=0.05)
-        work = OracleWorkspace(model, 0.01, regularize_theta)
+        work = OracleWorkspace(model, 0.01)
         work.gradient(subjects, objects_, targets)
-        reference = einsum_batch_gradient(model, subjects, objects_, targets, 0.01,
-                                          regularize_theta)
+        reference = einsum_batch_gradient(model, subjects, objects_, targets, 0.01)
         for got, want in zip(_split(work.grad, k), reference):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -491,13 +472,12 @@ class TestExampleStep:
         theta_scale=st.sampled_from([0.01, 1.0, 50.0, 1e3]),
         target=st.sampled_from([(1.0, 0.0), (0.0, 1.0)]),
         l2_lambda=st.sampled_from([0.0, 0.01]),
-        regularize_theta=st.booleans(),
         tie=st.booleans(),
         zeros=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_gradient_plus_adagrad(self, k, tensor_scale, theta_scale, target,
-                                           l2_lambda, regularize_theta, tie, zeros, seed):
+                                           l2_lambda, tie, zeros, seed):
         # scales up to 1e3 saturate the sigmoid, past exp overflow; equal theta
         # rows tie the logits exactly; zeroed entries give both signed zeros
         rng = np.random.default_rng(seed)
@@ -512,12 +492,12 @@ class TestExampleStep:
         accumulator = rng.uniform(0.0, 2.0, k * k * 2 + 6)
         lr, eps = 0.05, 1e-8
 
-        oracle = OracleWorkspace(model, l2_lambda, regularize_theta)
+        oracle = OracleWorkspace(model, l2_lambda)
         oracle.acc[:] = accumulator
         oracle.gradient(s[None], o[None], np.array([target]))
         adagrad_step(oracle.params, oracle.grad, oracle.acc, lr, eps, oracle.scratch)
 
-        work = _Workspace(model, l2_lambda, regularize_theta)
+        work = _Workspace(model, l2_lambda)
         work.acc[:] = accumulator
         work.example_step(lr, eps)(s, o, s[:, None], o[None], *target)
 
@@ -531,8 +511,8 @@ class TestExampleStep:
         model = VerbTensorModel(np.zeros((3, 3, 2)),
                                 np.array([[rows[0]] * 3, [rows[1]] * 3]))
         s, o = np.ones(3), np.ones(3)
-        oracle = OracleWorkspace(model, 0.01, True)
-        work = _Workspace(model, 0.01, True)
+        oracle = OracleWorkspace(model, 0.01)
+        work = _Workspace(model, 0.01)
         with np.errstate(invalid="ignore", over="ignore"):
             oracle.gradient(s[None], o[None], np.array([[1.0, 0.0]]))
             adagrad_step(oracle.params, oracle.grad, oracle.acc, 0.05, 1e-8, oracle.scratch)
@@ -541,10 +521,9 @@ class TestExampleStep:
         np.testing.assert_array_equal(work.acc, oracle.acc)
 
     @pytest.mark.parametrize("k", [2, 5, 20, 40])
-    @pytest.mark.parametrize("regularize_theta", [True, False])
-    def test_training_matches_per_row_loop(self, k, regularize_theta):
+    def test_training_matches_per_row_loop(self, k):
         dataset, embeddings = planted_dataset(k=k, n_triples=200, noise=0.35, seed=11)
-        config = TrainConfig(epochs=3, seed=17, regularize_theta=regularize_theta)
+        config = TrainConfig(epochs=3, seed=17)
         result = train(dataset.triples, embeddings, config)
         work, trace = reference_train(init_model(k, config, dataset.verb), dataset,
                                       embeddings, config)
@@ -644,8 +623,7 @@ class TestModelIo:
 
     def test_meta_text_is_golden(self, tmp_path):
         config = TrainConfig(learning_rate=0.125, adagrad_epsilon=1e-06, l2_lambda=0.0,
-                             epochs=7, init_scale=0.5, seed=42,
-                             regularize_theta=False)
+                             epochs=7, init_scale=0.5, seed=42)
         model = VerbTensorModel(np.zeros((2, 2, 2)), np.zeros((2, 3)), verb="vex")
         save_model(tmp_path / "vex_k2", model, config, (1.5, 0.1 + 0.2))
         assert (tmp_path / "vex_k2.meta").read_bytes() == (
@@ -658,7 +636,6 @@ class TestModelIo:
             b"epochs = 7\n"
             b"init_scale = 0.5\n"
             b"seed = 42\n"
-            b"regularize_theta = false\n"
             b"\n"
             b"[objective_trace]\n"
             b"epoch,objective\n"

@@ -242,12 +242,6 @@ class TestReduce:
         gram_src = normalized @ normalized.T
         np.testing.assert_allclose(gram_emb, gram_src, atol=1e-8)
 
-    def test_plain_u_mode(self):
-        rng = np.random.default_rng(10)
-        weighted = self.make_weighted(rng.uniform(0.0, 1.0, size=(5, 8)))
-        emb = reduce_to_embeddings(weighted, 3, scale_by_singular_values=False)
-        np.testing.assert_allclose(emb.matrix.T @ emb.matrix, np.eye(3), atol=1e-10)
-
     def test_top_n_applied_inside(self):
         weighted = self.make_weighted([[0.9, 0.5, 0.1], [0.1, 0.6, 0.8]])
         emb = reduce_to_embeddings(weighted, 2, top_n=1)
@@ -371,8 +365,9 @@ class TestEmbeddingIo:
             ("a\t1.0\nb\t2.0\na\t3.0\n", r"emb\.tsv:3: noun 'a' repeats line 1"),
             ("a\t1.0\nb\tx1\n", r"emb\.tsv:2: could not convert"),
             ("\n", r"no embeddings found in .*emb\.tsv"),
+            ("\na\nb\n", r"emb\.tsv:2: row has no values"),
         ],
-        ids=["narrow", "wide", "nan", "inf", "repeat", "text", "empty"],
+        ids=["narrow", "wide", "nan", "inf", "repeat", "text", "empty", "no-values"],
     )
     def test_malformed_tsv_names_file_and_line(self, tmp_path, text, message):
         path = tmp_path / "emb.tsv"
