@@ -26,7 +26,6 @@ from .util import DataError
 
 @dataclass
 class KronBaselineModel:
-    verb: str
     avg_matrix: np.ndarray  # (K, K)
     cutoff: float | None = None
 
@@ -36,17 +35,17 @@ def train_baseline(positives, embeddings) -> KronBaselineModel:
 
     Only positively labeled triples are accepted; the baseline never sees
     negatives until cutoff calibration. Pairs are stacked in a canonical
-    sorted order, so ``Sᵀ O / n`` is exactly permutation invariant.
+    sorted order, so ``Sᵀ O / n`` is exactly permutation invariant. A noun
+    without an embedding raises ``DataError``.
     """
-    usable = [t for t in positives if t.subject in embeddings and t.object in embeddings]
-    if not usable:
-        raise DataError("no positive triples with embedded nouns")
-    if any(not t.is_plausible for t in usable):
+    if not positives:
+        raise DataError("no positive triples")
+    if any(not t.is_plausible for t in positives):
         raise ValueError("train_baseline accepts positive triples only")
-    ordered = sorted(usable, key=lambda t: (t.subject, t.object))
+    ordered = sorted(positives, key=lambda t: (t.subject, t.object))
     subjects = embeddings.rows(t.subject for t in ordered)
     objects_ = embeddings.rows(t.object for t in ordered)
-    return KronBaselineModel(verb=usable[0].verb, avg_matrix=subjects.T @ objects_ / len(ordered))
+    return KronBaselineModel(avg_matrix=subjects.T @ objects_ / len(ordered))
 
 
 def score(model: KronBaselineModel, subjects, objects_) -> np.ndarray:

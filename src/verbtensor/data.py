@@ -266,7 +266,7 @@ def read_dataset_jsonl(path) -> VerbDataset:
 
     A line that is not a JSON object, a missing key, a bad label or a
     ``gold_dist`` that disagrees with the label raises ``DataError`` naming
-    the file and line.
+    the file and line; a file with no triples raises one naming the file.
     """
     records = []
     for lineno, line in numbered_lines(path):
@@ -302,6 +302,8 @@ def read_dataset_jsonl(path) -> VerbDataset:
                 f"label {triple.label!r}"
             )
         triples.append(triple)
+    if not triples:
+        raise DataError(f"{path}: dataset has a header and no triples")
     return VerbDataset(verb=header["verb"], triples=triples, metadata=header.get("metadata", {}))
 
 

@@ -8,35 +8,24 @@ Conventions used throughout the package:
   ``(i, j, c)`` lexicographically, which also fixes the binary file order;
 * all operations are pure functions of their inputs.
 
-``truncated_svd`` picks its solver from the input: a sparse matrix with
-``2 * k < min(rows, cols)`` goes to the iterative ``svds`` solver started
-from a fixed vector, which computes only the k wanted singular triplets;
-anything else (a dense array, or a k too close to the smaller dimension for
-the iterative solver to be worthwhile) goes to a full LAPACK SVD, truncated.
+Each function takes the one form of its input that the package passes.
+``l2_normalize_rows`` and ``truncated_svd`` take the sparse weighted table,
+and ``truncated_svd`` returns only what the embeddings use: ``(u, s)``, the
+left singular vectors and the singular values. With ``2 * k < min(rows,
+cols)`` it runs the iterative ``svds`` solver started from a fixed vector,
+which computes only the k wanted singular triplets; with k closer to the
+smaller dimension than that it truncates a full LAPACK SVD of the densified
+table. ``write_tvb`` and ``read_tvb`` work on an open binary file, so
+several blocks can share one file.
 """
 
 import io
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 TVB_MAGIC = b"TVB1"
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Rank-k factors of a matrix: ``U @ diag(singular_values) @ V.T``.
-
-    Columns of U and V are orthonormal and singular values are sorted in
-    non-increasing order.
-    """
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
 
 
 def _as_dense_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -68,27 +57,19 @@ def cosine(a, b) -> float:
 
 
 def l2_normalize_rows(matrix):
-    """Scale every nonzero row to unit L2 norm; zero rows pass unchanged.
+    """Scale every nonzero row of a sparse matrix to unit L2 norm, as a new CSR matrix.
 
-    Accepts a dense 2-D array or a scipy sparse matrix and returns the same
-    kind (sparse input comes back as CSR).
+    Zero rows pass unchanged.
     """
-    if sp.issparse(matrix):
-        csr = matrix.tocsr(copy=True).astype(np.float64)
-        norms = np.sqrt(np.asarray(csr.multiply(csr).sum(axis=1)).ravel())
-        scale = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 1.0)
-        csr.data *= np.repeat(scale, np.diff(csr.indptr))
-        return csr
-    arr = _as_dense_matrix(matrix)
-    norms = np.linalg.norm(arr, axis=1)
-    out = arr.copy()
-    nonzero = norms > 0.0
-    out[nonzero] /= norms[nonzero, None]
-    return out
+    csr = matrix.tocsr(copy=True).astype(np.float64)
+    norms = np.sqrt(np.asarray(csr.multiply(csr).sum(axis=1)).ravel())
+    scale = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 1.0)
+    csr.data *= np.repeat(scale, np.diff(csr.indptr))
+    return csr
 
 
-def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
-    """Flip singular-vector pairs so each U column's largest entry is positive.
+def _fix_signs(u: np.ndarray) -> None:
+    """Flip each column of U so that its largest-magnitude entry is positive.
 
     Makes the decomposition deterministic up to exactly repeated singular
     values, which keeps serialized outputs reproducible.
@@ -97,55 +78,42 @@ def _fix_signs(u: np.ndarray, v: np.ndarray) -> None:
         pivot = int(np.argmax(np.abs(u[:, j])))
         if u[pivot, j] < 0.0:
             u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
 
 
-def truncated_svd(matrix, k: int) -> SvdResult:
-    """Best rank-k factorization of a dense or sparse matrix.
+def truncated_svd(matrix, k: int) -> tuple:
+    """``(u, s)`` of the best rank-k factorization of a sparse matrix.
 
-    Sparse inputs with ``2 * k < min(rows, cols)`` use an iterative solver
-    with a fixed starting vector, so results stay deterministic; every other
-    input goes through LAPACK on a dense array.
+    ``u`` is (rows, k) with orthonormal, sign-fixed columns and ``s`` holds
+    the k largest singular values in non-increasing order. With
+    ``2 * k < min(rows, cols)`` an iterative solver with a fixed starting
+    vector runs, so results stay deterministic; otherwise LAPACK does.
     """
-    if sp.issparse(matrix):
-        rows, cols = matrix.shape
-    else:
-        matrix = _as_dense_matrix(matrix)
-        rows, cols = matrix.shape
+    rows, cols = matrix.shape
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if k > min(rows, cols):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
 
-    if sp.issparse(matrix):
-        if 2 * k < min(rows, cols):
-            from scipy.sparse.linalg import svds
+    if 2 * k < min(rows, cols):
+        from scipy.sparse.linalg import svds
 
-            start = np.full(min(rows, cols), 1.0 / np.sqrt(min(rows, cols)))
-            u, s, vt = svds(matrix.astype(np.float64), k=k, v0=start)
-            order = np.argsort(s)[::-1]
-            u, s, vt = u[:, order], s[order], vt[order]
-            v = vt.T
-            u = np.ascontiguousarray(u)
-            v = np.ascontiguousarray(v)
-            _fix_signs(u, v)
-            return SvdResult(u, np.ascontiguousarray(s), v)
-        matrix = np.asarray(matrix.todense(), dtype=np.float64)
-
-    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    u = np.ascontiguousarray(u[:, :k])
-    s = np.ascontiguousarray(s[:k])
-    v = np.ascontiguousarray(vt[:k].T)
-    _fix_signs(u, v)
-    return SvdResult(u, s, v)
+        start = np.full(min(rows, cols), 1.0 / np.sqrt(min(rows, cols)))
+        u, s, _ = svds(matrix.astype(np.float64), k=k, v0=start)
+        order = np.argsort(s)[::-1]
+        u, s = u[:, order], s[order]
+    else:
+        u, s, _ = np.linalg.svd(matrix.toarray(), full_matrices=False)
+        u, s = u[:, :k], s[:k]
+    u = np.ascontiguousarray(u)
+    _fix_signs(u)
+    return u, np.ascontiguousarray(s)
 
 
-def write_tvb(dest, array) -> None:
-    """Serialize a matrix or order-3 tensor in the TVB1 binary layout.
+def write_tvb(handle, array) -> None:
+    """Write a matrix or order-3 tensor to an open binary file as one TVB1 block.
 
     Layout: magic ``TVB1``, then order and dims as little-endian uint64,
-    then float64 values in (row-major / lexicographic) order. ``dest`` may
-    be a path or an open binary file, so several blocks can share one file.
+    then float64 values in (row-major / lexicographic) order.
     """
     arr = np.ascontiguousarray(array, dtype=np.float64)
     if arr.ndim not in (2, 3):
@@ -154,22 +122,8 @@ def write_tvb(dest, array) -> None:
         raise ValueError("refusing to serialize non-finite values")
     header = TVB_MAGIC + struct.pack("<Q", arr.ndim)
     header += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = arr.astype("<f8").tobytes(order="C")
-    if hasattr(dest, "write"):
-        dest.write(header)
-        dest.write(payload)
-    else:
-        with open(dest, "wb") as handle:
-            handle.write(header)
-            handle.write(payload)
-
-
-def read_tvb(src) -> np.ndarray:
-    """Read one TVB1 block from a path or an open binary file."""
-    if hasattr(src, "read"):
-        return _read_tvb_stream(src)
-    with open(src, "rb") as handle:
-        return _read_tvb_stream(handle)
+    handle.write(header)
+    handle.write(arr.astype("<f8").tobytes(order="C"))
 
 
 def _read_exact(handle, size: int) -> bytes:
@@ -179,7 +133,8 @@ def _read_exact(handle, size: int) -> bytes:
     return data
 
 
-def _read_tvb_stream(handle) -> np.ndarray:
+def read_tvb(handle) -> np.ndarray:
+    """Read the next TVB1 block from an open binary file."""
     magic = handle.read(4)
     if magic != TVB_MAGIC:
         raise ValueError(f"bad magic bytes {magic!r}, expected {TVB_MAGIC!r}")

@@ -468,10 +468,10 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
         raise ValidationError(f"missing dataset {dataset_path} (run gen-data)")
     dataset = data_mod.read_dataset_jsonl(dataset_path)
     embeddings = _read_embeddings(emb_path, k)
-    result = tm.train(dataset.triples, embeddings, config.train, verb=dataset.verb)
+    result = tm.train(dataset.triples, embeddings, config.train)
     out_dir = ensure_dir(config.models_dir())
     base = out_dir / f"{verb}_k{k}"
-    tm.save_model(base, result.model, config.train, result.objective_trace)
+    tm.save_model(base, dataset.verb, result.model, config.train, result.objective_trace)
     outputs = [Path(str(base) + ".tvbm"), Path(str(base) + ".meta")]
     parameters = {"verb": verb, "k": k, "seed": config.train.seed,
                   "epochs": config.train.epochs}
@@ -498,6 +498,8 @@ def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: in
         if noun not in embeddings:
             raise ValidationError(f"{role} {noun!r} has no embedding")
     model = tm.load_model(base)
+    if model.k != k:
+        raise DataError(f"{base}.tvbm: K={model.k} model in the file for k={k}")
     label, p_plausible = tm.predict(
         model, embeddings.vector(subject), embeddings.vector(obj)
     )

@@ -33,6 +33,10 @@ sum does not), the one non-trivial softmax exponential is ``np.exp``
 scipy's ``expit``, including 0.0 where ``-z`` overflows. The objective trace
 comes from the GEMM forward pass rather than a three-operand ``einsum`` and
 may differ from it in the last unit in the last place.
+
+A model holds its arrays and nothing else. Which verb it belongs to is a
+pipeline fact: the pipeline names the model files after the verb and passes
+the verb to ``save_model`` for the ``.meta`` sidecar.
 """
 
 import logging
@@ -45,7 +49,7 @@ from scipy.special import expit
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
 from .linalg import _as_dense_matrix, read_tvb, write_tvb
-from .util import DataError, TrainingDiverged, derive_seed, numbered_lines
+from .util import DataError, TrainingDiverged, derive_seed
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +86,6 @@ class TrainConfig:
 class VerbTensorModel:
     tensor: np.ndarray  # (K, K, SENTENCE_DIM)
     theta: np.ndarray   # (2, SENTENCE_DIM + 1): weights on sigmoid outputs plus bias
-    verb: str = ""
 
     @property
     def k(self) -> int:
@@ -95,12 +98,12 @@ class TrainResult:
     objective_trace: tuple  # objective at init, then after each epoch
 
 
-def init_model(k: int, config: TrainConfig, verb: str = "") -> VerbTensorModel:
+def init_model(k: int, config: TrainConfig) -> VerbTensorModel:
     """Uniform random initialization in [-init_scale, +init_scale], seeded."""
     rng = np.random.default_rng(derive_seed(config.seed, "init", k))
     tensor = rng.uniform(-config.init_scale, config.init_scale, size=(k, k, SENTENCE_DIM))
     theta = rng.uniform(-config.init_scale, config.init_scale, size=(2, SENTENCE_DIM + 1))
-    return VerbTensorModel(tensor=tensor, theta=theta, verb=verb)
+    return VerbTensorModel(tensor=tensor, theta=theta)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -244,7 +247,7 @@ def _lookup_triples(triples, embeddings):
     return subjects, objects_, targets
 
 
-def train(triples, embeddings, config: TrainConfig, verb: str = "") -> TrainResult:
+def train(triples, embeddings, config: TrainConfig) -> TrainResult:
     """Fit a verb tensor model on a sequence of labeled triples with Adagrad.
 
     Examples are visited in a freshly shuffled order every epoch (seeded from
@@ -252,22 +255,11 @@ def train(triples, embeddings, config: TrainConfig, verb: str = "") -> TrainResu
     one-example kernel of ``_Workspace.example_step`` (see the module
     docstring for what the tests hold it to). The returned trace holds the
     full-data objective at initialization and after every epoch; a
-    non-finite objective aborts with the offending epoch number.
+    non-finite objective aborts with the offending epoch number. A noun
+    without an embedding raises ``DataError``.
     """
-    if not triples:
-        raise ValueError("cannot train on an empty dataset")
-    missing = [t for t in triples if t.subject not in embeddings or t.object not in embeddings]
-    if missing:
-        raise ValueError(
-            f"{len(missing)} triples have nouns without embeddings, e.g. "
-            f"({missing[0].subject}, {missing[0].object})"
-        )
     subjects, objects_, targets = _lookup_triples(triples, embeddings)
-    k = subjects.shape[1]
-    if objects_.shape[1] != k:
-        raise ValueError("subject and object embedding dims differ")
-
-    work = _Workspace(init_model(k, config, verb), config.l2_lambda)
+    work = _Workspace(init_model(subjects.shape[1], config), config.l2_lambda)
 
     def epoch_objective(epoch):
         value = _objective_arrays(work.tensor, work.theta, subjects, objects_, targets,
@@ -291,7 +283,7 @@ def train(triples, embeddings, config: TrainConfig, verb: str = "") -> TrainResu
             step(*example)
         trace.append(epoch_objective(epoch))
 
-    model = VerbTensorModel(tensor=work.tensor, theta=work.theta, verb=verb)
+    model = VerbTensorModel(tensor=work.tensor, theta=work.theta)
     return TrainResult(model=model, objective_trace=tuple(trace))
 
 
@@ -323,17 +315,18 @@ def predict_batch(model: VerbTensorModel, subjects, objects_):
     return labels, p_plausible
 
 
-def save_model(base_path, model: VerbTensorModel, config: TrainConfig, objective_trace=()) -> None:
+def save_model(base_path, verb: str, model: VerbTensorModel, config: TrainConfig,
+               objective_trace) -> None:
     """Write ``<base>.tvbm`` (tensor block, then theta block) and ``<base>.meta``.
 
-    The sidecar is plain text: model shape, the training configuration and
-    the per-epoch objective trace as CSV.
+    The sidecar is plain text: the verb, model shape, the training
+    configuration and the per-epoch objective trace as CSV.
     """
     base = str(base_path)
     with open(base + ".tvbm", "wb") as handle:
         write_tvb(handle, model.tensor)
         write_tvb(handle, model.theta)
-    lines = [f"verb = {model.verb}", f"k = {model.k}", f"s = {SENTENCE_DIM}"]
+    lines = [f"verb = {verb}", f"k = {model.k}", f"s = {SENTENCE_DIM}"]
     lines += [f"{item.name} = {getattr(config, item.name)}" for item in fields(TrainConfig)]
     lines += ["", "[objective_trace]", "epoch,objective"]
     lines += [f"{i},{value!r}" for i, value in enumerate(objective_trace)]
@@ -342,8 +335,9 @@ def save_model(base_path, model: VerbTensorModel, config: TrainConfig, objective
 
 
 def load_model(base_path) -> VerbTensorModel:
-    base = str(base_path)
-    path = base + ".tvbm"
+    """Read ``<base>.tvbm``; a malformed block, wrong shapes or a non-finite
+    value raise ``DataError`` naming the file."""
+    path = str(base_path) + ".tvbm"
     with open(path, "rb") as handle:
         try:
             tensor = read_tvb(handle)
@@ -356,13 +350,7 @@ def load_model(base_path) -> VerbTensorModel:
             f"malformed model file {path}: tensor {tensor.shape} and theta "
             f"{theta.shape} are not (K, K, {SENTENCE_DIM}) and (2, {SENTENCE_DIM + 1})"
         )
-    verb = ""
-    try:
-        for _, line in numbered_lines(base + ".meta"):
-            if line.startswith("verb = "):
-                verb = line[len("verb = "):].strip()
-                break
-    except FileNotFoundError:
-        pass
-    return VerbTensorModel(tensor=tensor, theta=theta, verb=verb)
+    if not (np.isfinite(tensor).all() and np.isfinite(theta).all()):
+        raise DataError(f"malformed model file {path}: non-finite values")
+    return VerbTensorModel(tensor=tensor, theta=theta)
 

@@ -46,8 +46,14 @@ class EmbeddingTable:
         return self.matrix[self.nouns.position(noun)]
 
     def rows(self, nouns) -> np.ndarray:
-        """The (N, dim) stack of the nouns' vectors, in order, as one gather."""
-        return self.matrix[np.fromiter(map(self.nouns.position, nouns), dtype=np.intp)]
+        """The (N, dim) stack of the nouns' vectors, in order, as one gather.
+
+        A noun without an embedding raises ``DataError`` naming it.
+        """
+        try:
+            return self.matrix[np.fromiter(map(self.nouns.position, nouns), dtype=np.intp)]
+        except KeyError as exc:
+            raise DataError(f"noun {exc.args[0]!r} has no embedding") from None
 
     def leading(self, k: int) -> "EmbeddingTable":
         """The first k dimensions: rank-k embeddings of the same decomposition."""
@@ -144,15 +150,8 @@ def reduce_to_embeddings(table: WeightedVectorTable, k: int,
     """
     if top_n is not None:
         table = select_top_n(table, top_n)
-    n_nouns, n_contexts = table.weights.shape
-    if not 1 <= k <= min(n_nouns, n_contexts):
-        raise ValueError(
-            f"embedding dim k={k} out of range for a {n_nouns}x{n_contexts} table"
-        )
-    normalized = l2_normalize_rows(table.weights)
-    svd = truncated_svd(normalized, k)
-    matrix = svd.U * svd.singular_values
-    return EmbeddingTable(nouns=table.nouns, dim=k, matrix=np.ascontiguousarray(matrix))
+    u, s = truncated_svd(l2_normalize_rows(table.weights), k)
+    return EmbeddingTable(nouns=table.nouns, dim=k, matrix=u * s)
 
 
 def spearman_similarity_eval(embeddings: EmbeddingTable, pairs) -> float:

@@ -92,7 +92,6 @@ class TestTrainBaseline:
             simple_embeddings.vector("s1"), simple_embeddings.vector("o1")
         )
         np.testing.assert_array_equal(model.avg_matrix, expected)
-        assert model.verb == "eat"
         assert model.cutoff is None
 
     def test_duplicate_positives_average_to_same(self, simple_embeddings):
@@ -124,8 +123,10 @@ class TestTrainBaseline:
             )
 
     def test_no_usable_positives(self, simple_embeddings):
-        with pytest.raises(DataError, match="no positive"):
-            train_baseline([pos("ghost", "o1")], simple_embeddings)
+        with pytest.raises(DataError, match="^no positive triples$"):
+            train_baseline([], simple_embeddings)
+        with pytest.raises(DataError, match="^noun 'ghost' has no embedding$"):
+            train_baseline([pos("s1", "o1"), pos("ghost", "o1")], simple_embeddings)
 
 
 def one(embeddings, noun):
@@ -212,7 +213,7 @@ class TestBatchedScoreOracle:
         assume(np.linalg.norm(avg) > 1e-3)
         assume((np.linalg.norm(subjects, axis=1) > 1e-3).all())
         assume((np.linalg.norm(objects_, axis=1) > 1e-3).all())
-        model = KronBaselineModel(verb="eat", avg_matrix=avg)
+        model = KronBaselineModel(avg_matrix=avg)
         batched = score(model, subjects, objects_)
         oracle = [cosine(kronecker(s, o), avg) for s, o in zip(subjects, objects_)]
         assert batched.shape == (len(pick),)
@@ -247,7 +248,7 @@ class TestBatchedScoreOracle:
             score(model, s, o)
 
     def test_zero_average_raises(self, simple_embeddings):
-        model = KronBaselineModel(verb="eat", avg_matrix=np.zeros((3, 3)))
+        model = KronBaselineModel(avg_matrix=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="zero vector"):
             score(model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1"))
 
@@ -290,7 +291,7 @@ MANY = st.lists(SCORE, min_size=1, max_size=60)
 
 class TestCalibrateCutoff:
     def make_model(self):
-        return KronBaselineModel(verb="eat", avg_matrix=np.eye(2))
+        return KronBaselineModel(avg_matrix=np.eye(2))
 
     def test_separable_scores_pick_gap_midpoint(self):
         model = self.make_model()

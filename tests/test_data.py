@@ -369,6 +369,10 @@ def test_dataset_writer_matches_json_dumps_lines(tmp_path_factory, rows, verb):
     path = tmp_path_factory.mktemp("jsonl") / "awkward.jsonl"
     write_dataset_jsonl(path, dataset)
     assert path.read_bytes() == oracle_dataset_lines(dataset)
+    if not rows:
+        with pytest.raises(DataError, match="awkward.jsonl: dataset has a header and no triples$"):
+            read_dataset_jsonl(path)
+        return
     loaded = read_dataset_jsonl(path)
     assert (loaded.verb, loaded.triples, loaded.metadata) == (
         dataset.verb, dataset.triples, dataset.metadata)

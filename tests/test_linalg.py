@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from verbtensor.linalg import (
     TVB_MAGIC,
-    SvdResult,
     cosine,
     l2_normalize_rows,
     read_tvb,
@@ -18,9 +17,21 @@ from verbtensor.linalg import (
 )
 
 
-def reconstruct(result):
-    """The rank-k matrix ``U @ diag(singular_values) @ V.T`` of an ``SvdResult``."""
-    return (result.U * result.singular_values) @ result.V.T
+def reconstruct(u, dense):
+    """The rank-k matrix ``u @ (u.T @ A)``: A projected onto the span of ``u``.
+
+    For ``A = U diag(s) V.T`` this is ``U_k diag(s_k) V_k.T``, the truncation.
+    """
+    return u @ (u.T @ dense)
+
+
+def lapack_reference(dense, k):
+    """``(u, s)`` of a full LAPACK SVD, truncated, with ``truncated_svd``'s signs."""
+    u, s, _ = np.linalg.svd(dense, full_matrices=False)
+    u = u[:, :k].copy()
+    pivots = np.argmax(np.abs(u), axis=0)
+    u *= np.where(u[pivots, np.arange(k)] < 0.0, -1.0, 1.0)
+    return u, s[:k]
 
 
 class TestCosine:
@@ -54,58 +65,58 @@ class TestCosine:
 
 class TestTruncatedSvd:
     def test_identity(self):
-        result = truncated_svd(np.eye(3), 3)
-        np.testing.assert_allclose(result.singular_values, [1, 1, 1])
+        _, s = truncated_svd(sp.identity(3, format="csr"), 3)
+        np.testing.assert_allclose(s, [1, 1, 1])
 
     def test_diagonal_truncation(self):
-        result = truncated_svd(np.diag([3.0, 2.0, 1.0]), 2)
-        np.testing.assert_allclose(result.singular_values, [3.0, 2.0])
-        err = np.linalg.norm(np.diag([3.0, 2.0, 1.0]) - reconstruct(result))
+        diag = np.diag([3.0, 2.0, 1.0])
+        u, s = truncated_svd(sp.csr_matrix(diag), 2)
+        np.testing.assert_allclose(s, [3.0, 2.0])
+        err = np.linalg.norm(diag - reconstruct(u, diag))
         assert err == pytest.approx(1.0, abs=1e-10)
 
     def test_full_rank_round_trip(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 6))
-        result = truncated_svd(m, 6)
-        assert np.linalg.norm(m - reconstruct(result)) < 1e-8
+        u, _ = truncated_svd(sp.csr_matrix(m), 6)
+        assert np.linalg.norm(m - reconstruct(u, m)) < 1e-8
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((10, 7))
-        result = truncated_svd(m, 5)
-        np.testing.assert_allclose(result.U.T @ result.U, np.eye(5), atol=1e-8)
-        np.testing.assert_allclose(result.V.T @ result.V, np.eye(5), atol=1e-8)
-        assert np.all(np.diff(result.singular_values) <= 1e-12)
-        assert np.all(result.singular_values >= 0)
+        u, s = truncated_svd(sp.csr_matrix(m), 5)
+        assert u.shape == (10, 5) and s.shape == (5,)
+        np.testing.assert_allclose(u.T @ u, np.eye(5), atol=1e-8)
+        assert np.all(np.diff(s) <= 1e-12)
+        assert np.all(s >= 0)
 
     def test_truncation_error_matches_discarded_spectrum(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((20, 15))
-        full = truncated_svd(m, 15)
+        _, full = truncated_svd(sp.csr_matrix(m), 15)
         previous_err = np.inf
         for k in (2, 5, 9, 14):
-            result = truncated_svd(m, k)
-            err = np.linalg.norm(m - reconstruct(result))
-            expected = np.sqrt(np.sum(full.singular_values[k:] ** 2))
+            u, _ = truncated_svd(sp.csr_matrix(m), k)
+            err = np.linalg.norm(m - reconstruct(u, m))
+            expected = np.sqrt(np.sum(full[k:] ** 2))
             assert err == pytest.approx(expected, abs=1e-8)
             assert err <= previous_err + 1e-12
             previous_err = err
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            truncated_svd(np.eye(3), 4)
+            truncated_svd(sp.identity(3, format="csr"), 4)
         with pytest.raises(ValueError, match="positive"):
-            truncated_svd(np.eye(3), 0)
+            truncated_svd(sp.identity(3, format="csr"), 0)
 
     def test_sparse_input_matches_dense(self):
         rng = np.random.default_rng(12)
         dense = rng.standard_normal((9, 7))
         dense[dense < 0.5] = 0.0
-        sparse = sp.csr_matrix(dense)
-        a = truncated_svd(sparse, 4)
-        b = truncated_svd(dense, 4)
-        np.testing.assert_allclose(a.singular_values, b.singular_values, atol=1e-10)
-        np.testing.assert_allclose(reconstruct(a), reconstruct(b), atol=1e-10)
+        u, s = truncated_svd(sp.csr_matrix(dense), 4)
+        ref_u, ref_s = lapack_reference(dense, 4)
+        np.testing.assert_allclose(s, ref_s, atol=1e-10)
+        np.testing.assert_allclose(reconstruct(u, dense), reconstruct(ref_u, dense), atol=1e-10)
 
     def test_large_sparse_solver_path(self, monkeypatch):
         import scipy.sparse.linalg
@@ -120,13 +131,11 @@ class TestTruncatedSvd:
         monkeypatch.setattr(scipy.sparse.linalg, "svds", counting_svds)
         rng = np.random.default_rng(21)
         dense = rng.standard_normal((30, 12))
-        result = truncated_svd(sp.csr_matrix(dense), 3)
+        u, s = truncated_svd(sp.csr_matrix(dense), 3)
         assert calls == [3]
-        reference = truncated_svd(dense, 3)
-        np.testing.assert_allclose(
-            result.singular_values, reference.singular_values, atol=1e-8
-        )
-        np.testing.assert_allclose(reconstruct(result), reconstruct(reference), atol=1e-7)
+        ref_u, ref_s = lapack_reference(dense, 3)
+        np.testing.assert_allclose(s, ref_s, atol=1e-8)
+        np.testing.assert_allclose(reconstruct(u, dense), reconstruct(ref_u, dense), atol=1e-7)
 
     @pytest.mark.parametrize("k", [20, 40])
     def test_sparse_solver_matches_lapack(self, k):
@@ -134,13 +143,11 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(31)
         table = sp.random(200, 300, density=0.03, format="csr", random_state=rng)
         table = l2_normalize_rows(table)
-        result = truncated_svd(table, k)
-        reference = truncated_svd(table.toarray(), k)
-        np.testing.assert_allclose(
-            result.singular_values, reference.singular_values, rtol=1e-10, atol=0
-        )
-        emb = result.U * result.singular_values
-        ref = reference.U * reference.singular_values
+        u, s = truncated_svd(table, k)
+        ref_u, ref_s = lapack_reference(table.toarray(), k)
+        np.testing.assert_allclose(s, ref_s, rtol=1e-10, atol=0)
+        emb = u * s
+        ref = ref_u * ref_s
         np.testing.assert_allclose(emb, ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(emb @ emb.T, ref @ ref.T, rtol=0, atol=1e-12)
 
@@ -150,47 +157,49 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(13)
         dense = rng.standard_normal((10, 14))
         dense[dense < 0.3] = 0.0
-        a = truncated_svd(sp.csr_matrix(dense), k)
-        b = truncated_svd(dense, k)
-        np.testing.assert_array_equal(a.U, b.U)
-        np.testing.assert_array_equal(a.singular_values, b.singular_values)
-        np.testing.assert_array_equal(a.V, b.V)
+        u, s = truncated_svd(sp.csr_matrix(dense), k)
+        ref_u, ref_s = lapack_reference(dense, k)
+        np.testing.assert_array_equal(u, ref_u)
+        np.testing.assert_array_equal(s, ref_s)
 
 
 class TestL2NormalizeRows:
     def test_three_four_five(self):
-        out = l2_normalize_rows(np.array([[3.0, 4.0]]))
-        np.testing.assert_allclose(out, [[0.6, 0.8]])
+        out = l2_normalize_rows(sp.csr_matrix([[3.0, 4.0]]))
+        np.testing.assert_allclose(out.toarray(), [[0.6, 0.8]])
 
     def test_zero_row_preserved(self):
-        out = l2_normalize_rows(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(out[0], [0.0, 0.0])
+        out = l2_normalize_rows(sp.csr_matrix([[0.0, 0.0], [1.0, 0.0]]))
+        np.testing.assert_array_equal(out.toarray()[0], [0.0, 0.0])
 
     def test_uniform_row(self):
-        out = l2_normalize_rows(np.ones((1, 4)))
-        np.testing.assert_allclose(out, [[0.5, 0.5, 0.5, 0.5]])
+        out = l2_normalize_rows(sp.csr_matrix(np.ones((1, 4))))
+        np.testing.assert_allclose(out.toarray(), [[0.5, 0.5, 0.5, 0.5]])
 
     def test_norms_are_one(self):
         rng = np.random.default_rng(2)
         m = rng.standard_normal((6, 5))
-        out = l2_normalize_rows(m)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
+        out = l2_normalize_rows(sp.csr_matrix(m))
+        np.testing.assert_allclose(np.linalg.norm(out.toarray(), axis=1), 1.0, atol=1e-12)
 
     def test_sparse_agrees_with_dense(self):
         rng = np.random.default_rng(8)
         m = rng.standard_normal((5, 6))
         m[m < 0] = 0.0
-        np.testing.assert_allclose(
-            l2_normalize_rows(sp.csr_matrix(m)).toarray(), l2_normalize_rows(m), atol=1e-12
-        )
+        norms = np.linalg.norm(m, axis=1, keepdims=True)
+        dense = np.divide(m, norms, out=m.copy(), where=norms > 0.0)
+        np.testing.assert_allclose(l2_normalize_rows(sp.csr_matrix(m)).toarray(), dense,
+                                   atol=1e-12)
 
 
 class TestBinaryFormat:
     def test_matrix_round_trip(self, tmp_path):
         m = np.array([[1.5, -2.0], [0.0, 3.25], [4.0, 5.0]])
         path = tmp_path / "m.tvb"
-        write_tvb(path, m)
-        np.testing.assert_array_equal(read_tvb(path), m)
+        with open(path, "wb") as handle:
+            write_tvb(handle, m)
+        with open(path, "rb") as handle:
+            np.testing.assert_array_equal(read_tvb(handle), m)
 
     def test_tensor_round_trip_and_header(self):
         tensor = np.arange(12.0).reshape(2, 3, 2)
@@ -237,13 +246,4 @@ class TestBinaryFormat:
             write_tvb(io.BytesIO(), np.ones(3))
         with pytest.raises(ValueError, match="non-finite"):
             write_tvb(io.BytesIO(), np.array([[np.nan, 1.0]]))
-
-
-class TestSvdResultInvariants:
-    def test_reconstruct_shape(self):
-        result = SvdResult(
-            U=np.eye(3)[:, :2], singular_values=np.array([2.0, 1.0]), V=np.eye(4)[:, :2]
-        )
-        assert reconstruct(result).shape == (3, 4)
-        assert result.singular_values.shape[0] == 2
 

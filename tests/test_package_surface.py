@@ -8,7 +8,8 @@ alive. Likewise every field of a dataclass in the package must be read as
 an attribute (``obj.field`` in a load context) somewhere in ``src/`` or
 ``perfbench/``. The match is by name, not by binding, so the check can miss
 a dead name that shares its spelling with a live one; it never flags a used
-name. Helpers and fields that only tests need belong in ``tests/``.
+name. There are no exemptions: a helper or field that only tests need
+belongs in ``tests/``.
 """
 
 import ast
@@ -17,11 +18,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "verbtensor"
 CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
-
-ALLOWED = {
-    # SvdResult.V: the SVD tests' reconstruction check reads it
-    "V",
-}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -54,7 +50,7 @@ def referenced_names(dirs) -> set:
 
 
 def unreferenced(package: Path, dirs) -> list:
-    used = referenced_names(dirs) | ALLOWED
+    used = referenced_names(dirs)
     return sorted(q for q, name in public_definitions(package).items() if name not in used)
 
 
@@ -89,7 +85,7 @@ def loaded_attributes(dirs) -> set:
 
 
 def unread_fields(package: Path, dirs) -> list:
-    read = loaded_attributes(dirs) | ALLOWED
+    read = loaded_attributes(dirs)
     return sorted(q for q, name in dataclass_fields(package).items() if name not in read)
 
 

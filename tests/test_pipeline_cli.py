@@ -716,28 +716,45 @@ class TestTrainPredictEval:
         )
         assert rc == 1
 
-    @pytest.mark.parametrize("malformed", ["huge_header", "wrong_shapes"])
+    @pytest.mark.parametrize("malformed", [
+        "huge_header", "wrong_shapes", "non_finite-tensor-nan", "non_finite-tensor-inf",
+        "non_finite-theta-nan", "non_finite-theta-inf", "other_k"])
     def test_predict_malformed_model_fails_cleanly(self, built, tmp_path, caplog, malformed):
         config = load_config(built)
+        k, other = config.svd_dims
         out = tmp_path / "badmodel"
         shutil.copytree(config.vectors_dir(), out / "vectors")
-        model = out / "models" / f"devour_k{config.primary_k}.tvbm"
+        model = out / "models" / f"devour_k{k}.tvbm"
         model.parent.mkdir()
+        needle = f"malformed model file {model}"
         if malformed == "huge_header":
             model.write_bytes(TVB_MAGIC + struct.pack("<4Q", 3, 2**40, 2**40, 2) + b"\0" * 64)
-        else:
+        elif malformed == "wrong_shapes":
             with open(model, "wb") as handle:
                 write_tvb(handle, np.zeros((2, 2)))
                 write_tvb(handle, np.zeros((2, 3)))
-        emb = read_embeddings_tsv(out / "vectors" / f"embeddings_k{config.primary_k}.tsv")
+        elif malformed == "other_k":
+            with open(model, "wb") as handle:
+                write_tvb(handle, np.zeros((other, other, 2)))
+                write_tvb(handle, np.zeros((2, 3)))
+            needle = f"{model}: K={other} model in the file for k={k}"
+        else:
+            _, block, value = malformed.split("-")
+            arrays = {"tensor": np.zeros((k, k, 2)), "theta": np.zeros((2, 3))}
+            arrays[block].flat[1] = float(value)
+            # write_tvb refuses non-finite values, so lay the blocks out by hand
+            model.write_bytes(b"".join(
+                TVB_MAGIC + struct.pack(f"<{a.ndim + 1}Q", a.ndim, *a.shape)
+                + a.astype("<f8").tobytes() for a in arrays.values()))
+            needle += ": non-finite values"
+        emb = read_embeddings_tsv(out / "vectors" / f"embeddings_k{k}.tsv")
         subject, obj = emb.nouns.words[:2]
         rc = run_cli(
             "--config", built, "--out", out, "predict",
             "--verb", "devour", "--subject", subject, "--object", obj,
         )
         assert rc == EXIT_RUNTIME
-        assert not any(record.exc_info for record in caplog.records)
-        assert any(str(model) in record.getMessage() for record in caplog.records)
+        assert_clean_failure(caplog, needle)
 
     def test_predict_oov_noun(self, built):
         config = load_config(built)
@@ -916,3 +933,45 @@ class TestMalformedInputs:
         pairs.write_text("a\tb\t0.5\nc\td\n")
         assert run_cli("--config", built, "eval-vectors", "--pairs", pairs) == EXIT_RUNTIME
         assert_clean_failure(caplog, "pairs.tsv:2: expected 3 tab-separated fields, got 2")
+
+    def devour_outputs(self, built, tmp_path, kind):
+        """vectors/ and datasets/, with ``devour.jsonl`` broken as ``kind`` says.
+
+        ``unknown_noun`` gives one positive a subject without an embedding;
+        ``header_only`` cuts the file to its header line.
+        """
+        config = load_config(built)
+        out = tmp_path / kind
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.datasets_dir(), out / "datasets")
+        dataset = out / "datasets" / "devour.jsonl"
+        lines = dataset.read_text().splitlines()
+        if kind == "header_only":
+            del lines[1:]
+        else:
+            record = json.loads(lines[1])
+            assert record["label"] == "plausible"
+            record["subject"] = "zzz_unknown"
+            lines[1] = json.dumps(record, sort_keys=True)
+        dataset.write_text("\n".join(lines) + "\n")
+        return out, dataset
+
+    @pytest.mark.parametrize("kind", ["unknown_noun", "header_only"])
+    def test_broken_dataset_fails_train(self, built, tmp_path, caplog, kind):
+        out, dataset = self.devour_outputs(built, tmp_path, kind)
+        assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == EXIT_RUNTIME
+        assert_clean_failure(caplog, "noun 'zzz_unknown' has no embedding" if kind == "unknown_noun"
+                             else f"{dataset}: dataset has a header and no triples")
+        assert not list(out.rglob("*.tvbm"))
+
+    def test_unknown_noun_fails_full_cv_verb(self, built, tmp_path, caplog):
+        out, _ = self.devour_outputs(built, tmp_path, "unknown_noun")
+        assert run_cli("--config", built, "--out", out,
+                       "experiment", "--which", "full-cv") == EXIT_RUNTIME
+        assert_clean_failure(caplog, "noun 'zzz_unknown' has no embedding")
+        manifest = json.loads((out / "reports" / "manifest_experiment-full-cv.json").read_text())
+        assert manifest["parameters"]["verbs"] == ["assemble"]
+        assert manifest["parameters"]["failed_verbs"] == {
+            "devour": "RuntimeError: baseline failed on repetition 1 fold 1: "
+                      "noun 'zzz_unknown' has no embedding"
+        }

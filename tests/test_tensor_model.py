@@ -29,7 +29,7 @@ from verbtensor.tensor_model import (
     save_model,
     train,
 )
-from verbtensor.util import TrainingDiverged, derive_seed
+from verbtensor.util import DataError, TrainingDiverged, derive_seed
 from verbtensor.vectors import EmbeddingTable
 
 ONE_HOT_TOP = np.array([1.0, 0.0])
@@ -110,7 +110,7 @@ def random_model(rng, k=5, scale=0.5):
 
 def copy_model(model):
     """An independent copy of a model's parameters."""
-    return VerbTensorModel(model.tensor.copy(), model.theta.copy(), model.verb)
+    return VerbTensorModel(model.tensor.copy(), model.theta.copy())
 
 
 def forward(model, n_s, n_o):
@@ -395,7 +395,7 @@ class TestTrain:
         dataset, embeddings = planted
         config = TrainConfig(learning_rate=0.0, epochs=3, seed=9)
         result = train(dataset.triples, embeddings, config)
-        reference = init_model(embeddings.dim, config, dataset.verb)
+        reference = init_model(embeddings.dim, config)
         np.testing.assert_array_equal(result.model.tensor, reference.tensor)
         np.testing.assert_array_equal(result.model.theta, reference.theta)
 
@@ -426,13 +426,9 @@ class TestTrain:
 
     def test_missing_embedding_rejected(self, planted):
         dataset, embeddings = planted
-        from verbtensor.data import LabeledTriple, VerbDataset
-
-        bad = VerbDataset(
-            "vex", dataset.triples + [LabeledTriple("ghost", "vex", "sp000", PLAUSIBLE)]
-        )
-        with pytest.raises(ValueError, match="without embeddings"):
-            train(bad.triples, embeddings, TrainConfig(epochs=1))
+        bad = dataset.triples + [LabeledTriple("ghost", "vex", "sp000", PLAUSIBLE)]
+        with pytest.raises(DataError, match="^noun 'ghost' has no embedding$"):
+            train(bad, embeddings, TrainConfig(epochs=1))
 
 
 class TestTrainingStep:
@@ -525,7 +521,7 @@ class TestExampleStep:
         dataset, embeddings = planted_dataset(k=k, n_triples=200, noise=0.35, seed=11)
         config = TrainConfig(epochs=3, seed=17)
         result = train(dataset.triples, embeddings, config)
-        work, trace = reference_train(init_model(k, config, dataset.verb), dataset,
+        work, trace = reference_train(init_model(k, config), dataset,
                                       embeddings, config)
         assert result.objective_trace == trace
         assert np.array_equal(bits(result.model.tensor), bits(work.tensor))
@@ -538,11 +534,11 @@ class TestExampleStep:
         dataset = VerbDataset("vex", [LabeledTriple("n0", "vex", "n1", PLAUSIBLE),
                                       LabeledTriple("n1", "vex", "n0", IMPLAUSIBLE)])
         config = TrainConfig(epochs=3, seed=5)
-        start = VerbTensorModel(np.full((2, 2, 2), -60.0), init_model(2, config).theta, "vex")
+        start = VerbTensorModel(np.full((2, 2, 2), -60.0), init_model(2, config).theta)
         z, _, _ = _forward(start.tensor, start.theta, embeddings.matrix, embeddings.matrix)
         assert np.all(z == -960.0)
         monkeypatch.setattr(tensor_model, "init_model",
-                            lambda k, config, verb="": copy_model(start))
+                            lambda k, config: copy_model(start))
         result = train(dataset.triples, embeddings, config)
         work, trace = reference_train(start, dataset, embeddings, config)
         assert all(math.isfinite(value) for value in result.objective_trace)
@@ -610,22 +606,22 @@ class TestModelIo:
     def test_round_trip(self, tmp_path, planted):
         dataset, embeddings = planted
         config = TrainConfig(epochs=2, seed=3)
-        result = train(dataset.triples, embeddings, config, verb=dataset.verb)
+        result = train(dataset.triples, embeddings, config)
         base = tmp_path / "vex_k5"
-        save_model(base, result.model, config, result.objective_trace)
+        save_model(base, "vex", result.model, config, result.objective_trace)
         loaded = load_model(base)
         np.testing.assert_array_equal(loaded.tensor, result.model.tensor)
         np.testing.assert_array_equal(loaded.theta, result.model.theta)
-        assert loaded.verb == "vex"
         meta = (tmp_path / "vex_k5.meta").read_text()
+        assert meta.startswith("verb = vex\n")
         assert "epoch,objective" in meta
         assert f"k = {embeddings.dim}" in meta
 
     def test_meta_text_is_golden(self, tmp_path):
         config = TrainConfig(learning_rate=0.125, adagrad_epsilon=1e-06, l2_lambda=0.0,
                              epochs=7, init_scale=0.5, seed=42)
-        model = VerbTensorModel(np.zeros((2, 2, 2)), np.zeros((2, 3)), verb="vex")
-        save_model(tmp_path / "vex_k2", model, config, (1.5, 0.1 + 0.2))
+        model = VerbTensorModel(np.zeros((2, 2, 2)), np.zeros((2, 3)))
+        save_model(tmp_path / "vex_k2", "vex", model, config, (1.5, 0.1 + 0.2))
         assert (tmp_path / "vex_k2.meta").read_bytes() == (
             b"verb = vex\n"
             b"k = 2\n"
