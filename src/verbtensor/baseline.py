@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
-from .linalg import _as_dense_matrix
 from .util import DataError
 
 
@@ -33,15 +32,13 @@ class KronBaselineModel:
 def train_baseline(positives, embeddings) -> KronBaselineModel:
     """Average the Kronecker products of the positive (subject, object) pairs.
 
-    Only positively labeled triples are accepted; the baseline never sees
-    negatives until cutoff calibration. Pairs are stacked in a canonical
-    sorted order, so ``Sᵀ O / n`` is exactly permutation invariant. A noun
-    without an embedding raises ``DataError``.
+    ``positives`` holds the positively labeled training triples only; the
+    baseline never sees negatives until cutoff calibration. Pairs are stacked
+    in a canonical sorted order, so ``Sᵀ O / n`` is exactly permutation
+    invariant. A noun without an embedding raises ``DataError``.
     """
     if not positives:
         raise DataError("no positive triples")
-    if any(not t.is_plausible for t in positives):
-        raise ValueError("train_baseline accepts positive triples only")
     ordered = sorted(positives, key=lambda t: (t.subject, t.object))
     subjects = embeddings.rows(t.subject for t in ordered)
     objects_ = embeddings.rows(t.object for t in ordered)
@@ -51,20 +48,12 @@ def train_baseline(positives, embeddings) -> KronBaselineModel:
 def score(model: KronBaselineModel, subjects, objects_) -> np.ndarray:
     """Cosines between each pair's outer product and the verb average.
 
-    ``subjects`` and ``objects_`` are (N, K); one pair is the N = 1 case.
-    Non-finite inputs, mismatched shapes and a zero subject row, object row
-    or average raise ``ValueError``, as the cosine of a zero vector is
-    undefined.
+    ``subjects`` and ``objects_`` are (N, K) float arrays; one pair is the
+    N = 1 case. A zero subject row, object row or average raises
+    ``ValueError``, as the cosine of a zero vector is undefined; a zero row
+    can come from an embeddings file.
     """
-    avg = _as_dense_matrix(model.avg_matrix, "average matrix")
-    subjects = _as_dense_matrix(subjects, "subjects")
-    objects_ = _as_dense_matrix(objects_, "objects")
-    n, k_s = subjects.shape
-    if objects_.shape[0] != n or (k_s, objects_.shape[1]) != avg.shape:
-        raise ValueError(
-            f"shape mismatch: subjects {subjects.shape}, objects {objects_.shape}, "
-            f"average {avg.shape}"
-        )
+    avg = model.avg_matrix
     norms = np.linalg.norm(subjects, axis=1) * np.linalg.norm(objects_, axis=1)
     norms *= np.linalg.norm(avg)
     if not norms.all():
@@ -82,8 +71,6 @@ def calibrate_cutoff(model: KronBaselineModel, train_pos_scores, train_neg_score
     """
     pos = np.asarray(list(train_pos_scores), dtype=np.float64)
     neg = np.asarray(list(train_neg_scores), dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise DataError("cutoff calibration needs both positive and negative scores")
     distinct = np.unique(np.concatenate([pos, neg]))
     candidates = np.concatenate(
         [[-math.inf, math.inf], (distinct[:-1] + distinct[1:]) / 2.0]
@@ -103,8 +90,6 @@ def predict_baseline(model: KronBaselineModel, subjects, objects_):
     Mirrors ``tensor_model.predict_batch``: returns ``(labels, scores)``
     with ``score >= cutoff`` labeled plausible.
     """
-    if model.cutoff is None:
-        raise ValueError("baseline model has no calibrated cutoff")
     values = score(model, subjects, objects_)
     labels = [PLAUSIBLE if value >= model.cutoff else IMPLAUSIBLE for value in values]
     return labels, values

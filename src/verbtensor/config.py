@@ -5,6 +5,12 @@ All randomness in the pipeline flows from the named seeds here; nothing reads
 the clock or OS entropy, so identical configs give identical outputs.
 Training defaults live on ``TrainConfig``'s fields; every other default is
 the fallback ``load_config`` passes when it reads the key.
+
+Each input is checked once, where it enters: settings here, in
+``load_config``, ``_check_static`` and ``TrainConfig``; file contents in the
+readers (``read_*`` and ``load_model``); command-line arguments in argparse
+and the ``pipeline`` entry points. Code below ``pipeline`` trusts its
+in-package callers and does not check again.
 """
 
 import math

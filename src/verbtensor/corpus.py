@@ -33,13 +33,9 @@ class Vocabulary:
 
     @classmethod
     def from_words(cls, words) -> "Vocabulary":
+        """The vocabulary of ``words``, which must be distinct, in their order."""
         words = tuple(words)
-        index = {}
-        for pos, word in enumerate(words):
-            if word in index:
-                raise ValueError(f"duplicate word in vocabulary: {word!r}")
-            index[word] = pos
-        return cls(words=words, index=index)
+        return cls(words=words, index={word: pos for pos, word in enumerate(words)})
 
     def __len__(self) -> int:
         return len(self.words)
@@ -119,7 +115,8 @@ class _TypeIds(dict):
 def scan_corpus(sentences, target_nouns):
     """Count token frequencies and noun-context sentence co-occurrences.
 
-    ``sentences`` is an iterable of whitespace-tokenized lines, read once.
+    ``sentences`` is an iterable of whitespace-tokenized lines, read once,
+    with at least one non-blank line (``iter_corpus_lines`` raises otherwise).
     Co-occurrence uses occurrence-pair counting: every occurrence of a
     target noun pairs with every occurrence of a context word in the same
     sentence, except the noun's own token position. A noun therefore does
@@ -145,8 +142,6 @@ def scan_corpus(sentences, target_nouns):
         if words:
             raw_ids.extend(map(first_id.__getitem__, words))
             lengths.append(len(words))
-    if not lengths:
-        raise DataError("empty corpus: no non-blank sentences found")
 
     # Renumber in sorted word order, so column j of S is the j-th sorted type.
     types = sorted(first_id)
@@ -196,10 +191,6 @@ def build_context_vocab(frequencies, stopwords, size: int) -> Vocabulary:
     Ties at the same count break lexicographically ascending, so the result
     is deterministic for a given frequency table.
     """
-    if size <= 0:
-        raise ValueError(f"vocabulary size must be positive, got {size}")
-    if not frequencies:
-        raise ValueError("empty frequency table")
     stopwords = set(stopwords)
     ranked = sorted(
         (w for w in frequencies if w not in stopwords),
@@ -213,8 +204,6 @@ def frequency_buckets(frequencies, nouns, bucket_size: int) -> FrequencyBuckets:
 
     Nouns missing from the frequency table count as frequency 0.
     """
-    if bucket_size <= 0:
-        raise ValueError(f"bucket_size must be positive, got {bucket_size}")
     ordered = sorted(set(nouns), key=lambda n: (-frequencies.get(n, 0), n))
     bucket_of = {}
     members = {}

@@ -95,7 +95,7 @@ def read_triples_tsv(path) -> list:
     return rows
 
 
-def load_positives(rows, verb: str, source, cap: int, known_nouns=None) -> tuple:
+def load_positives(rows, verb: str, source, cap: int, known_nouns) -> tuple:
     """A verb's positive triples, filtered and frequency-capped.
 
     ``rows`` are the verb's rows of ``read_triples_tsv(source)``, in file
@@ -105,20 +105,15 @@ def load_positives(rows, verb: str, source, cap: int, known_nouns=None) -> tuple
     by (subject, object), and truncated to ``cap``. Returns the positives and
     the number of rows dropped for out-of-vocabulary nouns.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
     if not rows:
         raise DataError(f"unknown verb {verb!r}: no triples in {Path(source).name}")
-    dropped = 0
-    if known_nouns is not None:
-        kept = [r for r in rows if r[0] in known_nouns and r[2] in known_nouns]
-        dropped = len(rows) - len(kept)
-        if dropped:
-            log.info("verb %r: dropped %d triples with out-of-vocabulary nouns", verb, dropped)
-        rows = kept
-    if not rows:
+    kept = [r for r in rows if r[0] in known_nouns and r[2] in known_nouns]
+    dropped = len(rows) - len(kept)
+    if dropped:
+        log.info("verb %r: dropped %d triples with out-of-vocabulary nouns", verb, dropped)
+    if not kept:
         raise DataError(f"verb {verb!r}: zero triples survive the vocabulary filter")
-    rows = sorted(rows, key=lambda r: (-r[3], r[0], r[2]))[:cap]
+    rows = sorted(kept, key=lambda r: (-r[3], r[0], r[2]))[:cap]
     return [LabeledTriple(s, verb, o, PLAUSIBLE) for s, _, o, _ in rows], dropped
 
 
@@ -167,9 +162,9 @@ def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int) -> list
     return negatives
 
 
-def build_dataset(verb, positives, buckets, rng_seed, metadata=None) -> VerbDataset:
+def build_dataset(verb, positives, buckets, rng_seed, metadata) -> VerbDataset:
     negatives = gen_confounders(positives, buckets, rng_seed)
-    return VerbDataset(verb=verb, triples=list(positives) + negatives, metadata=metadata or {})
+    return VerbDataset(verb=verb, triples=list(positives) + negatives, metadata=metadata)
 
 
 def _stratified_indices(triples):
@@ -218,8 +213,6 @@ def subsample(dataset: VerbDataset, n: int, seed: int) -> VerbDataset:
     """
     if n > len(dataset):
         raise DataError(f"cannot sample {n} triples from a dataset of {len(dataset)}")
-    if n < 2:
-        raise DataError(f"sample size must be at least 2, got {n}")
     pos, neg = _stratified_indices(dataset.triples)
     n_pos = n // 2 + (n % 2)
     n_neg = n // 2

@@ -30,35 +30,24 @@ F_CRITICAL_10_5 = 4.735
 F_TEST_ALPHA = 0.05
 
 
-def _check_binary(labels):
-    n_pos = sum(1 for lab in labels if lab == PLAUSIBLE)
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs at least one positive and one negative")
-    return n_pos, n_neg
-
-
 def roc_auc(scores, labels) -> float:
     """Pair-counting AUC: fraction of positive-negative pairs ranked right.
 
     Computed from average ranks, so tied scores contribute exactly one half.
+    ``scores`` and ``labels`` align, and both classes occur among the labels.
     """
     scores = np.asarray(list(scores), dtype=np.float64)
     labels = list(labels)
-    if len(scores) != len(labels):
-        raise ValueError("scores and labels differ in length")
-    n_pos, n_neg = _check_binary(labels)
+    n_pos = sum(1 for lab in labels if lab == PLAUSIBLE)
+    n_neg = len(labels) - n_pos
     ranks = rankdata(scores, method="average")
     pos_rank_sum = float(sum(r for r, lab in zip(ranks, labels) if lab == PLAUSIBLE))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def f1_plausible(predicted_labels, gold_labels) -> float:
-    """F1 over the plausible class; zero when precision + recall is zero."""
-    predicted_labels = list(predicted_labels)
-    gold_labels = list(gold_labels)
-    if not predicted_labels or len(predicted_labels) != len(gold_labels):
-        raise ValueError("need equal-length non-empty label sequences")
+    """F1 over the plausible class of two aligned label lists; zero when
+    precision + recall is zero."""
     tp = sum(1 for p, g in zip(predicted_labels, gold_labels) if p == PLAUSIBLE and g == PLAUSIBLE)
     fp = sum(1 for p, g in zip(predicted_labels, gold_labels) if p == PLAUSIBLE and g != PLAUSIBLE)
     fn = sum(1 for p, g in zip(predicted_labels, gold_labels) if p != PLAUSIBLE and g == PLAUSIBLE)
@@ -74,7 +63,8 @@ def _pair_rows(triples, embeddings):
 
 
 def _fit_and_score(method, train_triples, test_triples, embeddings, train_config, fold_seed):
-    """Train one method on the train half and score the test half.
+    """Train ``METHOD_TENSOR``, or else the baseline, on the train half and
+    score the test half.
 
     Returns (scores, predicted_labels) aligned with ``test_triples``. Each
     half's embedding rows are gathered once and every scoring step is one
@@ -89,14 +79,12 @@ def _fit_and_score(method, train_triples, test_triples, embeddings, train_config
         result = tm.train(train_triples, embeddings, replace(train_config, seed=fold_seed))
         labels, scores = tm.predict_batch(result.model, *test_rows)
         return scores.tolist(), labels
-    if method == METHOD_BASELINE:
-        model = kron.train_baseline([t for t in train_triples if t.is_plausible], embeddings)
-        train_scores = kron.score(model, *_pair_rows(train_triples, embeddings))
-        positive = np.fromiter((t.is_plausible for t in train_triples), dtype=bool)
-        kron.calibrate_cutoff(model, train_scores[positive], train_scores[~positive])
-        labels, scores = kron.predict_baseline(model, *test_rows)
-        return scores.tolist(), labels
-    raise ValueError(f"unknown method {method!r}")
+    model = kron.train_baseline([t for t in train_triples if t.is_plausible], embeddings)
+    train_scores = kron.score(model, *_pair_rows(train_triples, embeddings))
+    positive = np.fromiter((t.is_plausible for t in train_triples), dtype=bool)
+    kron.calibrate_cutoff(model, train_scores[positive], train_scores[~positive])
+    labels, scores = kron.predict_baseline(model, *test_rows)
+    return scores.tolist(), labels
 
 
 def evaluate_on_splits(method, dataset: VerbDataset, splits, embeddings, train_config,
@@ -140,8 +128,6 @@ def f_test_5x2cv(metric_a, metric_b) -> tuple:
     """
     a = [float(x) for x in metric_a]
     b = [float(x) for x in metric_b]
-    if len(a) != 10 or len(b) != 10:
-        raise ValueError("expected 10 aligned values per method (5 repetitions x 2 folds)")
     diffs = [[a[2 * i + j] - b[2 * i + j] for j in range(2)] for i in range(5)]
     numerator = sum(d * d for row in diffs for d in row)
     denominator = 0.0

@@ -28,27 +28,14 @@ import numpy as np
 TVB_MAGIC = b"TVB1"
 
 
-def _as_dense_matrix(x, name: str = "matrix") -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
 def cosine(a, b) -> float:
     """Cosine similarity of two arrays of identical shape.
 
-    Matrices are compared as flattened vectors. Raises on zero input, which
-    upstream signals an empty noun vector.
+    Matrices are compared as flattened vectors. Raises ``ValueError`` on a
+    zero input, which upstream signals an empty noun vector.
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("cosine inputs contain non-finite values")
     norm_a = np.linalg.norm(a)
     norm_b = np.linalg.norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
@@ -87,13 +74,9 @@ def truncated_svd(matrix, k: int) -> tuple:
     the k largest singular values in non-increasing order. With
     ``2 * k < min(rows, cols)`` an iterative solver with a fixed starting
     vector runs, so results stay deterministic; otherwise LAPACK does.
+    ``1 <= k <= min(rows, cols)`` is the caller's to keep.
     """
     rows, cols = matrix.shape
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if k > min(rows, cols):
-        raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-
     if 2 * k < min(rows, cols):
         from scipy.sparse.linalg import svds
 

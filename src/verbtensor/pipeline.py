@@ -128,6 +128,8 @@ def build_vectors(config: PipelineConfig) -> dict:
     vocab = corpus_mod.build_context_vocab(frequencies, stopwords, config.context_vocab_size)
     log.info("context vocabulary: %d words", len(vocab))
     cooc = cooc.restrict(vocab)
+    if not cooc.counts.nnz:
+        raise DataError(f"{config.corpus}: no target noun shares a sentence with a context word")
     weighted = vec_mod.ttest_weight(cooc)
     weighted, dropped = vec_mod.drop_zero_rows(weighted)
     if dropped:
@@ -310,10 +312,9 @@ def _experiment_dims(config: PipelineConfig, which: str) -> tuple:
 def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     """Run one of the three experiment protocols and write report CSVs.
 
-    A verb that fails is recorded in ``failed_verbs``; the reports hold the rest.
+    ``which`` is one of ``EXPERIMENT_KINDS``. A verb that fails is recorded
+    in ``failed_verbs``; the reports hold the rest.
     """
-    if which not in EXPERIMENT_KINDS:
-        raise ValidationError(f"unknown experiment {which!r}, expected one of {EXPERIMENT_KINDS}")
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     datasets_dir = config.datasets_dir()
@@ -370,12 +371,17 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
 
 
 def _experiment_verb_safe(args):
-    """``(verb, payload, None)``, or ``(verb, None, error text)`` naming files by manifest key."""
+    """``(verb, payload, None)``, or ``(verb, None, error text)`` naming files by manifest key.
+
+    An error raised from a cause is filed under the cause's class, so a
+    fold's error, which ``evaluate_on_splits`` wraps with its method,
+    repetition and fold, keeps its own class name.
+    """
     config, verb, which = args
     try:
         return verb, _experiment_verb(config, verb, which), None
     except Exception as exc:  # isolate per-verb failures
-        message = f"{type(exc).__name__}: {exc}"
+        message = f"{type(exc.__cause__ or exc).__name__}: {exc}"
         for directory in (config.datasets_dir(), config.vectors_dir()):
             message = message.replace(str(directory), _manifest_key(directory, config))
         return verb, None, message
@@ -514,7 +520,11 @@ def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: in
 
 
 def eval_vectors(config: PipelineConfig, pairs_path=None, k: int | None = None) -> dict:
-    """Spearman correlation of embedding cosines against a word-pair file."""
+    """Spearman correlation of embedding cosines against a word-pair file.
+
+    A zero embedding row for a noun of a usable pair, fewer than 2 usable
+    pairs or a constant ranking raise ``DataError`` naming the file at fault.
+    """
     k, emb_path = _embeddings_path(config, k)
     pairs_path = Path(pairs_path) if pairs_path else config.dev_pairs
     if pairs_path is None:
@@ -523,14 +533,18 @@ def eval_vectors(config: PipelineConfig, pairs_path=None, k: int | None = None) 
         raise ValidationError(f"pairs file not found: {pairs_path}")
     embeddings = _read_embeddings(emb_path, k)
     pairs = vec_mod.read_pairs_tsv(pairs_path)
-    usable = sum(
-        1 for p in pairs if p.word_a in embeddings and p.word_b in embeddings
-    )
-    rho = vec_mod.spearman_similarity_eval(embeddings, pairs)
+    usable = [p for p in pairs if p.word_a in embeddings and p.word_b in embeddings]
+    zero = [w for p in usable for w in (p.word_a, p.word_b) if not embeddings.vector(w).any()]
+    if zero:
+        raise DataError(f"{emb_path}: noun {zero[0]!r} has a zero embedding (no cosine)")
+    try:
+        rho = vec_mod.spearman_similarity_eval(embeddings, pairs)
+    except ValueError as exc:  # too few usable pairs, or a constant ranking
+        raise DataError(f"{pairs_path}: {exc}") from None
     return {
         "k": k,
         "pairs": len(pairs),
-        "usable": usable,
-        "skipped": len(pairs) - usable,
+        "usable": len(usable),
+        "skipped": len(pairs) - len(usable),
         "spearman": rho,
     }

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
-from .linalg import _as_dense_matrix, read_tvb, write_tvb
+from .linalg import read_tvb, write_tvb
 from .util import DataError, TrainingDiverged, derive_seed
 
 log = logging.getLogger(__name__)
@@ -288,28 +288,19 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
 
 
 def predict(model: VerbTensorModel, n_s, n_o):
-    """Label and plausibility probability for one subject-object pair."""
-    labels, p_plausible = predict_batch(model, [n_s], [n_o])
+    """Label and plausibility probability for one pair of (K,) float arrays."""
+    labels, p_plausible = predict_batch(model, n_s[None], n_o[None])
     return labels[0], float(p_plausible[0])
 
 
 def predict_batch(model: VerbTensorModel, subjects, objects_):
     """Labels and plausibility probabilities for N pairs, one forward pass.
 
-    ``subjects`` and ``objects_`` are (N, K). Ties at exactly 0.5 resolve to
-    plausible; the probability doubles as the ranking score for AUC. Rows of
-    the wrong width or with non-finite values raise ``ValueError``.
+    ``subjects`` and ``objects_`` are (N, K) float arrays. Ties at exactly
+    0.5 resolve to plausible; the probability doubles as the ranking score
+    for AUC.
     """
-    rows = []
-    for role, matrix in (("subject", subjects), ("object", objects_)):
-        matrix = _as_dense_matrix(matrix, f"{role} rows")
-        if matrix.shape[1] != model.k:
-            raise ValueError(
-                f"{role} axis mismatch: rows have width {matrix.shape[1]}, "
-                f"tensor {role} axis is {model.k}"
-            )
-        rows.append(matrix)
-    _, _, p = _forward(model.tensor, model.theta, *rows)
+    _, _, p = _forward(model.tensor, model.theta, subjects, objects_)
     p_plausible = p[:, PLAUSIBLE_INDEX]
     labels = [PLAUSIBLE if value >= 0.5 else IMPLAUSIBLE for value in p_plausible]
     return labels, p_plausible

@@ -57,8 +57,6 @@ class EmbeddingTable:
 
     def leading(self, k: int) -> "EmbeddingTable":
         """The first k dimensions: rank-k embeddings of the same decomposition."""
-        if not 1 <= k <= self.dim:
-            raise ValueError(f"cannot take {k} leading dims of a {self.dim}-dim table")
         return EmbeddingTable(self.nouns, k, np.ascontiguousarray(self.matrix[:, :k]))
 
 
@@ -80,11 +78,10 @@ def ttest_weight(table: CooccurrenceTable) -> WeightedVectorTable:
     estimated from the table's own grand total, the weight is
     ``(p(w, c) - p(w) p(c)) / sqrt(p(w) p(c))``, which always lands in
     [-1, 1]. Cells with count zero are kept at weight zero so the table stays
-    sparse; only observed contexts compete in the later ranking.
+    sparse; only observed contexts compete in the later ranking. The table
+    must hold at least one co-occurrence.
     """
     total = float(table.counts.sum())
-    if total <= 0.0:
-        raise ValueError("empty co-occurrence table: grand total is zero")
     row_sums = np.asarray(table.counts.sum(axis=1), dtype=np.float64).ravel()
     col_sums = np.asarray(table.counts.sum(axis=0), dtype=np.float64).ravel()
     coo = table.counts.tocoo()
@@ -106,8 +103,6 @@ def select_top_n(table: WeightedVectorTable, n: int) -> WeightedVectorTable:
     Ranking is by weight descending; equal weights break by context word,
     lexicographically ascending, so selection is deterministic.
     """
-    if n < 1:
-        raise ValueError(f"top-N must be at least 1, got {n}")
     src = table.weights
     words = table.contexts.words
     word_rank = np.empty(len(words), dtype=np.int64)
@@ -139,17 +134,13 @@ def drop_zero_rows(table: WeightedVectorTable):
     return WeightedVectorTable(vocab, table.contexts, csr[keep]), dropped
 
 
-def reduce_to_embeddings(table: WeightedVectorTable, k: int,
-                         top_n: int | None = None) -> EmbeddingTable:
-    """Run selection, row normalization and truncated SVD to K dimensions.
+def reduce_to_embeddings(table: WeightedVectorTable, k: int, top_n: int) -> EmbeddingTable:
+    """Run top-N context selection, row normalization and truncated SVD to K dimensions.
 
-    Pass ``top_n`` to apply context selection here; leave it None when the
-    table has already been selected. Embeddings are the
-    singular-value-scaled rows ``U @ diag(s)``, which preserve the inner
-    products of the normalized table.
+    Embeddings are the singular-value-scaled rows ``U @ diag(s)``, which
+    preserve the inner products of the normalized table.
     """
-    if top_n is not None:
-        table = select_top_n(table, top_n)
+    table = select_top_n(table, top_n)
     u, s = truncated_svd(l2_normalize_rows(table.weights), k)
     return EmbeddingTable(nouns=table.nouns, dim=k, matrix=u * s)
 

@@ -115,13 +115,6 @@ class TestTrainBaseline:
         b = train_baseline(list(reversed(triples)), simple_embeddings)
         assert np.array_equal(a.avg_matrix, b.avg_matrix)
 
-    def test_rejects_negatives(self, simple_embeddings):
-        with pytest.raises(ValueError, match="positive triples only"):
-            train_baseline(
-                [pos("s1", "o1"), LabeledTriple("s2", "eat", "o2", IMPLAUSIBLE)],
-                simple_embeddings,
-            )
-
     def test_no_usable_positives(self, simple_embeddings):
         with pytest.raises(DataError, match="^no positive triples$"):
             train_baseline([], simple_embeddings)
@@ -231,36 +224,10 @@ class TestBatchedScoreOracle:
             with pytest.raises(ValueError, match="zero vector"):
                 score(model, subjects, objects_)
 
-    def test_non_finite_row_raises(self, simple_embeddings):
-        model = train_baseline([pos("s1", "o1")], simple_embeddings)
-        s = simple_embeddings.rows(["s1", "s2"])
-        o = simple_embeddings.rows(["o1", "o2"])
-        for bad in (np.nan, np.inf, -np.inf):
-            broken = s.copy()
-            broken[1, 0] = bad
-            with pytest.raises(ValueError, match="non-finite"):
-                score(model, broken, o)
-            with pytest.raises(ValueError, match="non-finite"):
-                score(model, s, broken)
-        model.avg_matrix = model.avg_matrix.copy()
-        model.avg_matrix[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            score(model, s, o)
-
     def test_zero_average_raises(self, simple_embeddings):
         model = KronBaselineModel(avg_matrix=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="zero vector"):
             score(model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1"))
-
-    def test_shape_mismatch_raises(self, simple_embeddings):
-        model = train_baseline([pos("s1", "o1")], simple_embeddings)
-        s = simple_embeddings.rows(["s1", "s2"])
-        with pytest.raises(ValueError, match="shape mismatch"):
-            score(model, s, simple_embeddings.rows(["o1"]))
-        with pytest.raises(ValueError, match="shape mismatch"):
-            score(model, s[:, :2], simple_embeddings.rows(["o1", "o2"]))
-        with pytest.raises(ValueError, match="2-D"):
-            score(model, simple_embeddings.vector("s1"), simple_embeddings.vector("o1"))
 
 
 def loop_calibrate_cutoff(pos_scores, neg_scores):
@@ -343,12 +310,6 @@ class TestCalibrateCutoff:
         cutoff = calibrate_cutoff(self.make_model(), pos_scores, neg_scores)
         assert cutoff == loop_calibrate_cutoff(pos_scores, neg_scores)
 
-    def test_empty_lists_rejected(self):
-        with pytest.raises(DataError, match="calibration"):
-            calibrate_cutoff(self.make_model(), [], [0.1])
-        with pytest.raises(DataError, match="calibration"):
-            calibrate_cutoff(self.make_model(), [0.1], [])
-
 
 class TestPredictBaseline:
     def test_rule_and_boundary(self, simple_embeddings):
@@ -365,13 +326,6 @@ class TestPredictBaseline:
             model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1")
         )
         assert label == IMPLAUSIBLE
-
-    def test_uncalibrated_model_rejected(self, simple_embeddings):
-        model = train_baseline([pos("s1", "o1")], simple_embeddings)
-        with pytest.raises(ValueError, match="cutoff"):
-            predict_baseline(
-                model, one(simple_embeddings, "s1"), one(simple_embeddings, "o1")
-            )
 
     def test_end_to_end_f1_on_separable_data(self, planted):
         dataset, embeddings = planted

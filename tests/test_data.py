@@ -88,10 +88,10 @@ class TestLoadPositives:
                                     cap=2000, known_nouns=KNOWN)
         assert dropped == 1
         _, dropped = load_positives(verb_rows(triple_file, "apply"), "apply", triple_file,
-                                    cap=2000)
+                                    cap=2000, known_nouns=KNOWN | {"ghost"})
         assert dropped == 0
         with pytest.raises(DataError, match=r"^unknown verb 'devour': no triples in triples\.tsv$"):
-            load_positives([], "devour", triple_file, cap=2000)
+            load_positives([], "devour", triple_file, cap=2000, known_nouns=KNOWN)
 
 
 def make_buckets(noun_freqs, bucket_size=3):
@@ -145,7 +145,7 @@ class TestGenConfounders:
             LabeledTriple(f"n{i:02d}", "eat", f"n{(i + 3) % 12:02d}", PLAUSIBLE)
             for i in range(9)
         ]
-        dataset = build_dataset("eat", positives, self.buckets, rng_seed=3)
+        dataset = build_dataset("eat", positives, self.buckets, rng_seed=3, metadata={})
         assert len(dataset.positives) == len(dataset.negatives) == 9
 
     def test_missing_bucket_is_an_error(self):

