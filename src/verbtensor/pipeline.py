@@ -107,6 +107,19 @@ def _read_embeddings(path, k: int):
     return table
 
 
+def _reject_zero_rows(path, embeddings, nouns) -> None:
+    """Raise ``DataError`` naming ``path`` and the first of ``nouns`` with a zero embedding.
+
+    A cosine with a zero vector is undefined. Nouns without an embedding
+    pass; the caller reports those.
+    """
+    zero = {noun for noun, nonzero in zip(embeddings.nouns.words, embeddings.matrix.any(axis=1))
+            if not nonzero}
+    noun = next((noun for noun in nouns if noun in zero), None)
+    if noun is not None:
+        raise DataError(f"{path}: noun {noun!r} has a zero embedding (no cosine)")
+
+
 # ---------------------------------------------------------------------------
 # build-vectors
 # ---------------------------------------------------------------------------
@@ -388,12 +401,22 @@ def _experiment_verb_safe(args):
 
 
 def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
-    """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``, and its splits."""
+    """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``, and its splits.
+
+    A zero embedding row for a noun of the triples it evaluates raises
+    ``DataError`` naming the noun and the embeddings file.
+    """
     dataset = data_mod.read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
-    embeddings = {
-        k: _read_embeddings(_embeddings_path(config, k)[1], k)
-        for k in _experiment_dims(config, which)
-    }
+    paths = {k: _embeddings_path(config, k)[1] for k in _experiment_dims(config, which)}
+    embeddings = {k: _read_embeddings(path, k) for k, path in paths.items()}
+    base = dataset
+    if which == "small-cv":
+        base = data_mod.subsample(
+            dataset, config.small_cv_size, derive_seed(config.cv_seed, "small", verb)
+        )
+    nouns = [noun for t in base.triples for noun in (t.subject, t.object)]
+    for k, table in embeddings.items():
+        _reject_zero_rows(paths[k], table, nouns)
 
     if which == "curves":
         k = config.primary_k
@@ -408,11 +431,6 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
         ]
         return (rows,), None
 
-    base = dataset
-    if which == "small-cv":
-        base = data_mod.subsample(
-            dataset, config.small_cv_size, derive_seed(config.cv_seed, "small", verb)
-        )
     splits = data_mod.make_5x2cv_splits(base, derive_seed(config.cv_seed, which, verb))
     rows, comparisons = [], []
     for k, table in embeddings.items():
@@ -534,9 +552,7 @@ def eval_vectors(config: PipelineConfig, pairs_path=None, k: int | None = None) 
     embeddings = _read_embeddings(emb_path, k)
     pairs = vec_mod.read_pairs_tsv(pairs_path)
     usable = [p for p in pairs if p.word_a in embeddings and p.word_b in embeddings]
-    zero = [w for p in usable for w in (p.word_a, p.word_b) if not embeddings.vector(w).any()]
-    if zero:
-        raise DataError(f"{emb_path}: noun {zero[0]!r} has a zero embedding (no cosine)")
+    _reject_zero_rows(emb_path, embeddings, (w for p in usable for w in (p.word_a, p.word_b)))
     try:
         rho = vec_mod.spearman_similarity_eval(embeddings, pairs)
     except ValueError as exc:  # too few usable pairs, or a constant ranking

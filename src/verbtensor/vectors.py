@@ -198,9 +198,8 @@ def read_pairs_tsv(path) -> list:
 def write_embeddings_tsv(path, embeddings: EmbeddingTable) -> None:
     """Export ``noun<TAB>v1<TAB>...<TAB>vK`` with full float precision."""
     with open(path, "w", encoding="utf-8") as handle:
-        for i, noun in enumerate(embeddings.nouns.words):
-            values = "\t".join(repr(float(v)) for v in embeddings.matrix[i])
-            handle.write(f"{noun}\t{values}\n")
+        for noun, row in zip(embeddings.nouns.words, embeddings.matrix.tolist()):
+            handle.write(f"{noun}\t" + "\t".join(map(repr, row)) + "\n")
 
 
 def read_embeddings_tsv(path) -> EmbeddingTable:
@@ -209,7 +208,55 @@ def read_embeddings_tsv(path) -> EmbeddingTable:
     A row wider or narrower than the first, rows with no values, a value
     that is not a finite float, a repeated noun or a file without rows
     raises ``DataError`` naming the file (and the line, where there is one).
+
+    The fast path, ``_read_embeddings_whole``, reads the file in one pass
+    and parses every value cell with ``float`` into one array. On any
+    anomaly it gives up, and the line loop, ``_read_embeddings_lines``,
+    reads the file again and raises the ``DataError`` for its first fault.
     """
+    table = _read_embeddings_whole(path)
+    return table if table is not None else _read_embeddings_lines(path)
+
+
+def _read_embeddings_whole(path):
+    """The table from one read of a well-formed file, or None on any anomaly.
+
+    The anomalies are: bytes that are not UTF-8, no rows, a blank line, a
+    row with no values, a row whose tab count differs from the first row's,
+    a repeated noun, a cell ``float`` rejects and a non-finite value. The
+    text is split on ``"\\n"`` alone, as the line loop splits it, so a noun
+    may hold any other line-break character.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().split("\n")
+    except UnicodeDecodeError:
+        return None
+    if lines[-1] == "":
+        del lines[-1]
+    width = lines[0].count("\t") if lines else 0
+    if not width or any(line.count("\t") != width for line in lines):
+        return None
+    # every row has width + 1 cells, so each row's noun is every (width + 1)-th cell
+    cells = "\t".join(lines).split("\t")
+    nouns = cells[:: width + 1]
+    del cells[:: width + 1]
+    index = dict(zip(nouns, range(len(nouns))))
+    if len(index) != len(nouns):
+        return None
+    try:
+        matrix = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
+    if not np.isfinite(matrix).all():
+        return None
+    return EmbeddingTable(
+        nouns=Vocabulary(tuple(nouns), index), dim=width, matrix=matrix.reshape(len(nouns), width)
+    )
+
+
+def _read_embeddings_lines(path) -> EmbeddingTable:
+    """``read_embeddings_tsv`` one line at a time, raising at the first fault."""
     index, rows, linenos = {}, [], []
     width = None
     for lineno, line in numbered_lines(path):

@@ -3,6 +3,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -716,6 +718,44 @@ class TestTrainPredictEval:
         assert payload["label"] in ("plausible", "implausible")
         assert 0.0 <= payload["p_plausible"] <= 1.0
 
+    def test_reused_parser_matches_fresh_processes(self, built, tmp_path, capsys):
+        """``main`` reuses one parser, and each call prints what a fresh process prints.
+
+        A call with ``--k`` leaves no ``k`` for the next call, and neither
+        does an argparse error.
+        """
+        config = load_config(built)
+        out = tmp_path / "reuse"
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(config.output_dir / subdir, out / subdir)
+        small, large = config.svd_dims
+        for k in (small, large):
+            assert run_cli("--config", built, "--out", out, "train", "--verb", "devour",
+                           "--k", k) == 0
+        triple = read_dataset_jsonl(out / "datasets" / "devour.jsonl").positives[0]
+        predict = ["--config", built, "--out", out, "predict", "--verb", "devour",
+                   "--subject", triple.subject, "--object", triple.object]
+        calls = [predict + ["--k", large], predict]
+        src = str(Path(pipeline.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = [
+            subprocess.run([sys.executable, "-m", "verbtensor", *map(str, argv)], env=env,
+                           capture_output=True, text=True, check=True, timeout=120).stdout
+            for argv in calls
+        ]
+        assert [json.loads(text)["k"] for text in fresh] == [large, small]
+        capsys.readouterr()
+        for argv, expected in zip(calls, fresh):
+            assert run_cli(*argv) == 0
+            assert capsys.readouterr().out == expected
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*predict[:-2])  # no --object
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(*predict) == 0
+        assert capsys.readouterr().out == fresh[1]
+
     def test_predict_without_model_fails_validation(self, built, tmp_path):
         out = tmp_path / "nomodel"
         assert run_cli("--config", built, "--out", out, "build-vectors") == 0
@@ -1010,6 +1050,27 @@ class TestMalformedInputs:
         assert_clean_failure(caplog, "noun 'zzz_unknown' has no embedding" if kind == "unknown_noun"
                              else f"{dataset}: dataset has a header and no triples")
         assert not list(out.rglob("*.tvbm"))
+
+    def test_zero_embedding_row_fails_experiment_verbs_cleanly(self, built, tmp_path, caplog):
+        """A zero row for a dataset noun is a ``DataError`` naming the noun and file."""
+        config = load_config(built)
+        out = tmp_path / "zero"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.datasets_dir(), out / "datasets")
+        for k in config.svd_dims:
+            emb = out / "vectors" / f"embeddings_k{k}.tsv"
+            emb.write_text("".join(
+                "\t".join(["person08"] + ["0.0"] * k) + "\n" if line.startswith("person08\t")
+                else line for line in emb.read_text().splitlines(keepends=True)))
+        assert run_cli("--config", built, "--out", out,
+                       "experiment", "--which", "full-cv") == EXIT_RUNTIME
+        # person08 is in both verbs' datasets, so both fail and no manifest is
+        # written: the failed_verbs text is in the error that ends the run
+        message = (f"DataError: vectors/embeddings_k{config.svd_dims[0]}.tsv: "
+                   "noun 'person08' has a zero embedding (no cosine)")
+        failed_verbs = {verb: message for verb in sorted(config.verbs)}
+        assert_clean_failure(caplog, f"every verb failed: {failed_verbs}")
+        assert not (out / "reports" / "manifest_experiment-full-cv.json").exists()
 
     def test_unknown_noun_fails_full_cv_verb(self, built, tmp_path, caplog):
         out, _ = self.devour_outputs(built, tmp_path, "unknown_noun")

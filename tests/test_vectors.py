@@ -10,6 +10,8 @@ from verbtensor.util import DataError
 from verbtensor.vectors import (
     EmbeddingTable,
     SimilarityPair,
+    _read_embeddings_lines,
+    _read_embeddings_whole,
     drop_zero_rows,
     read_embeddings_tsv,
     read_pairs_tsv,
@@ -333,14 +335,19 @@ class TestSpearmanEval:
 class TestEmbeddingIo:
     def test_tsv_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(13)
-        emb = EmbeddingTable(
-            Vocabulary.from_words(["x", "y"]), 3, rng.standard_normal((2, 3))
-        )
+        matrix = rng.standard_normal((3, 3))
+        matrix[2] = [-0.0, 5e-324, 1e308]
+        emb = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 3, matrix)
         path = tmp_path / "emb.tsv"
         write_embeddings_tsv(path, emb)
+        # each value is the repr of its float64, the shortest text that reads back exactly
+        assert path.read_text(encoding="utf-8") == "".join(
+            "\t".join([noun] + [repr(float(v)) for v in row]) + "\n"
+            for noun, row in zip(emb.nouns.words, matrix)
+        )
         loaded = read_embeddings_tsv(path)
-        assert loaded.nouns.words == ("x", "y")
-        np.testing.assert_array_equal(loaded.matrix, emb.matrix)
+        assert loaded.nouns.words == ("x", "y", "z")
+        assert loaded.matrix.tobytes() == matrix.tobytes()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -403,6 +410,75 @@ def test_corrupted_embeddings_raise_only_data_error(tmp_path_factory, case):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=rf"embeddings_k4\.tsv:{lineno}: "):
         read_embeddings_tsv(path)
+
+
+# characters str.splitlines breaks on and the line loop keeps inside a noun
+NOUN_CHARS = "a \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# spellings float reads and numpy's own parsers may not
+FINITE_SPELLINGS = ["1_0", " 1.0 ", "+2", "-0.0", "1e5", ".5"]
+NON_FINITE_SPELLINGS = ["inf", "nan", "-Infinity", "NaN", "1e999"]
+FAULTS = ["ragged", "bad-value", "non-finite", "blank", "trailing-blank", "bytes"]
+
+
+@st.composite
+def embedding_files(draw):
+    """The bytes of an embeddings file, and whether it is free of faults.
+
+    A fault is a ragged row whose cells moved to another row (the total cell
+    count still matches), a value ``float`` rejects, a non-finite value, a
+    blank line in the middle or at the end, or bytes that are not UTF-8.
+    Nouns come from a small alphabet, so some repeat, and half are digits,
+    so that a noun shifted into the values by a ragged row reads as a float.
+    """
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    noun = st.one_of(st.text(NOUN_CHARS, min_size=1, max_size=3), st.integers(0, 9).map(str))
+    nouns = draw(st.lists(noun, min_size=n, max_size=n))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(FINITE_SPELLINGS),
+    )
+    rows = [[noun] + draw(st.lists(value, min_size=k, max_size=k)) for noun in nouns]
+    faults = draw(st.sets(st.sampled_from(FAULTS)))
+    if "ragged" in faults and n > 1:
+        source, target = draw(st.permutations(range(n)))[:2]
+        rows[target].append(rows[source].pop())
+    for fault, spellings in (("bad-value", BAD_VALUES), ("non-finite", NON_FINITE_SPELLINGS)):
+        if fault in faults:
+            row = rows[draw(st.integers(0, n - 1))]
+            if len(row) > 1:
+                row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(spellings))
+    lines = ["\t".join(row) for row in rows]
+    if "blank" in faults:
+        lines.insert(draw(st.integers(1, n)), "")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    ending = newline * (draw(st.integers(2, 3)) if "trailing-blank" in faults
+                        else draw(st.integers(0, 1)))
+    data = (newline.join(lines) + ending).encode("utf-8")
+    if "bytes" in faults:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data, not faults and len(set(nouns)) == n
+
+
+def read_outcome(read, path):
+    """A reader's table as plain values (float64 bits included), or its error text."""
+    try:
+        table = read(path)
+    except DataError as exc:
+        return str(exc)
+    return table.nouns.words, table.nouns.index, table.dim, table.matrix.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedding_files())
+def test_fast_reader_agrees_with_line_loop(tmp_path_factory, case):
+    """The one-pass read gives the line loop's table or its exact error."""
+    data, clean = case
+    path = tmp_path_factory.mktemp("emb") / "emb.tsv"
+    path.write_bytes(data)
+    if clean:
+        assert _read_embeddings_whole(path) is not None
+    assert read_outcome(read_embeddings_tsv, path) == read_outcome(_read_embeddings_lines, path)
 
 
 BAD_SCORES = ["nan", "inf", "-inf", "1e999", "", "x1", "0x10", "1,5"]
