@@ -50,8 +50,9 @@ def score(model: KronBaselineModel, subjects, objects_) -> np.ndarray:
 
     ``subjects`` and ``objects_`` are (N, K) float arrays; one pair is the
     N = 1 case. A zero subject row, object row or average raises
-    ``ValueError``, as the cosine of a zero vector is undefined; a zero row
-    can come from an embeddings file.
+    ``ValueError``, as the cosine of a zero vector is undefined. The pipeline
+    rejects zero embedding rows before it scores, so there only a zero
+    average can still raise.
     """
     avg = model.avg_matrix
     norms = np.linalg.norm(subjects, axis=1) * np.linalg.norm(objects_, axis=1)

@@ -8,7 +8,6 @@ runtime failures. Global flags go before the subcommand, for example::
 """
 
 import argparse
-import functools
 import json
 import logging
 import sys
@@ -28,13 +27,7 @@ _K_HELP = ("embedding dim: one of the config's [vectors] svd_dims "
           "(default: the first of them)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and reused by every ``main`` call.
-
-    ``parse_args`` makes a fresh namespace from the parser's defaults on each
-    call, so a call sees nothing of an earlier one.
-    """
     parser = argparse.ArgumentParser(
         prog="verbtensor",
         description="Transitive-verb tensor learning over a plausibility sentence space",

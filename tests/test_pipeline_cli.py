@@ -3,8 +3,6 @@ import json
 import os
 import shutil
 import struct
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -717,44 +715,6 @@ class TestTrainPredictEval:
         payload = json.loads(capsys.readouterr().out)
         assert payload["label"] in ("plausible", "implausible")
         assert 0.0 <= payload["p_plausible"] <= 1.0
-
-    def test_reused_parser_matches_fresh_processes(self, built, tmp_path, capsys):
-        """``main`` reuses one parser, and each call prints what a fresh process prints.
-
-        A call with ``--k`` leaves no ``k`` for the next call, and neither
-        does an argparse error.
-        """
-        config = load_config(built)
-        out = tmp_path / "reuse"
-        for subdir in ("vectors", "datasets"):
-            shutil.copytree(config.output_dir / subdir, out / subdir)
-        small, large = config.svd_dims
-        for k in (small, large):
-            assert run_cli("--config", built, "--out", out, "train", "--verb", "devour",
-                           "--k", k) == 0
-        triple = read_dataset_jsonl(out / "datasets" / "devour.jsonl").positives[0]
-        predict = ["--config", built, "--out", out, "predict", "--verb", "devour",
-                   "--subject", triple.subject, "--object", triple.object]
-        calls = [predict + ["--k", large], predict]
-        src = str(Path(pipeline.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        fresh = [
-            subprocess.run([sys.executable, "-m", "verbtensor", *map(str, argv)], env=env,
-                           capture_output=True, text=True, check=True, timeout=120).stdout
-            for argv in calls
-        ]
-        assert [json.loads(text)["k"] for text in fresh] == [large, small]
-        capsys.readouterr()
-        for argv, expected in zip(calls, fresh):
-            assert run_cli(*argv) == 0
-            assert capsys.readouterr().out == expected
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*predict[:-2])  # no --object
-        assert exc.value.code == 2
-        capsys.readouterr()
-        assert run_cli(*predict) == 0
-        assert capsys.readouterr().out == fresh[1]
 
     def test_predict_without_model_fails_validation(self, built, tmp_path):
         out = tmp_path / "nomodel"
