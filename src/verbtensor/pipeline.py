@@ -2,9 +2,10 @@
 
 Every command writes its artifacts plus a ``manifest.json`` recording the
 parameters it used and sha256 checksums of the inputs it read and the outputs
-it wrote. Commands are pure functions of (config, input files, seeds), so for
-unchanged inputs and seeds every output, manifests included, is byte-identical
-whatever ``--out`` and ``--jobs`` are.
+it wrote; build-vectors' outputs include each embeddings TSV's sidecar,
+``embeddings_k{k}.tvb`` (see ``vectors``). Commands are pure functions of
+(config, input files, seeds), so for unchanged inputs and seeds every output,
+manifests included, is byte-identical whatever ``--out`` and ``--jobs`` are.
 
 Manifests key each file by a path relative to a root, in POSIX form: a file
 under the output directory relative to it (``reports/small_cv.csv``), any
@@ -154,7 +155,7 @@ def build_vectors(config: PipelineConfig) -> dict:
         )
     top_n, sweep_trace, reduced = _choose_top_n(config, weighted)
 
-    outputs = []
+    outputs, sidecars = [], []
     freq_path = out_dir / "frequencies.tsv"
     corpus_mod.write_frequency_tsv(freq_path, frequencies)
     outputs.append(freq_path)
@@ -162,7 +163,7 @@ def build_vectors(config: PipelineConfig) -> dict:
     for k in config.svd_dims:
         emb = reduced.leading(k)
         tsv_path = out_dir / _EMBEDDINGS_FILE.format(k)
-        vec_mod.write_embeddings_tsv(tsv_path, emb)
+        sidecars.append(vec_mod.write_embeddings_tsv(tsv_path, emb))
         outputs.append(tsv_path)
         log.info("wrote %d x %d embeddings to %s", emb.matrix.shape[0], k, tsv_path)
 
@@ -178,7 +179,8 @@ def build_vectors(config: PipelineConfig) -> dict:
         "dropped_nouns": dropped,
         "n_target_nouns": len(targets),
     }
-    manifest = _write_manifest(config, out_dir, "build-vectors", parameters, inputs, outputs)
+    manifest = _write_manifest(config, out_dir, "build-vectors", parameters, inputs,
+                               outputs + sidecars)
     return {"top_n": top_n, "outputs": [str(p) for p in outputs], "manifest": str(manifest)}
 
 

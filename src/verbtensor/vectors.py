@@ -3,18 +3,23 @@
 The pipeline is: tTest reweighting of counts, per-noun top-N context
 selection, row L2 normalization, then truncated SVD down to K dimensions.
 Vector quality is sanity-checked with Spearman correlation against a
-human-scored word-pair file.
+human-scored word-pair file. An embeddings TSV is authoritative: the binary
+sidecar its writer adds (``embeddings_k20.tvb``) holds the TSV's sha256 and
+the matrix, and spares the reader the float parse only while that digest
+matches the TSV.
 """
 
+import hashlib
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy import stats
 
 from .corpus import CooccurrenceTable, Vocabulary
-from .linalg import cosine, l2_normalize_rows, truncated_svd
+from .linalg import cosine, l2_normalize_rows, read_tvb, truncated_svd, write_tvb
 from .util import DataError, numbered_lines
 
 log = logging.getLogger(__name__)
@@ -195,11 +200,23 @@ def read_pairs_tsv(path) -> list:
     return pairs
 
 
-def write_embeddings_tsv(path, embeddings: EmbeddingTable) -> None:
-    """Export ``noun<TAB>v1<TAB>...<TAB>vK`` with full float precision."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for noun, row in zip(embeddings.nouns.words, embeddings.matrix.tolist()):
-            handle.write(f"{noun}\t" + "\t".join(map(repr, row)) + "\n")
+def write_embeddings_tsv(path, embeddings: EmbeddingTable) -> Path:
+    """Export ``noun<TAB>v1<TAB>...<TAB>vK``, each value the ``repr`` of its float64.
+
+    Also writes, and returns, the sidecar: the TSV's path with suffix ``.tvb``,
+    holding the raw sha256 of the TSV's bytes, then the matrix as one TVB1
+    block. A non-finite value raises ``ValueError`` once the TSV is written.
+    """
+    data = "".join(
+        f"{noun}\t" + "\t".join(map(repr, row)) + "\n"
+        for noun, row in zip(embeddings.nouns.words, embeddings.matrix.tolist())
+    ).encode("utf-8")
+    Path(path).write_bytes(data)
+    sidecar = Path(path).with_suffix(".tvb")
+    with open(sidecar, "wb") as handle:
+        handle.write(hashlib.sha256(data).digest())
+        write_tvb(handle, embeddings.matrix)
+    return sidecar
 
 
 def read_embeddings_tsv(path) -> EmbeddingTable:
@@ -209,50 +226,31 @@ def read_embeddings_tsv(path) -> EmbeddingTable:
     that is not a finite float, a repeated noun or a file without rows
     raises ``DataError`` naming the file (and the line, where there is one).
 
-    The fast path, ``_read_embeddings_whole``, reads the file in one pass
-    and parses every value cell with ``float`` into one array. On any
-    anomaly it gives up, and the line loop, ``_read_embeddings_lines``,
-    reads the file again and raises the ``DataError`` for its first fault.
+    The TSV is authoritative. The values come from its sidecar only when the
+    sidecar holds the sha256 of the TSV's bytes (so the writer wrote this
+    text beside this block) and the text is UTF-8 without carriage returns,
+    with distinct nouns, one per block row, and one tab per block cell; the
+    line loop would then read the block's bits from the ``repr`` values.
+    Otherwise one INFO line names the file and ``_read_embeddings_lines`` runs.
     """
-    table = _read_embeddings_whole(path)
-    return table if table is not None else _read_embeddings_lines(path)
-
-
-def _read_embeddings_whole(path):
-    """The table from one read of a well-formed file, or None on any anomaly.
-
-    The anomalies are: bytes that are not UTF-8, no rows, a blank line, a
-    row with no values, a row whose tab count differs from the first row's,
-    a repeated noun, a cell ``float`` rejects and a non-finite value. The
-    text is split on ``"\\n"`` alone, as the line loop splits it, so a noun
-    may hold any other line-break character.
-    """
+    sidecar = Path(path).with_suffix(".tvb")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-    except UnicodeDecodeError:
-        return None
-    if lines[-1] == "":
-        del lines[-1]
-    width = lines[0].count("\t") if lines else 0
-    if not width or any(line.count("\t") != width for line in lines):
-        return None
-    # every row has width + 1 cells, so each row's noun is every (width + 1)-th cell
-    cells = "\t".join(lines).split("\t")
-    nouns = cells[:: width + 1]
-    del cells[:: width + 1]
-    index = dict(zip(nouns, range(len(nouns))))
-    if len(index) != len(nouns):
-        return None
-    try:
-        matrix = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-    except ValueError:
-        return None
-    if not np.isfinite(matrix).all():
-        return None
-    return EmbeddingTable(
-        nouns=Vocabulary(tuple(nouns), index), dim=width, matrix=matrix.reshape(len(nouns), width)
-    )
+        data = Path(path).read_bytes()
+        with open(sidecar, "rb") as handle:
+            if handle.read(32) != hashlib.sha256(data).digest():
+                raise ValueError(f"{sidecar} holds the digest of other bytes")
+            matrix = read_tvb(handle)
+        text = data.decode("utf-8")
+        lines = text.split("\n")[:-1]
+        nouns = Vocabulary.from_words(line.partition("\t")[0] for line in lines)
+        # the writer puts one tab before each value, so the total counts tabs in nouns too
+        if (matrix.ndim != 2 or not matrix.size or len(matrix) != len(lines) or "\r" in text
+                or text.count("\t") != matrix.size or len(nouns.index) != len(lines)):
+            raise ValueError(f"the {matrix.shape} block in {sidecar} does not fit the text")
+    except (OSError, ValueError) as exc:
+        log.info("%s: parsing the text, no usable sidecar (%s)", path, exc)
+        return _read_embeddings_lines(path)
+    return EmbeddingTable(nouns=nouns, dim=matrix.shape[1], matrix=matrix)
 
 
 def _read_embeddings_lines(path) -> EmbeddingTable:

@@ -1,3 +1,10 @@
+import hashlib
+import io
+import logging
+import struct
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verbtensor.corpus import CooccurrenceTable, Vocabulary
-from verbtensor.linalg import cosine
+from verbtensor import vectors
+from verbtensor.linalg import TVB_MAGIC, cosine, write_tvb
 from verbtensor.util import DataError
 from verbtensor.vectors import (
     EmbeddingTable,
     SimilarityPair,
     _read_embeddings_lines,
-    _read_embeddings_whole,
     drop_zero_rows,
     read_embeddings_tsv,
     read_pairs_tsv,
@@ -414,39 +421,59 @@ def test_corrupted_embeddings_raise_only_data_error(tmp_path_factory, case):
 
 # characters str.splitlines breaks on and the line loop keeps inside a noun
 NOUN_CHARS = "a \x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# nouns whose written row the line loop does not read back as one row
+UNSAFE_NOUNS = ["a\tb", "a\nb", "a\rb", "\n"]
 # spellings float reads and numpy's own parsers may not
 FINITE_SPELLINGS = ["1_0", " 1.0 ", "+2", "-0.0", "1e5", ".5"]
 NON_FINITE_SPELLINGS = ["inf", "nan", "-Infinity", "NaN", "1e999"]
-FAULTS = ["ragged", "bad-value", "non-finite", "blank", "trailing-blank", "bytes"]
+FAULTS = ["ragged", "bad-value", "non-finite", "edit", "blank", "trailing-blank", "bytes"]
 
 
 @st.composite
-def embedding_files(draw):
-    """The bytes of an embeddings file, and whether it is free of faults.
+def embedding_tables(draw):
+    """A table of finite float64 values, and whether the line loop reads it back.
 
-    A fault is a ragged row whose cells moved to another row (the total cell
-    count still matches), a value ``float`` rejects, a non-finite value, a
-    blank line in the middle or at the end, or bytes that are not UTF-8.
     Nouns come from a small alphabet, so some repeat, and half are digits,
     so that a noun shifted into the values by a ragged row reads as a float.
+    Some tables have a noun with a tab, a newline or a carriage return.
     """
     n, k = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     noun = st.one_of(st.text(NOUN_CHARS, min_size=1, max_size=3), st.integers(0, 9).map(str))
     nouns = draw(st.lists(noun, min_size=n, max_size=n))
-    value = st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False).map(repr),
-        st.sampled_from(FINITE_SPELLINGS),
-    )
-    rows = [[noun] + draw(st.lists(value, min_size=k, max_size=k)) for noun in nouns]
+    if draw(st.integers(0, 3)) == 0:
+        nouns[draw(st.integers(0, n - 1))] = draw(st.sampled_from(UNSAFE_NOUNS))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    matrix = np.array(draw(st.lists(values, min_size=n * k, max_size=n * k)), dtype=np.float64)
+    table = EmbeddingTable(Vocabulary.from_words(nouns), k, matrix.reshape(n, k))
+    return table, len(set(nouns)) == n and not set(UNSAFE_NOUNS) & set(nouns)
+
+
+@st.composite
+def edited_tsv(draw, rows):
+    """The bytes of an embeddings file of ``rows`` (lists of cells), with faults or edits.
+
+    A fault is a ragged row whose cells moved to another row (the total cell
+    count still matches), a value ``float`` rejects, a non-finite value, a
+    blank line in the middle or at the end, or bytes that are not UTF-8. An
+    edit puts another finite value into one cell. Lines end in ``\\n``,
+    ``\\r\\n`` or ``\\r``, and the last line may have no ending.
+    """
+    n = len(rows)
     faults = draw(st.sets(st.sampled_from(FAULTS)))
     if "ragged" in faults and n > 1:
         source, target = draw(st.permutations(range(n)))[:2]
         rows[target].append(rows[source].pop())
-    for fault, spellings in (("bad-value", BAD_VALUES), ("non-finite", NON_FINITE_SPELLINGS)):
+    cells = {
+        "bad-value": st.sampled_from(BAD_VALUES),
+        "non-finite": st.sampled_from(NON_FINITE_SPELLINGS),
+        "edit": st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                          st.sampled_from(FINITE_SPELLINGS)),
+    }
+    for fault, value in cells.items():
         if fault in faults:
             row = rows[draw(st.integers(0, n - 1))]
             if len(row) > 1:
-                row[draw(st.integers(1, len(row) - 1))] = draw(st.sampled_from(spellings))
+                row[draw(st.integers(1, len(row) - 1))] = draw(value)
     lines = ["\t".join(row) for row in rows]
     if "blank" in faults:
         lines.insert(draw(st.integers(1, n)), "")
@@ -457,7 +484,7 @@ def embedding_files(draw):
     if "bytes" in faults:
         cut = draw(st.integers(0, len(data)))
         data = data[:cut] + b"\xff" + data[cut:]
-    return data, not faults and len(set(nouns)) == n
+    return data
 
 
 def read_outcome(read, path):
@@ -470,15 +497,80 @@ def read_outcome(read, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(embedding_files())
-def test_fast_reader_agrees_with_line_loop(tmp_path_factory, case):
-    """The one-pass read gives the line loop's table or its exact error."""
-    data, clean = case
+@given(embedding_tables(), st.data())
+def test_sidecar_read_agrees_with_line_loop(tmp_path_factory, case, data):
+    """A written table reads back as the line loop reads it, from the sidecar when the
+    loop reads it back; so does the TSV once edited, beside the stale sidecar."""
+    table, round_trips = case
     path = tmp_path_factory.mktemp("emb") / "emb.tsv"
-    path.write_bytes(data)
-    if clean:
-        assert _read_embeddings_whole(path) is not None
+    write_embeddings_tsv(path, table)
+    with mock.patch.object(vectors, "_read_embeddings_lines",
+                           wraps=_read_embeddings_lines) as line_loop:
+        outcome = read_outcome(read_embeddings_tsv, path)
+    assert outcome == read_outcome(_read_embeddings_lines, path)
+    if round_trips:
+        assert outcome == (table.nouns.words, table.nouns.index, table.dim,
+                           table.matrix.tobytes())
+        assert line_loop.call_count == 0
+    rows = [line.split("\t") for line in path.read_bytes().decode("utf-8").split("\n")[:-1]]
+    path.write_bytes(data.draw(edited_tsv(rows)))
     assert read_outcome(read_embeddings_tsv, path) == read_outcome(_read_embeddings_lines, path)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0)], ids=["no-rows", "no-values"])
+def test_written_empty_table_fails_as_text(tmp_path, shape):
+    path = tmp_path / "emb.tsv"
+    nouns = Vocabulary.from_words(["x", "y"][: shape[0]])
+    write_embeddings_tsv(path, EmbeddingTable(nouns, shape[1], np.zeros(shape)))
+    message = read_outcome(_read_embeddings_lines, path)
+    assert isinstance(message, str) and read_outcome(read_embeddings_tsv, path) == message
+
+
+def tvb_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    write_tvb(buffer, array)
+    return buffer.getvalue()
+
+
+# fault -> the sidecar's bytes, from the TSV's digest and matrix (None: no file)
+SIDECAR_FAULTS = {
+    "missing": lambda digest, matrix: None,
+    "empty": lambda digest, matrix: b"",
+    "other-digest": lambda digest, matrix: hashlib.sha256(b"x").digest() + tvb_bytes(matrix),
+    "bad-magic": lambda digest, matrix: digest + b"TVB0" + tvb_bytes(matrix)[4:],
+    "huge-block": lambda digest, matrix: digest + TVB_MAGIC + struct.pack("<3Q", 2, 2**62, 2**62),
+    "3-d": lambda digest, matrix: digest + tvb_bytes(matrix[:, :, None]),
+    "wrong-rows": lambda digest, matrix: digest + tvb_bytes(matrix[1:]),
+    "wrong-width": lambda digest, matrix: digest + tvb_bytes(matrix[:, 1:]),
+    "directory": lambda digest, matrix: None,
+}
+
+
+@pytest.mark.parametrize("fault", SIDECAR_FAULTS)
+def test_unusable_sidecar_falls_back_to_text(tmp_path, caplog, fault):
+    """One INFO line names the TSV; no traceback, no large allocation, the text's table."""
+    path = tmp_path / "emb.tsv"
+    table = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 2,
+                           np.arange(1.0, 7.0).reshape(3, 2))
+    sidecar = write_embeddings_tsv(path, table)
+    data = SIDECAR_FAULTS[fault](hashlib.sha256(path.read_bytes()).digest(), table.matrix)
+    sidecar.unlink()
+    if fault == "directory":
+        sidecar.mkdir()
+    elif data is not None:
+        sidecar.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with caplog.at_level(logging.INFO, logger="verbtensor.vectors"):
+            outcome = read_outcome(read_embeddings_tsv, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == (table.nouns.words, table.nouns.index, 2, table.matrix.tobytes())
+    assert peak < 1 << 20
+    [record] = [r for r in caplog.records if r.name == "verbtensor.vectors"]
+    assert record.levelno == logging.INFO and record.exc_info is None
+    assert record.getMessage().startswith(f"{path}: parsing the text")
 
 
 BAD_SCORES = ["nan", "inf", "-inf", "1e999", "", "x1", "0x10", "1,5"]
