@@ -6,6 +6,10 @@ noun embeddings, per-verb datasets with frequency-bucket confounder
 negatives, an Adagrad-trained K x K x 2 verb tensor classifier, an
 average-Kronecker cosine baseline, and 5x2 cross-validated comparison with
 the paired F-test.
+
+Only four functions import scipy: ``corpus.scan_corpus``,
+``corpus.CooccurrenceTable.restrict``, ``linalg.truncated_svd`` and
+``vectors.spearman_similarity_eval``.
 """
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .util import DataError, numbered_lines
 
@@ -53,13 +52,15 @@ class CooccurrenceTable:
 
     target_nouns: Vocabulary
     contexts: Vocabulary
-    counts: sp.csr_matrix  # shape (len(target_nouns), len(contexts))
+    counts: object  # scipy.sparse.csr_matrix, shape (len(target_nouns), len(contexts))
 
     def restrict(self, vocab: Vocabulary) -> "CooccurrenceTable":
         """The same counts over the context columns ``vocab``, in its order.
 
         A word of ``vocab`` that the table has no column for gets an empty one.
         """
+        import scipy.sparse as sp
+
         src = np.array([self.contexts.index.get(word, -1) for word in vocab.words],
                        dtype=np.intp)
         dst = np.flatnonzero(src >= 0)
@@ -135,6 +136,8 @@ def scan_corpus(sentences, target_nouns):
     its columns every word type seen, sorted; ``CooccurrenceTable.restrict``
     narrows it to a chosen context vocabulary.
     """
+    import scipy.sparse as sp
+
     first_id = _TypeIds()  # word -> id in order of first occurrence
     raw_ids, lengths = array("i"), []
     for line in sentences:

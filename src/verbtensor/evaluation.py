@@ -14,7 +14,6 @@ import statistics
 from dataclasses import replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import baseline as kron
 from . import tensor_model as tm
@@ -33,16 +32,18 @@ F_TEST_ALPHA = 0.05
 def roc_auc(scores, labels) -> float:
     """Pair-counting AUC: fraction of positive-negative pairs ranked right.
 
-    Computed from average ranks, so tied scores contribute exactly one half.
+    Each positive counts the negatives below it and half of those tied with
+    it, by binary search over the sorted negatives; the exact half-integer
+    count over the Python int ``n_pos * n_neg`` is the one rounding.
     ``scores`` and ``labels`` align, and both classes occur among the labels.
     """
-    scores = np.asarray(list(scores), dtype=np.float64)
-    labels = list(labels)
-    n_pos = sum(1 for lab in labels if lab == PLAUSIBLE)
-    n_neg = len(labels) - n_pos
-    ranks = rankdata(scores, method="average")
-    pos_rank_sum = float(sum(r for r, lab in zip(ranks, labels) if lab == PLAUSIBLE))
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    scores = np.asarray(scores, dtype=np.float64)
+    positive = np.fromiter((lab == PLAUSIBLE for lab in labels), dtype=bool, count=len(scores))
+    negatives = np.sort(scores[~positive])
+    below = np.searchsorted(negatives, scores[positive], side="left")
+    not_above = np.searchsorted(negatives, scores[positive], side="right")
+    pairs = int(below.sum()) + 0.5 * int((not_above - below).sum())
+    return pairs / (len(below) * len(negatives))
 
 
 def f1_plausible(predicted_labels, gold_labels) -> float:
@@ -78,13 +79,13 @@ def _fit_and_score(method, train_triples, test_triples, embeddings, train_config
     if method == METHOD_TENSOR:
         result = tm.train(train_triples, embeddings, replace(train_config, seed=fold_seed))
         labels, scores = tm.predict_batch(result.model, *test_rows)
-        return scores.tolist(), labels
+        return scores, labels
     model = kron.train_baseline([t for t in train_triples if t.is_plausible], embeddings)
     train_scores = kron.score(model, *_pair_rows(train_triples, embeddings))
     positive = np.fromiter((t.is_plausible for t in train_triples), dtype=bool)
     kron.calibrate_cutoff(model, train_scores[positive], train_scores[~positive])
     labels, scores = kron.predict_baseline(model, *test_rows)
-    return scores.tolist(), labels
+    return scores, labels
 
 
 def evaluate_on_splits(method, dataset: VerbDataset, splits, embeddings, train_config,

@@ -29,10 +29,10 @@ backward pass kept in ``tests/`` as an oracle, which the finite-difference
 tests pin in turn. Bit-identity fixes which operations stay numpy: the
 logits and dL/da are BLAS products (BLAS fuses multiply and add, a Python
 sum does not), the one non-trivial softmax exponential is ``np.exp``
-(``math.exp`` rounds differently), while the sigmoid's ``math.exp`` matches
-scipy's ``expit``, including 0.0 where ``-z`` overflows. The objective trace
-comes from the GEMM forward pass rather than a three-operand ``einsum`` and
-may differ from it in the last unit in the last place.
+(``math.exp`` rounds differently). One sigmoid, ``_sigmoid``, serves the
+kernel and ``_forward``; the tests pin it to scipy's ``expit`` bit for bit.
+The objective trace comes from the GEMM forward pass rather than a
+three-operand ``einsum`` and may differ from it in the last ulp.
 
 A model holds its arrays and nothing else. Which verb it belongs to is a
 pipeline fact: the pipeline names the model files after the verb and passes
@@ -45,7 +45,6 @@ import random
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
 from .linalg import read_tvb, write_tvb
@@ -134,9 +133,9 @@ def _forward(tensor, theta, subjects, objects_):
     n, k = subjects.shape
     partial = np.dot(subjects, tensor.reshape(k, k * SENTENCE_DIM)).reshape(n, k, SENTENCE_DIM)
     z = np.matmul(objects_[:, None, :], partial)[:, 0]
-    a = np.empty((n, SENTENCE_DIM + 1))
-    a[:, SENTENCE_DIM] = 1.0
-    expit(z, out=a[:, :SENTENCE_DIM])
+    a = np.ones((n, SENTENCE_DIM + 1))
+    a[:, :SENTENCE_DIM] = np.fromiter(map(_sigmoid, z.ravel().tolist()), np.float64,
+                                      z.size).reshape(n, SENTENCE_DIM)
     return z, a, _softmax(np.dot(a, theta.T))
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy import stats
 
 from .corpus import CooccurrenceTable, Vocabulary
 from .linalg import cosine, l2_normalize_rows, read_tvb, truncated_svd, write_tvb
@@ -33,7 +31,7 @@ class WeightedVectorTable:
 
     nouns: Vocabulary
     contexts: Vocabulary
-    weights: sp.csr_matrix
+    weights: object  # scipy.sparse.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -89,15 +87,11 @@ def ttest_weight(table: CooccurrenceTable) -> WeightedVectorTable:
     total = float(table.counts.sum())
     row_sums = np.asarray(table.counts.sum(axis=1), dtype=np.float64).ravel()
     col_sums = np.asarray(table.counts.sum(axis=0), dtype=np.float64).ravel()
-    coo = table.counts.tocoo()
-    p_joint = coo.data.astype(np.float64) / total
-    p_noun = row_sums[coo.row] / total
-    p_ctx = col_sums[coo.col] / total
-    denom = np.sqrt(p_noun * p_ctx)
-    values = (p_joint - p_noun * p_ctx) / denom
-    weights = sp.csr_matrix(
-        (values, (coo.row, coo.col)), shape=table.counts.shape, dtype=np.float64
-    )
+    weights = table.counts.astype(np.float64)
+    p_joint = weights.data / total
+    p_noun = np.repeat(row_sums / total, np.diff(weights.indptr))
+    p_ctx = col_sums[weights.indices] / total
+    weights.data = (p_joint - p_noun * p_ctx) / np.sqrt(p_noun * p_ctx)
     weights.eliminate_zeros()
     return WeightedVectorTable(table.target_nouns, table.contexts, weights)
 
@@ -115,10 +109,9 @@ def select_top_n(table: WeightedVectorTable, n: int) -> WeightedVectorTable:
     rows = np.repeat(np.arange(src.shape[0]), np.diff(src.indptr))
     # Rows stay grouped in place; within a row, weight descending, then word.
     order = np.lexsort((word_rank[src.indices], -src.data, rows))
-    keep = order[np.arange(src.nnz) - src.indptr[rows] < n]
-    out = sp.csr_matrix(
-        (src.data[keep], (rows[keep], src.indices[keep])), shape=src.shape, dtype=np.float64
-    )
+    out = src.copy()
+    out.data[order[np.arange(src.nnz) - src.indptr[rows] >= n]] = 0.0
+    out.eliminate_zeros()
     return WeightedVectorTable(table.nouns, table.contexts, out)
 
 
@@ -170,10 +163,10 @@ def spearman_similarity_eval(embeddings: EmbeddingTable, pairs) -> float:
         raise ValueError(
             f"need at least 2 usable pairs, got {len(sims)} (skipped {skipped})"
         )
-    rho = stats.spearmanr(sims, golds).statistic
-    if not np.isfinite(rho):
+    if len(set(sims)) == 1 or len(set(golds)) == 1:
         raise ValueError("Spearman correlation undefined (constant ranking)")
-    return float(rho)
+    from scipy.stats import spearmanr
+    return float(spearmanr(sims, golds).statistic)
 
 
 def read_pairs_tsv(path) -> list:

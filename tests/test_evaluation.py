@@ -83,6 +83,15 @@ def naive_pair_auc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def rank_sum_auc(scores, labels):
+    """The Mann-Whitney rank-sum form: positives' average ranks less their minimum sum."""
+    ranks = stats.rankdata(np.asarray(scores, dtype=np.float64), method="average")
+    n_pos = sum(1 for lab in labels if lab == POS)
+    n_neg = len(labels) - n_pos
+    pos_rank_sum = float(sum(r for r, lab in zip(ranks, labels) if lab == POS))
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 class TestRocAuc:
     def test_perfect_separation(self):
         scores, labels = labels_for([0.9, 0.8], [0.7, 0.1])
@@ -97,16 +106,25 @@ class TestRocAuc:
         assert roc_auc(scores, labels) == 0.5
 
     def test_matches_naive_pair_enumeration(self):
+        # both oracles sum exact half-integers and divide once by a Python int
         rng = random.Random(3)
-        for _ in range(50):
-            n = rng.randint(2, 40)
-            scores = [rng.choice([rng.random(), 0.25, 0.5]) for _ in range(n)]
-            labels = [rng.choice([POS, NEG]) for _ in range(n)]
+        checked = 0
+        for _ in range(150):
+            n = rng.randint(2, 400)
+            tied = [rng.random() for _ in range(rng.randint(1, 8))]
+            share_tied, share_pos = rng.random(), rng.uniform(0.05, 0.95)
+            scores = [rng.choice(tied) if rng.random() < share_tied else rng.random()
+                      for _ in range(n)]
+            labels = [POS if rng.random() < share_pos else NEG for _ in range(n)]
             if len(set(labels)) < 2:
                 continue
-            assert roc_auc(scores, labels) == pytest.approx(
-                naive_pair_auc(scores, labels), abs=1e-12
-            )
+            got = roc_auc(scores, labels)
+            assert type(got) is float
+            assert got == naive_pair_auc(scores, labels)
+            rank_sum = rank_sum_auc(scores, labels)
+            assert got == rank_sum and type(rank_sum) is float
+            checked += 1
+        assert checked > 100
 
     def test_trapezoid_equals_pair_counting(self):
         rng = random.Random(9)

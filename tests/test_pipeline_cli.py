@@ -4,6 +4,9 @@ import os
 import shutil
 import statistics
 import struct
+import subprocess
+import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -48,6 +51,25 @@ def tree_hashes(root):
         for p in sorted(Path(root).rglob("*"))
         if p.is_file()
     }
+
+
+# Run as ``python -c SCRIPT CONFIG OUT SUBJECT OBJECT``: each command in turn,
+# then print the scipy modules loaded after each one as a JSON list of lists.
+SCIPY_PER_COMMAND = """
+import json, sys
+from verbtensor.cli import main
+config, out, subject, object_ = sys.argv[1:]
+commands = [["gen-data"], ["experiment", "--which", "small-cv"],
+            ["--jobs", "2", "experiment", "--which", "full-cv"],
+            ["experiment", "--which", "curves"], ["train", "--verb", "devour"],
+            ["predict", "--verb", "devour", "--subject", subject, "--object", object_],
+            ["build-vectors"]]
+loaded = []
+for command in commands:
+    assert main(["--config", config, "--out", out, *command]) == 0, command
+    loaded.append(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(json.dumps(loaded))
+"""
 
 
 def assert_manifest_digests(config, entries):
@@ -847,6 +869,21 @@ class TestTrainPredictEval:
         assert run_cli("--config", built, "--out", out, "eval-vectors") == 0
         assert parsed == []
 
+    def test_only_sparse_commands_import_scipy(self, built, tmp_path):
+        """A fresh interpreter runs every command but build-vectors without scipy."""
+        config, out = load_config(built), tmp_path / "out"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        triple = read_dataset_jsonl(config.datasets_dir() / "devour.jsonl").positives[0]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PER_COMMAND, built, out, triple.subject, triple.object],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded[:-1] == [[]] * 6
+        assert "scipy.sparse" in loaded[-1]
+
     def test_train_unknown_verb(self, built):
         assert run_cli("--config", built, "train", "--verb", "unknown") == 1
 
@@ -1010,7 +1047,8 @@ class TestMalformedInputs:
         assert run_cli("--config", built, "eval-vectors", "--pairs", pairs) == EXIT_RUNTIME
         assert_clean_failure(caplog, "pairs.tsv:2: expected 3 tab-separated fields, got 2")
 
-    @pytest.mark.parametrize("kind", ["one-usable-pair", "constant-scores", "zero-row"])
+    @pytest.mark.parametrize("kind", ["one-usable-pair", "constant-scores", "constant-cosines",
+                                      "zero-row"])
     def test_unusable_eval_inputs_fail_cleanly(self, built, tmp_path, caplog, kind):
         config = load_config(built)
         out = tmp_path / "out"
@@ -1025,15 +1063,21 @@ class TestMalformedInputs:
         elif kind == "constant-scores":
             pairs.write_text("".join(f"{nouns[0]}\t{noun}\t0.5\n" for noun in nouns[1:5]))
             needle = f"{pairs}: Spearman correlation undefined (constant ranking)"
+        elif kind == "constant-cosines":
+            pairs.write_text("".join(f"{nouns[0]}\t{nouns[1]}\t{i}\n" for i in range(4)))
+            needle = f"{pairs}: Spearman correlation undefined (constant ranking)"
         else:
             pairs.write_text("".join(f"{nouns[0]}\t{noun}\t{i}\n"
                                      for i, noun in enumerate(nouns[1:5])))
             lines[3] = "\t".join([nouns[3]] + ["0.0"] * config.primary_k)
             emb.write_text("\n".join(lines) + "\n")
             needle = f"{emb}: noun {nouns[3]!r} has a zero embedding"
-        assert run_cli("--config", built, "--out", out, "eval-vectors", "--pairs", pairs) \
-            == EXIT_RUNTIME
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("--config", built, "--out", out, "eval-vectors", "--pairs", pairs) \
+                == EXIT_RUNTIME
         assert_clean_failure(caplog, needle)
+        assert not caught, [str(w.message) for w in caught]
 
     def devour_outputs(self, built, tmp_path, kind):
         """vectors/ and datasets/, with ``devour.jsonl`` broken as ``kind`` says.

@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import holdout_halves, planted_dataset
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from verbtensor import tensor_model
 from verbtensor.corpus import Vocabulary
@@ -20,6 +21,7 @@ from verbtensor.tensor_model import (
     _forward,
     _lookup_triples,
     _objective_arrays,
+    _sigmoid,
     _split,
     _Workspace,
     adagrad_step,
@@ -266,6 +268,22 @@ class TestForward:
             assert np.all(trace.a > 0) and np.all(trace.a < 1)
             assert np.all(trace.p > 0) and np.all(trace.p < 1)
             assert abs(trace.p.sum() - 1.0) < 1e-12
+
+
+class TestSigmoid:
+    @settings(max_examples=2000, deadline=None)
+    @given(x=st.one_of(st.floats(), st.floats(-750.0, 40.0), st.floats(max_value=-709.79)))
+    @example(x=-709.79)
+    @example(x=-709.78)
+    @example(x=math.inf)
+    @example(x=-math.inf)
+    @example(x=math.nan)
+    def test_matches_expit_bit_for_bit(self, x):
+        # _forward maps _sigmoid over its pre-activations in place of expit
+        got = np.float64(_sigmoid(x))
+        assert bits(got) == bits(expit(np.float64(x)))
+        if x <= -709.79:
+            assert got == 0.0
 
 
 class TestObjective:
@@ -524,7 +542,7 @@ class TestExampleStep:
         assert np.array_equal(bits(result.model.theta), bits(work.theta))
 
     def test_saturated_sigmoid_trains_like_per_row_loop(self, monkeypatch):
-        # z = -960 for both classes: exp(-z) overflows where expit gives 0.0
+        # z = -960 for both classes: exp(-z) overflows, and _sigmoid gives 0.0 as expit does
         embeddings = EmbeddingTable(Vocabulary.from_words(["n0", "n1"]), 2,
                                     np.full((2, 2), 2.0))
         dataset = VerbDataset("vex", [LabeledTriple("n0", "vex", "n1", PLAUSIBLE),
