@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 for configuration or validation problems, 2 for
-runtime failures. Global flags go before the subcommand, for example::
+Exit codes: 0 on success (``--help`` included), 1 for configuration or
+validation problems, command-line usage errors among them, 2 for runtime
+failures. Global flags go before the subcommand, for example::
 
     verbtensor --config config.ini --log-level INFO build-vectors
     verbtensor --config config.ini experiment --which full-cv
@@ -69,7 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     logging.basicConfig(
         level=getattr(logging, args.log_level),
         format="%(levelname)s %(name)s: %(message)s",

@@ -1,4 +1,6 @@
-"""Pipeline configuration: a flat INI file with four sections plus verbs.
+"""Pipeline configuration: a flat INI file with four sections.
+
+The verbs to study are one comma-separated key, ``[experiment] verbs``.
 
 Relative paths in ``[paths]`` resolve against the config file's directory.
 All randomness in the pipeline flows from the named seeds here; nothing reads
@@ -13,7 +15,6 @@ and the ``pipeline`` entry points. Code below ``pipeline`` trusts its
 in-package callers and does not check again.
 """
 
-import math
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,7 +43,7 @@ class PipelineConfig:
     curve_sizes: tuple
     curve_repeats: int
     small_cv_size: int
-    verbs: dict  # verb -> concreteness score
+    verbs: tuple
 
     @property
     def primary_k(self) -> int:
@@ -61,8 +62,9 @@ class PipelineConfig:
         return self.output_dir / "reports"
 
 
-def _parse_int_tuple(raw: str) -> tuple:
-    return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+def _tuple_of(cast):
+    """A parser of comma-separated ``cast`` values; blank entries are skipped."""
+    return lambda raw: tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
 
 
 def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
@@ -130,19 +132,7 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
     except ValueError as exc:
         raise ValidationError(f"bad training configuration: {exc}") from exc
 
-    verbs = {}
-    if parser.has_section("verbs"):
-        for verb, raw in parser.items("verbs"):
-            try:
-                verbs[verb] = float(raw)
-            except ValueError as exc:
-                raise ValidationError(f"bad concreteness for verb {verb!r}: {raw!r}") from exc
-            if not math.isfinite(verbs[verb]):
-                raise ValidationError(f"concreteness for verb {verb!r} must be finite: {raw!r}")
-    if not verbs:
-        raise ValidationError("config needs a [verbs] section with at least one verb")
-
-    svd_dims = _get("vectors", "svd_dims", _parse_int_tuple, (20, 40))
+    svd_dims = _get("vectors", "svd_dims", _tuple_of(int), (20, 40))
     if not svd_dims or any(k < 1 for k in svd_dims):
         raise ValidationError(f"svd_dims must be positive integers, got {svd_dims}")
 
@@ -155,22 +145,20 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
         output_dir=output_dir,
         context_vocab_size=_get("vectors", "context_vocab_size", int, 10000),
         top_n=_get("vectors", "top_n", int, None),
-        top_n_sweep=_get("vectors", "top_n_sweep", _parse_int_tuple, (25, 50, 100, 200, 400)),
+        top_n_sweep=_get("vectors", "top_n_sweep", _tuple_of(int), (25, 50, 100, 200, 400)),
         svd_dims=svd_dims,
         train=train,
         positive_cap=_get("experiment", "positive_cap", int, 2000),
         bucket_size=_get("experiment", "bucket_size", int, 10),
         cv_seed=cv_seed,
         data_seed=data_seed,
-        curve_sizes=_get("experiment", "curve_sizes", _parse_int_tuple, (10, 50, 100, 200)),
+        curve_sizes=_get("experiment", "curve_sizes", _tuple_of(int), (10, 50, 100, 200)),
         curve_repeats=_get("experiment", "curve_repeats", int, 5),
         small_cv_size=_get("experiment", "small_cv_size", int, 52),
-        verbs=verbs,
+        verbs=_get("experiment", "verbs", _tuple_of(str), ()),
     )
     known_sections = {section for section, _ in read}
     for section in parser.sections():
-        if section == "verbs":
-            continue
         if section not in known_sections:
             raise ValidationError(f"unknown config section [{section}]")
         for key in parser.options(section):
@@ -181,6 +169,8 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
 
 
 def _check_static(config: PipelineConfig) -> None:
+    if not config.verbs:
+        raise ValidationError("config needs [experiment] verbs with at least one verb")
     if config.context_vocab_size < 1:
         raise ValidationError("context_vocab_size must be positive")
     if config.positive_cap < 1:
@@ -200,7 +190,7 @@ def _check_static(config: PipelineConfig) -> None:
     if config.curve_repeats < 1:
         raise ValidationError("curve_repeats must be positive")
     for section, key in (("vectors", "svd_dims"), ("vectors", "top_n_sweep"),
-                         ("experiment", "curve_sizes")):
+                         ("experiment", "curve_sizes"), ("experiment", "verbs")):
         values = getattr(config, key)
         if len(set(values)) != len(values):
             raise ValidationError(f"[{section}] {key} has repeated entries: {values}")

@@ -78,16 +78,12 @@ class FrequencyBuckets:
     """Partition of nouns into buckets of near-equal corpus frequency.
 
     Nouns are sorted by descending frequency (ties broken lexicographically)
-    and chopped into consecutive runs of ``bucket_size``; the final bucket may
-    be smaller.
+    and chopped into consecutive runs of equal size; the final bucket may be
+    smaller.
     """
 
     bucket_of: dict
     members: dict  # bucket id -> tuple of nouns, in sort order
-    bucket_size: int
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def iter_corpus_lines(path):
@@ -215,7 +211,7 @@ def frequency_buckets(frequencies, nouns, bucket_size: int) -> FrequencyBuckets:
         members[bucket_id] = chunk
         for noun in chunk:
             bucket_of[noun] = bucket_id
-    return FrequencyBuckets(bucket_of=bucket_of, members=members, bucket_size=bucket_size)
+    return FrequencyBuckets(bucket_of=bucket_of, members=members)
 
 
 def read_stopwords(path) -> set:
@@ -256,12 +252,3 @@ def read_frequency_tsv(path) -> Counter:
             raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
         linenos[word] = lineno
     return freq
-
-
-def write_buckets_tsv(path, buckets: FrequencyBuckets) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# bucket_size\t{buckets.bucket_size}\n")
-        for bucket_id in sorted(buckets.members):
-            for noun in buckets.members[bucket_id]:
-                handle.write(f"{noun}\t{bucket_id}\n")
-

@@ -14,7 +14,7 @@ list of confounder options is built once, on its first draw, and
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import FrequencyBuckets
@@ -51,7 +51,6 @@ class LabeledTriple:
 class VerbDataset:
     verb: str
     triples: list
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -162,11 +161,6 @@ def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int) -> list
     return negatives
 
 
-def build_dataset(verb, positives, buckets, rng_seed, metadata) -> VerbDataset:
-    negatives = gen_confounders(positives, buckets, rng_seed)
-    return VerbDataset(verb=verb, triples=list(positives) + negatives, metadata=metadata)
-
-
 def _stratified_indices(triples):
     pos = [i for i, t in enumerate(triples) if t.is_plausible]
     neg = [i for i, t in enumerate(triples) if not t.is_plausible]
@@ -223,17 +217,13 @@ def subsample(dataset: VerbDataset, n: int, seed: int) -> VerbDataset:
         )
     rng = random.Random(derive_seed(seed, "subsample", n))
     chosen = sorted(rng.sample(pos, n_pos) + rng.sample(neg, n_neg))
-    return VerbDataset(
-        verb=dataset.verb,
-        triples=[dataset.triples[i] for i in chosen],
-        metadata=dict(dataset.metadata),
-    )
+    return VerbDataset(verb=dataset.verb, triples=[dataset.triples[i] for i in chosen])
 
 
 def write_dataset_jsonl(path, dataset: VerbDataset) -> None:
-    """One triple per line, with label and gold distribution.
+    """A header line, then one triple per line, with label and gold distribution.
 
-    Each record line is what ``json.dumps(record, sort_keys=True)`` gives,
+    The header is ``{"verb": ...}``. Each record line is what ``json.dumps(record, sort_keys=True)`` gives,
     built from a template in that key order with each distinct string
     encoded once.
     """
@@ -246,9 +236,8 @@ def write_dataset_jsonl(path, dataset: VerbDataset) -> None:
         f'"verb": {quoted[t.verb]}}}\n'
         for t in dataset.triples
     ]
-    header = {"verb": dataset.verb, "metadata": dataset.metadata}
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True) + "\n" + "".join(lines))
+        handle.write(json.dumps({"verb": dataset.verb}) + "\n" + "".join(lines))
 
 
 _RECORD_KEYS = ("subject", "verb", "object", "label", "gold_dist")
@@ -257,9 +246,10 @@ _RECORD_KEYS = ("subject", "verb", "object", "label", "gold_dist")
 def read_dataset_jsonl(path) -> VerbDataset:
     """Read a dataset written by ``write_dataset_jsonl``.
 
-    A line that is not a JSON object, a missing key, a bad label or a
-    ``gold_dist`` that disagrees with the label raises ``DataError`` naming
-    the file and line; a file with no triples raises one naming the file.
+    Header keys other than ``verb`` are ignored. A line that is not a JSON
+    object, a missing key, a bad label or a ``gold_dist`` that disagrees with
+    the label raises ``DataError`` naming the file and line; a file with no
+    triples raises one naming the file.
     """
     records = []
     for lineno, line in numbered_lines(path):
@@ -297,7 +287,7 @@ def read_dataset_jsonl(path) -> VerbDataset:
         triples.append(triple)
     if not triples:
         raise DataError(f"{path}: dataset has a header and no triples")
-    return VerbDataset(verb=header["verb"], triples=triples, metadata=header.get("metadata", {}))
+    return VerbDataset(verb=header["verb"], triples=triples)
 
 
 def write_splits_jsonl(path, splits) -> None:

@@ -245,10 +245,8 @@ def gen_data(config: PipelineConfig) -> dict:
     embeddings = _read_embeddings(emb_path, k)
     known = set(embeddings.nouns.words)
     buckets = corpus_mod.frequency_buckets(frequencies, known, config.bucket_size)
-    buckets_path = out_dir / "buckets.tsv"
-    corpus_mod.write_buckets_tsv(buckets_path, buckets)
 
-    outputs = [buckets_path]
+    outputs = []
     written = []
     failures = {}
     oov_dropped = {}
@@ -258,29 +256,19 @@ def gen_data(config: PipelineConfig) -> dict:
                 rows_by_verb.get(verb, []), verb, config.triples,
                 cap=config.positive_cap, known_nouns=known,
             )
-            dataset = data_mod.build_dataset(
-                verb,
-                positives,
-                buckets,
-                derive_seed(config.data_seed, "confounders", verb),
-                metadata={
-                    "concreteness": config.verbs[verb],
-                    "corpus_frequency": int(frequencies.get(verb, 0)),
-                },
+            negatives = data_mod.gen_confounders(
+                positives, buckets, derive_seed(config.data_seed, "confounders", verb)
             )
         except DataError as exc:
             log.warning("verb %r skipped: %s", verb, exc)
             failures[verb] = str(exc)
             continue
         path = out_dir / f"{verb}.jsonl"
-        data_mod.write_dataset_jsonl(path, dataset)
+        data_mod.write_dataset_jsonl(path, data_mod.VerbDataset(verb, positives + negatives))
         outputs.append(path)
         written.append(verb)
         oov_dropped[verb] = dropped
-        log.info(
-            "verb %r: %d positives, %d negatives", verb,
-            len(dataset.positives), len(dataset.negatives),
-        )
+        log.info("verb %r: %d positives, %d negatives", verb, len(positives), len(negatives))
     if not written:
         raise VerbTensorError(f"no verb produced a dataset: {failures}")
 
@@ -487,7 +475,7 @@ def _write_reports(which: str, results: dict, out_dir: Path) -> list:
 def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
     """Train one verb's tensor model on its full dataset and save it."""
     if verb not in config.verbs:
-        raise ValidationError(f"verb {verb!r} is not in the config [verbs] section")
+        raise ValidationError(f"verb {verb!r} is not in the config's [experiment] verbs")
     k, emb_path = _embeddings_path(config, k)
     dataset_path = config.datasets_dir() / f"{verb}.jsonl"
     if not dataset_path.is_file():

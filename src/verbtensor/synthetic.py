@@ -39,9 +39,6 @@ class WorldConfig:
             "assemble": (("person",), ("machine",)),
         }
     )
-    verb_concreteness: dict = field(
-        default_factory=lambda: {"devour": 4.4, "assemble": 3.1}
-    )
     seed: int = 7
 
 
@@ -156,8 +153,9 @@ def write_fixture(directory, config: WorldConfig = WorldConfig(), pipeline_overr
 
     Files: ``corpus.txt``, ``stopwords.txt``, ``triples.tsv``,
     ``dev_pairs.tsv`` and ``config.ini`` (paths inside are relative to the
-    directory). ``pipeline_overrides`` maps ``section.key`` strings to values
-    that replace the defaults in the written config.
+    directory). The config's ``[experiment] verbs`` lists the world's verbs.
+    ``pipeline_overrides`` maps ``section.key`` strings to values that replace
+    the defaults in the written config.
     """
     directory = ensure_dir(directory)
     world = build_world(config)
@@ -198,6 +196,7 @@ def write_fixture(directory, config: WorldConfig = WorldConfig(), pipeline_overr
         "experiment.curve_sizes": "10,25,50,100",
         "experiment.curve_repeats": 5,
         "experiment.small_cv_size": 52,
+        "experiment.verbs": ", ".join(sorted(config.verb_preferences)),
     }
     settings.update(pipeline_overrides or {})
 
@@ -211,10 +210,6 @@ def write_fixture(directory, config: WorldConfig = WorldConfig(), pipeline_overr
         for key, value in sections.get(section, {}).items():
             lines.append(f"{key} = {value}")
         lines.append("")
-    lines.append("[verbs]")
-    for verb in sorted(config.verb_preferences):
-        lines.append(f"{verb} = {config.verb_concreteness.get(verb, 0.0)}")
-    lines.append("")
     with open(directory / "config.ini", "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
     return directory / "config.ini"

@@ -264,9 +264,7 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
         value = _objective_arrays(work.tensor, work.theta, subjects, objects_, targets,
                                   config.l2_lambda)
         if not np.isfinite(value):
-            raise TrainingDiverged(
-                f"objective became non-finite at epoch {epoch}", epoch=epoch
-            )
+            raise TrainingDiverged(f"objective became non-finite at epoch {epoch}")
         return value
 
     trace = [epoch_objective(0)]

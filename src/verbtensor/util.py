@@ -43,10 +43,6 @@ class DataError(VerbTensorError):
 class TrainingDiverged(VerbTensorError):
     """The training objective became non-finite."""
 
-    def __init__(self, message: str, epoch: int | None = None):
-        super().__init__(message)
-        self.epoch = epoch
-
 
 def numbered_lines(path, kind: str = "file"):
     """Yield ``(lineno, line)`` for the lines of a UTF-8 text file, from 1.

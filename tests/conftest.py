@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from verbtensor.corpus import FrequencyBuckets, Vocabulary
+from verbtensor.corpus import Vocabulary
 from verbtensor.data import (
     IMPLAUSIBLE,
     PLAUSIBLE,
@@ -67,7 +67,7 @@ def planted_dataset(
             triples.append(LabeledTriple(rng.choice(sn), verb, rng.choice(op), IMPLAUSIBLE))
         else:
             triples.append(LabeledTriple(rng.choice(sp), verb, rng.choice(on), IMPLAUSIBLE))
-    dataset = VerbDataset(verb=verb, triples=triples, metadata={"planted": True})
+    dataset = VerbDataset(verb=verb, triples=triples)
     return dataset, embeddings
 
 
@@ -76,32 +76,6 @@ def holdout_halves(dataset, seed: int):
     halves = stratified_halves(dataset.triples, random.Random(seed))
     return tuple(
         VerbDataset(dataset.verb, [dataset.triples[i] for i in half]) for half in halves
-    )
-
-
-def read_buckets_tsv(path) -> FrequencyBuckets:
-    """Read a ``buckets.tsv`` written by ``corpus.write_buckets_tsv``."""
-    bucket_of = {}
-    members: dict = {}
-    bucket_size = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# bucket_size\t"):
-                bucket_size = int(line.split("\t")[1])
-                continue
-            noun, bucket_id = line.split("\t")
-            bucket_id = int(bucket_id)
-            bucket_of[noun] = bucket_id
-            members.setdefault(bucket_id, []).append(noun)
-    if bucket_size is None:
-        raise ValueError(f"missing bucket_size header in {path}")
-    return FrequencyBuckets(
-        bucket_of=bucket_of,
-        members={b: tuple(ns) for b, ns in members.items()},
-        bucket_size=bucket_size,
     )
 
 

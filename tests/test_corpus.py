@@ -15,12 +15,9 @@ from verbtensor.corpus import (
     iter_corpus_lines,
     read_frequency_tsv,
     scan_corpus,
-    write_buckets_tsv,
     write_frequency_tsv,
 )
 from verbtensor.util import DataError
-
-from conftest import read_buckets_tsv
 
 
 def cell_count(table, noun, context):
@@ -236,15 +233,6 @@ class TestRoundTrips:
         assert read_frequency_tsv(path) == freq
         first_line = path.read_text().splitlines()[0]
         assert first_line == "z\t10"
-
-    def test_buckets_tsv(self, tmp_path):
-        buckets = frequency_buckets({"a": 3, "b": 2, "c": 1}, ["a", "b", "c"], bucket_size=2)
-        path = tmp_path / "buckets.tsv"
-        write_buckets_tsv(path, buckets)
-        loaded = read_buckets_tsv(path)
-        assert loaded.bucket_of == buckets.bucket_of
-        assert loaded.members == buckets.members
-        assert loaded.bucket_size == buckets.bucket_size
 
 
 @settings(max_examples=30, deadline=None)

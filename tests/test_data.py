@@ -11,7 +11,6 @@ from verbtensor.data import (
     PLAUSIBLE,
     LabeledTriple,
     VerbDataset,
-    build_dataset,
     gen_confounders,
     load_positives,
     make_5x2cv_splits,
@@ -145,8 +144,9 @@ class TestGenConfounders:
             LabeledTriple(f"n{i:02d}", "eat", f"n{(i + 3) % 12:02d}", PLAUSIBLE)
             for i in range(9)
         ]
-        dataset = build_dataset("eat", positives, self.buckets, rng_seed=3, metadata={})
-        assert len(dataset.positives) == len(dataset.negatives) == 9
+        negatives = gen_confounders(positives, self.buckets, rng_seed=3)
+        assert len(negatives) == len(positives) == 9
+        assert all(not t.is_plausible for t in negatives)
 
     def test_missing_bucket_is_an_error(self):
         positives = [LabeledTriple("unbucketed", "eat", "n00", PLAUSIBLE)]
@@ -226,7 +226,7 @@ def test_singleton_buckets_match_oracle_when_widening():
     assert gen_confounders(positives, buckets, 11) == oracle_gen_confounders(
         positives, buckets, 11
     )
-    empty = FrequencyBuckets(bucket_of={}, members={}, bucket_size=1)
+    empty = FrequencyBuckets(bucket_of={}, members={})
     assert gen_confounders([], empty, 0) == []
 
 
@@ -324,13 +324,16 @@ class TestTripleInvariants:
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         dataset = balanced_dataset(8)
-        dataset.metadata = {"concreteness": 4.4, "corpus_frequency": 123}
         path = tmp_path / "eat.jsonl"
         write_dataset_jsonl(path, dataset)
-        loaded = read_dataset_jsonl(path)
-        assert loaded.verb == "eat"
-        assert loaded.metadata == dataset.metadata
-        assert loaded.triples == dataset.triples
+        header, *records = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert header == '{"verb": "eat"}\n'
+        assert read_dataset_jsonl(path) == dataset
+        # a header with keys the reader does not use, as older datasets have, still loads
+        old = tmp_path / "old.jsonl"
+        old.write_text('{"metadata": {"concreteness": 4.4, "corpus_frequency": 0}, '
+                       '"verb": "eat"}\n' + "".join(records), encoding="utf-8")
+        assert read_dataset_jsonl(old) == dataset
 
     def test_splits_file_is_deterministic(self, tmp_path):
         dataset = balanced_dataset(16)
@@ -343,7 +346,7 @@ class TestJsonl:
 
 def oracle_dataset_lines(dataset):
     """Reference JSONL: ``json.dumps(record, sort_keys=True)`` per line."""
-    lines = [json.dumps({"verb": dataset.verb, "metadata": dataset.metadata}, sort_keys=True)]
+    lines = [json.dumps({"verb": dataset.verb}, sort_keys=True)]
     for t in dataset.triples:
         record = {"subject": t.subject, "verb": t.verb, "object": t.object, "label": t.label,
                   "gold_dist": list(t.gold_dist)}
@@ -364,7 +367,6 @@ def test_dataset_writer_matches_json_dumps_lines(tmp_path_factory, rows, verb):
     dataset = VerbDataset(
         verb=verb,
         triples=[LabeledTriple(s, verb, o, label) for s, o, label in rows],
-        metadata={"concreteness": 4.4, "note": "ünïcode"},
     )
     path = tmp_path_factory.mktemp("jsonl") / "awkward.jsonl"
     write_dataset_jsonl(path, dataset)
@@ -374,8 +376,7 @@ def test_dataset_writer_matches_json_dumps_lines(tmp_path_factory, rows, verb):
             read_dataset_jsonl(path)
         return
     loaded = read_dataset_jsonl(path)
-    assert (loaded.verb, loaded.triples, loaded.metadata) == (
-        dataset.verb, dataset.triples, dataset.metadata)
+    assert (loaded.verb, loaded.triples) == (dataset.verb, dataset.triples)
 
 
 class TestReadTriplesTsv:
@@ -435,7 +436,7 @@ def corrupted_datasets(draw):
          "gold_dist": list(t.gold_dist)}
         for t in triples
     ]
-    lines = [json.dumps({"verb": "eat", "metadata": {}})] + [json.dumps(r) for r in records]
+    lines = [json.dumps({"verb": "eat"})] + [json.dumps(r) for r in records]
     kind = draw(st.sampled_from(["truncate", "not_object", "drop", "label", "gold", "noun"]))
     if kind == "truncate":
         i = draw(st.integers(0, len(lines) - 1))

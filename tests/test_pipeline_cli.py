@@ -7,21 +7,22 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from verbtensor import corpus as corpus_mod
 from verbtensor import data as data_mod
 from verbtensor import pipeline
 from verbtensor import vectors as vec_mod
-from verbtensor.cli import EXIT_RUNTIME, EXIT_VALIDATION, main as cli_main
+from verbtensor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main as cli_main
 from verbtensor.config import load_config
 from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, read_dataset_jsonl
 from verbtensor.evaluation import METHOD_BASELINE, METHOD_TENSOR, f1_plausible
 from verbtensor.linalg import TVB_MAGIC, write_tvb
-from verbtensor.synthetic import build_world, small_world_config
+from verbtensor.synthetic import build_world, small_world_config, write_fixture
 from verbtensor.util import ValidationError, derive_seed, sha256_file
 from verbtensor.vectors import read_embeddings_tsv
 
@@ -110,10 +111,10 @@ class TestConfigValidation:
             load_config(path)
 
     def test_defaults_are_golden(self, tmp_path):
-        """A config holding only [paths] and [verbs] takes every default, with its type."""
+        """A config holding only [paths] and the verbs takes every default, with its type."""
         path = tmp_path / "minimal.ini"
         path.write_text("[paths]\ncorpus = c.txt\nstopwords = s.txt\ntriples = t.tsv\n"
-                        "output_dir = out\n\n[verbs]\ndevour = 4.4\n")
+                        "output_dir = out\n\n[experiment]\nverbs = devour\n")
         config = load_config(path)
         pipeline_defaults = {
             "config_dir": tmp_path, "corpus": tmp_path / "c.txt",
@@ -123,7 +124,7 @@ class TestConfigValidation:
             "top_n_sweep": (25, 50, 100, 200, 400), "svd_dims": (20, 40),
             "positive_cap": 2000, "bucket_size": 10, "cv_seed": 17, "data_seed": 23,
             "curve_sizes": (10, 50, 100, 200), "curve_repeats": 5, "small_cv_size": 52,
-            "verbs": {"devour": 4.4},
+            "verbs": ("devour",),
         }
         train_defaults = {
             "learning_rate": 0.05, "adagrad_epsilon": 1e-8, "l2_lambda": 1e-4,
@@ -204,7 +205,9 @@ class TestConfigValidation:
             ("adagrad_epsilon = 1e-08", "adagrad_epsilon = nan",
              ("experiment", "--which", "small-cv")),
             ("l2_lambda = 0.0001", "l2_lambda = nan", ("train", "--verb", "devour")),
-            ("devour = 4.4", "devour = inf", ("gen-data",)),
+            ("verbs = assemble, devour", "verbs = devour, devour", ("gen-data",)),
+            ("verbs = assemble, devour\n", "\n[verbs]\nassemble = 3.1\ndevour = 4.4\n",
+             ("gen-data",)),
             ("svd_dims = 6,10", "svd_dims = 6,6", ("experiment", "--which", "small-cv")),
             ("curve_sizes = 8,16", "curve_sizes = 8,8", ("experiment", "--which", "curves")),
             ("top_n_sweep = 20,60", "top_n_sweep = 20,20", ("build-vectors",)),
@@ -218,7 +221,7 @@ class TestConfigValidation:
         ],
         ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0",
              "init-scale-inf", "learning-rate-nan", "adagrad-epsilon-nan", "l2-lambda-nan",
-             "concreteness-inf", "repeated-svd-dims", "repeated-curve-sizes",
+             "repeated-verbs", "old-verbs-section", "repeated-svd-dims", "repeated-curve-sizes",
              "repeated-top-n-sweep", "positive-cap-0", "bucket-size-0",
              "context-vocab-size-0", "top-n-0", "small-cv-size-3", "svd-dims-0",
              "svd-dim-beyond-table"],
@@ -248,6 +251,24 @@ class TestConfigValidation:
             load_config(bad)
         assert run_cli("--config", bad, "build-vectors") == EXIT_VALIDATION
         assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("train", "--verb", "devour", "--k", "abc"), EXIT_VALIDATION),
+            (("frobnicate",), EXIT_VALIDATION),
+            (("train",), EXIT_VALIDATION),
+            (("--jobs", "two", "experiment", "--which", "full-cv"), EXIT_VALIDATION),
+            (("--help",), EXIT_OK),
+        ],
+        ids=["non-int-k", "unknown-command", "missing-verb", "non-int-jobs", "help"],
+    )
+    def test_command_line_usage_exit_codes(self, small_fixture, caplog, capsys, args, code):
+        """argparse's usage errors exit 1, like every other validation failure."""
+        assert run_cli("--config", small_fixture, *args) == code
+        printed = capsys.readouterr()
+        assert "usage: verbtensor" in printed.out + printed.err
+        assert "Traceback" not in caplog.text + printed.err
 
 
 class TestBuildVectors:
@@ -320,7 +341,6 @@ class TestGenData:
         for verb in config.verbs:
             dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
             assert len(dataset.positives) == len(dataset.negatives)
-            assert dataset.metadata["concreteness"] == config.verbs[verb]
 
     def test_cap_respected(self, built):
         config = load_config(built)
@@ -329,10 +349,12 @@ class TestGenData:
             assert len(dataset.positives) <= config.positive_cap
 
     def test_confounders_from_buckets(self, built):
-        from conftest import read_buckets_tsv
-
         config = load_config(built)
-        buckets = read_buckets_tsv(config.datasets_dir() / "buckets.tsv")
+        embeddings = read_embeddings_tsv(
+            config.vectors_dir() / f"embeddings_k{config.primary_k}.tsv")
+        buckets = corpus_mod.frequency_buckets(
+            corpus_mod.read_frequency_tsv(config.vectors_dir() / "frequencies.tsv"),
+            embeddings.nouns.words, config.bucket_size)
         for verb in config.verbs:
             dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
             positives = dataset.positives
@@ -363,7 +385,10 @@ class TestGenData:
         patched_dir = tmp_path / "extra_verb"
         shutil.copytree(fixture_dir, patched_dir, ignore=shutil.ignore_patterns("out"))
         config_path = patched_dir / "config.ini"
-        config_path.write_text(config_path.read_text() + "unheard = 2.0\n")
+        text = config_path.read_text()
+        assert "verbs = assemble, devour\n" in text
+        config_path.write_text(text.replace("verbs = assemble, devour\n",
+                                            "verbs = assemble, devour, unheard\n"))
         out = tmp_path / "out"
         assert run_cli("--config", config_path, "--out", out, "build-vectors") == 0
         assert run_cli("--config", config_path, "--out", out, "gen-data") == 0
@@ -394,6 +419,19 @@ class TestGenData:
         for name in parameters["verbs_written"]:
             assert (out / "datasets" / f"{name}.jsonl").read_bytes() \
                 == (config.datasets_dir() / f"{name}.jsonl").read_bytes()
+
+    def test_mixed_case_verb_keeps_its_case(self, tmp_path):
+        """A verb spelt ``Devour`` in triples.tsv and the config gets a dataset and a model."""
+        from conftest import SMALL_FIXTURE_OVERRIDES
+
+        world = replace(small_world_config(),
+                        verb_preferences={"Devour": (("person", "creature"), ("food",))})
+        config_path = write_fixture(tmp_path / "world", world, SMALL_FIXTURE_OVERRIDES)
+        for command in (("build-vectors",), ("gen-data",), ("train", "--verb", "Devour")):
+            assert run_cli("--config", config_path, *command) == EXIT_OK, command
+        out = config_path.parent / "out"
+        assert read_dataset_jsonl(out / "datasets" / "Devour.jsonl").verb == "Devour"
+        assert (out / "models" / "Devour_k6.tvbm").is_file()
 
     def test_gen_data_requires_vectors(self, small_fixture, tmp_path):
         assert run_cli(
