@@ -223,9 +223,9 @@ def subsample(dataset: VerbDataset, n: int, seed: int) -> VerbDataset:
 def write_dataset_jsonl(path, dataset: VerbDataset) -> None:
     """A header line, then one triple per line, with label and gold distribution.
 
-    The header is ``{"verb": ...}``. Each record line is what ``json.dumps(record, sort_keys=True)`` gives,
-    built from a template in that key order with each distinct string
-    encoded once.
+    The header is ``{"verb": ...}``. Each record line is what
+    ``json.dumps(record, sort_keys=True)`` gives, built from a template in
+    that key order with each distinct string encoded once.
     """
     strings = {text for t in dataset.triples for text in (t.subject, t.verb, t.object, t.label)}
     quoted = {text: json.dumps(text) for text in strings}
