@@ -1,6 +1,8 @@
 """Pipeline configuration: a flat INI file with four sections.
 
 The verbs to study are one comma-separated key, ``[experiment] verbs``.
+Each verb names its dataset and model files, so none may be ``.`` or ``..``
+or hold a ``/`` or ``\\``.
 
 Relative paths in ``[paths]`` resolve against the config file's directory.
 All randomness in the pipeline flows from the named seeds here; nothing reads
@@ -171,6 +173,9 @@ def load_config(path, out_override=None, seed_override=None) -> PipelineConfig:
 def _check_static(config: PipelineConfig) -> None:
     if not config.verbs:
         raise ValidationError("config needs [experiment] verbs with at least one verb")
+    for verb in config.verbs:
+        if verb in (".", "..") or "/" in verb or "\\" in verb:
+            raise ValidationError(f"[experiment] verbs: {verb!r} cannot be a file name")
     if config.context_vocab_size < 1:
         raise ValidationError("context_vocab_size must be positive")
     if config.positive_cap < 1:

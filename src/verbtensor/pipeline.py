@@ -155,17 +155,16 @@ def build_vectors(config: PipelineConfig) -> dict:
         )
     top_n, sweep_trace, reduced = _choose_top_n(config, weighted)
 
-    outputs, sidecars = [], []
+    outputs = []
     freq_path = out_dir / "frequencies.tsv"
     corpus_mod.write_frequency_tsv(freq_path, frequencies)
     outputs.append(freq_path)
 
-    for k in config.svd_dims:
-        emb = reduced.leading(k)
-        tsv_path = out_dir / _EMBEDDINGS_FILE.format(k)
-        sidecars.append(vec_mod.write_embeddings_tsv(tsv_path, emb))
+    tsv_paths = {k: out_dir / _EMBEDDINGS_FILE.format(k) for k in config.svd_dims}
+    sidecars = vec_mod.write_embeddings_tsv(tsv_paths, reduced)
+    for k, tsv_path in tsv_paths.items():
         outputs.append(tsv_path)
-        log.info("wrote %d x %d embeddings to %s", emb.matrix.shape[0], k, tsv_path)
+        log.info("wrote %d x %d embeddings to %s", reduced.matrix.shape[0], k, tsv_path)
 
     inputs = [config.corpus, config.stopwords, config.triples]
     if config.dev_pairs is not None:
@@ -184,28 +183,38 @@ def build_vectors(config: PipelineConfig) -> dict:
     return {"top_n": top_n, "outputs": [str(p) for p in outputs], "manifest": str(manifest)}
 
 
-def _reduce(config: PipelineConfig, weighted, top_n: int):
-    """Embeddings of the top-N selected table at the largest configured dim."""
-    return vec_mod.reduce_to_embeddings(weighted, max(config.svd_dims), top_n=top_n)
-
-
 def _choose_top_n(config: PipelineConfig, weighted):
     """Explicit config value, else a dev-pair sweep, else the fixed default.
 
     Returns the chosen N, the sweep trace and the embeddings of the table
-    selected with N at ``max(svd_dims)``. Each candidate table is decomposed
-    once; the sweep scores its first ``primary_k`` dims, and every configured
-    dim is later written from the winner's leading columns.
+    selected with N at ``max(svd_dims)``, whose leading columns give every
+    configured dim. The table's contexts are ranked once for every N, and
+    each distinct selected table is decomposed once: an N at or above the
+    table's longest row keeps every cell, so all such candidates (and the
+    default) share one decomposition, keyed by ``min(N, longest row)``. The
+    trace still lists every candidate that scored, and the first candidate
+    with the highest Spearman rho of its first ``primary_k`` dims wins.
     """
+    ranks = vec_mod.context_ranks(weighted)
+    longest_row = int(weighted.weights.getnnz(axis=1).max())
+    reduced = {}  # min(N, longest row) -> embeddings at max(svd_dims)
+
+    def decompose(top_n):
+        key = min(top_n, longest_row)
+        if key not in reduced:
+            reduced[key] = vec_mod.reduce_to_embeddings(weighted, max(config.svd_dims),
+                                                        top_n, ranks)
+        return reduced[key]
+
     if config.top_n is not None:
-        return config.top_n, [], _reduce(config, weighted, config.top_n)
+        return config.top_n, [], decompose(config.top_n)
     if config.dev_pairs is None:
-        return vec_mod.DEFAULT_TOP_N, [], _reduce(config, weighted, vec_mod.DEFAULT_TOP_N)
+        return vec_mod.DEFAULT_TOP_N, [], decompose(vec_mod.DEFAULT_TOP_N)
     pairs = vec_mod.read_pairs_tsv(config.dev_pairs)
     trace = []
     best = None
     for candidate in config.top_n_sweep:
-        emb = _reduce(config, weighted, candidate)
+        emb = decompose(candidate)
         try:
             rho = vec_mod.spearman_similarity_eval(emb.leading(config.primary_k), pairs)
         except ValueError:
@@ -216,7 +225,7 @@ def _choose_top_n(config: PipelineConfig, weighted):
     if best is None:
         log.warning("top-N sweep produced no usable evaluation; using default %d",
                     vec_mod.DEFAULT_TOP_N)
-        return vec_mod.DEFAULT_TOP_N, trace, _reduce(config, weighted, vec_mod.DEFAULT_TOP_N)
+        return vec_mod.DEFAULT_TOP_N, trace, decompose(vec_mod.DEFAULT_TOP_N)
     log.info("top-N sweep selected N=%d (spearman %.4f)", best[0], best[1])
     return best[0], trace, best[2]
 
@@ -472,10 +481,15 @@ def _write_reports(which: str, results: dict, out_dir: Path) -> list:
 # train / predict / eval-vectors
 # ---------------------------------------------------------------------------
 
-def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
-    """Train one verb's tensor model on its full dataset and save it."""
+def _require_verb(config: PipelineConfig, verb: str) -> None:
+    """Raise ``ValidationError`` unless ``verb`` is one of the config's verbs."""
     if verb not in config.verbs:
         raise ValidationError(f"verb {verb!r} is not in the config's [experiment] verbs")
+
+
+def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
+    """Train one verb's tensor model on its full dataset and save it."""
+    _require_verb(config, verb)
     k, emb_path = _embeddings_path(config, k)
     dataset_path = config.datasets_dir() / f"{verb}.jsonl"
     if not dataset_path.is_file():
@@ -503,6 +517,7 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
 
 def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: int | None = None) -> dict:
     """Load a trained model and classify one subject-object pair."""
+    _require_verb(config, verb)
     k, emb_path = _embeddings_path(config, k)
     base = config.models_dir() / f"{verb}_k{k}"
     if not Path(str(base) + ".tvbm").is_file():

@@ -2,11 +2,16 @@
 
 The pipeline is: tTest reweighting of counts, per-noun top-N context
 selection, row L2 normalization, then truncated SVD down to K dimensions.
+The ranking that top-N selection cuts does not depend on N, so
+``context_ranks`` computes it once per weighted table and every N reuses it.
 Vector quality is sanity-checked with Spearman correlation against a
-human-scored word-pair file. An embeddings TSV is authoritative: the binary
-sidecar its writer adds (``embeddings_k20.tvb``) holds the TSV's sha256 and
-the matrix, and spares the reader the float parse only while that digest
-matches the TSV.
+human-scored word-pair file.
+
+One ``write_embeddings_tsv`` call writes every configured dim from a single
+``repr`` pass: each narrower TSV holds the leading columns of the widest
+decomposition. An embeddings TSV is authoritative: the binary sidecar its
+writer adds (``embeddings_k20.tvb``) holds the TSV's sha256 and the matrix,
+and spares the reader the float parse only while that digest matches the TSV.
 """
 
 import hashlib
@@ -96,11 +101,11 @@ def ttest_weight(table: CooccurrenceTable) -> WeightedVectorTable:
     return WeightedVectorTable(table.target_nouns, table.contexts, weights)
 
 
-def select_top_n(table: WeightedVectorTable, n: int) -> WeightedVectorTable:
-    """Keep only each noun's N highest-weighted contexts, zeroing the rest.
+def context_ranks(table: WeightedVectorTable) -> np.ndarray:
+    """Each stored cell's rank within its noun's row, aligned with ``table.weights.data``.
 
-    Ranking is by weight descending; equal weights break by context word,
-    lexicographically ascending, so selection is deterministic.
+    Rank 0 is the row's highest weight; equal weights break by context word,
+    lexicographically ascending, so the ranking is deterministic.
     """
     src = table.weights
     words = table.contexts.words
@@ -109,8 +114,22 @@ def select_top_n(table: WeightedVectorTable, n: int) -> WeightedVectorTable:
     rows = np.repeat(np.arange(src.shape[0]), np.diff(src.indptr))
     # Rows stay grouped in place; within a row, weight descending, then word.
     order = np.lexsort((word_rank[src.indices], -src.data, rows))
-    out = src.copy()
-    out.data[order[np.arange(src.nnz) - src.indptr[rows] >= n]] = 0.0
+    ranks = np.empty(src.nnz, dtype=np.int64)
+    ranks[order] = np.arange(src.nnz) - src.indptr[rows]
+    return ranks
+
+
+def select_top_n(table: WeightedVectorTable, n: int, ranks=None) -> WeightedVectorTable:
+    """Keep only each noun's N highest-weighted contexts, zeroing the rest.
+
+    A cell survives when its ``context_ranks`` rank is below N. ``ranks`` is
+    that ranking of ``table``, computed here when not given; the ranking does
+    not depend on N, so several N can share one.
+    """
+    if ranks is None:
+        ranks = context_ranks(table)
+    out = table.weights.copy()
+    out.data[ranks >= n] = 0.0
     out.eliminate_zeros()
     return WeightedVectorTable(table.nouns, table.contexts, out)
 
@@ -132,13 +151,15 @@ def drop_zero_rows(table: WeightedVectorTable):
     return WeightedVectorTable(vocab, table.contexts, csr[keep]), dropped
 
 
-def reduce_to_embeddings(table: WeightedVectorTable, k: int, top_n: int) -> EmbeddingTable:
+def reduce_to_embeddings(table: WeightedVectorTable, k: int, top_n: int,
+                         ranks=None) -> EmbeddingTable:
     """Run top-N context selection, row normalization and truncated SVD to K dimensions.
 
     Embeddings are the singular-value-scaled rows ``U @ diag(s)``, which
-    preserve the inner products of the normalized table.
+    preserve the inner products of the normalized table. ``ranks`` is passed
+    on to ``select_top_n``.
     """
-    table = select_top_n(table, top_n)
+    table = select_top_n(table, top_n, ranks)
     u, s = truncated_svd(l2_normalize_rows(table.weights), k)
     return EmbeddingTable(nouns=table.nouns, dim=k, matrix=u * s)
 
@@ -193,23 +214,34 @@ def read_pairs_tsv(path) -> list:
     return pairs
 
 
-def write_embeddings_tsv(path, embeddings: EmbeddingTable) -> Path:
-    """Export ``noun<TAB>v1<TAB>...<TAB>vK``, each value the ``repr`` of its float64.
+def write_embeddings_tsv(paths, embeddings: EmbeddingTable) -> list:
+    """Export ``noun<TAB>v1<TAB>...<TAB>vk`` for each ``k -> path`` of ``paths``.
 
-    Also writes, and returns, the sidecar: the TSV's path with suffix ``.tvb``,
-    holding the raw sha256 of the TSV's bytes, then the matrix as one TVB1
-    block. A non-finite value raises ``ValueError`` once the TSV is written.
+    The file for k holds the leading k columns of ``embeddings`` (``k <=
+    embeddings.dim`` is the caller's to keep), each value the ``repr`` of its
+    float64. Each row is formatted once, and its leading values serve every
+    k, so each narrower line is the widest line cut after k values.
+
+    Beside each TSV goes its sidecar, returned in the order of ``paths``: the
+    TSV's path with suffix ``.tvb``, holding the raw sha256 of the TSV's bytes,
+    then its ``(rows, k)`` block of the matrix in TVB1. A non-finite value
+    raises ``ValueError`` once the first TSV is written.
     """
-    data = "".join(
-        f"{noun}\t" + "\t".join(map(repr, row)) + "\n"
-        for noun, row in zip(embeddings.nouns.words, embeddings.matrix.tolist())
-    ).encode("utf-8")
-    Path(path).write_bytes(data)
-    sidecar = Path(path).with_suffix(".tvb")
-    with open(sidecar, "wb") as handle:
-        handle.write(hashlib.sha256(data).digest())
-        write_tvb(handle, embeddings.matrix)
-    return sidecar
+    lines = {k: [] for k in paths}
+    for noun, row in zip(embeddings.nouns.words, embeddings.matrix):
+        values = list(map(repr, row.tolist()))
+        for k, out in lines.items():
+            out.append(f"{noun}\t" + "\t".join(values[:k]) + "\n")
+    sidecars = []
+    for k, path in paths.items():
+        data = "".join(lines.pop(k)).encode("utf-8")
+        Path(path).write_bytes(data)
+        sidecar = Path(path).with_suffix(".tvb")
+        with open(sidecar, "wb") as handle:
+            handle.write(hashlib.sha256(data).digest())
+            write_tvb(handle, embeddings.matrix[:, :k])
+        sidecars.append(sidecar)
+    return sidecars
 
 
 def read_embeddings_tsv(path) -> EmbeddingTable:

@@ -242,6 +242,27 @@ class TestConfigValidation:
         assert tree_hashes(out) == before
         assert not any(record.exc_info for record in caplog.records)
 
+    @pytest.mark.parametrize("verb", ["de/vour", "de\\vour", ".", ".."],
+                             ids=["slash", "backslash", "dot", "dot-dot"])
+    def test_verb_that_cannot_be_a_file_name_fails_before_work(self, built, tmp_path, caplog,
+                                                               verb):
+        config = load_config(built)
+        inputs = copy_fixture(built, tmp_path)
+        text = (inputs / "config.ini").read_text()
+        assert "verbs = assemble, devour" in text
+        (inputs / "config.ini").write_text(
+            text.replace("verbs = assemble, devour", f"verbs = assemble, {verb}"))
+        subject, _, obj, count = (inputs / "triples.tsv").read_text().splitlines()[0].split("\t")
+        with open(inputs / "triples.tsv", "a", encoding="utf-8") as handle:
+            handle.write(f"{subject}\t{verb}\t{obj}\t{count}\n")
+        out = tmp_path / "out"
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
+        before = tree_hashes(out)
+        assert run_cli("--config", inputs / "config.ini", "--out", out, "gen-data") \
+            == EXIT_VALIDATION
+        assert tree_hashes(out) == before
+        assert_clean_failure(caplog, f"{verb!r} cannot be a file name")
+
     @pytest.mark.parametrize("content", [b"corpus = c.txt\n", b"[paths]\ncorpus = \xff\n"],
                              ids=["no-section-header", "not-utf8"])
     def test_unreadable_config_fails_validation(self, tmp_path, caplog, content):
@@ -924,6 +945,15 @@ class TestTrainPredictEval:
 
     def test_train_unknown_verb(self, built):
         assert run_cli("--config", built, "train", "--verb", "unknown") == 1
+
+    @pytest.mark.parametrize(
+        "command", [("train",), ("predict", "--subject", "a", "--object", "b")],
+        ids=["train", "predict"])
+    def test_verb_outside_the_config_fails_before_any_path(self, built, caplog, command):
+        assert run_cli("--config", built, command[0], "--verb", "../../x", *command[1:]) \
+            == EXIT_VALIDATION
+        assert_clean_failure(caplog, "verb '../../x' is not in the config's [experiment] verbs")
+        assert "run train" not in caplog.text
 
     def test_eval_vectors_on_dev_pairs(self, built, capsys):
         capsys.readouterr()

@@ -19,6 +19,7 @@ from verbtensor.vectors import (
     EmbeddingTable,
     SimilarityPair,
     _read_embeddings_lines,
+    context_ranks,
     drop_zero_rows,
     read_embeddings_tsv,
     read_pairs_tsv,
@@ -181,12 +182,18 @@ class TestSelectTopN:
     @settings(max_examples=300, deadline=None)
     @given(tied_weight_tables())
     def test_matches_loop_reference(self, case):
+        """Each N, whether it ranks the table itself or shares one ranking with every N."""
         table, n = case
-        out = select_top_n(table, n).weights
-        expected = select_top_n_loop(table, n)
-        np.testing.assert_array_equal(out.indptr, expected.indptr)
-        np.testing.assert_array_equal(out.indices, expected.indices)
-        np.testing.assert_array_equal(out.data, expected.data)
+        ranks = context_ranks(table)
+        # each row's cells hold the ranks 0, 1, ... in some order
+        for start, end in zip(table.weights.indptr[:-1], table.weights.indptr[1:]):
+            assert sorted(ranks[start:end]) == list(range(end - start))
+        shared = [(m, select_top_n(table, m, ranks)) for m in range(1, table.weights.shape[1] + 2)]
+        for m, out in [(n, select_top_n(table, n))] + shared:
+            expected = select_top_n_loop(table, m)
+            np.testing.assert_array_equal(out.weights.indptr, expected.indptr)
+            np.testing.assert_array_equal(out.weights.indices, expected.indices)
+            np.testing.assert_array_equal(out.weights.data, expected.data)
 
 
 class TestReduce:
@@ -346,7 +353,7 @@ class TestEmbeddingIo:
         matrix[2] = [-0.0, 5e-324, 1e308]
         emb = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 3, matrix)
         path = tmp_path / "emb.tsv"
-        write_embeddings_tsv(path, emb)
+        write_embeddings_tsv({3: path}, emb)
         # each value is the repr of its float64, the shortest text that reads back exactly
         assert path.read_text(encoding="utf-8") == "".join(
             "\t".join([noun] + [repr(float(v)) for v in row]) + "\n"
@@ -355,6 +362,26 @@ class TestEmbeddingIo:
         loaded = read_embeddings_tsv(path)
         assert loaded.nouns.words == ("x", "y", "z")
         assert loaded.matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("dims", [(4, 1, 3), (2, 4)], ids=["widest-first", "widest-last"])
+    def test_narrower_files_cut_the_widest(self, tmp_path, dims):
+        """Each narrower TSV is the widest cut after k values; its sidecar holds matrix[:, :k]."""
+        matrix = np.random.default_rng(17).standard_normal((3, 4))
+        matrix[2] = [-0.0, 5e-324, 1e308, 1.0]
+        emb = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 4, matrix)
+        paths = {k: tmp_path / f"emb_k{k}.tsv" for k in dims}
+        sidecars = write_embeddings_tsv(paths, emb)
+        assert sidecars == [path.with_suffix(".tvb") for path in paths.values()]
+        widest = paths[4].read_text(encoding="utf-8").splitlines()
+        for k, path in paths.items():
+            assert path.read_text(encoding="utf-8").splitlines() == [
+                "\t".join(line.split("\t")[: k + 1]) for line in widest
+            ]
+            with mock.patch.object(vectors, "_read_embeddings_lines") as line_loop:
+                loaded = read_embeddings_tsv(path)
+            assert line_loop.call_count == 0
+            assert loaded.nouns.words == ("x", "y", "z")
+            assert loaded.matrix.tobytes() == np.ascontiguousarray(matrix[:, :k]).tobytes()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -503,7 +530,7 @@ def test_sidecar_read_agrees_with_line_loop(tmp_path_factory, case, data):
     loop reads it back; so does the TSV once edited, beside the stale sidecar."""
     table, round_trips = case
     path = tmp_path_factory.mktemp("emb") / "emb.tsv"
-    write_embeddings_tsv(path, table)
+    write_embeddings_tsv({table.dim: path}, table)
     with mock.patch.object(vectors, "_read_embeddings_lines",
                            wraps=_read_embeddings_lines) as line_loop:
         outcome = read_outcome(read_embeddings_tsv, path)
@@ -521,7 +548,7 @@ def test_sidecar_read_agrees_with_line_loop(tmp_path_factory, case, data):
 def test_written_empty_table_fails_as_text(tmp_path, shape):
     path = tmp_path / "emb.tsv"
     nouns = Vocabulary.from_words(["x", "y"][: shape[0]])
-    write_embeddings_tsv(path, EmbeddingTable(nouns, shape[1], np.zeros(shape)))
+    write_embeddings_tsv({shape[1]: path}, EmbeddingTable(nouns, shape[1], np.zeros(shape)))
     message = read_outcome(_read_embeddings_lines, path)
     assert isinstance(message, str) and read_outcome(read_embeddings_tsv, path) == message
 
@@ -552,7 +579,7 @@ def test_unusable_sidecar_falls_back_to_text(tmp_path, caplog, fault):
     path = tmp_path / "emb.tsv"
     table = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 2,
                            np.arange(1.0, 7.0).reshape(3, 2))
-    sidecar = write_embeddings_tsv(path, table)
+    [sidecar] = write_embeddings_tsv({2: path}, table)
     data = SIDECAR_FAULTS[fault](hashlib.sha256(path.read_bytes()).digest(), table.matrix)
     sidecar.unlink()
     if fault == "directory":
