@@ -7,9 +7,9 @@ negatives, an Adagrad-trained K x K x 2 verb tensor classifier, an
 average-Kronecker cosine baseline, and 5x2 cross-validated comparison with
 the paired F-test.
 
-Only four functions import scipy: ``corpus.scan_corpus``,
-``corpus.CooccurrenceTable.restrict``, ``linalg.truncated_svd`` and
-``vectors.spearman_similarity_eval``.
+Only three functions import scipy, and only ``scipy.sparse`` and
+``scipy.sparse.linalg``: ``corpus.scan_corpus``,
+``corpus.CooccurrenceTable.restrict`` and ``linalg.truncated_svd``.
 """
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ import csv
 import json
 import logging
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -341,6 +340,7 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     # the pool starts all its workers at once, so never more than there are verbs
     workers = min(jobs, len(available))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_experiment_verb_safe, tasks))
     else:

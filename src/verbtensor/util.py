@@ -70,6 +70,14 @@ def _first_undecodable_line(path) -> int:
 
 
 def ensure_dir(path) -> Path:
+    """Create the directory ``path`` and its parents, if missing, and return it.
+
+    A path that cannot be made a directory (a file on the way, no permission)
+    raises ``ValidationError`` naming the directory.
+    """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create directory {path}: {exc.strerror}") from None
     return path

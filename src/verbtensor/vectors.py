@@ -5,7 +5,10 @@ selection, row L2 normalization, then truncated SVD down to K dimensions.
 The ranking that top-N selection cuts does not depend on N, so
 ``context_ranks`` computes it once per weighted table and every N reuses it.
 Vector quality is sanity-checked with Spearman correlation against a
-human-scored word-pair file.
+human-scored word-pair file. Rho is scipy's ``spearmanr`` recipe written in
+numpy: average ranks for ties (``_average_ranks``, ``rankdata``'s formula),
+then the Pearson correlation of the two rankings from ``np.corrcoef``. A test
+holds it to ``spearmanr`` bit for bit.
 
 One ``write_embeddings_tsv`` call writes every configured dim from a single
 ``repr`` pass: each narrower TSV holds the leading columns of the widest
@@ -168,7 +171,9 @@ def spearman_similarity_eval(embeddings: EmbeddingTable, pairs) -> float:
     """Spearman rank correlation of embedding cosines against gold scores.
 
     Pairs with a missing word are skipped (and logged); at least two usable
-    pairs are required. Tied values receive average ranks.
+    pairs are required. Tied values receive average ranks. Rho is read at
+    ``[1, 0]`` of ``np.corrcoef`` of the stacked rankings, where
+    ``scipy.stats.spearmanr`` reads it; a test pins it to scipy's bit for bit.
     """
     sims, golds = [], []
     skipped = 0
@@ -186,8 +191,24 @@ def spearman_similarity_eval(embeddings: EmbeddingTable, pairs) -> float:
         )
     if len(set(sims)) == 1 or len(set(golds)) == 1:
         raise ValueError("Spearman correlation undefined (constant ranking)")
-    from scipy.stats import spearmanr
-    return float(spearmanr(sims, golds).statistic)
+    rankings = np.column_stack((_average_ranks(sims), _average_ranks(golds)))
+    return float(np.corrcoef(rankings, rowvar=False)[1, 0])
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, tied values sharing their mean rank.
+
+    ``scipy.stats.rankdata``'s formula: every rank is an exact half-integer.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.arange(order.size, dtype=np.intp)
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = starts.cumsum()[inverse]
+    count = np.r_[np.nonzero(starts)[0], starts.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def read_pairs_tsv(path) -> list:

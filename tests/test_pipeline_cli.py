@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -55,7 +56,9 @@ def tree_hashes(root):
 
 
 # Run as ``python -c SCRIPT CONFIG OUT SUBJECT OBJECT``: each command in turn,
-# then print the scipy modules loaded after each one as a JSON list of lists.
+# then print, as one JSON object, the scipy modules loaded after each one
+# ("scipy", a list of lists) and whether the process pool's module was
+# ("pool", a list of booleans).
 SCIPY_PER_COMMAND = """
 import json, sys
 from verbtensor.cli import main
@@ -64,11 +67,12 @@ commands = [["gen-data"], ["experiment", "--which", "small-cv"],
             ["--jobs", "2", "experiment", "--which", "full-cv"],
             ["experiment", "--which", "curves"], ["train", "--verb", "devour"],
             ["predict", "--verb", "devour", "--subject", subject, "--object", object_],
-            ["build-vectors"]]
-loaded = []
+            ["eval-vectors"], ["build-vectors"]]
+loaded = {"scipy": [], "pool": []}
 for command in commands:
     assert main(["--config", config, "--out", out, *command]) == 0, command
-    loaded.append(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    loaded["scipy"].append(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    loaded["pool"].append("concurrent.futures.process" in sys.modules)
 print(json.dumps(loaded))
 """
 
@@ -637,7 +641,8 @@ class TestExperimentReports:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        # experiment imports the pool from its module only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         out = tmp_path / "out"
         source = load_config(built).output_dir
         for subdir in ("vectors", "datasets"):
@@ -910,6 +915,35 @@ class TestTrainPredictEval:
         assert tree_hashes(out) == before
         assert_clean_failure(caplog, "k=0 is not one of the configured svd_dims")
 
+    @pytest.mark.parametrize(
+        "command, subdir",
+        [(("build-vectors",), "vectors"), (("gen-data",), "datasets"),
+         (("experiment", "--which", "small-cv"), "reports"),
+         (("train", "--verb", "devour"), "models")],
+        ids=["build-vectors", "gen-data", "experiment", "train"],
+    )
+    def test_file_in_place_of_an_output_directory(self, built, tmp_path, caplog,
+                                                  command, subdir):
+        """A file as ``--out``, or as the command's own output directory, fails validation.
+
+        The command exits 1 without a traceback and writes nothing.
+        """
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert run_cli("--config", built, "--out", blocker, *command) == EXIT_VALIDATION
+        assert blocker.read_text() == "not a directory\n"
+        assert_clean_failure(caplog, str(blocker))
+        caplog.clear()
+
+        source, out = load_config(built).output_dir, tmp_path / "out"
+        for inputs in {"vectors", "datasets"} - {subdir}:
+            shutil.copytree(source / inputs, out / inputs)
+        (out / subdir).write_text("not a directory\n")
+        before = tree_hashes(out)
+        assert run_cli("--config", built, "--out", out, *command) == EXIT_VALIDATION
+        assert tree_hashes(out) == before
+        assert_clean_failure(caplog, f"cannot create directory {out / subdir}")
+
     def test_commands_read_embeddings_from_sidecars(self, built, tmp_path, monkeypatch):
         """No command parses the text of embeddings that build-vectors wrote."""
         parsed = []
@@ -929,7 +963,11 @@ class TestTrainPredictEval:
         assert parsed == []
 
     def test_only_sparse_commands_import_scipy(self, built, tmp_path):
-        """A fresh interpreter runs every command but build-vectors without scipy."""
+        """A fresh interpreter runs every command but build-vectors without scipy.
+
+        build-vectors loads ``scipy.sparse`` and no ``scipy.stats``, and the
+        process pool is loaded only by the ``--jobs 2`` experiment.
+        """
         config, out = load_config(built), tmp_path / "out"
         shutil.copytree(config.vectors_dir(), out / "vectors")
         triple = read_dataset_jsonl(config.datasets_dir() / "devour.jsonl").positives[0]
@@ -940,8 +978,10 @@ class TestTrainPredictEval:
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert loaded[:-1] == [[]] * 6
-        assert "scipy.sparse" in loaded[-1]
+        assert loaded["scipy"][:-1] == [[]] * 7
+        assert "scipy.sparse" in loaded["scipy"][-1]
+        assert not [name for name in loaded["scipy"][-1] if name.startswith("scipy.stats")]
+        assert loaded["pool"][:3] == [False, False, True]
 
     def test_train_unknown_verb(self, built):
         assert run_cli("--config", built, "train", "--verb", "unknown") == 1

@@ -8,8 +8,9 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata, spearmanr
 
 from verbtensor.corpus import CooccurrenceTable, Vocabulary
 from verbtensor import vectors
@@ -340,6 +341,34 @@ class TestSpearmanEval:
             SimilarityPair(p.word_a, p.word_b, np.exp(3.0 * p.gold_score)) for p in pairs
         ]
         assert spearman_similarity_eval(emb, transformed) == base
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 500),
+           sim_pool=st.integers(2, 8) | st.none(), gold_pool=st.integers(2, 8) | st.none(),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_equals_scipy_spearmanr_bit_for_bit(self, seed, n, sim_pool, gold_pool, sign):
+        """rho is ``spearmanr``'s, with ties in either ranking and either sign."""
+        rng = np.random.default_rng(seed)
+        # noun n{i} sits at angles[i] from the anchor's [1, 0]: its pair's cosine is cos(angles[i])
+        angles = rng.uniform(0.0, np.pi, n)
+        if sim_pool is not None:
+            angles = rng.choice(angles[:sim_pool], n)
+        golds = sign * -angles + rng.normal(0.0, 0.5, n)
+        if gold_pool is not None:
+            golds = rng.choice(golds[:gold_pool], n)
+        names = ["anchor"] + [f"n{i}" for i in range(n)]
+        matrix = np.vstack([[1.0, 0.0], np.column_stack((np.cos(angles), np.sin(angles)))])
+        emb = EmbeddingTable(Vocabulary.from_words(names), 2, matrix)
+        pairs = [SimilarityPair("anchor", f"n{i}", float(g)) for i, g in enumerate(golds)]
+        sims = [cosine(emb.vector("anchor"), emb.vector(f"n{i}")) for i in range(n)]
+        assume(len(set(sims)) > 1 and len(set(golds)) > 1)
+        assert spearman_similarity_eval(emb, pairs) == spearmanr(sims, list(golds)).statistic
+
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(st.sampled_from([-2.5, -0.0, 0.0, 1e-300, 3.0, 7.25, 1e300, 42.0])
+                           | st.floats(allow_nan=False), min_size=1, max_size=300))
+    def test_average_ranks_equal_rankdata(self, values):
+        assert np.array_equal(vectors._average_ranks(values), rankdata(values))
 
     def test_identical_words_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
