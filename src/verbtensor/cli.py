@@ -6,6 +6,11 @@ failures. Global flags go before the subcommand, for example::
 
     verbtensor --config config.ini --log-level INFO build-vectors
     verbtensor --config config.ini experiment --which full-cv
+
+One call builds the top-level parser and, once argparse dispatches to it,
+the chosen command's parser; the other commands' parsers are never built.
+The ``-h`` output and the usage errors are the same as with every parser
+built up front.
 """
 
 import argparse
@@ -28,6 +33,32 @@ _K_HELP = ("embedding dim: one of the config's [vectors] svd_dims "
           "(default: the first of them)")
 
 
+class _DeferredParser:
+    """A subcommand's parser, built only when argparse dispatches to it.
+
+    ``add_subparsers(parser_class=_DeferredParser)`` makes ``add_parser``
+    return one of these, holding every keyword argument ``add_parser`` passes
+    on; ``add_argument`` records its flags and options. The top-level help
+    lists commands from ``add_parser``'s ``help`` alone. The only method
+    ``argparse._SubParsersAction`` calls on a subparser is
+    ``parse_known_args(args, namespace)`` (checked in the Python 3.11 source),
+    so that method builds the real ``ArgumentParser`` and delegates to it.
+    """
+
+    def __init__(self, **kwargs):
+        self._kwargs = kwargs
+        self._arguments = []
+
+    def add_argument(self, *flags, **options):
+        self._arguments.append((flags, options))
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = argparse.ArgumentParser(**self._kwargs)
+        for flags, options in self._arguments:
+            parser.add_argument(*flags, **options)
+        return parser.parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verbtensor",
@@ -46,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="WARNING",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR"])
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
     sub.add_parser("build-vectors", help="scan the corpus and write noun embeddings")
     sub.add_parser("gen-data", help="build per-verb datasets with confounder negatives")
 
@@ -74,10 +105,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    logging.basicConfig(
-        level=getattr(logging, args.log_level),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig does nothing once the root logger has a handler (a second
+    # call in one process, pytest's caplog), so the level goes on our logger
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(args.log_level)
     try:
         config = load_config(args.config, out_override=args.out, seed_override=args.seed)
     except ValidationError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import DataError, numbered_lines
+from .util import DataError, numbered_lines, open_output
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def read_stopwords(path) -> set:
 def write_frequency_tsv(path, frequencies) -> None:
     """Export ``word<TAB>count`` rows, most frequent first, ties lexicographic."""
     ordered = sorted(frequencies.items(), key=lambda kv: (-kv[1], kv[0]))
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         for word, count in ordered:
             handle.write(f"{word}\t{count}\n")
 

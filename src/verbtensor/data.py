@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import FrequencyBuckets
-from .util import DataError, derive_seed, numbered_lines
+from .util import DataError, derive_seed, numbered_lines, open_output
 
 log = logging.getLogger(__name__)
 
@@ -236,7 +236,7 @@ def write_dataset_jsonl(path, dataset: VerbDataset) -> None:
         f'"verb": {quoted[t.verb]}}}\n'
         for t in dataset.triples
     ]
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         handle.write(json.dumps({"verb": dataset.verb}) + "\n" + "".join(lines))
 
 
@@ -291,7 +291,7 @@ def read_dataset_jsonl(path) -> VerbDataset:
 
 
 def write_splits_jsonl(path, splits) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         for s in splits:
             record = {
                 "repetition": s.repetition,

@@ -39,6 +39,7 @@ from .util import (
     VerbTensorError,
     derive_seed,
     ensure_dir,
+    open_output,
     sha256_file,
 )
 
@@ -71,7 +72,7 @@ def _write_manifest(config: PipelineConfig, directory: Path, command: str,
         "outputs": {_manifest_key(p, config): sha256_file(p) for p in outputs},
     }
     path = directory / f"manifest_{command}.json" if command.startswith("experiment") else directory / "manifest.json"
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
@@ -462,7 +463,7 @@ def _write_reports(which: str, results: dict, out_dir: Path) -> list:
     outputs = []
     for i, (suffix, note, header) in enumerate(_REPORT_TABLES[which]):
         path = out_dir / f"{stem}{suffix}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open_output(path, newline="") as handle:
             handle.write(note + "\n")
             writer = csv.writer(handle)
             writer.writerow(header)

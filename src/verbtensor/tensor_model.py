@@ -48,7 +48,7 @@ import numpy as np
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
 from .linalg import read_tvb, write_tvb
-from .util import DataError, TrainingDiverged, derive_seed
+from .util import DataError, TrainingDiverged, derive_seed, open_output
 
 log = logging.getLogger(__name__)
 
@@ -311,14 +311,14 @@ def save_model(base_path, verb: str, model: VerbTensorModel, config: TrainConfig
     configuration and the per-epoch objective trace as CSV.
     """
     base = str(base_path)
-    with open(base + ".tvbm", "wb") as handle:
+    with open_output(base + ".tvbm", "wb") as handle:
         write_tvb(handle, model.tensor)
         write_tvb(handle, model.theta)
     lines = [f"verb = {verb}", f"k = {model.k}", f"s = {SENTENCE_DIM}"]
     lines += [f"{item.name} = {getattr(config, item.name)}" for item in fields(TrainConfig)]
     lines += ["", "[objective_trace]", "epoch,objective"]
     lines += [f"{i},{value!r}" for i, value in enumerate(objective_trace)]
-    with open(base + ".meta", "w", encoding="utf-8") as handle:
+    with open_output(base + ".meta") as handle:
         handle.write("\n".join(lines) + "\n")
 
 

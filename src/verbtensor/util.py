@@ -81,3 +81,16 @@ def ensure_dir(path) -> Path:
     except OSError as exc:
         raise ValidationError(f"cannot create directory {path}: {exc.strerror}") from None
     return path
+
+
+def open_output(path, mode: str = "w", newline=None):
+    """Open the file ``path`` for writing, UTF-8 unless ``mode`` is binary.
+
+    A path that cannot be opened for writing (a directory in its place, no
+    permission) raises ``ValidationError`` naming the file.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    try:
+        return open(path, mode, encoding=encoding, newline=newline)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None

@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import CooccurrenceTable, Vocabulary
 from .linalg import cosine, l2_normalize_rows, read_tvb, truncated_svd, write_tvb
-from .util import DataError, numbered_lines
+from .util import DataError, numbered_lines, open_output
 
 log = logging.getLogger(__name__)
 
@@ -256,9 +256,10 @@ def write_embeddings_tsv(paths, embeddings: EmbeddingTable) -> list:
     sidecars = []
     for k, path in paths.items():
         data = "".join(lines.pop(k)).encode("utf-8")
-        Path(path).write_bytes(data)
+        with open_output(path, "wb") as handle:
+            handle.write(data)
         sidecar = Path(path).with_suffix(".tvb")
-        with open(sidecar, "wb") as handle:
+        with open_output(sidecar, "wb") as handle:
             handle.write(hashlib.sha256(data).digest())
             write_tvb(handle, embeddings.matrix[:, :k])
         sidecars.append(sidecar)

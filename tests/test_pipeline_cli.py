@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -18,7 +19,7 @@ from verbtensor import corpus as corpus_mod
 from verbtensor import data as data_mod
 from verbtensor import pipeline
 from verbtensor import vectors as vec_mod
-from verbtensor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main as cli_main
+from verbtensor.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main as cli_main
 from verbtensor.config import load_config
 from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, read_dataset_jsonl
 from verbtensor.evaluation import METHOD_BASELINE, METHOD_TENSOR, f1_plausible
@@ -285,8 +286,12 @@ class TestConfigValidation:
             (("train",), EXIT_VALIDATION),
             (("--jobs", "two", "experiment", "--which", "full-cv"), EXIT_VALIDATION),
             (("--help",), EXIT_OK),
+            (("experiment", "--which", "nope"), EXIT_VALIDATION),
+            (("predict", "--verb", "devour", "--object", "b"), EXIT_VALIDATION),
+            (("gen-data", "--bogus"), EXIT_VALIDATION),
         ],
-        ids=["non-int-k", "unknown-command", "missing-verb", "non-int-jobs", "help"],
+        ids=["non-int-k", "unknown-command", "missing-verb", "non-int-jobs", "help",
+             "unknown-which", "missing-subject", "unknown-flag"],
     )
     def test_command_line_usage_exit_codes(self, small_fixture, caplog, capsys, args, code):
         """argparse's usage errors exit 1, like every other validation failure."""
@@ -294,6 +299,72 @@ class TestConfigValidation:
         printed = capsys.readouterr()
         assert "usage: verbtensor" in printed.out + printed.err
         assert "Traceback" not in caplog.text + printed.err
+
+
+# command -> (its help line in the top-level help, the flags its own help names)
+COMMAND_HELP = {
+    "build-vectors": ("scan the corpus and write noun embeddings", ()),
+    "gen-data": ("build per-verb datasets with confounder negatives", ()),
+    "experiment": ("run an evaluation protocol", ("--which",)),
+    "train": ("train and save one verb's tensor model", ("--verb", "--k")),
+    "predict": ("classify one subject-verb-object triple",
+                ("--verb", "--subject", "--object", "--k")),
+    "eval-vectors": ("Spearman check of embeddings on word pairs", ("--pairs", "--k")),
+}
+
+
+class TestCommandLineParsers:
+    @pytest.fixture
+    def count_parsers(self, monkeypatch):
+        """A list that gains one entry per ``ArgumentParser`` constructed."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    def test_a_call_builds_only_the_chosen_commands_parser(self, built, count_parsers):
+        """predict builds the top-level parser and its own; -h and a bad command, one."""
+        assert run_cli("--config", built, "predict", "--verb", "devour",
+                       "--subject", "a", "--object", "b") == EXIT_VALIDATION
+        assert count_parsers == ["verbtensor", "verbtensor predict"]
+        count_parsers.clear()
+        assert run_cli("-h") == EXIT_OK
+        assert count_parsers == ["verbtensor"]
+        count_parsers.clear()
+        assert run_cli("--config", built, "frobnicate") == EXIT_VALIDATION
+        assert count_parsers == ["verbtensor"]
+
+    def test_help_lists_every_command_and_flag(self, built, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli("-h") == EXIT_OK
+        top = " ".join(capsys.readouterr().out.split())
+        for command, (help_line, flags) in COMMAND_HELP.items():
+            assert f"{command} {help_line}" in top
+            assert run_cli("--config", built, command, "-h") == EXIT_OK
+            printed = capsys.readouterr().out
+            assert printed.startswith(f"usage: verbtensor {command} [-h]")
+            for flag in flags:
+                assert flag in printed, (command, flag)
+
+    def test_abbreviated_flags_still_parse(self):
+        args = build_parser().parse_args(
+            ["--config", "c.ini", "predict", "--verb", "devour", "--subj", "a", "--obj", "b"])
+        assert (args.command, args.subject, args.object_) == ("predict", "a", "b")
+
+    def test_fresh_process_help(self, small_fixture):
+        """One ``main`` per interpreter, as ``python -m verbtensor`` runs it."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        for args in (["--help"], ["--config", str(small_fixture), "predict", "-h"]):
+            proc = subprocess.run([sys.executable, "-m", "verbtensor", *args],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.startswith("usage: verbtensor"), proc.stdout
 
 
 class TestBuildVectors:
@@ -457,6 +528,18 @@ class TestGenData:
         out = config_path.parent / "out"
         assert read_dataset_jsonl(out / "datasets" / "Devour.jsonl").verb == "Devour"
         assert (out / "models" / "Devour_k6.tvbm").is_file()
+
+    def test_log_level_holds_for_each_call(self, built, tmp_path, caplog):
+        """A second call in one process logs at its own ``--log-level``."""
+        out = tmp_path / "out"
+        shutil.copytree(load_config(built).vectors_dir(), out / "vectors")
+        counted = []
+        for level in ("INFO", "WARNING"):
+            assert run_cli("--config", built, "--out", out, "--log-level", level,
+                           "gen-data") == EXIT_OK
+            counted.append(sum("positives" in r.getMessage() for r in caplog.records))
+            caplog.clear()
+        assert counted[0] > 0 and counted[1] == 0
 
     def test_gen_data_requires_vectors(self, small_fixture, tmp_path):
         assert run_cli(
@@ -943,6 +1026,33 @@ class TestTrainPredictEval:
         assert run_cli("--config", built, "--out", out, *command) == EXIT_VALIDATION
         assert tree_hashes(out) == before
         assert_clean_failure(caplog, f"cannot create directory {out / subdir}")
+
+    @pytest.mark.parametrize(
+        "command, output",
+        [(("build-vectors",), "vectors/frequencies.tsv"),
+         (("build-vectors",), "vectors/embeddings_k{k}.tsv"),
+         (("build-vectors",), "vectors/embeddings_k{k}.tvb"),
+         (("gen-data",), "datasets/devour.jsonl"),
+         (("experiment", "--which", "small-cv"), "reports/small_cv.csv"),
+         (("experiment", "--which", "small-cv"), "reports/small_cv_splits_devour.jsonl"),
+         (("train", "--verb", "devour"), "models/devour_k{k}.tvbm"),
+         (("train", "--verb", "devour"), "models/devour_k{k}.meta"),
+         (("train", "--verb", "devour"), "models/manifest.json")],
+        ids=["frequencies", "embeddings", "embeddings-sidecar", "dataset", "report", "splits",
+             "model", "model-meta", "manifest"],
+    )
+    def test_directory_in_place_of_an_output_file(self, built, tmp_path, caplog, capsys,
+                                                  command, output):
+        """An output file that cannot be opened fails validation, naming the file."""
+        config, out = load_config(built), tmp_path / "out"
+        for inputs in ("vectors", "datasets"):
+            shutil.copytree(config.output_dir / inputs, out / inputs)
+        blocker = out / output.format(k=config.primary_k)
+        blocker.unlink(missing_ok=True)
+        blocker.mkdir(parents=True)
+        assert run_cli("--config", built, "--out", out, *command) == EXIT_VALIDATION
+        assert_clean_failure(caplog, f"cannot write {blocker}")
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_commands_read_embeddings_from_sidecars(self, built, tmp_path, monkeypatch):
         """No command parses the text of embeddings that build-vectors wrote."""
