@@ -17,10 +17,11 @@ of this package.
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .util import DataError, numbered_lines, open_output
+from .util import DataError, numbered_lines, open_output, read_lines
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class FrequencyBuckets:
 
     Nouns are sorted by descending frequency (ties broken lexicographically)
     and chopped into consecutive runs of equal size; the final bucket may be
-    smaller.
+    smaller. Each noun is in exactly one bucket, once.
     """
 
     bucket_of: dict
@@ -203,14 +204,15 @@ def frequency_buckets(frequencies, nouns, bucket_size: int) -> FrequencyBuckets:
 
     Nouns missing from the frequency table count as frequency 0.
     """
-    ordered = sorted(set(nouns), key=lambda n: (-frequencies.get(n, 0), n))
+    ordered = sorted(set(nouns))
+    count = dict(zip(ordered, map(frequencies.get, ordered, repeat(0))))
+    ordered.sort(key=count.__getitem__, reverse=True)  # stable: ties stay sorted
+    ordered = tuple(ordered)
     bucket_of = {}
     members = {}
     for bucket_id, start in enumerate(range(0, len(ordered), bucket_size)):
-        chunk = tuple(ordered[start : start + bucket_size])
-        members[bucket_id] = chunk
-        for noun in chunk:
-            bucket_of[noun] = bucket_id
+        members[bucket_id] = chunk = ordered[start : start + bucket_size]
+        bucket_of.update(dict.fromkeys(chunk, bucket_id))
     return FrequencyBuckets(bucket_of=bucket_of, members=members)
 
 
@@ -230,25 +232,31 @@ def write_frequency_tsv(path, frequencies) -> None:
 def read_frequency_tsv(path) -> Counter:
     """Read ``word<TAB>count`` rows.
 
-    A row without two fields, with a count that is not an integer or with a
-    word an earlier row already gave raises ``DataError`` naming the file and
-    line.
+    Blank lines are skipped. A row without two fields, with a word an earlier
+    row already gave or with a count that is not one or more ASCII digits
+    raises ``DataError`` naming the file and line.
     """
     freq: Counter = Counter()
     linenos = {}  # word -> the line that gave it
-    for lineno, line in numbered_lines(path):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
-        word, count = parts
+        try:
+            word, count = line.split("\t")
+        except ValueError:
+            fields = len(line.split("\t"))
+            raise DataError(
+                f"{path}:{lineno}: expected 2 tab-separated fields, got {fields}"
+            ) from None
         if word in linenos:
             raise DataError(f"{path}:{lineno}: word {word!r} repeats line {linenos[word]}")
         try:
-            freq[word] = int(count)
+            if not (count.isascii() and count.isdigit()):
+                raise ValueError
+            freq[word] = int(count)  # int() fails past 4300 digits
         except ValueError:
-            raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
+            raise DataError(
+                f"{path}:{lineno}: count {count!r} is not an integer of ASCII digits"
+            ) from None
         linenos[word] = lineno
     return freq

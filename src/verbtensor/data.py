@@ -5,38 +5,58 @@ positive a pseudo-negative is built by replacing both nouns with confounders
 drawn at random from the same corpus-frequency bucket, which keeps the
 negatives frequency-matched and the classes exactly balanced.
 
-The caller reads the TSV once (``read_triples_tsv``) and hands each verb its
-own rows (``load_positives``). Within one ``gen_confounders`` call each noun's
-list of confounder options is built once, on its first draw, and
-``write_dataset_jsonl`` JSON-encodes each distinct string once per file.
+A row is a ``LabeledTriple``, an immutable tuple of four strings: building
+one is a single short Python call, and unpacking, hashing and comparing it
+run in C. The caller reads the TSV once (``read_triples_tsv``) and hands each
+verb its own rows (``load_positives``). Within one ``gen_confounders`` call
+each noun's tuple of confounder options is built once, before the draws,
+and ``write_dataset_jsonl`` JSON-encodes each distinct string once per file.
+Each reader reads its file's text in one pass and checks every line, naming
+the file and line of the first one that is malformed.
 """
 
 import json
 import logging
 import random
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import FrequencyBuckets
-from .util import DataError, derive_seed, numbered_lines, open_output
+from .util import DataError, derive_seed, open_output, read_lines
 
 log = logging.getLogger(__name__)
 
 PLAUSIBLE = "plausible"
 IMPLAUSIBLE = "implausible"
+_LABELS = (PLAUSIBLE, IMPLAUSIBLE)
 _GOLD_DIST = {PLAUSIBLE: (1.0, 0.0), IMPLAUSIBLE: (0.0, 1.0)}
 
 
-@dataclass(frozen=True)
-class LabeledTriple:
+class _Triple(NamedTuple):
     subject: str
     verb: str
     object: str
     label: str
 
-    def __post_init__(self):
-        if self.label not in _GOLD_DIST:
-            raise ValueError(f"bad label {self.label!r}")
+
+class LabeledTriple(_Triple):
+    """A (subject, verb, object) triple with its label, as an immutable tuple.
+
+    A triple compares and hashes as the tuple of its four fields, and pickles
+    as them. A label other than ``PLAUSIBLE`` or ``IMPLAUSIBLE`` raises
+    ``ValueError``, also when unpickling.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subject, verb, object, label):
+        if label not in _LABELS:  # a tuple, so an unhashable label is rejected too
+            raise ValueError(f"bad label {label!r}")
+        return tuple.__new__(cls, (subject, verb, object, label))
 
     @property
     def gold_dist(self) -> tuple:
@@ -73,24 +93,39 @@ class CvSplit:
 
 
 def read_triples_tsv(path) -> list:
-    """Read ``subject<TAB>verb<TAB>object<TAB>count`` rows.
+    """Read ``subject<TAB>verb<TAB>object<TAB>count`` rows as tuples, in file order.
 
-    A row without four fields or with a count that is not an integer raises
+    Blank lines are skipped. A row without four fields, with an empty
+    subject, verb or object, with a (subject, verb, object) an earlier row
+    already gave or with a count that is not one or more ASCII digits raises
     ``DataError`` naming the file and line.
     """
     rows = []
-    for lineno, line in numbered_lines(path):
-        line = line.rstrip("\n")
+    linenos = {}  # (subject, verb, object) -> the line that gave it
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
-        subject, verb, obj, count = parts
         try:
-            rows.append((subject, verb, obj, int(count)))
+            subject, verb, obj, count = line.split("\t")
         except ValueError:
-            raise DataError(f"{path}:{lineno}: count {count!r} is not an integer") from None
+            fields = len(line.split("\t"))
+            raise DataError(
+                f"{path}:{lineno}: expected 4 tab-separated fields, got {fields}"
+            ) from None
+        if not (subject and verb and obj):
+            raise DataError(f"{path}:{lineno}: empty subject, verb or object")
+        key = (subject, verb, obj)
+        if key in linenos:
+            raise DataError(f"{path}:{lineno}: triple {key!r} repeats line {linenos[key]}")
+        try:
+            if not (count.isascii() and count.isdigit()):
+                raise ValueError
+            rows.append((subject, verb, obj, int(count)))  # int() fails past 4300 digits
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: count {count!r} is not an integer of ASCII digits"
+            ) from None
+        linenos[key] = lineno
     return rows
 
 
@@ -112,30 +147,35 @@ def load_positives(rows, verb: str, source, cap: int, known_nouns) -> tuple:
         log.info("verb %r: dropped %d triples with out-of-vocabulary nouns", verb, dropped)
     if not kept:
         raise DataError(f"verb {verb!r}: zero triples survive the vocabulary filter")
-    rows = sorted(kept, key=lambda r: (-r[3], r[0], r[2]))[:cap]
-    return [LabeledTriple(s, verb, o, PLAUSIBLE) for s, _, o, _ in rows], dropped
+    # order by (-count, subject, object): a descending sort stays stable
+    kept.sort(key=itemgetter(0, 2))
+    kept.sort(key=itemgetter(3), reverse=True)
+    positives = [LabeledTriple(subject, verb, obj, PLAUSIBLE) for subject, _, obj, _ in kept[:cap]]
+    return positives, dropped
 
 
-def _confounder_options(noun: str, buckets: FrequencyBuckets, max_id: int) -> list:
+def _confounder_options(noun: str, buckets: FrequencyBuckets, max_id: int) -> tuple:
     """Bucket-mates of ``noun``, excluding the noun itself.
 
     When the noun's bucket offers no alternative, the search widens to the
     nearest buckets by rank distance, lower bucket id first, and returns the
-    first non-empty list. ``max_id`` is the largest bucket id.
+    first non-empty one. ``max_id`` is the largest bucket id. The buckets
+    partition the nouns, so only the noun's own bucket holds it.
     """
-    if noun not in buckets.bucket_of:
+    home = buckets.bucket_of.get(noun)
+    if home is None:
         raise DataError(f"noun {noun!r} has no frequency bucket")
-    home = buckets.bucket_of[noun]
-    for dist in range(0, max_id + 1):
-        candidates_ids = [home] if dist == 0 else [home - dist, home + dist]
-        for bucket_id in candidates_ids:
-            members = buckets.members.get(bucket_id)
-            if not members:
-                continue
-            options = [m for m in members if m != noun]
-            if options:
-                return options
-    raise DataError(f"no confounder available for {noun!r}: noun universe too small")
+    members = buckets.members
+    own = members[home]
+    at = own.index(noun)
+    options = own[:at] + own[at + 1 :]
+    for dist in range(1, max_id + 1):
+        if options:
+            break
+        options = members.get(home - dist) or members.get(home + dist)
+    if not options:
+        raise DataError(f"no confounder available for {noun!r}: noun universe too small")
+    return options
 
 
 def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int) -> list:
@@ -144,21 +184,15 @@ def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int) -> list
     Each confounder is ``rng.choice`` over the noun's options (see
     ``_confounder_options``), drawn subject then object, positive by positive.
     """
-    rng = random.Random(rng_seed)
     max_id = max(buckets.members, default=0)
-    options = {}  # noun -> its confounder options, built on its first draw
-
-    def draw(noun):
-        if noun not in options:
-            options[noun] = _confounder_options(noun, buckets, max_id)
-        return rng.choice(options[noun])
-
-    negatives = []
-    for triple in positives:
-        subject = draw(triple.subject)
-        obj = draw(triple.object)
-        negatives.append(LabeledTriple(subject, triple.verb, obj, IMPLAUSIBLE))
-    return negatives
+    # each noun's options, built once and in draw order, so the first noun
+    # without any raises as the draws would
+    nouns = dict.fromkeys(noun for subject, _, obj, _ in positives for noun in (subject, obj))
+    options = {noun: _confounder_options(noun, buckets, max_id) for noun in nouns}
+    choice = random.Random(rng_seed).choice
+    # arguments are evaluated left to right, so the subject is drawn first
+    return [LabeledTriple(choice(options[subject]), verb, choice(options[obj]), IMPLAUSIBLE)
+            for subject, verb, obj, _ in positives]
 
 
 def _stratified_indices(triples):
@@ -225,35 +259,42 @@ def write_dataset_jsonl(path, dataset: VerbDataset) -> None:
 
     The header is ``{"verb": ...}``. Each record line is what
     ``json.dumps(record, sort_keys=True)`` gives, built from a template in
-    that key order with each distinct string encoded once.
+    that key order: a fixed head per label, then each string encoded as
+    ``json.dumps`` encodes it, once per distinct string.
     """
-    strings = {text for t in dataset.triples for text in (t.subject, t.verb, t.object, t.label)}
-    quoted = {text: json.dumps(text) for text in strings}
-    gold = {label: json.dumps(list(dist)) for label, dist in _GOLD_DIST.items()}
+    strings = set(chain.from_iterable(dataset.triples))
+    quoted = dict(zip(strings, map(encode_basestring_ascii, strings)))
+    head = {
+        label: f'{{"gold_dist": {json.dumps(list(dist))}, "label": {json.dumps(label)}, '
+        for label, dist in _GOLD_DIST.items()
+    }
     lines = [
-        f'{{"gold_dist": {gold[t.label]}, "label": {quoted[t.label]}, '
-        f'"object": {quoted[t.object]}, "subject": {quoted[t.subject]}, '
-        f'"verb": {quoted[t.verb]}}}\n'
-        for t in dataset.triples
+        f'{head[label]}"object": {quoted[obj]}, "subject": {quoted[subject]}, '
+        f'"verb": {quoted[verb]}}}\n'
+        for subject, verb, obj, label in dataset.triples
     ]
     with open_output(path) as handle:
         handle.write(json.dumps({"verb": dataset.verb}) + "\n" + "".join(lines))
 
 
-_RECORD_KEYS = ("subject", "verb", "object", "label", "gold_dist")
+_RECORD_FIELDS = itemgetter("subject", "verb", "object", "label", "gold_dist")
+_GOLD_LIST = {label: list(dist) for label, dist in _GOLD_DIST.items()}
 
 
 def read_dataset_jsonl(path) -> VerbDataset:
     """Read a dataset written by ``write_dataset_jsonl``.
 
-    Header keys other than ``verb`` are ignored. A line that is not a JSON
-    object, a missing key, a bad label or a ``gold_dist`` that disagrees with
-    the label raises ``DataError`` naming the file and line; a file with no
+    The first non-blank line is the header; its keys other than ``verb`` are
+    ignored. A line that is not a JSON object, a header without a string
+    verb, a missing key (the first of subject, verb, object, label and
+    gold_dist is named), a subject, verb or object that is not a string, a
+    bad label or a ``gold_dist`` that disagrees with the label raises
+    ``DataError`` naming the file and line; a file with no header or no
     triples raises one naming the file.
     """
-    records = []
-    for lineno, line in numbered_lines(path):
-        if not line.strip():
+    dataset_verb, triples = None, []
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line or line.isspace():
             continue
         try:
             record = json.loads(line)
@@ -261,33 +302,30 @@ def read_dataset_jsonl(path) -> VerbDataset:
             raise DataError(f"{path}:{lineno}: not a JSON line ({exc})") from None
         if not isinstance(record, dict):
             raise DataError(f"{path}:{lineno}: expected a JSON object")
-        records.append((lineno, record))
-    if not records:
-        raise DataError(f"empty dataset file {Path(path).name}")
-    (lineno, header), triples = records[0], []
-    if not isinstance(header.get("verb"), str):
-        raise DataError(f"{path}:{lineno}: header has no verb")
-    for lineno, record in records[1:]:
-        missing = [key for key in _RECORD_KEYS if key not in record]
-        if missing:
-            raise DataError(f"{path}:{lineno}: missing key {missing[0]!r}")
-        if not all(isinstance(record[key], str) for key in _RECORD_KEYS[:3]):
+        if dataset_verb is None:
+            dataset_verb = record.get("verb")
+            if not isinstance(dataset_verb, str):
+                raise DataError(f"{path}:{lineno}: header has no verb")
+            continue
+        try:
+            subject, verb, obj, label, gold = _RECORD_FIELDS(record)
+        except KeyError as exc:
+            raise DataError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
+        if not (isinstance(subject, str) and isinstance(verb, str) and isinstance(obj, str)):
             raise DataError(f"{path}:{lineno}: subject, verb and object must be strings")
         try:
-            triple = LabeledTriple(
-                record["subject"], record["verb"], record["object"], record["label"]
-            )
+            triples.append(LabeledTriple(subject, verb, obj, label))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        if record["gold_dist"] != list(triple.gold_dist):
+        if gold != _GOLD_LIST[label]:
             raise DataError(
-                f"{path}:{lineno}: gold_dist {record['gold_dist']!r} disagrees with "
-                f"label {triple.label!r}"
+                f"{path}:{lineno}: gold_dist {gold!r} disagrees with label {label!r}"
             )
-        triples.append(triple)
+    if dataset_verb is None:
+        raise DataError(f"empty dataset file {Path(path).name}")
     if not triples:
         raise DataError(f"{path}: dataset has a header and no triples")
-    return VerbDataset(verb=header["verb"], triples=triples)
+    return VerbDataset(verb=dataset_verb, triples=triples)
 
 
 def write_splits_jsonl(path, splits) -> None:

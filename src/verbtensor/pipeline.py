@@ -237,9 +237,10 @@ def _choose_top_n(config: PipelineConfig, weighted):
 def gen_data(config: PipelineConfig) -> dict:
     """Per-verb datasets: capped positives plus bucket-confounded negatives.
 
-    Each input is read once per call: ``triples.tsv`` is read once and its
-    rows grouped by verb, and the frequency buckets are built once and shared
-    by every verb's confounder draws.
+    Each input is parsed once per call: ``triples.tsv`` is parsed once and
+    its rows grouped by verb, and the frequency buckets are built once and
+    shared by every verb's confounder draws. ``sha256_file`` then reads each
+    input again for the manifest.
     """
     require_input_files(config, "triples")
     k, emb_path = _embeddings_path(config)

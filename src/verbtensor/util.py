@@ -54,8 +54,26 @@ def numbered_lines(path, kind: str = "file"):
         with open(path, "r", encoding="utf-8") as handle:
             yield from enumerate(handle, start=1)
     except UnicodeDecodeError as exc:
-        lineno = _first_undecodable_line(path)
-        raise DataError(f"{path}:{lineno}: {kind} is not UTF-8 ({exc.reason})") from None
+        raise _not_utf8(path, kind, exc) from None
+
+
+def read_lines(path) -> list:
+    """The lines of a UTF-8 text file without their newlines, read in one pass.
+
+    Newlines are translated as in text mode, so item ``i`` is line ``i + 1``
+    of the file, and a file that ends in a newline ends in ``""``. A file
+    that is not UTF-8 raises ``DataError`` as ``numbered_lines`` does.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, "file", exc) from None
+
+
+def _not_utf8(path, kind: str, exc: UnicodeDecodeError) -> DataError:
+    lineno = _first_undecodable_line(path)
+    return DataError(f"{path}:{lineno}: {kind} is not UTF-8 ({exc.reason})")
 
 
 def _first_undecodable_line(path) -> int:

@@ -1,11 +1,13 @@
 import json
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verbtensor.corpus import FrequencyBuckets, frequency_buckets
+from verbtensor.corpus import FrequencyBuckets, frequency_buckets, read_frequency_tsv
 from verbtensor.data import (
     IMPLAUSIBLE,
     PLAUSIBLE,
@@ -320,6 +322,40 @@ class TestTripleInvariants:
         with pytest.raises(ValueError, match="bad label"):
             LabeledTriple("a", "v", "b", "maybe")
 
+    @pytest.mark.parametrize("label", [None, 1, ["plausible"], {"x": 1}])
+    def test_non_string_label_rejected(self, label):
+        with pytest.raises(ValueError, match="bad label"):
+            LabeledTriple("a", "v", "b", label)
+
+    def test_fields_and_properties(self):
+        triple = LabeledTriple("a", "v", "b", PLAUSIBLE)
+        assert (triple.subject, triple.verb, triple.object, triple.label) == \
+            ("a", "v", "b", PLAUSIBLE)
+        assert tuple(triple) == ("a", "v", "b", PLAUSIBLE)
+        assert triple.is_plausible
+        assert not LabeledTriple("a", "v", "b", IMPLAUSIBLE).is_plausible
+        assert LabeledTriple(subject="a", verb="v", object="b", label=PLAUSIBLE) == triple
+
+    @pytest.mark.parametrize("field", ["subject", "verb", "object", "label", "extra"])
+    def test_immutable(self, field):
+        triple = LabeledTriple("a", "v", "b", PLAUSIBLE)
+        with pytest.raises(AttributeError):
+            setattr(triple, field, "c")
+        assert triple == LabeledTriple("a", "v", "b", PLAUSIBLE)
+
+    def test_equal_triples_are_equal_and_hash_alike(self):
+        a, b = LabeledTriple("a", "v", "b", PLAUSIBLE), LabeledTriple("a", "v", "b", PLAUSIBLE)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, LabeledTriple("a", "v", "b", IMPLAUSIBLE)}) == 2
+        assert a != LabeledTriple("b", "v", "a", PLAUSIBLE)
+
+    def test_pickle_round_trip(self):
+        for triple in (LabeledTriple("a", "v", "b", PLAUSIBLE),
+                       LabeledTriple("café", "v", "日本", IMPLAUSIBLE)):
+            loaded = pickle.loads(pickle.dumps(triple))
+            assert type(loaded) is LabeledTriple
+            assert loaded == triple and loaded.gold_dist == triple.gold_dist
+
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):
@@ -334,6 +370,13 @@ class TestJsonl:
         old.write_text('{"metadata": {"concreteness": 4.4, "corpus_frequency": 0}, '
                        '"verb": "eat"}\n' + "".join(records), encoding="utf-8")
         assert read_dataset_jsonl(old) == dataset
+
+    def test_unhashable_label_is_a_data_error(self, tmp_path):
+        path = tmp_path / "eat.jsonl"
+        path.write_text('{"verb": "eat"}\n{"subject": "a", "verb": "eat", "object": "b", '
+                        '"label": ["plausible"], "gold_dist": [1.0, 0.0]}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"eat\.jsonl:2: bad label \['plausible'\]"):
+            read_dataset_jsonl(path)
 
     def test_splits_file_is_deterministic(self, tmp_path):
         dataset = balanced_dataset(16)
@@ -397,8 +440,46 @@ class TestReadTriplesTsv:
         with pytest.raises(DataError, match=r"t\.tsv:2: count 'x1' is not an integer"):
             read_triples_tsv(path)
 
+    @pytest.mark.parametrize("row", ["\tv\tb\t3", "a\t\tb\t3", "a\tv\t\t3"],
+                             ids=["subject", "verb", "object"])
+    def test_empty_field_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"a\tv\tb\t3\n{row}\n")
+        with pytest.raises(DataError, match=r"t\.tsv:2: empty subject, verb or object"):
+            read_triples_tsv(path)
 
-BAD_COUNTS = ["x1", "1.5", "", "one", "1e3", "nan", "3 3"]
+    def test_repeated_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tv\tb\t3\nc\tv\tb\t3\n\na\tv\tb\t7\n")
+        with pytest.raises(DataError,
+                           match=r"t\.tsv:4: triple \('a', 'v', 'b'\) repeats line 1$"):
+            read_triples_tsv(path)
+
+    def test_same_nouns_under_another_verb_are_not_a_repeat(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("a\tv\tb\t3\na\tw\tb\t3\nb\tv\ta\t3\n")
+        assert len(read_triples_tsv(path)) == 3
+
+
+# "-7" would reorder the positive cap and "٣" is an Arabic-Indic digit, which int() accepts
+BAD_COUNTS = ["x1", "1.5", "", "one", "1e3", "nan", "3 3",
+              "-7", "+3", " 4", "4 ", "1_000", "٣", "²", "1" * 4301]
+
+
+def count_id(count):
+    return ascii(count) if len(count) < 10 else f"{len(count)}-digits"
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS, ids=count_id)
+@pytest.mark.parametrize("reader, rows", [(read_triples_tsv, ("a\tv\tb\t", "c\tv\tb\t")),
+                                          (read_frequency_tsv, ("cat\t", "dog\t"))],
+                         ids=["triples", "frequencies"])
+def test_count_must_be_ascii_digits(tmp_path, reader, rows, count):
+    path = tmp_path / "counts.tsv"
+    path.write_text(f"{rows[0]}3\n\n{rows[1]}{count}\n", encoding="utf-8")
+    message = f"counts.tsv:3: count {count!r} is not an integer of ASCII digits"
+    with pytest.raises(DataError, match=re.escape(message)):
+        reader(path)
 
 
 @st.composite

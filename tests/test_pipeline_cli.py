@@ -432,6 +432,21 @@ class TestBuildVectors:
 
 
 class TestGenData:
+    def test_dataset_digests(self, built, tmp_path):
+        """The small world's datasets, byte for byte.
+
+        They depend only on integer counts and seeds, so only a deliberate
+        change to the data (its rows, its draws or its format) moves these.
+        """
+        out = tmp_path / "out"
+        shutil.copytree(load_config(built).vectors_dir(), out / "vectors")
+        assert run_cli("--config", built, "--out", out, "gen-data") == EXIT_OK
+        assert {verb: sha256_file(out / "datasets" / f"{verb}.jsonl")
+                for verb in ("assemble", "devour")} == {
+            "assemble": "ad5748d0fae8b8f2e08662738fc9a06e525d6b24222e8c86cedb779335abc05b",
+            "devour": "c98cad1383f1d5ac2e909dcb20245bff72968adf1e7f2bf8fc3c036a85ec6a7d",
+        }
+
     def test_datasets_balanced(self, built):
         config = load_config(built)
         for verb in config.verbs:
@@ -1181,6 +1196,21 @@ class TestMalformedInputs:
                      "build-vectors")
         assert rc == EXIT_RUNTIME
         assert_clean_failure(caplog, "triples.tsv:3: count 'x1' is not an integer")
+
+    def test_repeated_triple_fails_gen_data(self, built, tmp_path, caplog):
+        """A (subject, verb, object) given twice would be two identical positives."""
+        broken = copy_fixture(built, tmp_path)
+        triples = broken / "triples.tsv"
+        lines = triples.read_text().splitlines()
+        subject, verb, obj, _ = lines[0].split("\t")
+        triples.write_text("\n".join(lines + [f"{subject}\t{verb}\t{obj}\t1"]) + "\n")
+        out = tmp_path / "out"
+        shutil.copytree(load_config(built).vectors_dir(), out / "vectors")
+        assert run_cli("--config", broken / "config.ini", "--out", out, "gen-data") \
+            == EXIT_RUNTIME
+        assert_clean_failure(caplog, f"triples.tsv:{len(lines) + 1}: triple "
+                                     f"{(subject, verb, obj)!r} repeats line 1")
+        assert not (out / "datasets" / "manifest.json").exists()
 
     def test_non_finite_embedding_fails_gen_data(self, built, tmp_path, caplog):
         config = load_config(built)
