@@ -11,9 +11,23 @@ One call builds the top-level parser and, once argparse dispatches to it,
 the chosen command's parser; the other commands' parsers are never built.
 The ``-h`` output and the usage errors are the same as with every parser
 built up front.
+
+``main`` runs with the cyclic garbage collector paused, and on every way out
+turns it back on only if it was on when ``main`` was called, so an in-process
+caller gets its own collector state back. The commands' per-row objects
+(tuples, strings, JSON records, arrays) cannot form reference cycles, so
+reference counting frees them, and traversing them was all the collector did
+(most in gen-data; CHANGES.md has the measured shares). The pause is safe
+because what a call leaves for the collector is a small, fixed amount, mostly
+argparse's parsers: a few hundred objects per command, no more on a larger
+world or after a full cross-validation than after a small one (the tests
+hold it for gen-data and small-cv). The caller's collector, if on, frees it
+after ``main`` returns. ``--jobs`` workers inherit the pause where they are
+forked, and exit when the command ends.
 """
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -101,6 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or a usage error

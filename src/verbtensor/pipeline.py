@@ -48,10 +48,15 @@ log = logging.getLogger(__name__)
 SD_NOTE = "# sd columns are sample standard deviations (ddof=1)"
 
 
-def _manifest_key(path, config: PipelineConfig) -> str:
-    """``path`` relative to the output root, else the config root, else absolute."""
+def _manifest_roots(config: PipelineConfig) -> tuple:
+    """The resolved roots manifest keys are relative to, in the order they are tried."""
+    return config.output_dir.resolve(), config.config_dir.resolve()
+
+
+def _manifest_key(path, roots: tuple) -> str:
+    """``path`` relative to the first of ``roots`` holding it, else absolute."""
     resolved = Path(path).resolve()
-    for root in (config.output_dir.resolve(), config.config_dir.resolve()):
+    for root in roots:
         if resolved.is_relative_to(root):
             return resolved.relative_to(root).as_posix()
     return resolved.as_posix()
@@ -65,11 +70,12 @@ def _write_manifest(config: PipelineConfig, directory: Path, command: str,
     file relative to ``config.config_dir`` and a file under neither by its
     absolute path, so no key depends on where ``--out`` or the config lives.
     """
+    roots = _manifest_roots(config)
     manifest = {
         "command": command,
         "parameters": parameters,
-        "inputs": {_manifest_key(p, config): sha256_file(p) for p in inputs},
-        "outputs": {_manifest_key(p, config): sha256_file(p) for p in outputs},
+        "inputs": {_manifest_key(p, roots): sha256_file(p) for p in inputs},
+        "outputs": {_manifest_key(p, roots): sha256_file(p) for p in outputs},
     }
     path = directory / f"manifest_{command}.json" if command.startswith("experiment") else directory / "manifest.json"
     with open_output(path) as handle:
@@ -396,8 +402,9 @@ def _experiment_verb_safe(args):
         return verb, _experiment_verb(config, verb, which), None
     except Exception as exc:  # isolate per-verb failures
         message = f"{type(exc.__cause__ or exc).__name__}: {exc}"
+        roots = _manifest_roots(config)
         for directory in (config.datasets_dir(), config.vectors_dir()):
-            message = message.replace(str(directory), _manifest_key(directory, config))
+            message = message.replace(str(directory), _manifest_key(directory, roots))
         return verb, None, message
 
 

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError("epochs must be a positive integer")
         if self.init_scale <= 0:
             raise ValueError("init_scale must be positive")
+        if not math.isfinite(2 * self.init_scale):  # the width of init_model's range
+            raise ValueError(f"init_scale must leave 2 * init_scale finite, got {self.init_scale}")
 
 
 @dataclass
@@ -253,9 +255,11 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
     the config), for the configured number of epochs, each through the
     one-example kernel of ``_Workspace.example_step`` (see the module
     docstring for what the tests hold it to). The returned trace holds the
-    full-data objective at initialization and after every epoch; a
-    non-finite objective aborts with the offending epoch number. A noun
-    without an embedding raises ``DataError``.
+    full-data objective at initialization and after every epoch. A
+    non-finite objective, or a non-finite Adagrad accumulator (after which
+    every step is zero and the model stops moving), raises
+    ``TrainingDiverged`` naming the epoch. A noun without an embedding
+    raises ``DataError``.
     """
     subjects, objects_, targets = _lookup_triples(triples, embeddings)
     work = _Workspace(init_model(subjects.shape[1], config), config.l2_lambda)
@@ -276,9 +280,13 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
 
     for epoch in range(1, config.epochs + 1):
         order_rng.shuffle(rows)
-        for example in rows:
-            step(*example)
+        # an overflow in a step shows as a non-finite objective or accumulator below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for example in rows:
+                step(*example)
         trace.append(epoch_objective(epoch))
+        if not np.isfinite(work.acc).all():
+            raise TrainingDiverged(f"Adagrad accumulator became non-finite at epoch {epoch}")
 
     model = VerbTensorModel(tensor=work.tensor, theta=work.theta)
     return TrainResult(model=model, objective_trace=tuple(trace))

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import csv
+import gc
 import json
 import os
 import shutil
@@ -25,7 +26,7 @@ from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, read_dataset_jsonl
 from verbtensor.evaluation import METHOD_BASELINE, METHOD_TENSOR, f1_plausible
 from verbtensor.linalg import TVB_MAGIC, write_tvb
 from verbtensor.synthetic import build_world, small_world_config, write_fixture
-from verbtensor.util import ValidationError, derive_seed, sha256_file
+from verbtensor.util import DataError, ValidationError, derive_seed, sha256_file
 from verbtensor.vectors import read_embeddings_tsv
 
 
@@ -206,6 +207,7 @@ class TestConfigValidation:
             ("curve_sizes = 8,16", "curve_sizes = ,", ("experiment", "--which", "curves")),
             ("top_n_sweep = 20,60", "top_n_sweep = 0, 5", ("build-vectors",)),
             ("init_scale = 0.01", "init_scale = inf", ("train", "--verb", "devour")),
+            ("init_scale = 0.01", "init_scale = 1e308", ("train", "--verb", "devour")),
             ("learning_rate = 0.05", "learning_rate = nan", ("train", "--verb", "devour")),
             ("adagrad_epsilon = 1e-08", "adagrad_epsilon = nan",
              ("experiment", "--which", "small-cv")),
@@ -225,9 +227,9 @@ class TestConfigValidation:
             ("svd_dims = 6,10", "svd_dims = 6,100000", ("build-vectors",)),
         ],
         ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0",
-             "init-scale-inf", "learning-rate-nan", "adagrad-epsilon-nan", "l2-lambda-nan",
-             "repeated-verbs", "old-verbs-section", "repeated-svd-dims", "repeated-curve-sizes",
-             "repeated-top-n-sweep", "positive-cap-0", "bucket-size-0",
+             "init-scale-inf", "init-scale-overflow", "learning-rate-nan", "adagrad-epsilon-nan",
+             "l2-lambda-nan", "repeated-verbs", "old-verbs-section", "repeated-svd-dims",
+             "repeated-curve-sizes", "repeated-top-n-sweep", "positive-cap-0", "bucket-size-0",
              "context-vocab-size-0", "top-n-0", "small-cv-size-3", "svd-dims-0",
              "svd-dim-beyond-table"],
     )
@@ -365,6 +367,71 @@ class TestCommandLineParsers:
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.startswith("usage: verbtensor"), proc.stdout
+
+
+class TestCollectorPause:
+    """``main`` runs a command with the cyclic collector off and hands back the caller's state."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller_state(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "outcome, args, code",
+        [
+            (None, ("gen-data",), EXIT_OK),
+            (None, ("frobnicate",), EXIT_VALIDATION),
+            (ValidationError("bad value"), ("gen-data",), EXIT_VALIDATION),
+            (DataError("bad row"), ("gen-data",), EXIT_RUNTIME),
+            (RuntimeError("bug"), ("gen-data",), EXIT_RUNTIME),
+        ],
+        ids=["ok", "usage-error", "validation-error", "data-error", "unexpected-error"],
+    )
+    def test_caller_state_restored(self, small_fixture, monkeypatch, capsys, caller_state,
+                                   outcome, args, code):
+        seen = []
+
+        def command(config):
+            seen.append(gc.isenabled())
+            if outcome is not None:
+                raise outcome
+            return {}
+
+        monkeypatch.setattr(pipeline, "gen_data", command)
+        assert run_cli("--config", small_fixture, *args) == code
+        assert gc.isenabled() is caller_state
+        assert seen == ([] if args == ("frobnicate",) else [False])
+
+    def test_garbage_left_does_not_grow_with_the_world(self, small_fixture, tmp_path):
+        """What a paused call leaves for the collector is fixed, not per row or per fold."""
+        from conftest import SMALL_FIXTURE_OVERRIDES
+
+        bigger = write_fixture(
+            tmp_path / "bigger", replace(small_world_config(seed=7), positives_per_verb=240),
+            {**SMALL_FIXTURE_OVERRIDES, "experiment.small_cv_size": 80})
+        commands = (("gen-data",), ("experiment", "--which", "small-cv"))
+
+        def garbage_per_command(config_path, out):
+            assert run_cli("--config", config_path, "--out", out, "build-vectors") == EXIT_OK
+            left = []
+            for command in commands:
+                gc.collect()
+                gc.disable()
+                try:
+                    assert run_cli("--config", config_path, "--out", out, *command) == EXIT_OK
+                    left.append(gc.collect())
+                finally:
+                    gc.enable()
+            return left
+
+        garbage_per_command(small_fixture, tmp_path / "warm-up")  # first-call imports
+        small = garbage_per_command(small_fixture, tmp_path / "small")
+        large = garbage_per_command(bigger, tmp_path / "large")
+        assert all(count > 0 for count in small)
+        assert all(a >= b for a, b in zip(small, large)), (small, large)
 
 
 class TestBuildVectors:
@@ -1389,3 +1456,23 @@ class TestMalformedInputs:
             "devour": "DataError: baseline failed on repetition 1 fold 1: "
                       "noun 'zzz_unknown' has no embedding"
         }
+
+    def test_overflowing_accumulator_fails_train_and_experiment(self, built, tmp_path, caplog):
+        """An l2_lambda whose squared gradient overflows would zero every step."""
+        config = load_config(built)
+        inputs = copy_fixture(built, tmp_path)
+        text = (inputs / "config.ini").read_text()
+        assert "l2_lambda = 0.0001" in text
+        (inputs / "config.ini").write_text(text.replace("l2_lambda = 0.0001", "l2_lambda = 1e308"))
+        out = tmp_path / "out"
+        for name in ("vectors", "datasets"):
+            shutil.copytree(config.output_dir / name, out / name)
+        args = ("--config", inputs / "config.ini", "--out", out)
+        message = "Adagrad accumulator became non-finite at epoch 1"
+        assert run_cli(*args, "train", "--verb", "devour") == EXIT_RUNTIME
+        assert_clean_failure(caplog, message)
+        assert not list(out.rglob("*.tvbm"))
+        caplog.clear()
+        assert run_cli(*args, "experiment", "--which", "small-cv") == EXIT_RUNTIME
+        assert_clean_failure(caplog, "TrainingDiverged: tensor failed on repetition 1 fold 1: "
+                                     + message)

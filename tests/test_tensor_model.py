@@ -437,6 +437,14 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="^objective became non-finite at epoch 0$"):
             train(dataset.triples, embeddings, config)
 
+    def test_overflowing_accumulator_reports_epoch(self, planted):
+        """A squared gradient that overflows makes every later step zero."""
+        dataset, embeddings = planted
+        config = TrainConfig(l2_lambda=1e308, epochs=3, seed=1)
+        with pytest.raises(TrainingDiverged,
+                           match="^Adagrad accumulator became non-finite at epoch 1$"):
+            train(dataset.triples, embeddings, config)
+
     def test_missing_embedding_rejected(self, planted):
         dataset, embeddings = planted
         bad = dataset.triples + [LabeledTriple("ghost", "vex", "sp000", PLAUSIBLE)]
@@ -613,6 +621,8 @@ class TestConfigValidation:
             TrainConfig(l2_lambda=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(init_scale=0.0)
+        with pytest.raises(ValueError, match="init_scale must leave 2 \\* init_scale finite"):
+            TrainConfig(init_scale=1e308)
 
 
 class TestModelIo:
