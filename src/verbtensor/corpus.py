@@ -43,9 +43,6 @@ class Vocabulary:
     def __contains__(self, word) -> bool:
         return word in self.index
 
-    def position(self, word) -> int:
-        return self.index[word]
-
 
 @dataclass(frozen=True)
 class CooccurrenceTable:

@@ -234,14 +234,20 @@ def make_5x2cv_splits(dataset: VerbDataset, seed: int) -> list:
 
 
 def subsample(dataset: VerbDataset, n: int, seed: int) -> VerbDataset:
-    """Stratified sample of ``n`` triples without replacement.
+    """Stratified sample of ``n`` triples without replacement (see ``subsample_indices``)."""
+    chosen = subsample_indices(dataset.triples, n, seed)
+    return VerbDataset(verb=dataset.verb, triples=[dataset.triples[i] for i in chosen])
+
+
+def subsample_indices(triples, n: int, seed: int) -> list:
+    """Sorted indices of a stratified sample of ``n`` triples without replacement.
 
     Classes split n evenly; when n is odd the plausible class receives the
-    extra example. Original triple order is preserved.
+    extra example. Sorted indices keep the original triple order.
     """
-    if n > len(dataset):
-        raise DataError(f"cannot sample {n} triples from a dataset of {len(dataset)}")
-    pos, neg = _stratified_indices(dataset.triples)
+    if n > len(triples):
+        raise DataError(f"cannot sample {n} triples from a dataset of {len(triples)}")
+    pos, neg = _stratified_indices(triples)
     n_pos = n // 2 + (n % 2)
     n_neg = n // 2
     if n_pos > len(pos) or n_neg > len(neg):
@@ -250,8 +256,7 @@ def subsample(dataset: VerbDataset, n: int, seed: int) -> VerbDataset:
             f"{len(pos)} / {len(neg)} available"
         )
     rng = random.Random(derive_seed(seed, "subsample", n))
-    chosen = sorted(rng.sample(pos, n_pos) + rng.sample(neg, n_neg))
-    return VerbDataset(verb=dataset.verb, triples=[dataset.triples[i] for i in chosen])
+    return sorted(rng.sample(pos, n_pos) + rng.sample(neg, n_neg))
 
 
 def write_dataset_jsonl(path, dataset: VerbDataset) -> None:
@@ -288,9 +293,9 @@ def read_dataset_jsonl(path) -> VerbDataset:
     ignored. A line that is not a JSON object, a header without a string
     verb, a missing key (the first of subject, verb, object, label and
     gold_dist is named), a subject, verb or object that is not a string, a
-    bad label or a ``gold_dist`` that disagrees with the label raises
-    ``DataError`` naming the file and line; a file with no header or no
-    triples raises one naming the file.
+    verb other than the header's, a bad label or a ``gold_dist`` that
+    disagrees with the label raises ``DataError`` naming the file and line;
+    a file with no header or no triples raises one naming the file.
     """
     dataset_verb, triples = None, []
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -313,6 +318,9 @@ def read_dataset_jsonl(path) -> VerbDataset:
             raise DataError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from None
         if not (isinstance(subject, str) and isinstance(verb, str) and isinstance(obj, str)):
             raise DataError(f"{path}:{lineno}: subject, verb and object must be strings")
+        if verb != dataset_verb:
+            raise DataError(f"{path}:{lineno}: verb {verb!r} differs from the header's "
+                            f"{dataset_verb!r}")
         try:
             triples.append(LabeledTriple(subject, verb, obj, label))
         except ValueError as exc:

@@ -6,18 +6,28 @@ freedom at ``F_TEST_ALPHA``. The drivers return plain values:
 ``evaluate_on_splits`` gives ``(aucs, f1s)`` in split order,
 ``learning_curve`` one ``(size, mean_auc, sd_auc)`` tuple per size and
 ``f_test_5x2cv`` the pair ``(F, significant)``.
+
+Both drivers map each triple to its subject and object embedding rows, its
+label and its class mask once per call (``_DatasetRows``); a fold then
+gathers its halves by integer index. The lookup never fails: a noun without
+an embedding fails the first fold or point that gathers it, with the error
+``EmbeddingTable.rows`` gives, as when each half was gathered from its
+triples. Each fold still hands ``tensor_model.train`` its train triples.
 """
 
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import replace
+from itertools import compress, repeat
+from operator import eq, itemgetter
 
 import numpy as np
 
 from . import baseline as kron
 from . import tensor_model as tm
-from .data import PLAUSIBLE, VerbDataset, stratified_halves, subsample
+from .data import PLAUSIBLE, VerbDataset, stratified_halves, subsample_indices
 from .util import DataError, derive_seed
 
 METHOD_TENSOR = "tensor"
@@ -38,7 +48,7 @@ def roc_auc(scores, labels) -> float:
     ``scores`` and ``labels`` align, and both classes occur among the labels.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    positive = np.fromiter((lab == PLAUSIBLE for lab in labels), dtype=bool, count=len(scores))
+    positive = np.fromiter(map(eq, labels, repeat(PLAUSIBLE)), dtype=bool, count=len(scores))
     negatives = np.sort(scores[~positive])
     below = np.searchsorted(negatives, scores[positive], side="left")
     not_above = np.searchsorted(negatives, scores[positive], side="right")
@@ -49,40 +59,74 @@ def roc_auc(scores, labels) -> float:
 def f1_plausible(predicted_labels, gold_labels) -> float:
     """F1 over the plausible class of two aligned label lists; zero when
     precision + recall is zero."""
-    tp = sum(1 for p, g in zip(predicted_labels, gold_labels) if p == PLAUSIBLE and g == PLAUSIBLE)
-    fp = sum(1 for p, g in zip(predicted_labels, gold_labels) if p == PLAUSIBLE and g != PLAUSIBLE)
-    fn = sum(1 for p, g in zip(predicted_labels, gold_labels) if p != PLAUSIBLE and g == PLAUSIBLE)
+    # (predicted plausible, gold plausible) -> count
+    counts = Counter(zip(map(eq, predicted_labels, repeat(PLAUSIBLE)),
+                         map(eq, gold_labels, repeat(PLAUSIBLE))))
+    tp, fp, fn = counts[True, True], counts[True, False], counts[False, True]
     denom = 2 * tp + fp + fn
     if denom == 0:
         return 0.0
     return 2.0 * tp / denom
 
 
-def _pair_rows(triples, embeddings):
-    """The (N, K) subject and object embedding rows of the triples."""
-    return embeddings.rows(t.subject for t in triples), embeddings.rows(t.object for t in triples)
+class _DatasetRows:
+    """A dataset's triples, each mapped once to its embedding rows.
 
-
-def _fit_and_score(method, train_triples, test_triples, embeddings, train_config, fold_seed):
-    """Train ``METHOD_TENSOR``, or else the baseline, on the train half and
-    score the test half.
-
-    Returns (scores, predicted_labels) aligned with ``test_triples``. Each
-    half's embedding rows are gathered once and every scoring step is one
-    batched call. The tensor ranks by its plausibility probability from one
-    forward pass over the test half. The baseline ranks by
-    ``cos(s ⊗ o, M) = sᵀ M o / (‖s‖ ‖o‖ ‖M‖_F)``: one ``kron.score`` call
-    scores the whole train half, a label mask splits it for the equal-error
-    cutoff, and one ``predict_baseline`` call labels the test half.
+    ``subject_rows`` and ``object_rows`` hold each triple's row in
+    ``embeddings.matrix``, -1 for a noun without an embedding; ``plausible``
+    and ``labels`` hold each triple's class. A fold indexes these by its
+    halves' triple indices instead of looking the nouns up again.
     """
-    test_rows = _pair_rows(test_triples, embeddings)
+
+    def __init__(self, triples, embeddings):
+        self.triples, self.embeddings = triples, embeddings
+        row_of, n = embeddings.nouns.index.get, len(triples)
+        self.subject_rows = np.fromiter(map(row_of, [t.subject for t in triples], repeat(-1)),
+                                        np.intp, n)
+        self.object_rows = np.fromiter(map(row_of, [t.object for t in triples], repeat(-1)),
+                                       np.intp, n)
+        self.labels = [t.label for t in triples]
+        self.plausible = np.fromiter(map(eq, self.labels, repeat(PLAUSIBLE)), bool, n)
+
+    def pairs(self, indices):
+        """The (N, K) subject and object embeddings of the triples at ``indices``.
+
+        A noun without an embedding raises the ``DataError`` that
+        ``EmbeddingTable.rows`` raises for the same nouns, subjects first.
+        """
+        indices = np.asarray(indices, dtype=np.intp)
+        gathered = []
+        for rows, noun in ((self.subject_rows, itemgetter(0)), (self.object_rows, itemgetter(2))):
+            at = rows[indices]
+            if (at < 0).any():
+                # raises the DataError naming the first such noun
+                self.embeddings.rows(noun(self.triples[i]) for i in indices)
+            gathered.append(self.embeddings.matrix[at])
+        return gathered
+
+
+def _fit_and_score(method, data: _DatasetRows, train_indices, test_indices, train_config,
+                   fold_seed):
+    """Train ``METHOD_TENSOR``, or else the baseline, on the triples at
+    ``train_indices`` and score those at ``test_indices``.
+
+    Returns (scores, predicted_labels) aligned with ``test_indices``. Every
+    scoring step is one batched call. The tensor ranks by its plausibility
+    probability from one forward pass over the test half. The baseline ranks
+    by ``cos(s ⊗ o, M) = sᵀ M o / (‖s‖ ‖o‖ ‖M‖_F)``: one ``kron.score`` call
+    scores the whole train half, the plausible mask splits it for the
+    equal-error cutoff, and one ``predict_baseline`` call labels the test
+    half.
+    """
+    test_rows = data.pairs(test_indices)
+    train_triples = [data.triples[i] for i in train_indices]
     if method == METHOD_TENSOR:
-        result = tm.train(train_triples, embeddings, replace(train_config, seed=fold_seed))
+        result = tm.train(train_triples, data.embeddings, replace(train_config, seed=fold_seed))
         labels, scores = tm.predict_batch(result.model, *test_rows)
         return scores, labels
-    model = kron.train_baseline([t for t in train_triples if t.is_plausible], embeddings)
-    train_scores = kron.score(model, *_pair_rows(train_triples, embeddings))
-    positive = np.fromiter((t.is_plausible for t in train_triples), dtype=bool)
+    positive = data.plausible[np.asarray(train_indices, dtype=np.intp)]
+    model = kron.train_baseline(list(compress(train_triples, positive)), data.embeddings)
+    train_scores = kron.score(model, *data.pairs(train_indices))
     kron.calibrate_cutoff(model, train_scores[positive], train_scores[~positive])
     labels, scores = kron.predict_baseline(model, *test_rows)
     return scores, labels
@@ -94,23 +138,23 @@ def evaluate_on_splits(method, dataset: VerbDataset, splits, embeddings, train_c
 
     Per-fold training seeds derive from (seed, repetition, fold), so two
     methods evaluated on the same splits with the same seed are directly
-    comparable by the paired F-test.
+    comparable by the paired F-test. The triples' embedding rows are looked
+    up once per call; a noun without an embedding fails the first fold that
+    holds it.
     """
-    triples = dataset.triples
+    data = _DatasetRows(dataset.triples, embeddings)
     aucs, f1s = [], []
     for split in splits:
-        train_triples = [triples[i] for i in split.train]
-        test_triples = [triples[i] for i in split.test]
         fold_seed = derive_seed(seed, "fold", split.repetition, split.fold)
         try:
             scores, predicted = _fit_and_score(
-                method, train_triples, test_triples, embeddings, train_config, fold_seed
+                method, data, split.train, split.test, train_config, fold_seed
             )
         except Exception as exc:
             raise RuntimeError(
                 f"{method} failed on repetition {split.repetition} fold {split.fold}: {exc}"
             ) from exc
-        gold = [t.label for t in test_triples]
+        gold = [data.labels[i] for i in split.test]
         aucs.append(roc_auc(scores, gold))
         f1s.append(f1_plausible(predicted, gold))
     return aucs, f1s
@@ -153,11 +197,12 @@ def learning_curve(
 ) -> list:
     """AUC on a fixed held-out half as the training sample grows.
 
-    The dataset is halved once (``stratified_halves``, seeded); every point
-    subsamples the first half to the requested size, trains, and scores the
-    second. Each size repeats with ``repeats`` distinct seeds; the result is
-    one ``(size, mean_auc, sd_auc)`` tuple per size, with the sample
-    standard deviation (0 for one repeat).
+    The dataset is halved once (``stratified_halves``, seeded) and its
+    triples' embedding rows are looked up once; every point subsamples the
+    first half to the requested size, trains, and scores the second. Each
+    size repeats with ``repeats`` distinct seeds; the result is one
+    ``(size, mean_auc, sd_auc)`` tuple per size, with the sample standard
+    deviation (0 for one repeat).
     """
     train_sizes = list(train_sizes)
     triples = dataset.triples
@@ -168,18 +213,19 @@ def learning_curve(
         raise DataError(
             f"largest train size {max(train_sizes)} exceeds the training half ({len(pool_idx)})"
         )
-    pool = VerbDataset(dataset.verb, [triples[i] for i in pool_idx])
-    held_triples = [triples[i] for i in held_idx]
+    pool = [triples[i] for i in pool_idx]
+    data = _DatasetRows(triples, embeddings)
+    held_labels = [data.labels[i] for i in held_idx]
     points = []
     for size in train_sizes:
         aucs = []
         for rep in range(repeats):
-            sub = subsample(pool, size, derive_seed(seed, "curve", size, rep))
+            sample = subsample_indices(pool, size, derive_seed(seed, "curve", size, rep))
             fold_seed = derive_seed(seed, "curve-train", size, rep)
             scores, _ = _fit_and_score(
-                method, sub.triples, held_triples, embeddings, train_config, fold_seed
+                method, data, [pool_idx[i] for i in sample], held_idx, train_config, fold_seed
             )
-            aucs.append(roc_auc(scores, [t.label for t in held_triples]))
+            aucs.append(roc_auc(scores, held_labels))
         sd = statistics.stdev(aucs) if len(aucs) > 1 else 0.0
         points.append((size, statistics.fmean(aucs), sd))
     return points

@@ -114,6 +114,14 @@ def _read_embeddings(path, k: int):
     return table
 
 
+def _read_dataset(path, verb: str):
+    """Read ``verb``'s dataset file, whose header must name ``verb``."""
+    dataset = data_mod.read_dataset_jsonl(path)
+    if dataset.verb != verb:
+        raise DataError(f"{path}: the dataset is for verb {dataset.verb!r}, not {verb!r}")
+    return dataset
+
+
 def _reject_zero_rows(path, embeddings, nouns) -> None:
     """Raise ``DataError`` naming ``path`` and the first of ``nouns`` with a zero embedding.
 
@@ -414,7 +422,7 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
     A zero embedding row for a noun of the triples it evaluates raises
     ``DataError`` naming the noun and the embeddings file.
     """
-    dataset = data_mod.read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+    dataset = _read_dataset(config.datasets_dir() / f"{verb}.jsonl", verb)
     paths = {k: _embeddings_path(config, k)[1] for k in _experiment_dims(config, which)}
     embeddings = {k: _read_embeddings(path, k) for k, path in paths.items()}
     base = dataset
@@ -503,7 +511,7 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
     dataset_path = config.datasets_dir() / f"{verb}.jsonl"
     if not dataset_path.is_file():
         raise ValidationError(f"missing dataset {dataset_path} (run gen-data)")
-    dataset = data_mod.read_dataset_jsonl(dataset_path)
+    dataset = _read_dataset(dataset_path, verb)
     embeddings = _read_embeddings(emb_path, k)
     result = tm.train(dataset.triples, embeddings, config.train)
     out_dir = ensure_dir(config.models_dir())

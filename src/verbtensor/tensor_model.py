@@ -21,16 +21,22 @@ the tensor and theta are views into one flat parameter vector, so a step is
 a single in-place Adagrad update (``adagrad_step``) over all K*K*2 + 6
 values.
 
-Each step runs the one-example kernel from ``_Workspace.example_step``: two
-vector-matrix products for the bilinear score, the two-class head in Python
-floats, and one outer-product GEMM for the tensor gradient, then the L2 add
-and ``adagrad_step``. The tests hold it, bit for bit, to an N-example
-backward pass kept in ``tests/`` as an oracle, which the finite-difference
-tests pin in turn. Bit-identity fixes which operations stay numpy: the
-logits and dL/da are BLAS products (BLAS fuses multiply and add, a Python
-sum does not), the one non-trivial softmax exponential is ``np.exp``
-(``math.exp`` rounds differently). One sigmoid, ``_sigmoid``, serves the
-kernel and ``_forward``; the tests pin it to scipy's ``expit`` bit for bit.
+An epoch is one call: ``_Workspace.epoch_runner`` returns a closure that
+runs the one-example step for every row, with the arrays and functions it
+uses bound as locals, so no Python call or argument unpacking happens per
+example besides the numpy calls. A step makes two vector-matrix products for
+the bilinear score, computes the two-class head in Python floats, and makes
+one outer-product GEMM for the tensor gradient, then the L2 add and
+``adagrad_step``. The tests hold it, bit for bit, to an N-example backward
+pass kept in ``tests/`` as an oracle, which the finite-difference tests pin
+in turn. Bit-identity fixes which operations stay numpy: the logits and
+dL/da are BLAS products (BLAS fuses multiply and add, a Python sum does
+not), the one non-trivial softmax exponential is ``np.exp`` (``math.exp``
+rounds differently). The kernel's sigmoid is ``_sigmoid`` on Python floats.
+``_forward`` computes the same ``1 / (1 + exp(-z))`` over an array: libm's
+``math.exp`` mapped over ``-z``, then numpy's add and divide, which round as
+Python's do; when an ``exp`` overflows it maps ``_sigmoid`` instead. The
+tests pin both to scipy's ``expit`` bit for bit.
 The objective trace comes from the GEMM forward pass rather than a
 three-operand ``einsum`` and may differ from it in the last ulp.
 
@@ -136,8 +142,13 @@ def _forward(tensor, theta, subjects, objects_):
     partial = np.dot(subjects, tensor.reshape(k, k * SENTENCE_DIM)).reshape(n, k, SENTENCE_DIM)
     z = np.matmul(objects_[:, None, :], partial)[:, 0]
     a = np.ones((n, SENTENCE_DIM + 1))
-    a[:, :SENTENCE_DIM] = np.fromiter(map(_sigmoid, z.ravel().tolist()), np.float64,
-                                      z.size).reshape(n, SENTENCE_DIM)
+    try:  # libm's exp as in _sigmoid; numpy's add and divide round as Python's do
+        exp_neg_z = np.fromiter(map(math.exp, (-z).ravel().tolist()), np.float64, z.size)
+    except OverflowError:
+        a[:, :SENTENCE_DIM] = np.fromiter(map(_sigmoid, z.ravel().tolist()), np.float64,
+                                          z.size).reshape(n, SENTENCE_DIM)
+    else:
+        a[:, :SENTENCE_DIM] = (1.0 / (1.0 + exp_neg_z)).reshape(n, SENTENCE_DIM)
     return z, a, _softmax(np.dot(a, theta.T))
 
 
@@ -174,18 +185,20 @@ class _Workspace:
         self.theta_w = self.theta[:, :SENTENCE_DIM]
         self.l2_lambda = l2_lambda
 
-    def example_step(self, learning_rate: float, epsilon: float):
-        """The one-example Adagrad step, ``step(s, o, s_column, o_row, t0, t1)``.
+    def epoch_runner(self, learning_rate: float, epsilon: float):
+        """The one-example Adagrad steps of an epoch, ``run(rows)``.
 
-        ``s`` and ``o`` are (K,) rows, ``s_column`` and ``o_row`` their (K, 1)
-        and (1, K) views, and ``t0``, ``t1`` the target as floats. Chain rule,
-        layer by layer: dL/dlogit = p - t; the theta gradient is the product
-        of that with (a, 1); dL/da flows back through theta's weight block;
-        dL/dz scales by the sigmoid derivative a(1-a); and the tensor
-        gradient is the GEMM of the outer product s o^T, flattened to
-        (K*K, 1), with dL/dz as (1, 2). The L2 term adds lambda times every
-        parameter, tensor and theta alike, then ``adagrad_step`` applies the
-        update. The two-class quantities are Python floats.
+        ``run`` takes one step per row, in order. A row is ``(s, o, s_column,
+        o_row, t0, t1)``: ``s`` and ``o`` are (K,) embeddings, ``s_column``
+        and ``o_row`` their (K, 1) and (1, K) views, and ``t0``, ``t1`` the
+        target as floats. Chain rule, layer by layer: dL/dlogit = p - t; the
+        theta gradient is the product of that with (a, 1); dL/da flows back
+        through theta's weight block; dL/dz scales by the sigmoid derivative
+        a(1-a); and the tensor gradient is the GEMM of the outer product
+        s o^T, flattened to (K*K, 1), with dL/dz as (1, 2). The L2 term adds
+        lambda times every parameter, tensor and theta alike, then
+        ``adagrad_step`` applies the update. The two-class quantities are
+        Python floats.
         """
         k = self.tensor.shape[0]
         tensor_2k = self.tensor.reshape(k, k * SENTENCE_DIM)
@@ -195,35 +208,39 @@ class _Workspace:
         d_z = np.empty((1, SENTENCE_DIM))
         pairs = np.empty((k * k, 1))
         pairs_kk = pairs.reshape(k, k)
+        partial_2k = np.empty(k * SENTENCE_DIM)
+        partial = partial_2k.reshape(k, SENTENCE_DIM)
         g_tensor, params, grad, acc, scratch, l2_lambda = (
             self.g_tensor, self.params, self.grad, self.acc, self.scratch, self.l2_lambda)
-        dot, exp = np.dot, np.exp
+        dot, exp, sigmoid = np.dot, np.exp, _sigmoid
 
-        def step(s, o, s_column, o_row, t0, t1):
-            z0, z1 = dot(o, dot(s, tensor_2k).reshape(k, SENTENCE_DIM)).tolist()
-            a0 = a[0] = _sigmoid(z0)
-            a1 = a[1] = _sigmoid(z1)
-            l0, l1 = dot(a, theta_t).tolist()
-            # softmax: the larger logit's exponential is exp(0) = 1, and
-            # l - l + 1.0 is 1.0 too, or NaN for an infinite l as in _softmax
-            if l0 >= l1:
-                e0, e1 = l0 - l0 + 1.0, float(exp(l1 - l0))
-            else:
-                e0, e1 = float(exp(l0 - l1)), l1 - l1 + 1.0
-            total = e0 + e1
-            d0 = d_logit[0] = e0 / total - t0
-            d1 = d_logit[1] = e1 / total - t1
-            g_theta[:] = (d0 * a0, d0 * a1, d0, d1 * a0, d1 * a1, d1)
-            g0, g1 = dot(d_logit, theta_w).tolist()
-            d_z[0, 0] = g0 * a0 * (1.0 - a0)
-            d_z[0, 1] = g1 * a1 * (1.0 - a1)
-            dot(s_column, o_row, out=pairs_kk)
-            dot(pairs, d_z, out=g_tensor)
-            if l2_lambda:
-                np.add(grad, np.multiply(params, l2_lambda, out=scratch), out=grad)
-            adagrad_step(params, grad, acc, learning_rate, epsilon, scratch)
+        def run(rows):
+            for s, o, s_column, o_row, t0, t1 in rows:
+                dot(s, tensor_2k, out=partial_2k)
+                z0, z1 = dot(o, partial).tolist()
+                a0 = a[0] = sigmoid(z0)
+                a1 = a[1] = sigmoid(z1)
+                l0, l1 = dot(a, theta_t).tolist()
+                # softmax: the larger logit's exponential is exp(0) = 1, and
+                # l - l + 1.0 is 1.0 too, or NaN for an infinite l as in _softmax
+                if l0 >= l1:
+                    e0, e1 = l0 - l0 + 1.0, float(exp(l1 - l0))
+                else:
+                    e0, e1 = float(exp(l0 - l1)), l1 - l1 + 1.0
+                total = e0 + e1
+                d0 = d_logit[0] = e0 / total - t0
+                d1 = d_logit[1] = e1 / total - t1
+                g_theta[:] = (d0 * a0, d0 * a1, d0, d1 * a0, d1 * a1, d1)
+                g0, g1 = dot(d_logit, theta_w).tolist()
+                d_z[0, 0] = g0 * a0 * (1.0 - a0)
+                d_z[0, 1] = g1 * a1 * (1.0 - a1)
+                dot(s_column, o_row, out=pairs_kk)
+                dot(pairs, d_z, out=g_tensor)
+                if l2_lambda:
+                    np.add(grad, np.multiply(params, l2_lambda, out=scratch), out=grad)
+                adagrad_step(params, grad, acc, learning_rate, epsilon, scratch)
 
-        return step
+        return run
 
 
 def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch=None) -> None:
@@ -252,14 +269,13 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
     """Fit a verb tensor model on a sequence of labeled triples with Adagrad.
 
     Examples are visited in a freshly shuffled order every epoch (seeded from
-    the config), for the configured number of epochs, each through the
-    one-example kernel of ``_Workspace.example_step`` (see the module
-    docstring for what the tests hold it to). The returned trace holds the
-    full-data objective at initialization and after every epoch. A
-    non-finite objective, or a non-finite Adagrad accumulator (after which
-    every step is zero and the model stops moving), raises
-    ``TrainingDiverged`` naming the epoch. A noun without an embedding
-    raises ``DataError``.
+    the config), for the configured number of epochs, each epoch in one call
+    of ``_Workspace.epoch_runner`` (see the module docstring for what the
+    tests hold it to). The returned trace holds the full-data objective at
+    initialization and after every epoch. A non-finite objective, or a
+    non-finite Adagrad accumulator (after which every step is zero and the
+    model stops moving), raises ``TrainingDiverged`` naming the epoch. A noun
+    without an embedding raises ``DataError``.
     """
     subjects, objects_, targets = _lookup_triples(triples, embeddings)
     work = _Workspace(init_model(subjects.shape[1], config), config.l2_lambda)
@@ -272,8 +288,8 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
         return value
 
     trace = [epoch_objective(0)]
-    step = work.example_step(config.learning_rate, config.adagrad_epsilon)
-    # one-example arguments, shuffled in place: the order carries over between epochs
+    run_epoch = work.epoch_runner(config.learning_rate, config.adagrad_epsilon)
+    # one row per example, shuffled in place: the order carries over between epochs
     rows = [(s, o, s[:, None], o[None], t0, t1)
             for s, o, (t0, t1) in zip(subjects, objects_, targets.tolist())]
     order_rng = random.Random(derive_seed(config.seed, "epoch-order"))
@@ -282,8 +298,7 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
         order_rng.shuffle(rows)
         # an overflow in a step shows as a non-finite objective or accumulator below
         with np.errstate(over="ignore", invalid="ignore"):
-            for example in rows:
-                step(*example)
+            run_epoch(rows)
         trace.append(epoch_objective(epoch))
         if not np.isfinite(work.acc).all():
             raise TrainingDiverged(f"Adagrad accumulator became non-finite at epoch {epoch}")

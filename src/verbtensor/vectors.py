@@ -54,15 +54,16 @@ class EmbeddingTable:
         return noun in self.nouns
 
     def vector(self, noun: str) -> np.ndarray:
-        return self.matrix[self.nouns.position(noun)]
+        return self.matrix[self.nouns.index[noun]]
 
     def rows(self, nouns) -> np.ndarray:
         """The (N, dim) stack of the nouns' vectors, in order, as one gather.
 
         A noun without an embedding raises ``DataError`` naming it.
         """
+        row_of = self.nouns.index.__getitem__
         try:
-            return self.matrix[np.fromiter(map(self.nouns.position, nouns), dtype=np.intp)]
+            return self.matrix[np.fromiter(map(row_of, nouns), dtype=np.intp)]
         except KeyError as exc:
             raise DataError(f"noun {exc.args[0]!r} has no embedding") from None
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from verbtensor.cli import main as cli_main
 from verbtensor.corpus import Vocabulary
 from verbtensor.data import (
     IMPLAUSIBLE,
@@ -112,3 +113,11 @@ def small_fixture(tmp_path_factory):
         directory, small_world_config(seed=7), SMALL_FIXTURE_OVERRIDES
     )
     return config_path
+
+
+@pytest.fixture(scope="session")
+def built(small_fixture):
+    """Config path with build-vectors and gen-data already run."""
+    assert cli_main(["--config", str(small_fixture), "build-vectors"]) == 0
+    assert cli_main(["--config", str(small_fixture), "gen-data"]) == 0
+    return small_fixture

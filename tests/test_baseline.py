@@ -16,7 +16,7 @@ from verbtensor.baseline import (
 )
 from verbtensor.corpus import Vocabulary
 from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, make_5x2cv_splits
-from verbtensor.evaluation import METHOD_BASELINE, _fit_and_score, f1_plausible
+from verbtensor.evaluation import METHOD_BASELINE, _DatasetRows, _fit_and_score, f1_plausible
 from verbtensor.linalg import cosine
 from verbtensor.util import DataError
 from verbtensor.vectors import EmbeddingTable
@@ -374,10 +374,12 @@ class TestBatchedFold:
     @pytest.mark.parametrize("fixture", ["planted", "noisy_planted"])
     def test_matches_per_triple_path(self, fixture, request):
         dataset, embeddings = request.getfixturevalue(fixture)
+        data = _DatasetRows(dataset.triples, embeddings)
         for split in make_5x2cv_splits(dataset, seed=3)[:4]:
             train = [dataset.triples[i] for i in split.train]
             test = [dataset.triples[i] for i in split.test]
-            scores, labels = _fit_and_score(METHOD_BASELINE, train, test, embeddings, None, 0)
+            scores, labels = _fit_and_score(METHOD_BASELINE, data, split.train, split.test,
+                                            None, 0)
             ref_scores, ref_labels = per_triple_baseline(train, test, embeddings)
             assert labels == ref_labels
             np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)

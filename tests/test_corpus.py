@@ -24,7 +24,7 @@ def cell_count(table, noun, context):
     """The table's count for (noun, context), 0 when either is absent."""
     if noun not in table.target_nouns or context not in table.contexts:
         return 0
-    return int(table.counts[table.target_nouns.position(noun), table.contexts.position(context)])
+    return int(table.counts[table.target_nouns.index[noun], table.contexts.index[context]])
 
 
 def table_total(table):
@@ -88,8 +88,8 @@ def loop_scan_corpus(sentences, target_nouns, context_vocab=None):
         context_vocab = Vocabulary.from_words(sorted(freq))
     rows, cols, data = [], [], []
     for (noun, word), count in pair_counts.items():
-        rows.append(noun_vocab.position(noun))
-        cols.append(context_vocab.position(word))
+        rows.append(noun_vocab.index[noun])
+        cols.append(context_vocab.index[word])
         data.append(count)
     counts = sp.csr_matrix(
         (data, (rows, cols)),
@@ -220,7 +220,7 @@ class TestFrequencyBuckets:
 class TestVocabulary:
     def test_lookup(self):
         vocab = Vocabulary.from_words(["x", "y"])
-        assert vocab.position("y") == 1
+        assert vocab.index["y"] == 1
         assert "x" in vocab
         assert len(vocab) == 2
 

@@ -378,6 +378,16 @@ class TestJsonl:
         with pytest.raises(DataError, match=r"eat\.jsonl:2: bad label \['plausible'\]"):
             read_dataset_jsonl(path)
 
+    def test_record_of_another_verb_is_a_data_error(self, tmp_path):
+        path = tmp_path / "eat.jsonl"
+        write_dataset_jsonl(path, balanced_dataset(4))
+        header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([header, first, first.replace('"eat"', '"drink"'), *rest]),
+                        encoding="utf-8")
+        with pytest.raises(DataError,
+                           match=r"eat\.jsonl:3: verb 'drink' differs from the header's 'eat'$"):
+            read_dataset_jsonl(path)
+
     def test_splits_file_is_deterministic(self, tmp_path):
         dataset = balanced_dataset(16)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

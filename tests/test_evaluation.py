@@ -1,17 +1,31 @@
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import holdout_halves
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, make_5x2cv_splits
+from verbtensor import baseline as kron
+from verbtensor.config import load_config
+from verbtensor.data import (
+    IMPLAUSIBLE,
+    PLAUSIBLE,
+    VerbDataset,
+    make_5x2cv_splits,
+    read_dataset_jsonl,
+    stratified_halves,
+    subsample,
+)
 from verbtensor.evaluation import (
     F_CRITICAL_10_5,
     METHOD_BASELINE,
     METHOD_TENSOR,
+    _DatasetRows,
     _fit_and_score,
     evaluate_on_splits,
     f1_plausible,
@@ -19,11 +33,80 @@ from verbtensor.evaluation import (
     learning_curve,
     roc_auc,
 )
-from verbtensor.tensor_model import TrainConfig, predict, train
-from verbtensor.util import DataError
+from verbtensor.tensor_model import TrainConfig, predict, predict_batch, train
+from verbtensor.util import DataError, derive_seed
+from verbtensor.vectors import read_embeddings_tsv
 
 POS, NEG = PLAUSIBLE, IMPLAUSIBLE
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def loop_f1(predicted_labels, gold_labels) -> float:
+    """F1 over the plausible class, counted one label pair at a time."""
+    tp = fp = fn = 0
+    for p, g in zip(predicted_labels, gold_labels):
+        tp += p == POS and g == POS
+        fp += p == POS and g != POS
+        fn += p != POS and g == POS
+    return 0.0 if 2 * tp + fp + fn == 0 else 2.0 * tp / (2 * tp + fp + fn)
+
+
+def reference_fit_and_score(method, train_triples, test_triples, embeddings, train_config,
+                            fold_seed):
+    """One fold that gathers each half's embedding rows from its own triples."""
+    def pair_rows(triples):
+        return (embeddings.rows(t.subject for t in triples),
+                embeddings.rows(t.object for t in triples))
+
+    test_rows = pair_rows(test_triples)
+    if method == METHOD_TENSOR:
+        result = train(train_triples, embeddings, replace(train_config, seed=fold_seed))
+        labels, scores = predict_batch(result.model, *test_rows)
+        return scores, labels
+    model = kron.train_baseline([t for t in train_triples if t.is_plausible], embeddings)
+    train_scores = kron.score(model, *pair_rows(train_triples))
+    positive = np.fromiter((t.is_plausible for t in train_triples), dtype=bool)
+    kron.calibrate_cutoff(model, train_scores[positive], train_scores[~positive])
+    labels, scores = kron.predict_baseline(model, *test_rows)
+    return scores, labels
+
+
+def reference_evaluate_on_splits(method, dataset, splits, embeddings, train_config, seed):
+    """``evaluate_on_splits`` with every fold gathered from its triples."""
+    aucs, f1s = [], []
+    for split in splits:
+        train_triples = [dataset.triples[i] for i in split.train]
+        test_triples = [dataset.triples[i] for i in split.test]
+        try:
+            scores, predicted = reference_fit_and_score(
+                method, train_triples, test_triples, embeddings, train_config,
+                derive_seed(seed, "fold", split.repetition, split.fold))
+        except Exception as exc:
+            raise RuntimeError(
+                f"{method} failed on repetition {split.repetition} fold {split.fold}: {exc}"
+            ) from exc
+        gold = [t.label for t in test_triples]
+        aucs.append(roc_auc(scores, gold))
+        f1s.append(loop_f1(predicted, gold))
+    return aucs, f1s
+
+
+def reference_learning_curve(method, dataset, train_sizes, embeddings, train_config, seed,
+                             repeats):
+    """``learning_curve`` with every point gathered from its triples."""
+    pool, held = holdout_halves(dataset, derive_seed(seed, "curve-holdout"))
+    points = []
+    for size in train_sizes:
+        aucs = []
+        for rep in range(repeats):
+            sub = subsample(pool, size, derive_seed(seed, "curve", size, rep))
+            scores, _ = reference_fit_and_score(
+                method, sub.triples, held.triples, embeddings, train_config,
+                derive_seed(seed, "curve-train", size, rep))
+            aucs.append(roc_auc(scores, [t.label for t in held.triples]))
+        sd = statistics.stdev(aucs) if len(aucs) > 1 else 0.0
+        points.append((size, statistics.fmean(aucs), sd))
+    return points
 
 
 def run_5x2cv(method, dataset, embeddings, train_config, seed) -> tuple:
@@ -158,6 +241,12 @@ class TestF1:
     def test_no_predicted_positives(self):
         assert f1_plausible([NEG, NEG], [POS, NEG]) == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([POS, NEG]), st.sampled_from([POS, NEG]))))
+    def test_matches_loop_reference(self, pairs):
+        predicted, gold = [p for p, _ in pairs], [g for _, g in pairs]
+        assert f1_plausible(predicted, gold) == loop_f1(predicted, gold)
+
 
 class TestFTest:
     def test_identical_metrics_not_significant(self):
@@ -221,9 +310,11 @@ class TestRun5x2cv:
     def test_batched_fold_scores_match_per_triple_predict(self, planted):
         dataset, embeddings = planted
         pool, held = holdout_halves(dataset, seed=5)
+        pool_idx, held_idx = stratified_halves(dataset.triples, random.Random(5))
         config = TrainConfig(epochs=5)
         scores, labels = _fit_and_score(
-            METHOD_TENSOR, pool.triples, held.triples, embeddings, config, fold_seed=77
+            METHOD_TENSOR, _DatasetRows(dataset.triples, embeddings), pool_idx, held_idx,
+            config, fold_seed=77
         )
         model = train(pool.triples, embeddings, TrainConfig(epochs=5, seed=77)).model
         single = [
@@ -258,8 +349,6 @@ class TestLearningCurve:
     def test_full_half_matches_direct_run(self, planted):
         dataset, embeddings = planted
         config = TrainConfig(epochs=6, seed=3)
-        from verbtensor.data import subsample
-        from verbtensor.util import derive_seed
 
         seed = 77
         pool, held = holdout_halves(dataset, derive_seed(seed, "curve-holdout"))
@@ -268,8 +357,9 @@ class TestLearningCurve:
             METHOD_TENSOR, dataset, [size], embeddings, config, seed=seed, repeats=1
         )
         sub = subsample(pool, size, derive_seed(seed, "curve", size, 0))
+        data = _DatasetRows(sub.triples + held.triples, embeddings)
         scores, _ = _fit_and_score(
-            METHOD_TENSOR, sub.triples, held.triples, embeddings, config,
+            METHOD_TENSOR, data, range(len(sub)), range(len(sub), len(data.triples)), config,
             derive_seed(seed, "curve-train", size, 0),
         )
         expected = roc_auc(scores, [t.label for t in held.triples])
@@ -297,3 +387,71 @@ class TestSplitsCoverage:
             test_union = set(pair[0].test) | set(pair[1].test)
             assert test_union == set(range(len(dataset)))
             assert set(pair[0].test).isdisjoint(set(pair[1].test))
+
+
+@pytest.fixture(scope="module")
+def small_world(built):
+    """The small world's ``devour`` and ``assemble`` datasets and its k=6 embeddings."""
+    config = load_config(built)
+    embeddings = read_embeddings_tsv(config.vectors_dir() / "embeddings_k6.tsv")
+    datasets = [read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+                for verb in sorted(config.verbs)]
+    return datasets, embeddings
+
+
+class TestPerCallGather:
+    """The drivers look each triple's rows up once per call; every fold and
+    point must still score exactly as when each half is gathered from its triples."""
+
+    CONFIG = TrainConfig(epochs=3, seed=3)
+
+    @pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_TENSOR])
+    def test_evaluate_on_splits_matches_per_fold_gather(self, small_world, method):
+        datasets, embeddings = small_world
+        for dataset in datasets:
+            splits = make_5x2cv_splits(dataset, seed=9)
+            got = evaluate_on_splits(method, dataset, splits, embeddings, self.CONFIG, 4)
+            assert got == reference_evaluate_on_splits(method, dataset, splits, embeddings,
+                                                        self.CONFIG, 4)
+
+    @pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_TENSOR])
+    def test_learning_curve_matches_per_point_gather(self, small_world, method):
+        datasets, embeddings = small_world
+        for dataset in datasets:
+            args = (method, dataset, [8, 16, 31], embeddings, self.CONFIG, 5)
+            assert learning_curve(*args, repeats=2) == reference_learning_curve(*args, repeats=2)
+
+    @pytest.mark.parametrize("method", [METHOD_BASELINE, METHOD_TENSOR])
+    @pytest.mark.parametrize("subject_in", [("train", NEG), ("train", POS), ("test", NEG)],
+                             ids=["subject-train-neg", "subject-train-pos", "subject-test-neg"])
+    @pytest.mark.parametrize("object_in", [("train", POS), ("test", POS), ("train", NEG)],
+                             ids=["object-train-pos", "object-test-pos", "object-train-neg"])
+    def test_unknown_nouns_fail_as_per_fold_gather(self, small_world, method, subject_in,
+                                                   object_in):
+        # two unknown nouns, each in a given half of the first fold and class;
+        # the splits depend on the labels alone, so breaking nouns keeps them
+        dataset, embeddings = small_world[0][0], small_world[1]
+        splits = make_5x2cv_splits(dataset, seed=9)
+        triples = list(dataset.triples)
+
+        def pick(half, label):
+            return next(i for i in getattr(splits[0], half) if triples[i].label == label)
+
+        at = pick(*subject_in)
+        triples[at] = triples[at]._replace(subject="zzz_a")
+        at = pick(*object_in)
+        triples[at] = triples[at]._replace(object="zzz_b")
+        broken = VerbDataset(dataset.verb, triples)
+        with pytest.raises(RuntimeError) as got:
+            evaluate_on_splits(method, broken, splits, embeddings, self.CONFIG, 4)
+        with pytest.raises(RuntimeError) as want:
+            reference_evaluate_on_splits(method, broken, splits, embeddings, self.CONFIG, 4)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{method} failed on repetition 1 fold 1: noun ")
+        assert type(got.value.__cause__) is type(want.value.__cause__) is DataError
+        args = (method, broken, [8, 16], embeddings, self.CONFIG, 5)
+        with pytest.raises(DataError) as got:
+            learning_curve(*args, repeats=2)
+        with pytest.raises(DataError) as want:
+            reference_learning_curve(*args, repeats=2)
+        assert str(got.value) == str(want.value)

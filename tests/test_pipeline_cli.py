@@ -35,14 +35,6 @@ def run_cli(*args):
 
 
 @pytest.fixture(scope="session")
-def built(small_fixture):
-    """Config path with build-vectors and gen-data already run."""
-    assert run_cli("--config", small_fixture, "build-vectors") == 0
-    assert run_cli("--config", small_fixture, "gen-data") == 0
-    return small_fixture
-
-
-@pytest.fixture(scope="session")
 def experimented(built):
     for which in ("full-cv", "small-cv", "curves"):
         assert run_cli("--config", built, "experiment", "--which", which) == 0
@@ -1397,7 +1389,8 @@ class TestMalformedInputs:
     def devour_outputs(self, built, tmp_path, kind):
         """vectors/ and datasets/, with ``devour.jsonl`` broken as ``kind`` says.
 
-        ``unknown_noun`` gives one positive a subject without an embedding;
+        ``unknown_noun`` gives one positive a subject without an embedding,
+        ``record_verb`` gives it another verb than the header's, and
         ``header_only`` cuts the file to its header line.
         """
         config = load_config(built)
@@ -1411,18 +1404,39 @@ class TestMalformedInputs:
         else:
             record = json.loads(lines[1])
             assert record["label"] == "plausible"
-            record["subject"] = "zzz_unknown"
+            if kind == "record_verb":
+                record["verb"] = "assemble"
+            else:
+                record["subject"] = "zzz_unknown"
             lines[1] = json.dumps(record, sort_keys=True)
         dataset.write_text("\n".join(lines) + "\n")
         return out, dataset
 
-    @pytest.mark.parametrize("kind", ["unknown_noun", "header_only"])
+    @pytest.mark.parametrize("kind", ["unknown_noun", "header_only", "record_verb"])
     def test_broken_dataset_fails_train(self, built, tmp_path, caplog, kind):
         out, dataset = self.devour_outputs(built, tmp_path, kind)
         assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == EXIT_RUNTIME
-        assert_clean_failure(caplog, "noun 'zzz_unknown' has no embedding" if kind == "unknown_noun"
-                             else f"{dataset}: dataset has a header and no triples")
+        assert_clean_failure(caplog, {
+            "unknown_noun": "noun 'zzz_unknown' has no embedding",
+            "header_only": f"{dataset}: dataset has a header and no triples",
+            "record_verb": f"{dataset}:2: verb 'assemble' differs from the header's 'devour'",
+        }[kind])
         assert not list(out.rglob("*.tvbm"))
+
+    def test_dataset_of_another_verb_fails_train_and_experiment(self, built, tmp_path, caplog):
+        out, dataset = self.devour_outputs(built, tmp_path, "unknown_noun")
+        shutil.copyfile(dataset.with_name("assemble.jsonl"), dataset)  # replaces the broken file
+        assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == EXIT_RUNTIME
+        assert_clean_failure(caplog, f"{dataset}: the dataset is for verb 'assemble', not 'devour'")
+        assert not list(out.rglob("*.tvbm"))
+        assert run_cli("--config", built, "--out", out,
+                       "experiment", "--which", "small-cv") == EXIT_RUNTIME
+        manifest = json.loads((out / "reports" / "manifest_experiment-small-cv.json").read_text())
+        assert manifest["parameters"]["verbs"] == ["assemble"]
+        assert manifest["parameters"]["failed_verbs"] == {
+            "devour": "DataError: datasets/devour.jsonl: the dataset is for verb 'assemble', "
+                      "not 'devour'"
+        }
 
     def test_zero_embedding_row_fails_experiment_verbs_cleanly(self, built, tmp_path, caplog):
         """A zero row for a dataset noun is a ``DataError`` naming the noun and file."""

@@ -39,7 +39,7 @@ ONE_HOT_BOT = np.array([0.0, 1.0])
 
 
 # The N-example backward pass and the objective of a batch of
-# (subject, object, target) examples: the oracle that ``example_step`` is
+# (subject, object, target) examples: the oracle that ``epoch_runner`` is
 # held to bit for bit. The finite-difference tests pin the oracle itself.
 
 @dataclass(frozen=True)
@@ -279,11 +279,32 @@ class TestSigmoid:
     @example(x=-math.inf)
     @example(x=math.nan)
     def test_matches_expit_bit_for_bit(self, x):
-        # _forward maps _sigmoid over its pre-activations in place of expit
+        # the training kernel calls _sigmoid on each pre-activation in place of expit
         got = np.float64(_sigmoid(x))
         assert bits(got) == bits(expit(np.float64(x)))
         if x <= -709.79:
             assert got == 0.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(z=st.lists(st.one_of(st.floats(), st.floats(-750.0, 40.0),
+                                st.floats(max_value=-709.79)), min_size=1, max_size=20))
+    @example(z=[-709.79])
+    @example(z=[-709.78, 0.0])
+    @example(z=[math.inf, -math.inf, 3.5])
+    @example(z=[math.nan, -0.0, -math.nan])
+    def test_forward_columns_match_sigmoid_and_expit(self, z):
+        # K = 1 with a tensor of ones: both pre-activations of row i are z[i]
+        # (BLAS may turn -0.0 into 0.0, so the references start from _forward's z)
+        n = len(z)
+        subjects, objects_ = np.reshape(z, (n, 1)), np.ones((n, 1))
+        with np.errstate(all="ignore"):
+            got_z, a, _ = _forward(np.ones((1, 1, SENTENCE_DIM)), np.zeros((2, 3)),
+                                   subjects, objects_)
+        np.testing.assert_array_equal(got_z, np.repeat(subjects, SENTENCE_DIM, axis=1))
+        want = [_sigmoid(value) for value in got_z.ravel().tolist()]
+        assert np.array_equal(bits(a[:, :SENTENCE_DIM].ravel()), bits(want))
+        assert np.array_equal(bits(a[:, :SENTENCE_DIM]), bits(expit(got_z)))
+        assert np.array_equal(a[:, SENTENCE_DIM], np.ones(n))
 
 
 class TestObjective:
@@ -516,7 +537,7 @@ class TestExampleStep:
 
         work = _Workspace(model, l2_lambda)
         work.acc[:] = accumulator
-        work.example_step(lr, eps)(s, o, s[:, None], o[None], *target)
+        work.epoch_runner(lr, eps)([(s, o, s[:, None], o[None], *target)])
 
         assert np.array_equal(bits(work.params), bits(oracle.params))
         assert np.array_equal(bits(work.acc), bits(oracle.acc))
@@ -533,7 +554,7 @@ class TestExampleStep:
         with np.errstate(invalid="ignore", over="ignore"):
             oracle.gradient(s[None], o[None], np.array([[1.0, 0.0]]))
             adagrad_step(oracle.params, oracle.grad, oracle.acc, 0.05, 1e-8, oracle.scratch)
-            work.example_step(0.05, 1e-8)(s, o, s[:, None], o[None], 1.0, 0.0)
+            work.epoch_runner(0.05, 1e-8)([(s, o, s[:, None], o[None], 1.0, 0.0)])
         np.testing.assert_array_equal(work.params, oracle.params)
         np.testing.assert_array_equal(work.acc, oracle.acc)
 

@@ -36,7 +36,7 @@ def weight(table, noun, context):
     """The table's weight for (noun, context), 0.0 when either is absent."""
     if noun not in table.nouns or context not in table.contexts:
         return 0.0
-    return float(table.weights[table.nouns.position(noun), table.contexts.position(context)])
+    return float(table.weights[table.nouns.index[noun], table.contexts.index[context]])
 
 
 def make_table(counts, nouns=None, contexts=None):
