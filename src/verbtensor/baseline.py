@@ -16,6 +16,7 @@ false-negative rates come closest.
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def train_baseline(positives, embeddings) -> KronBaselineModel:
     """
     if not positives:
         raise DataError("no positive triples")
-    ordered = sorted(positives, key=lambda t: (t.subject, t.object))
+    ordered = sorted(positives, key=itemgetter(0, 2))  # by (subject, object)
     subjects = embeddings.rows(t.subject for t in ordered)
     objects_ = embeddings.rows(t.object for t in ordered)
     return KronBaselineModel(avg_matrix=subjects.T @ objects_ / len(ordered))

@@ -5,12 +5,15 @@ positive a pseudo-negative is built by replacing both nouns with confounders
 drawn at random from the same corpus-frequency bucket, which keeps the
 negatives frequency-matched and the classes exactly balanced.
 
-A row is a ``LabeledTriple``, an immutable tuple of four strings: building
-one is a single short Python call, and unpacking, hashing and comparing it
-run in C. The caller reads the TSV once (``read_triples_tsv``) and hands each
-verb its own rows (``load_positives``). Within one ``gen_confounders`` call
-each noun's tuple of confounder options is built once, before the draws,
-and ``write_dataset_jsonl`` JSON-encodes each distinct string once per file.
+A row is a ``LabeledTriple``, an immutable tuple of four strings whose
+unpacking, hashing and comparing run in C. ``load_positives`` and
+``gen_confounders`` build their rows with ``LabeledTriple.batch``: one label
+check, then every tuple built in C, with no Python frame per row. A reader
+that takes one row at a time calls ``LabeledTriple(...)``. The caller reads
+the TSV once (``read_triples_tsv``) and hands each verb its own rows
+(``load_positives``). Within one ``gen_confounders`` call each noun's tuple
+of confounder options is built once, before the draws, and
+``write_dataset_jsonl`` JSON-encodes each distinct string once per file.
 Each reader reads its file's text in one pass and checks every line, naming
 the file and line of the first one that is malformed.
 """
@@ -19,7 +22,7 @@ import json
 import logging
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -58,13 +61,17 @@ class LabeledTriple(_Triple):
             raise ValueError(f"bad label {label!r}")
         return tuple.__new__(cls, (subject, verb, object, label))
 
-    @property
-    def gold_dist(self) -> tuple:
-        return _GOLD_DIST[self.label]
+    @classmethod
+    def batch(cls, subjects, verbs, objects, label) -> list:
+        """One triple per position of the aligned iterables, all with ``label``.
 
-    @property
-    def is_plausible(self) -> bool:
-        return self.label == PLAUSIBLE
+        Equal, element for element, to calling the class on each position,
+        but the label is checked once, before any iterable is read, and the
+        tuples are built in C. The shortest iterable ends the batch.
+        """
+        if label not in _LABELS:
+            raise ValueError(f"bad label {label!r}")
+        return list(map(tuple.__new__, repeat(cls), zip(subjects, verbs, objects, repeat(label))))
 
 
 @dataclass
@@ -74,14 +81,6 @@ class VerbDataset:
 
     def __len__(self) -> int:
         return len(self.triples)
-
-    @property
-    def positives(self) -> list:
-        return [t for t in self.triples if t.is_plausible]
-
-    @property
-    def negatives(self) -> list:
-        return [t for t in self.triples if not t.is_plausible]
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,9 @@ def load_positives(rows, verb: str, source, cap: int, known_nouns) -> tuple:
     # order by (-count, subject, object): a descending sort stays stable
     kept.sort(key=itemgetter(0, 2))
     kept.sort(key=itemgetter(3), reverse=True)
-    positives = [LabeledTriple(subject, verb, obj, PLAUSIBLE) for subject, _, obj, _ in kept[:cap]]
+    kept = kept[:cap]
+    positives = LabeledTriple.batch(map(itemgetter(0), kept), repeat(verb),
+                                    map(itemgetter(2), kept), PLAUSIBLE)
     return positives, dropped
 
 
@@ -187,17 +188,18 @@ def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int) -> list
     max_id = max(buckets.members, default=0)
     # each noun's options, built once and in draw order, so the first noun
     # without any raises as the draws would
-    nouns = dict.fromkeys(noun for subject, _, obj, _ in positives for noun in (subject, obj))
+    nouns = dict.fromkeys(chain.from_iterable(map(itemgetter(0, 2), positives)))
     options = {noun: _confounder_options(noun, buckets, max_id) for noun in nouns}
     choice = random.Random(rng_seed).choice
-    # arguments are evaluated left to right, so the subject is drawn first
-    return [LabeledTriple(choice(options[subject]), verb, choice(options[obj]), IMPLAUSIBLE)
-            for subject, verb, obj, _ in positives]
+    # a tuple display is evaluated left to right, so the subject is drawn first
+    drawn = [(choice(options[subject]), choice(options[obj])) for subject, _, obj, _ in positives]
+    return LabeledTriple.batch(map(itemgetter(0), drawn), map(itemgetter(1), positives),
+                               map(itemgetter(1), drawn), IMPLAUSIBLE)
 
 
 def _stratified_indices(triples):
-    pos = [i for i, t in enumerate(triples) if t.is_plausible]
-    neg = [i for i, t in enumerate(triples) if not t.is_plausible]
+    pos = [i for i, t in enumerate(triples) if t[3] == PLAUSIBLE]
+    neg = [i for i, t in enumerate(triples) if t[3] != PLAUSIBLE]
     return pos, neg
 
 

@@ -261,7 +261,8 @@ def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch=None)
 def _lookup_triples(triples, embeddings):
     subjects = embeddings.rows(t.subject for t in triples)
     objects_ = embeddings.rows(t.object for t in triples)
-    targets = np.asarray([t.gold_dist for t in triples], dtype=np.float64)
+    plausible = np.fromiter([t.label == PLAUSIBLE for t in triples], bool, len(triples))
+    targets = np.where(plausible[:, None], (1.0, 0.0), (0.0, 1.0))  # one-hot gold
     return subjects, objects_, targets
 
 

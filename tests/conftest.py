@@ -72,6 +72,23 @@ def planted_dataset(
     return dataset, embeddings
 
 
+def is_plausible(triple) -> bool:
+    return triple.label == PLAUSIBLE
+
+
+def gold_dist(triple) -> tuple:
+    """The one-hot target of a triple's label: (1, 0) if plausible, else (0, 1)."""
+    return (1.0, 0.0) if is_plausible(triple) else (0.0, 1.0)
+
+
+def dataset_positives(dataset) -> list:
+    return [t for t in dataset.triples if is_plausible(t)]
+
+
+def dataset_negatives(dataset) -> list:
+    return [t for t in dataset.triples if not is_plausible(t)]
+
+
 def holdout_halves(dataset, seed: int):
     """The two ``stratified_halves`` of a dataset, drawn with ``random.Random(seed)``."""
     halves = stratified_halves(dataset.triples, random.Random(seed))

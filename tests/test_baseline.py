@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import holdout_halves
+from conftest import dataset_negatives, dataset_positives, holdout_halves, is_plausible
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -330,14 +330,14 @@ class TestPredictBaseline:
     def test_end_to_end_f1_on_separable_data(self, planted):
         dataset, embeddings = planted
         pool, held = holdout_halves(dataset, seed=55)
-        model = train_baseline(pool.positives, embeddings)
+        model = train_baseline(dataset_positives(pool), embeddings)
         pos_scores = [
             score(model, one(embeddings, t.subject), one(embeddings, t.object))[0]
-            for t in pool.positives
+            for t in dataset_positives(pool)
         ]
         neg_scores = [
             score(model, one(embeddings, t.subject), one(embeddings, t.object))[0]
-            for t in pool.negatives
+            for t in dataset_negatives(pool)
         ]
         calibrate_cutoff(model, pos_scores, neg_scores)
         predicted = [
@@ -352,7 +352,7 @@ class TestPredictBaseline:
 def per_triple_baseline(train_triples, test_triples, embeddings):
     """Reference fold: sum outer products one pair at a time, score one cosine per triple."""
     positives = sorted(
-        (t for t in train_triples if t.is_plausible), key=lambda t: (t.subject, t.object)
+        (t for t in train_triples if is_plausible(t)), key=lambda t: (t.subject, t.object)
     )
     total = np.zeros((embeddings.dim, embeddings.dim))
     for t in positives:
@@ -363,8 +363,8 @@ def per_triple_baseline(train_triples, test_triples, embeddings):
         return cosine(kronecker(embeddings.vector(t.subject), embeddings.vector(t.object)), avg)
 
     cutoff = loop_calibrate_cutoff(
-        [one_score(t) for t in train_triples if t.is_plausible],
-        [one_score(t) for t in train_triples if not t.is_plausible],
+        [one_score(t) for t in train_triples if is_plausible(t)],
+        [one_score(t) for t in train_triples if not is_plausible(t)],
     )
     scores = [one_score(t) for t in test_triples]
     return scores, [PLAUSIBLE if v >= cutoff else IMPLAUSIBLE for v in scores]

@@ -2,8 +2,10 @@ import json
 import pickle
 import random
 import re
+from itertools import repeat
 
 import pytest
+from conftest import gold_dist, is_plausible
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from verbtensor.data import (
     subsample,
     write_dataset_jsonl,
     write_splits_jsonl,
+    _confounder_options,
 )
 from verbtensor.util import DataError
 
@@ -148,7 +151,7 @@ class TestGenConfounders:
         ]
         negatives = gen_confounders(positives, self.buckets, rng_seed=3)
         assert len(negatives) == len(positives) == 9
-        assert all(not t.is_plausible for t in negatives)
+        assert all(not is_plausible(t) for t in negatives)
 
     def test_missing_bucket_is_an_error(self):
         positives = [LabeledTriple("unbucketed", "eat", "n00", PLAUSIBLE)]
@@ -205,8 +208,9 @@ def confounder_cases(draw):
     freqs = {f"n{i}": draw(st.integers(0, 4)) for i in range(n_nouns)}
     buckets = make_buckets(freqs, bucket_size=draw(st.integers(1, 4)))
     nouns = st.sampled_from(sorted(freqs) + ["stray"] * draw(st.integers(0, 1)))
+    verbs = st.sampled_from(["eat", "see"])
     positives = [
-        LabeledTriple(draw(nouns), "eat", draw(nouns), PLAUSIBLE)
+        LabeledTriple(draw(nouns), draw(verbs), draw(nouns), PLAUSIBLE)
         for _ in range(draw(st.integers(0, 8)))
     ]
     return positives, buckets, draw(st.integers(0, 2**32))
@@ -219,6 +223,28 @@ def test_gen_confounders_matches_per_draw_oracle(case):
     assert outcome(gen_confounders, positives, buckets, seed) == outcome(
         oracle_gen_confounders, positives, buckets, seed
     )
+
+
+def per_row_gen_confounders(positives, buckets, rng_seed):
+    """``gen_confounders`` with one ``LabeledTriple(...)`` call per drawn row."""
+    max_id = max(buckets.members, default=0)
+    nouns = dict.fromkeys(noun for subject, _, obj, _ in positives for noun in (subject, obj))
+    options = {noun: _confounder_options(noun, buckets, max_id) for noun in nouns}
+    choice = random.Random(rng_seed).choice
+    return [LabeledTriple(choice(options[subject]), verb, choice(options[obj]), IMPLAUSIBLE)
+            for subject, verb, obj, _ in positives]
+
+
+@settings(max_examples=300, deadline=None)
+@given(confounder_cases())
+def test_gen_confounders_matches_per_row_construction(case):
+    positives, buckets, seed = case
+    built = outcome(gen_confounders, positives, buckets, seed)
+    reference = outcome(per_row_gen_confounders, positives, buckets, seed)
+    assert built == reference
+    if isinstance(reference, list):
+        assert type(built) is list
+        assert all(type(t) is LabeledTriple for t in built)
 
 
 def test_singleton_buckets_match_oracle_when_widening():
@@ -269,7 +295,7 @@ class TestSplits:
         dataset = balanced_dataset(4)
         for split in make_5x2cv_splits(dataset, seed=9):
             train_triples = [dataset.triples[i] for i in split.train]
-            assert sum(t.is_plausible for t in train_triples) == 1
+            assert sum(map(is_plausible, train_triples)) == 1
 
     def test_deterministic(self):
         dataset = balanced_dataset(26)
@@ -295,13 +321,13 @@ class TestSubsample:
     def test_stratification(self):
         dataset = balanced_dataset(400)
         sub = subsample(dataset, 10, seed=3)
-        assert sum(t.is_plausible for t in sub.triples) == 5
+        assert sum(map(is_plausible, sub.triples)) == 5
         assert len(sub) == 10
 
     def test_odd_sample_differs_by_one(self):
         dataset = balanced_dataset(40)
         sub = subsample(dataset, 11, seed=3)
-        n_pos = sum(t.is_plausible for t in sub.triples)
+        n_pos = sum(map(is_plausible, sub.triples))
         assert n_pos - (11 - n_pos) == 1  # extra example goes to the plausible class
 
     def test_too_large(self):
@@ -313,10 +339,37 @@ class TestSubsample:
         assert subsample(dataset, 20, seed=5).triples == subsample(dataset, 20, seed=5).triples
 
 
+words = st.text(max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(words, words, words), max_size=8),
+       st.sampled_from([PLAUSIBLE, IMPLAUSIBLE]))
+def test_batch_equals_per_row_construction(rows, label):
+    subjects, verbs, objects_ = map(list, zip(*rows)) if rows else ([], [], [])
+    built = LabeledTriple.batch(subjects, verbs, objects_, label)
+    reference = [LabeledTriple(subject, verb, obj, label) for subject, verb, obj in rows]
+    assert type(built) is list and len(built) == len(reference)
+    for triple, expected in zip(built, reference):
+        assert type(triple) is LabeledTriple
+        assert triple == expected and triple.label == expected.label
+        assert pickle.dumps(triple) == pickle.dumps(expected)
+        loaded = pickle.loads(pickle.dumps(triple))
+        assert type(loaded) is LabeledTriple and loaded == expected
+
+
+@pytest.mark.parametrize("label", ["maybe", None, 1, ["plausible"], {"x": 1}])
+def test_batch_rejects_a_bad_label_before_building_a_row(label):
+    subjects = iter(["a", "b"])
+    with pytest.raises(ValueError, match="bad label"):
+        LabeledTriple.batch(subjects, repeat("v"), repeat("o"), label)
+    assert list(subjects) == ["a", "b"]  # no row was read
+
+
 class TestTripleInvariants:
     def test_gold_dist_matches_label(self):
-        assert LabeledTriple("a", "v", "b", PLAUSIBLE).gold_dist == (1.0, 0.0)
-        assert LabeledTriple("a", "v", "b", IMPLAUSIBLE).gold_dist == (0.0, 1.0)
+        assert gold_dist(LabeledTriple("a", "v", "b", PLAUSIBLE)) == (1.0, 0.0)
+        assert gold_dist(LabeledTriple("a", "v", "b", IMPLAUSIBLE)) == (0.0, 1.0)
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="bad label"):
@@ -332,8 +385,8 @@ class TestTripleInvariants:
         assert (triple.subject, triple.verb, triple.object, triple.label) == \
             ("a", "v", "b", PLAUSIBLE)
         assert tuple(triple) == ("a", "v", "b", PLAUSIBLE)
-        assert triple.is_plausible
-        assert not LabeledTriple("a", "v", "b", IMPLAUSIBLE).is_plausible
+        assert is_plausible(triple)
+        assert not is_plausible(LabeledTriple("a", "v", "b", IMPLAUSIBLE))
         assert LabeledTriple(subject="a", verb="v", object="b", label=PLAUSIBLE) == triple
 
     @pytest.mark.parametrize("field", ["subject", "verb", "object", "label", "extra"])
@@ -354,7 +407,7 @@ class TestTripleInvariants:
                        LabeledTriple("café", "v", "日本", IMPLAUSIBLE)):
             loaded = pickle.loads(pickle.dumps(triple))
             assert type(loaded) is LabeledTriple
-            assert loaded == triple and loaded.gold_dist == triple.gold_dist
+            assert loaded == triple and gold_dist(loaded) == gold_dist(triple)
 
 
 class TestJsonl:
@@ -402,7 +455,7 @@ def oracle_dataset_lines(dataset):
     lines = [json.dumps({"verb": dataset.verb}, sort_keys=True)]
     for t in dataset.triples:
         record = {"subject": t.subject, "verb": t.verb, "object": t.object, "label": t.label,
-                  "gold_dist": list(t.gold_dist)}
+                  "gold_dist": list(gold_dist(t))}
         lines.append(json.dumps(record, sort_keys=True))
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
@@ -524,7 +577,7 @@ def corrupted_datasets(draw):
     triples = balanced_dataset(draw(st.integers(1, 3)) * 2).triples
     records = [
         {"subject": t.subject, "verb": t.verb, "object": t.object, "label": t.label,
-         "gold_dist": list(t.gold_dist)}
+         "gold_dist": list(gold_dist(t))}
         for t in triples
     ]
     lines = [json.dumps({"verb": "eat"})] + [json.dumps(r) for r in records]

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import holdout_halves
+from conftest import holdout_halves, is_plausible
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -63,9 +63,9 @@ def reference_fit_and_score(method, train_triples, test_triples, embeddings, tra
         result = train(train_triples, embeddings, replace(train_config, seed=fold_seed))
         labels, scores = predict_batch(result.model, *test_rows)
         return scores, labels
-    model = kron.train_baseline([t for t in train_triples if t.is_plausible], embeddings)
+    model = kron.train_baseline([t for t in train_triples if is_plausible(t)], embeddings)
     train_scores = kron.score(model, *pair_rows(train_triples))
-    positive = np.fromiter((t.is_plausible for t in train_triples), dtype=bool)
+    positive = np.fromiter(map(is_plausible, train_triples), dtype=bool)
     kron.calibrate_cutoff(model, train_scores[positive], train_scores[~positive])
     labels, scores = kron.predict_baseline(model, *test_rows)
     return scores, labels

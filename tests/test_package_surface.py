@@ -1,15 +1,16 @@
 """Every public function, class and method of the package has a caller.
 
 A public name (no leading underscore) defined at the top level of a module
-under ``src/verbtensor``, or as a method of such a class, must be referenced
-from ``src/`` or ``perfbench/``: as a bare name or as an attribute. Imports
-do not count as references, so a re-export alone does not keep a name
-alive. Likewise every field of a dataclass in the package must be read as
-an attribute (``obj.field`` in a load context) somewhere in ``src/`` or
-``perfbench/``. The match is by name, not by binding, so the check can miss
-a dead name that shares its spelling with a live one; it never flags a used
-name. There are no exemptions: a helper or field that only tests need
-belongs in ``tests/``.
+under ``src/verbtensor`` must be referenced from ``src/`` or ``perfbench/``,
+as a bare name or as an attribute. A public method or property of such a
+class must be referenced as an attribute (``obj.name``): a local variable
+that shares its name does not keep it alive. Imports do not count as
+references, so a re-export alone does not keep a name alive. Likewise every
+field of a dataclass in the package must be read as an attribute
+(``obj.field`` in a load context) somewhere in ``src/`` or ``perfbench/``.
+The match is by name, not by binding, so the check can miss a dead name that
+shares its spelling with a live one; it never flags a used name. There are
+no exemptions: a helper or field that only tests need belongs in ``tests/``.
 """
 
 import ast
@@ -23,35 +24,39 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def public_definitions(package: Path) -> dict:
-    """``module.name`` or ``module.Class.method`` -> the bare name."""
+    """``module.name`` or ``module.Class.method`` -> (the bare name, whether a method)."""
     found = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
                 continue
-            found[f"{path.stem}.{node.name}"] = node.name
+            found[f"{path.stem}.{node.name}"] = (node.name, False)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, DEFINITIONS) and not item.name.startswith("_"):
-                        found[f"{path.stem}.{node.name}.{item.name}"] = item.name
+                        found[f"{path.stem}.{node.name}.{item.name}"] = (item.name, True)
     return found
 
 
-def referenced_names(dirs) -> set:
-    names = set()
+def referenced_names(dirs) -> tuple:
+    """The bare names and the attribute names referenced under ``dirs``."""
+    names, attributes = set(), set()
     for directory in dirs:
         for path in sorted(directory.rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+                    attributes.add(node.attr)
+    return names, attributes
 
 
 def unreferenced(package: Path, dirs) -> list:
-    used = referenced_names(dirs)
-    return sorted(q for q, name in public_definitions(package).items() if name not in used)
+    names, attributes = referenced_names(dirs)
+    return sorted(
+        q for q, (name, method) in public_definitions(package).items()
+        if name not in attributes and (method or name not in names)
+    )
 
 
 def _is_dataclass_decorator(node) -> bool:
@@ -98,12 +103,15 @@ def test_guard_flags_an_unused_function(tmp_path):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("from .mod import used, unused\n")
     (package / "mod.py").write_text(
-        "def used():\n    return Box().size()\n\n\n"
+        "def used():\n    total = Box().size()\n    return total\n\n\n"
         "def unused():\n    return used()\n\n\n"
         "class Box:\n    def size(self):\n        return 1\n\n"
-        "    def spare(self):\n        return 2\n"
+        "    def spare(self):\n        return 2\n\n"
+        "    @property\n    def total(self):\n        return 3\n"
     )
-    assert unreferenced(package, [tmp_path / "src"]) == ["mod.Box.spare", "mod.unused"]
+    assert unreferenced(package, [tmp_path / "src"]) == [
+        "mod.Box.spare", "mod.Box.total", "mod.unused"
+    ]
 
 
 def test_every_dataclass_field_is_read():

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dataset_negatives, dataset_positives
 
 from verbtensor import corpus as corpus_mod
 from verbtensor import data as data_mod
@@ -510,13 +511,13 @@ class TestGenData:
         config = load_config(built)
         for verb in config.verbs:
             dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
-            assert len(dataset.positives) == len(dataset.negatives)
+            assert len(dataset_positives(dataset)) == len(dataset_negatives(dataset))
 
     def test_cap_respected(self, built):
         config = load_config(built)
         for verb in config.verbs:
             dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
-            assert len(dataset.positives) <= config.positive_cap
+            assert len(dataset_positives(dataset)) <= config.positive_cap
 
     def test_confounders_from_buckets(self, built):
         config = load_config(built)
@@ -527,8 +528,8 @@ class TestGenData:
             embeddings.nouns.words, config.bucket_size)
         for verb in config.verbs:
             dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
-            positives = dataset.positives
-            negatives = dataset.negatives
+            positives = dataset_positives(dataset)
+            negatives = dataset_negatives(dataset)
             for p, n in zip(positives, negatives):
                 assert n.subject != p.subject
                 assert n.object != p.object
@@ -547,8 +548,8 @@ class TestGenData:
         verb = sorted(config.verbs)[0]
         data_a = read_dataset_jsonl(out_a / "datasets" / f"{verb}.jsonl")
         data_b = read_dataset_jsonl(out_b / "datasets" / f"{verb}.jsonl")
-        assert data_a.positives == data_b.positives
-        assert data_a.negatives != data_b.negatives
+        assert dataset_positives(data_a) == dataset_positives(data_b)
+        assert dataset_negatives(data_a) != dataset_negatives(data_b)
 
     def test_unknown_verb_skipped_but_others_proceed(self, small_fixture, tmp_path):
         fixture_dir = Path(small_fixture).parent
@@ -984,7 +985,7 @@ class TestTrainPredictEval:
         assert Path(str(base) + ".tvbm").is_file()
         assert Path(str(base) + ".meta").is_file()
         dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
-        triple = dataset.positives[0]
+        triple = dataset_positives(dataset)[0]
         capsys.readouterr()
         rc = run_cli(
             "--config", built, "predict", "--verb", verb,
@@ -1138,7 +1139,7 @@ class TestTrainPredictEval:
         assert run_cli("--config", built, "--out", out, "build-vectors") == 0
         assert run_cli("--config", built, "--out", out, "gen-data") == 0
         assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == 0
-        triple = read_dataset_jsonl(out / "datasets" / "devour.jsonl").positives[0]
+        triple = dataset_positives(read_dataset_jsonl(out / "datasets" / "devour.jsonl"))[0]
         assert run_cli("--config", built, "--out", out, "predict", "--verb", "devour",
                        "--subject", triple.subject, "--object", triple.object) == 0
         assert run_cli("--config", built, "--out", out,
@@ -1154,7 +1155,7 @@ class TestTrainPredictEval:
         """
         config, out = load_config(built), tmp_path / "out"
         shutil.copytree(config.vectors_dir(), out / "vectors")
-        triple = read_dataset_jsonl(config.datasets_dir() / "devour.jsonl").positives[0]
+        triple = dataset_positives(read_dataset_jsonl(config.datasets_dir() / "devour.jsonl"))[0]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import holdout_halves, planted_dataset
+from conftest import gold_dist, holdout_halves, planted_dataset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -481,7 +481,7 @@ class TestTrainingStep:
         trained = train([triple], embeddings, config).model
         model = init_model(embeddings.dim, config)
         example = (embeddings.vector(triple.subject), embeddings.vector(triple.object),
-                   triple.gold_dist)
+                   gold_dist(triple))
         grads = gradients(model, example, config.l2_lambda)
         for param, grad in ((model.tensor, grads.tensor), (model.theta, grads.theta)):
             adagrad_step(param, grad, np.zeros_like(param),
