@@ -11,8 +11,9 @@ unpacking, hashing and comparing run in C. ``load_positives`` and
 check, then every tuple built in C, with no Python frame per row. A reader
 that takes one row at a time calls ``LabeledTriple(...)``. The caller reads
 the TSV once (``read_triples_tsv``) and hands each verb its own rows
-(``load_positives``). Within one ``gen_confounders`` call each noun's tuple
-of confounder options is built once, before the draws, and
+(``load_positives``). Each noun's tuple of confounder options is built
+once per set of buckets, before its first draw (``gen_confounders`` takes a
+map that its callers share across verbs), and
 ``write_dataset_jsonl`` JSON-encodes each distinct string once per file.
 Each reader reads its file's text in one pass and checks every line, naming
 the file and line of the first one that is malformed.
@@ -179,17 +180,23 @@ def _confounder_options(noun: str, buckets: FrequencyBuckets, max_id: int) -> tu
     return options
 
 
-def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int) -> list:
+def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int,
+                    options=None) -> list:
     """One implausible triple per positive, both nouns confounded.
 
     Each confounder is ``rng.choice`` over the noun's options (see
     ``_confounder_options``), drawn subject then object, positive by positive.
+    ``options`` maps nouns to their options from ``buckets``, and the call
+    adds the nouns it lacks, so calls that draw from the same buckets can
+    share one map and build each noun's options once.
     """
+    options = {} if options is None else options
     max_id = max(buckets.members, default=0)
-    # each noun's options, built once and in draw order, so the first noun
-    # without any raises as the draws would
-    nouns = dict.fromkeys(chain.from_iterable(map(itemgetter(0, 2), positives)))
-    options = {noun: _confounder_options(noun, buckets, max_id) for noun in nouns}
+    # the missing nouns' options, built in draw order before the draws, so
+    # the first noun without any raises as the draws would
+    for noun in dict.fromkeys(chain.from_iterable(map(itemgetter(0, 2), positives))):
+        if noun not in options:
+            options[noun] = _confounder_options(noun, buckets, max_id)
     choice = random.Random(rng_seed).choice
     # a tuple display is evaluated left to right, so the subject is drawn first
     drawn = [(choice(options[subject]), choice(options[obj])) for subject, _, obj, _ in positives]

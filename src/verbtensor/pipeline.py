@@ -3,9 +3,11 @@
 Every command writes its artifacts plus a ``manifest.json`` recording the
 parameters it used and sha256 checksums of the inputs it read and the outputs
 it wrote; build-vectors' outputs include each embeddings TSV's sidecar,
-``embeddings_k{k}.tvb`` (see ``vectors``). Commands are pure functions of
-(config, input files, seeds), so for unchanged inputs and seeds every output,
-manifests included, is byte-identical whatever ``--out`` and ``--jobs`` are.
+``embeddings_k{k}.tvb``: the table's nouns and values under one sha256 of
+the TSV and themselves, read in place of the text while it matches (see
+``vectors``). Commands are pure functions of (config, input files, seeds),
+so for unchanged inputs and seeds every output, manifests included, is
+byte-identical whatever ``--out`` and ``--jobs`` are.
 
 Manifests key each file by a path relative to a root, in POSIX form: a file
 under the output directory relative to it (``reports/small_cv.csv``), any
@@ -252,9 +254,9 @@ def gen_data(config: PipelineConfig) -> dict:
     """Per-verb datasets: capped positives plus bucket-confounded negatives.
 
     Each input is parsed once per call: ``triples.tsv`` is parsed once and
-    its rows grouped by verb, and the frequency buckets are built once and
-    shared by every verb's confounder draws. ``sha256_file`` then reads each
-    input again for the manifest.
+    its rows grouped by verb, and the frequency buckets and each noun's
+    confounder options are built once and shared by every verb's draws.
+    ``sha256_file`` then reads each input again for the manifest.
     """
     require_input_files(config, "triples")
     k, emb_path = _embeddings_path(config)
@@ -270,6 +272,7 @@ def gen_data(config: PipelineConfig) -> dict:
     known = set(embeddings.nouns.words)
     buckets = corpus_mod.frequency_buckets(frequencies, known, config.bucket_size)
 
+    options = {}  # noun -> confounder options, filled by the verbs' draws
     outputs = []
     written = []
     failures = {}
@@ -281,7 +284,7 @@ def gen_data(config: PipelineConfig) -> dict:
                 cap=config.positive_cap, known_nouns=known,
             )
             negatives = data_mod.gen_confounders(
-                positives, buckets, derive_seed(config.data_seed, "confounders", verb)
+                positives, buckets, derive_seed(config.data_seed, "confounders", verb), options
             )
         except DataError as exc:
             log.warning("verb %r skipped: %s", verb, exc)

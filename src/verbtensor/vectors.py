@@ -12,13 +12,22 @@ holds it to ``spearmanr`` bit for bit.
 
 One ``write_embeddings_tsv`` call writes every configured dim from a single
 ``repr`` pass: each narrower TSV holds the leading columns of the widest
-decomposition. An embeddings TSV is authoritative: the binary sidecar its
-writer adds (``embeddings_k20.tvb``) holds the TSV's sha256 and the matrix,
-and spares the reader the float parse only while that digest matches the TSV.
+decomposition. An embeddings TSV is authoritative. Beside it the writer puts
+a binary sidecar (``embeddings_k20.tvb``): a 32-byte digest, then the
+payload, which is the nouns (UTF-8, joined by ``"\n"``, after their byte
+length as a little-endian uint64) and the matrix as one TVB1 block. The
+digest is the sha256 of the TSV's bytes followed by the payload, so it ties
+this text to this payload. While it matches, the reader takes the nouns and
+values from the payload and never parses the text; on any other outcome it
+parses the text. The digest catches corruption, hand edits and a stale file
+on either side; it is not a signature, and a pair forged with a recomputed
+digest reads as whatever it holds.
 """
 
 import hashlib
+import io
 import logging
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,27 +253,54 @@ def write_embeddings_tsv(paths, embeddings: EmbeddingTable) -> list:
     float64. Each row is formatted once, and its leading values serve every
     k, so each narrower line is the widest line cut after k values.
 
-    Beside each TSV goes its sidecar, returned in the order of ``paths``: the
-    TSV's path with suffix ``.tvb``, holding the raw sha256 of the TSV's bytes,
-    then its ``(rows, k)`` block of the matrix in TVB1. A non-finite value
-    raises ``ValueError`` once the first TSV is written.
+    Beside each TSV goes its sidecar, the TSV's path with suffix ``.tvb``
+    (layout in the module docstring), and the sidecars written are returned
+    in the order of ``paths``. A sidecar is written only for a table that
+    ``_read_embeddings_lines`` reads back exactly: at least one row and one
+    column, distinct nouns, and no noun holding a tab, ``"\n"`` or
+    ``"\r"``. For any other table a stale sidecar is removed. A non-finite
+    value in such a table raises ``ValueError`` once the first TSV is written.
     """
     lines = {k: [] for k in paths}
     for noun, row in zip(embeddings.nouns.words, embeddings.matrix):
         values = list(map(repr, row.tolist()))
         for k, out in lines.items():
             out.append(f"{noun}\t" + "\t".join(values[:k]) + "\n")
+    words = embeddings.nouns.words
+    joined = "\n".join(words)
+    # a noun holding "\n" shows as one "\n" too many
+    sealable = (words and len(set(words)) == len(words) and "\t" not in joined
+                and "\r" not in joined and joined.count("\n") == len(words) - 1)
+    nouns = joined.encode("utf-8")
     sidecars = []
     for k, path in paths.items():
         data = "".join(lines.pop(k)).encode("utf-8")
         with open_output(path, "wb") as handle:
             handle.write(data)
         sidecar = Path(path).with_suffix(".tvb")
+        if not (sealable and k):
+            sidecar.unlink(missing_ok=True)
+            continue
+        buffer = io.BytesIO()
+        buffer.write(_NOUNS_SIZE.pack(len(nouns)) + nouns)
+        write_tvb(buffer, embeddings.matrix[:, :k])
+        payload = buffer.getbuffer()
         with open_output(sidecar, "wb") as handle:
-            handle.write(hashlib.sha256(data).digest())
-            write_tvb(handle, embeddings.matrix[:, :k])
+            handle.write(_sidecar_digest(data, payload))
+            handle.write(payload)
         sidecars.append(sidecar)
     return sidecars
+
+
+_DIGEST_SIZE = 32
+_NOUNS_SIZE = struct.Struct("<Q")
+
+
+def _sidecar_digest(data, payload) -> bytes:
+    """The sha256 of a TSV's bytes followed by its sidecar's payload, in one pass."""
+    digest = hashlib.sha256(data)
+    digest.update(payload)
+    return digest.digest()
 
 
 def read_embeddings_tsv(path) -> EmbeddingTable:
@@ -274,28 +310,36 @@ def read_embeddings_tsv(path) -> EmbeddingTable:
     that is not a finite float, a repeated noun or a file without rows
     raises ``DataError`` naming the file (and the line, where there is one).
 
-    The TSV is authoritative. The values come from its sidecar only when the
-    sidecar holds the sha256 of the TSV's bytes (so the writer wrote this
-    text beside this block) and the text is UTF-8 without carriage returns,
-    with distinct nouns, one per block row, and one tab per block cell; the
-    line loop would then read the block's bits from the ``repr`` values.
-    Otherwise one INFO line names the file and ``_read_embeddings_lines`` runs.
+    The TSV is authoritative. The table comes from its sidecar only when the
+    sidecar's digest is that of the TSV's bytes followed by its payload, and
+    the payload is well formed: one distinct UTF-8 noun per row of a finite
+    2-D block, and no byte after it. The writer seals only a table that the
+    line loop reads back exactly, so the text is not parsed then. Otherwise
+    one INFO line names the file and ``_read_embeddings_lines`` runs. A
+    length or header that claims more bytes than the sidecar holds is
+    rejected before anything is allocated for it.
     """
     sidecar = Path(path).with_suffix(".tvb")
     try:
         data = Path(path).read_bytes()
-        with open(sidecar, "rb") as handle:
-            if handle.read(32) != hashlib.sha256(data).digest():
-                raise ValueError(f"{sidecar} holds the digest of other bytes")
-            matrix = read_tvb(handle)
-        text = data.decode("utf-8")
-        lines = text.split("\n")[:-1]
-        nouns = Vocabulary.from_words(line.partition("\t")[0] for line in lines)
-        # the writer puts one tab before each value, so the total counts tabs in nouns too
-        if (matrix.ndim != 2 or not matrix.size or len(matrix) != len(lines) or "\r" in text
-                or text.count("\t") != matrix.size or len(nouns.index) != len(lines)):
-            raise ValueError(f"the {matrix.shape} block in {sidecar} does not fit the text")
-    except (OSError, ValueError) as exc:
+        raw = sidecar.read_bytes()
+        if raw[:_DIGEST_SIZE] != _sidecar_digest(data, memoryview(raw)[_DIGEST_SIZE:]):
+            raise ValueError(f"{sidecar} holds the digest of other bytes")
+        (size,) = _NOUNS_SIZE.unpack_from(raw, _DIGEST_SIZE)
+        start = _DIGEST_SIZE + _NOUNS_SIZE.size
+        if size > len(raw) - start:
+            raise ValueError(f"{sidecar} claims {size} bytes of nouns")
+        nouns = Vocabulary.from_words(raw[start:start + size].decode("utf-8").split("\n"))
+        block = io.BytesIO(raw)
+        block.seek(start + size)
+        matrix = read_tvb(block)
+        if block.read(1):
+            raise ValueError(f"{sidecar} has bytes after its block")
+        if (matrix.ndim != 2 or not matrix.size or len(matrix) != len(nouns)
+                or len(nouns.index) != len(nouns) or not np.isfinite(matrix).all()):
+            raise ValueError(f"the {matrix.shape} block in {sidecar} does not fit its "
+                             f"{len(nouns)} nouns or is not finite")
+    except (OSError, ValueError, struct.error) as exc:
         log.info("%s: parsing the text, no usable sidecar (%s)", path, exc)
         return _read_embeddings_lines(path)
     return EmbeddingTable(nouns=nouns, dim=matrix.shape[1], matrix=matrix)

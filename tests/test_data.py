@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import re
+from functools import partial
 from itertools import repeat
 
 import pytest
@@ -158,6 +159,18 @@ class TestGenConfounders:
         with pytest.raises(DataError, match="no frequency bucket"):
             gen_confounders(positives, self.buckets, rng_seed=0)
 
+    def test_shared_options_hold_each_noun_once_and_no_failing_noun(self):
+        """A shared map is filled once per noun; a noun without options fails every call."""
+        options = {}
+        gen_confounders([LabeledTriple("n00", "eat", "n05", PLAUSIBLE)], self.buckets, 1, options)
+        assert set(options) == {"n00", "n05"}
+        held = options["n00"]
+        stray = [LabeledTriple("n00", "see", "unbucketed", PLAUSIBLE)]
+        for seed in (2, 3):
+            with pytest.raises(DataError, match="'unbucketed' has no frequency bucket"):
+                gen_confounders(stray, self.buckets, seed, options)
+        assert set(options) == {"n00", "n05"} and options["n00"] is held
+
     def test_no_candidate_anywhere(self):
         buckets = make_buckets({"only": 5}, bucket_size=10)
         positives = [LabeledTriple("only", "eat", "only", PLAUSIBLE)]
@@ -220,9 +233,12 @@ def confounder_cases(draw):
 @given(confounder_cases())
 def test_gen_confounders_matches_per_draw_oracle(case):
     positives, buckets, seed = case
-    assert outcome(gen_confounders, positives, buckets, seed) == outcome(
-        oracle_gen_confounders, positives, buckets, seed
-    )
+    expected = outcome(oracle_gen_confounders, positives, buckets, seed)
+    assert outcome(gen_confounders, positives, buckets, seed) == expected
+    # so does a call on an options map that a call on other positives filled
+    shared = partial(gen_confounders, options={})
+    outcome(shared, positives[1:], buckets, seed + 1)
+    assert outcome(shared, positives, buckets, seed) == expected
 
 
 def per_row_gen_confounders(positives, buckets, rng_seed):

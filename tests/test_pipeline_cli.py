@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import gc
 import json
+import logging
 import os
 import shutil
 import statistics
@@ -506,6 +507,21 @@ class TestGenData:
             "assemble": "ad5748d0fae8b8f2e08662738fc9a06e525d6b24222e8c86cedb779335abc05b",
             "devour": "c98cad1383f1d5ac2e909dcb20245bff72968adf1e7f2bf8fc3c036a85ec6a7d",
         }
+
+    def test_confounder_options_built_once_per_noun(self, built, tmp_path, monkeypatch):
+        """The verbs share one options map: each drawn noun's options are built once."""
+        built_for = []
+        options = data_mod._confounder_options
+        monkeypatch.setattr(data_mod, "_confounder_options",
+                            lambda noun, *args: built_for.append(noun) or options(noun, *args))
+        out = tmp_path / "out"
+        shutil.copytree(load_config(built).vectors_dir(), out / "vectors")
+        assert run_cli("--config", built, "--out", out, "gen-data") == EXIT_OK
+        drawn = set()
+        for verb in ("assemble", "devour"):
+            dataset = read_dataset_jsonl(out / "datasets" / f"{verb}.jsonl")
+            drawn.update(noun for t in dataset_positives(dataset) for noun in (t.subject, t.object))
+        assert sorted(built_for) == sorted(drawn)
 
     def test_datasets_balanced(self, built):
         config = load_config(built)
@@ -1146,6 +1162,35 @@ class TestTrainPredictEval:
                        "experiment", "--which", "small-cv") == 0
         assert run_cli("--config", built, "--out", out, "eval-vectors") == 0
         assert parsed == []
+
+    def test_flipped_sidecar_bit_falls_back_to_the_text(self, built, tmp_path, capsys, caplog):
+        """A changed value in an embeddings sidecar is not read: predict answers from the TSV."""
+        config, out = load_config(built), tmp_path / "out"
+        for command in (("build-vectors",), ("gen-data",), ("train", "--verb", "devour")):
+            assert run_cli("--config", built, "--out", out, *command) == 0
+        triple = dataset_positives(read_dataset_jsonl(out / "datasets" / "devour.jsonl"))[0]
+        predict = ("--config", built, "--out", out, "--log-level", "INFO", "predict",
+                   "--verb", "devour", "--subject", triple.subject, "--object", triple.object)
+        capsys.readouterr()
+        assert run_cli(*predict) == 0
+        before = json.loads(capsys.readouterr().out)["p_plausible"]
+
+        tsv = out / "vectors" / f"embeddings_k{config.primary_k}.tsv"
+        table = read_embeddings_tsv(tsv)
+        raw = bytearray(tsv.with_suffix(".tvb").read_bytes())
+        # the block's values end the file, row by row; flip the lowest exponent bit
+        # of the first value of the subject's row, which doubles or halves it
+        at = len(raw) - 8 * table.matrix.size + 8 * table.dim * table.nouns.index[triple.subject]
+        raw[at + 6] ^= 0x10
+        assert struct.unpack_from("<d", raw, at)[0] != table.vector(triple.subject)[0]
+        tsv.with_suffix(".tvb").write_bytes(raw)
+        caplog.clear()
+        assert run_cli(*predict) == 0
+        assert json.loads(capsys.readouterr().out)["p_plausible"] == before
+        [fallback] = [record for record in caplog.records
+                      if "parsing the text" in record.getMessage()]
+        assert fallback.levelno == logging.INFO and fallback.name == "verbtensor.vectors"
+        assert fallback.getMessage().startswith(f"{tsv}: ")
 
     def test_only_sparse_commands_import_scipy(self, built, tmp_path):
         """A fresh interpreter runs every command but build-vectors without scipy.

@@ -577,7 +577,9 @@ def test_sidecar_read_agrees_with_line_loop(tmp_path_factory, case, data):
 def test_written_empty_table_fails_as_text(tmp_path, shape):
     path = tmp_path / "emb.tsv"
     nouns = Vocabulary.from_words(["x", "y"][: shape[0]])
-    write_embeddings_tsv({shape[1]: path}, EmbeddingTable(nouns, shape[1], np.zeros(shape)))
+    assert write_embeddings_tsv({shape[1]: path},
+                                EmbeddingTable(nouns, shape[1], np.zeros(shape))) == []
+    assert not path.with_suffix(".tvb").exists()
     message = read_outcome(_read_embeddings_lines, path)
     assert isinstance(message, str) and read_outcome(read_embeddings_tsv, path) == message
 
@@ -588,28 +590,83 @@ def tvb_bytes(array) -> bytes:
     return buffer.getvalue()
 
 
-# fault -> the sidecar's bytes, from the TSV's digest and matrix (None: no file)
+def nouns_bytes(words) -> bytes:
+    """A sidecar payload's nouns: their UTF-8 bytes joined by newlines, after the length."""
+    joined = "\n".join(words).encode("utf-8")
+    return struct.pack("<Q", len(joined)) + joined
+
+
+def sealed(text, payload) -> bytes:
+    """A sidecar of ``payload`` under the digest the writer puts beside ``text``."""
+    return hashlib.sha256(text + payload).digest() + payload
+
+
+def with_byte(data, at, mask) -> bytes:
+    return data[:at] + bytes([data[at] ^ mask]) + data[at + 1:]
+
+
+def non_finite_tvb(matrix) -> bytes:
+    # write_tvb refuses non-finite values, so put the NaN into the last cell by hand
+    return tvb_bytes(matrix)[:-8] + struct.pack("<d", float("nan"))
+
+
+def wrong_width_tvb(matrix) -> bytes:
+    # the header's last dim (the width) says one column, and all the values follow
+    block = tvb_bytes(matrix)
+    return block[:20] + struct.pack("<Q", 1) + block[28:]
+
+
+# fault -> (the sidecar's bytes, from the TSV's bytes, the written sidecar and the
+# table; None for no file) and the reason the INFO line gives. The faults in the
+# payload are sealed under the digest of this payload, so each reaches its own check.
 SIDECAR_FAULTS = {
-    "missing": lambda digest, matrix: None,
-    "empty": lambda digest, matrix: b"",
-    "other-digest": lambda digest, matrix: hashlib.sha256(b"x").digest() + tvb_bytes(matrix),
-    "bad-magic": lambda digest, matrix: digest + b"TVB0" + tvb_bytes(matrix)[4:],
-    "huge-block": lambda digest, matrix: digest + TVB_MAGIC + struct.pack("<3Q", 2, 2**62, 2**62),
-    "3-d": lambda digest, matrix: digest + tvb_bytes(matrix[:, :, None]),
-    "wrong-rows": lambda digest, matrix: digest + tvb_bytes(matrix[1:]),
-    "wrong-width": lambda digest, matrix: digest + tvb_bytes(matrix[:, 1:]),
-    "directory": lambda digest, matrix: None,
+    "missing": (lambda text, written, table: None, "No such file"),
+    "empty": (lambda text, written, table: b"", "digest of other bytes"),
+    "other-digest": (lambda text, written, table: hashlib.sha256(b"x").digest() + written[32:],
+                     "digest of other bytes"),
+    "tsv-only-digest": (lambda text, written, table: hashlib.sha256(text).digest()
+                        + tvb_bytes(table.matrix), "digest of other bytes"),
+    "changed-value": (lambda text, written, table: with_byte(written, len(written) - 2, 0x10),
+                      "digest of other bytes"),
+    "changed-noun": (lambda text, written, table: with_byte(written, 40, 0x20),
+                     "digest of other bytes"),
+    "non-finite": (lambda text, written, table: sealed(
+        text, nouns_bytes(table.nouns.words) + non_finite_tvb(table.matrix)), "not finite"),
+    "huge-nouns": (lambda text, written, table: sealed(text, struct.pack("<Q", 2**64 - 1)),
+                   "bytes of nouns"),
+    "bad-utf8": (lambda text, written, table: sealed(
+        text, nouns_bytes(table.nouns.words)[:-1] + b"\xff" + tvb_bytes(table.matrix)),
+        "can't decode"),
+    "bad-magic": (lambda text, written, table: sealed(
+        text, nouns_bytes(table.nouns.words) + b"TVB0" + tvb_bytes(table.matrix)[4:]),
+        "bad magic"),
+    "huge-block": (lambda text, written, table: sealed(
+        text, nouns_bytes(table.nouns.words) + TVB_MAGIC + struct.pack("<3Q", 2, 2**62, 2**62)),
+        "bytes follow"),
+    "3-d": (lambda text, written, table: sealed(
+        text, nouns_bytes(table.nouns.words) + tvb_bytes(table.matrix[:, :, None])),
+        "does not fit"),
+    "wrong-rows": (lambda text, written, table: sealed(
+        text, nouns_bytes(table.nouns.words) + tvb_bytes(table.matrix[1:])), "does not fit"),
+    "wrong-width": (lambda text, written, table: sealed(
+        text, nouns_bytes(table.nouns.words) + wrong_width_tvb(table.matrix)),
+        "bytes after its block"),
+    "repeated-noun": (lambda text, written, table: sealed(
+        text, nouns_bytes(["x", "x", "z"]) + tvb_bytes(table.matrix)), "does not fit"),
+    "directory": (lambda text, written, table: None, "Is a directory"),
 }
 
 
 @pytest.mark.parametrize("fault", SIDECAR_FAULTS)
 def test_unusable_sidecar_falls_back_to_text(tmp_path, caplog, fault):
-    """One INFO line names the TSV; no traceback, no large allocation, the text's table."""
+    """One INFO line names the TSV and the check the sidecar failed; no traceback,
+    no large allocation, the text's table."""
     path = tmp_path / "emb.tsv"
     table = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 2,
                            np.arange(1.0, 7.0).reshape(3, 2))
     [sidecar] = write_embeddings_tsv({2: path}, table)
-    data = SIDECAR_FAULTS[fault](hashlib.sha256(path.read_bytes()).digest(), table.matrix)
+    make, reason = SIDECAR_FAULTS[fault]
+    data = make(path.read_bytes(), sidecar.read_bytes(), table)
     sidecar.unlink()
     if fault == "directory":
         sidecar.mkdir()
@@ -627,6 +684,50 @@ def test_unusable_sidecar_falls_back_to_text(tmp_path, caplog, fault):
     [record] = [r for r in caplog.records if r.name == "verbtensor.vectors"]
     assert record.levelno == logging.INFO and record.exc_info is None
     assert record.getMessage().startswith(f"{path}: parsing the text")
+    assert reason in record.getMessage()
+
+
+def test_written_sidecar_layout(tmp_path):
+    """Digest, length-prefixed nouns, TVB1 block: the digest covers the TSV and the rest."""
+    path = tmp_path / "emb.tsv"
+    table = EmbeddingTable(Vocabulary.from_words(["x", "\u00e9t\u00e9", "z"]), 2,
+                           np.arange(1.0, 7.0).reshape(3, 2))
+    [sidecar] = write_embeddings_tsv({2: path}, table)
+    payload = nouns_bytes(table.nouns.words) + tvb_bytes(table.matrix)
+    assert sidecar.read_bytes() == sealed(path.read_bytes(), payload)
+
+
+@pytest.mark.parametrize(
+    "noun",
+    ["x", "a\tb", "a\nb", "a\rb", "\n"],
+    ids=["repeated", "tab", "newline", "carriage-return", "bare-newline"])
+def test_table_the_line_loop_misreads_gets_no_sidecar(tmp_path, noun):
+    """The writer removes a stale sidecar and writes none; the reader parses the text."""
+    path = tmp_path / "emb.tsv"
+    good = EmbeddingTable(Vocabulary.from_words(["p", "q"]), 2, np.ones((2, 2)))
+    assert write_embeddings_tsv({2: path}, good) == [path.with_suffix(".tvb")]
+    table = EmbeddingTable(Vocabulary.from_words(["x", noun]), 2, np.zeros((2, 2)))
+    assert write_embeddings_tsv({2: path}, table) == []
+    assert not path.with_suffix(".tvb").exists()
+    assert read_outcome(read_embeddings_tsv, path) == read_outcome(_read_embeddings_lines, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embedding_tables().filter(lambda case: case[1]), st.data())
+def test_one_byte_change_to_a_sidecar_reads_as_the_text(tmp_path_factory, case, data):
+    """Whichever byte of a written sidecar changes, the line loop reads the TSV."""
+    table, _ = case
+    path = tmp_path_factory.mktemp("emb") / "emb.tsv"
+    [sidecar] = write_embeddings_tsv({table.dim: path}, table)
+    raw = sidecar.read_bytes()
+    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+    mask = data.draw(st.integers(1, 255), label="mask")
+    sidecar.write_bytes(with_byte(raw, at, mask))
+    with mock.patch.object(vectors, "_read_embeddings_lines",
+                           wraps=_read_embeddings_lines) as line_loop:
+        outcome = read_outcome(read_embeddings_tsv, path)
+    assert line_loop.call_count == 1
+    assert outcome == read_outcome(_read_embeddings_lines, path)
 
 
 BAD_SCORES = ["nan", "inf", "-inf", "1e999", "", "x1", "0x10", "1,5"]
