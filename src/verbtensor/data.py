@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import FrequencyBuckets
-from .util import DataError, derive_seed, open_output, read_lines
+from .util import DataError, choose, derive_seed, open_output, read_lines, shuffle
 
 log = logging.getLogger(__name__)
 
@@ -184,24 +184,25 @@ def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int,
                     options=None) -> list:
     """One implausible triple per positive, both nouns confounded.
 
-    Each confounder is ``rng.choice`` over the noun's options (see
-    ``_confounder_options``), drawn subject then object, positive by positive.
+    Each confounder is one ``rng.choice`` over the noun's options (see
+    ``_confounder_options``), drawn subject then object, positive by positive,
+    all in one ``util.choose`` call.
     ``options`` maps nouns to their options from ``buckets``, and the call
     adds the nouns it lacks, so calls that draw from the same buckets can
     share one map and build each noun's options once.
     """
     options = {} if options is None else options
     max_id = max(buckets.members, default=0)
+    nouns = list(chain.from_iterable(map(itemgetter(0, 2), positives)))  # draw order
     # the missing nouns' options, built in draw order before the draws, so
     # the first noun without any raises as the draws would
-    for noun in dict.fromkeys(chain.from_iterable(map(itemgetter(0, 2), positives))):
+    for noun in dict.fromkeys(nouns):
         if noun not in options:
             options[noun] = _confounder_options(noun, buckets, max_id)
-    choice = random.Random(rng_seed).choice
-    # a tuple display is evaluated left to right, so the subject is drawn first
-    drawn = [(choice(options[subject]), choice(options[obj])) for subject, _, obj, _ in positives]
-    return LabeledTriple.batch(map(itemgetter(0), drawn), map(itemgetter(1), positives),
-                               map(itemgetter(1), drawn), IMPLAUSIBLE)
+    drawn = choose(random.Random(rng_seed), map(options.__getitem__, nouns))
+    # the even picks are the subjects' confounders, the odd ones the objects'
+    return LabeledTriple.batch(drawn[::2], map(itemgetter(1), positives), drawn[1::2],
+                               IMPLAUSIBLE)
 
 
 def _stratified_indices(triples):
@@ -213,16 +214,17 @@ def _stratified_indices(triples):
 def stratified_halves(triples, rng: random.Random) -> tuple:
     """Two sorted index lists: each class shuffled with ``rng``, then halved.
 
-    The plausible indices are shuffled first, then the implausible ones; the
-    first half takes ``len // 2`` of each class and the second the rest.
+    The plausible indices are shuffled first, then the implausible ones, each
+    by ``util.shuffle``, which permutes as ``rng.shuffle`` does; the first
+    half takes ``len // 2`` of each class and the second the rest.
     """
     pos, neg = _stratified_indices(triples)
     if len(pos) < 2 or len(neg) < 2:
         raise DataError(
             f"dataset too small to stratify: {len(pos)} positive, {len(neg)} negative"
         )
-    rng.shuffle(pos)
-    rng.shuffle(neg)
+    shuffle(rng, pos)
+    shuffle(rng, neg)
     return (sorted(pos[: len(pos) // 2] + neg[: len(neg) // 2]),
             sorted(pos[len(pos) // 2 :] + neg[len(neg) // 2 :]))
 

@@ -10,11 +10,12 @@ classes, so any run of adjacent ranks (a frequency bucket) mixes classes and
 bucket-sampled confounders usually break the planted preference.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .util import derive_seed, ensure_dir
+from .util import choose, derive_seed, ensure_dir, shuffle
 
 DEFAULT_STOPWORDS = ("the", "a", "of", "and", "to", "in")
 
@@ -40,6 +41,24 @@ class WorldConfig:
         }
     )
     seed: int = 7
+
+    def __post_init__(self):
+        for name in ("nouns_per_class", "contexts_per_class", "shared_contexts", "rank_step"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)}")
+        if not (math.isfinite(self.class_context_share) and 0 <= self.class_context_share <= 1):
+            raise ValueError(
+                f"class_context_share must lie in [0, 1], got {self.class_context_share}"
+            )
+        for name in ("context_tokens_per_sentence", "stopword_tokens_per_sentence"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for verb, (subj_classes, obj_classes) in self.verb_preferences.items():
+            for cls in (*subj_classes, *obj_classes):
+                if cls not in self.classes:
+                    raise ValueError(
+                        f"verb_preferences class {cls!r} of {verb!r} is not in classes"
+                    )
 
 
 @dataclass(frozen=True)
@@ -82,26 +101,46 @@ def build_world(config: WorldConfig = WorldConfig()) -> SyntheticWorld:
 
 
 def generate_sentences(world: SyntheticWorld) -> list:
-    """One sentence per planned noun occurrence, class-flavored contexts."""
+    """One sentence per planned noun occurrence, class-flavored contexts.
+
+    Each sentence is the noun, ``context_tokens_per_sentence`` context words
+    (each one ``rng.random()`` to pick the class or the shared pool, then a
+    pick from it), ``stopword_tokens_per_sentence`` stopwords and a shuffle
+    of the whole; the sentences are shuffled at the end. The draws are those
+    of ``rng.choice`` and ``rng.shuffle``, made by ``util.choose`` and
+    ``util.shuffle`` and, for the context words, inline, so no Python call
+    is made per draw.
+    """
     config = world.config
     rng = random.Random(derive_seed(config.seed, "corpus"))
+    draw, getrandbits = rng.random, rng.getrandbits
+    share = config.class_context_share
+    context_draws = range(config.context_tokens_per_sentence)
+    stopword_pools = (DEFAULT_STOPWORDS,) * config.stopword_tokens_per_sentence
+    shared = _pool(world.shared_context_words)
     sentences = []
     for cls in config.classes:
+        own = _pool(world.class_contexts[cls])
         for noun in world.nouns_by_class[cls]:
-            class_words = world.class_contexts[cls]
             for _ in range(world.noun_frequency[noun]):
                 tokens = [noun]
-                for _ in range(config.context_tokens_per_sentence):
-                    if rng.random() < config.class_context_share:
-                        tokens.append(rng.choice(class_words))
-                    else:
-                        tokens.append(rng.choice(world.shared_context_words))
-                for _ in range(config.stopword_tokens_per_sentence):
-                    tokens.append(rng.choice(DEFAULT_STOPWORDS))
-                rng.shuffle(tokens)
+                for _ in context_draws:
+                    # rng.choice of the picked pool; WorldConfig keeps both non-empty
+                    words, n, k = own if draw() < share else shared
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    tokens.append(words[r])
+                tokens += choose(rng, stopword_pools)
+                shuffle(rng, tokens)
                 sentences.append(" ".join(tokens))
-    rng.shuffle(sentences)
+    shuffle(rng, sentences)
     return sentences
+
+
+def _pool(words) -> tuple:
+    """``(words, n, n.bit_length())``: what one ``choice`` over ``words`` draws with."""
+    return words, len(words), len(words).bit_length()
 
 
 def generate_triples(world: SyntheticWorld) -> list:
@@ -161,8 +200,7 @@ def write_fixture(directory, config: WorldConfig = WorldConfig(), pipeline_overr
     world = build_world(config)
 
     with open(directory / "corpus.txt", "w", encoding="utf-8") as handle:
-        for sentence in generate_sentences(world):
-            handle.write(sentence + "\n")
+        handle.write("\n".join([*generate_sentences(world), ""]))
     with open(directory / "stopwords.txt", "w", encoding="utf-8") as handle:
         for word in DEFAULT_STOPWORDS:
             handle.write(word + "\n")

@@ -54,7 +54,7 @@ import numpy as np
 
 from .data import IMPLAUSIBLE, PLAUSIBLE
 from .linalg import read_tvb, write_tvb
-from .util import DataError, TrainingDiverged, derive_seed, open_output
+from .util import DataError, TrainingDiverged, derive_seed, open_output, shuffle
 
 log = logging.getLogger(__name__)
 
@@ -270,13 +270,15 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
     """Fit a verb tensor model on a sequence of labeled triples with Adagrad.
 
     Examples are visited in a freshly shuffled order every epoch (seeded from
-    the config), for the configured number of epochs, each epoch in one call
-    of ``_Workspace.epoch_runner`` (see the module docstring for what the
-    tests hold it to). The returned trace holds the full-data objective at
-    initialization and after every epoch. A non-finite objective, or a
-    non-finite Adagrad accumulator (after which every step is zero and the
-    model stops moving), raises ``TrainingDiverged`` naming the epoch. A noun
-    without an embedding raises ``DataError``.
+    the config and drawn by ``util.shuffle``, which permutes as
+    ``random.Random.shuffle`` does), for the configured number of epochs,
+    each epoch in one call of ``_Workspace.epoch_runner`` (see the module
+    docstring for what the tests hold it to). The returned trace holds the
+    full-data objective at initialization and after every epoch. A
+    non-finite objective, or a non-finite Adagrad accumulator (after which
+    every step is zero and the model stops moving), raises
+    ``TrainingDiverged`` naming the epoch. A noun without an embedding
+    raises ``DataError``.
     """
     subjects, objects_, targets = _lookup_triples(triples, embeddings)
     work = _Workspace(init_model(subjects.shape[1], config), config.l2_lambda)
@@ -296,7 +298,7 @@ def train(triples, embeddings, config: TrainConfig) -> TrainResult:
     order_rng = random.Random(derive_seed(config.seed, "epoch-order"))
 
     for epoch in range(1, config.epochs + 1):
-        order_rng.shuffle(rows)
+        shuffle(order_rng, rows)
         # an overflow in a step shows as a non-finite objective or accumulator below
         with np.errstate(over="ignore", invalid="ignore"):
             run_epoch(rows)

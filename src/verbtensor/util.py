@@ -1,8 +1,12 @@
-"""Seed derivation and file hashing helpers used across the pipeline.
+"""Seed derivation, seeded draws and file hashing helpers used across the pipeline.
 
 Every random decision in the pipeline flows from named integer seeds, and
 sub-seeds are derived by hashing, never by wall-clock entropy, so that any
 command re-run on unchanged inputs reproduces its outputs byte for byte.
+``choose`` and ``shuffle`` make a batch of ``random.Random.choice`` draws or
+one ``random.Random.shuffle`` in a single Python frame: the same picks, the
+same permutation and the same generator state afterwards as the stdlib's,
+without its two Python calls per draw.
 """
 
 import hashlib
@@ -17,6 +21,46 @@ def derive_seed(*parts) -> int:
     """
     key = ":".join(str(p) for p in parts).encode("utf-8")
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "little") & (2**63 - 1)
+
+
+def choose(rng, pools) -> list:
+    """One pick from each pool, in order: ``[rng.choice(p) for p in pools]``.
+
+    Each pick draws as ``choice`` does, by ``getrandbits`` over the pool
+    size's bit length with rejection, so the picks and ``rng``'s state after
+    them equal the stdlib's. An empty pool raises ``IndexError``, with the
+    picks before it drawn, as ``choice`` would.
+    """
+    getrandbits = rng.getrandbits
+    picks = []
+    append = picks.append
+    for pool in pools:
+        n = len(pool)
+        if not n:  # getrandbits(0) is 0, so the loop below would spin forever
+            raise IndexError("Cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(pool[r])
+    return picks
+
+
+def shuffle(rng, items) -> None:
+    """Shuffle the list ``items`` in place exactly as ``rng.shuffle(items)`` does.
+
+    The same Fisher-Yates swaps from the last position down, each index drawn
+    as ``choice`` draws, so the permutation and ``rng``'s state after it
+    equal the stdlib's.
+    """
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(items))):
+        n = i + 1
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        items[i], items[r] = items[r], items[i]
 
 
 def sha256_file(path) -> str:
