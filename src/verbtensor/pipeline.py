@@ -1,11 +1,20 @@
 """Pipeline commands behind the CLI: vectors, datasets, experiments, models.
 
-Every command writes its artifacts plus a ``manifest.json`` recording the
-parameters it used and sha256 checksums of the inputs it read and the outputs
-it wrote; build-vectors' outputs include each embeddings TSV's sidecar,
-``embeddings_k{k}.tvb``: the table's nouns and values under one sha256 of
-the TSV and themselves, read in place of the text while it matches (see
-``vectors``). Commands are pure functions of (config, input files, seeds),
+Every command writes its artifacts plus a manifest recording the parameters
+it used and sha256 checksums of the inputs it read and the outputs it wrote:
+
+- ``build-vectors``: ``vectors/manifest.json``. Its outputs include each
+  embeddings TSV's sidecar, ``embeddings_k{k}.tvb``: the table's nouns and
+  values under one sha256 of the TSV and themselves, read in place of the
+  text while it matches (see ``vectors``);
+- ``gen-data``: ``datasets/manifest.json``;
+- ``experiment --which W``: ``reports/manifest_experiment-W.json``;
+- ``train --verb V --k K``: ``models/manifest_V_kK.json``, one per model,
+  whose only output is ``models/V_kK.tvbm``. Its parameters hold the full
+  training settings and the objective at initialization and after each
+  epoch.
+
+Commands are pure functions of (config, input files, seeds),
 so for unchanged inputs and seeds every output, manifests included, is
 byte-identical whatever ``--out`` and ``--jobs`` are.
 
@@ -64,9 +73,9 @@ def _manifest_key(path, roots: tuple) -> str:
     return resolved.as_posix()
 
 
-def _write_manifest(config: PipelineConfig, directory: Path, command: str,
+def _write_manifest(config: PipelineConfig, path: Path, command: str,
                     parameters: dict, inputs, outputs) -> Path:
-    """Write the command's manifest with root-relative keys (see module docstring).
+    """Write the command's manifest to ``path`` with root-relative keys (see module docstring).
 
     Keys name a file under ``config.output_dir`` relative to it, any other
     file relative to ``config.config_dir`` and a file under neither by its
@@ -79,7 +88,6 @@ def _write_manifest(config: PipelineConfig, directory: Path, command: str,
         "inputs": {_manifest_key(p, roots): sha256_file(p) for p in inputs},
         "outputs": {_manifest_key(p, roots): sha256_file(p) for p in outputs},
     }
-    path = directory / f"manifest_{command}.json" if command.startswith("experiment") else directory / "manifest.json"
     with open_output(path) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -194,8 +202,8 @@ def build_vectors(config: PipelineConfig) -> dict:
         "dropped_nouns": dropped,
         "n_target_nouns": len(targets),
     }
-    manifest = _write_manifest(config, out_dir, "build-vectors", parameters, inputs,
-                               outputs + sidecars)
+    manifest = _write_manifest(config, out_dir / "manifest.json", "build-vectors", parameters,
+                               inputs, outputs + sidecars)
     return {"top_n": top_n, "outputs": [str(p) for p in outputs], "manifest": str(manifest)}
 
 
@@ -307,9 +315,8 @@ def gen_data(config: PipelineConfig) -> dict:
         "verbs_skipped": failures,
         "oov_dropped": oov_dropped,
     }
-    manifest = _write_manifest(
-        config, out_dir, "gen-data", parameters, [config.triples, freq_path, emb_path], outputs
-    )
+    manifest = _write_manifest(config, out_dir / "manifest.json", "gen-data", parameters,
+                               [config.triples, freq_path, emb_path], outputs)
     return {"verbs": written, "skipped": failures, "manifest": str(manifest)}
 
 
@@ -388,7 +395,8 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
         "verbs": list(results),
         "failed_verbs": failures,
     }
-    manifest = _write_manifest(config, out_dir, f"experiment-{which}", parameters, inputs, outputs)
+    manifest = _write_manifest(config, out_dir / f"manifest_experiment-{which}.json",
+                               f"experiment-{which}", parameters, inputs, outputs)
     if failures:
         raise VerbTensorError(
             f"{len(failures)} verb(s) failed: {sorted(failures)} (reports written for the rest)"
@@ -507,8 +515,13 @@ def _require_verb(config: PipelineConfig, verb: str) -> None:
         raise ValidationError(f"verb {verb!r} is not in the config's [experiment] verbs")
 
 
+def _model_path(config: PipelineConfig, verb: str, k: int) -> Path:
+    """``models/{verb}_k{k}.tvbm``, the file ``train`` writes and ``predict`` reads."""
+    return config.models_dir() / f"{verb}_k{k}.tvbm"
+
+
 def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
-    """Train one verb's tensor model on its full dataset and save it."""
+    """Train one verb's tensor model on its full dataset; save it and its manifest."""
     _require_verb(config, verb)
     k, emb_path = _embeddings_path(config, k)
     dataset_path = config.datasets_dir() / f"{verb}.jsonl"
@@ -518,19 +531,18 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
     embeddings = _read_embeddings(emb_path, k)
     result = tm.train(dataset.triples, embeddings, config.train)
     out_dir = ensure_dir(config.models_dir())
-    base = out_dir / f"{verb}_k{k}"
-    tm.save_model(base, dataset.verb, result.model, config.train, result.objective_trace)
-    outputs = [Path(str(base) + ".tvbm"), Path(str(base) + ".meta")]
-    parameters = {"verb": verb, "k": k, "seed": config.train.seed,
-                  "epochs": config.train.epochs}
-    manifest = _write_manifest(config, out_dir, "train", parameters,
-                               [dataset_path, emb_path], outputs)
+    model_path = _model_path(config, verb, k)
+    tm.save_model(model_path, result.model)
+    parameters = {"verb": verb, "k": k, "train": asdict(config.train),
+                  "objective_trace": result.objective_trace}
+    manifest = _write_manifest(config, out_dir / f"manifest_{verb}_k{k}.json", "train",
+                               parameters, [dataset_path, emb_path], [model_path])
     return {
         "verb": verb,
         "k": k,
         "initial_objective": result.objective_trace[0],
         "final_objective": result.objective_trace[-1],
-        "model": str(base) + ".tvbm",
+        "model": str(model_path),
         "manifest": str(manifest),
     }
 
@@ -539,16 +551,16 @@ def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: in
     """Load a trained model and classify one subject-object pair."""
     _require_verb(config, verb)
     k, emb_path = _embeddings_path(config, k)
-    base = config.models_dir() / f"{verb}_k{k}"
-    if not Path(str(base) + ".tvbm").is_file():
-        raise ValidationError(f"no trained model at {base}.tvbm (run train --verb {verb})")
+    model_path = _model_path(config, verb, k)
+    if not model_path.is_file():
+        raise ValidationError(f"no trained model at {model_path} (run train --verb {verb} --k {k})")
     embeddings = _read_embeddings(emb_path, k)
     for noun, role in ((subject, "subject"), (obj, "object")):
         if noun not in embeddings:
             raise ValidationError(f"{role} {noun!r} has no embedding")
-    model = tm.load_model(base)
+    model = tm.load_model(model_path)
     if model.k != k:
-        raise DataError(f"{base}.tvbm: K={model.k} model in the file for k={k}")
+        raise DataError(f"{model_path}: K={model.k} model in the file for k={k}")
     label, p_plausible = tm.predict(
         model, embeddings.vector(subject), embeddings.vector(obj)
     )

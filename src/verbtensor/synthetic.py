@@ -50,9 +50,14 @@ class WorldConfig:
             raise ValueError(
                 f"class_context_share must lie in [0, 1], got {self.class_context_share}"
             )
-        for name in ("context_tokens_per_sentence", "stopword_tokens_per_sentence"):
+        for name in ("context_tokens_per_sentence", "stopword_tokens_per_sentence",
+                     "positives_per_verb"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        n_nouns = len(self.classes) * self.nouns_per_class
+        if n_nouns < 2:  # a dev pair samples two distinct nouns
+            raise ValueError(f"classes and nouns_per_class give {n_nouns} noun(s), "
+                             "fewer than the 2 a world needs")
         for verb, (subj_classes, obj_classes) in self.verb_preferences.items():
             for cls in (*subj_classes, *obj_classes):
                 if cls not in self.classes:

@@ -40,15 +40,15 @@ tests pin both to scipy's ``expit`` bit for bit.
 The objective trace comes from the GEMM forward pass rather than a
 three-operand ``einsum`` and may differ from it in the last ulp.
 
-A model holds its arrays and nothing else. Which verb it belongs to is a
-pipeline fact: the pipeline names the model files after the verb and passes
-the verb to ``save_model`` for the ``.meta`` sidecar.
+A model holds its arrays and nothing else. Which verb it belongs to, and
+how it was trained, are pipeline facts: the pipeline names the model file
+and records the training in the model's manifest.
 """
 
 import logging
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -329,35 +329,24 @@ def predict_batch(model: VerbTensorModel, subjects, objects_):
     return labels, p_plausible
 
 
-def save_model(base_path, verb: str, model: VerbTensorModel, config: TrainConfig,
-               objective_trace) -> None:
-    """Write ``<base>.tvbm`` (tensor block, then theta block) and ``<base>.meta``.
-
-    The sidecar is plain text: the verb, model shape, the training
-    configuration and the per-epoch objective trace as CSV.
-    """
-    base = str(base_path)
-    with open_output(base + ".tvbm", "wb") as handle:
+def save_model(path, model: VerbTensorModel) -> None:
+    """Write ``model`` to ``path``: its tensor block, then its theta block."""
+    with open_output(path, "wb") as handle:
         write_tvb(handle, model.tensor)
         write_tvb(handle, model.theta)
-    lines = [f"verb = {verb}", f"k = {model.k}", f"s = {SENTENCE_DIM}"]
-    lines += [f"{item.name} = {getattr(config, item.name)}" for item in fields(TrainConfig)]
-    lines += ["", "[objective_trace]", "epoch,objective"]
-    lines += [f"{i},{value!r}" for i, value in enumerate(objective_trace)]
-    with open_output(base + ".meta") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
-def load_model(base_path) -> VerbTensorModel:
-    """Read ``<base>.tvbm``; a malformed block, wrong shapes or a non-finite
-    value raise ``DataError`` naming the file."""
-    path = str(base_path) + ".tvbm"
+def load_model(path) -> VerbTensorModel:
+    """Read a model file; a malformed block, bytes after the theta block, wrong
+    shapes or a non-finite value raise ``DataError`` naming the file."""
     with open(path, "rb") as handle:
         try:
             tensor = read_tvb(handle)
             theta = read_tvb(handle)
         except ValueError as exc:
             raise DataError(f"malformed model file {path}: {exc}") from exc
+        if handle.read(1):
+            raise DataError(f"malformed model file {path}: bytes after the theta block")
     k = tensor.shape[0]
     if tensor.shape != (k, k, SENTENCE_DIM) or theta.shape != (2, SENTENCE_DIM + 1):
         raise DataError(
@@ -367,4 +356,3 @@ def load_model(base_path) -> VerbTensorModel:
     if not (np.isfinite(tensor).all() and np.isfinite(theta).all()):
         raise DataError(f"malformed model file {path}: non-finite values")
     return VerbTensorModel(tensor=tensor, theta=theta)
-

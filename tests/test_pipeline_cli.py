@@ -28,6 +28,7 @@ from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, read_dataset_jsonl
 from verbtensor.evaluation import METHOD_BASELINE, METHOD_TENSOR, f1_plausible
 from verbtensor.linalg import TVB_MAGIC, write_tvb
 from verbtensor.synthetic import build_world, small_world_config, write_fixture
+from verbtensor.tensor_model import TrainConfig, TrainResult, VerbTensorModel
 from verbtensor.util import DataError, ValidationError, derive_seed, sha256_file
 from verbtensor.vectors import read_embeddings_tsv
 
@@ -861,8 +862,11 @@ class TestExperimentReports:
         for out, config_path in configs.items():
             for command in (["build-vectors"], ["gen-data"], ["train", "--verb", "devour"]):
                 assert run_cli("--config", config_path, "--out", out, *command) == 0
+        k = load_config(built).primary_k
+        for manifest in ("vectors/manifest.json", "datasets/manifest.json",
+                         f"models/manifest_devour_k{k}.json"):
+            assert (out_a / manifest).is_file()
         for subdir in ("vectors", "datasets", "models"):
-            assert (out_a / subdir / "manifest.json").is_file()
             assert tree_hashes(out_a / subdir) == tree_hashes(out_b / subdir), subdir
 
 
@@ -997,9 +1001,9 @@ class TestTrainPredictEval:
         config = load_config(built)
         verb = sorted(config.verbs)[0]
         assert run_cli("--config", built, "train", "--verb", verb) == 0
-        base = config.models_dir() / f"{verb}_k{config.primary_k}"
-        assert Path(str(base) + ".tvbm").is_file()
-        assert Path(str(base) + ".meta").is_file()
+        for name in (f"{verb}_k{config.primary_k}.tvbm",
+                     f"manifest_{verb}_k{config.primary_k}.json"):
+            assert (config.models_dir() / name).is_file()
         dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
         triple = dataset_positives(dataset)[0]
         capsys.readouterr()
@@ -1012,18 +1016,22 @@ class TestTrainPredictEval:
         assert payload["label"] in ("plausible", "implausible")
         assert 0.0 <= payload["p_plausible"] <= 1.0
 
-    def test_predict_without_model_fails_validation(self, built, tmp_path):
-        out = tmp_path / "nomodel"
-        assert run_cli("--config", built, "--out", out, "build-vectors") == 0
+    def test_predict_without_model_fails_validation(self, built, tmp_path, caplog):
+        """The hint names the ``--k`` of the missing model, not only the verb."""
+        config, out = load_config(built), tmp_path / "nomodel"
+        shutil.copytree(config.vectors_dir(), out / "vectors")
+        k = config.svd_dims[-1]
+        assert k != config.primary_k
         rc = run_cli(
             "--config", built, "--out", out, "predict",
-            "--verb", "devour", "--subject", "a", "--object", "b",
+            "--verb", "devour", "--subject", "a", "--object", "b", "--k", k,
         )
-        assert rc == 1
+        assert rc == EXIT_VALIDATION
+        assert_clean_failure(caplog, f"(run train --verb devour --k {k})")
 
     @pytest.mark.parametrize("malformed", [
         "huge_header", "wrong_shapes", "non_finite-tensor-nan", "non_finite-tensor-inf",
-        "non_finite-theta-nan", "non_finite-theta-inf", "other_k"])
+        "non_finite-theta-nan", "non_finite-theta-inf", "other_k", "trailing_byte"])
     def test_predict_malformed_model_fails_cleanly(self, built, tmp_path, caplog, malformed):
         config = load_config(built)
         k, other = config.svd_dims
@@ -1043,6 +1051,12 @@ class TestTrainPredictEval:
                 write_tvb(handle, np.zeros((other, other, 2)))
                 write_tvb(handle, np.zeros((2, 3)))
             needle = f"{model}: K={other} model in the file for k={k}"
+        elif malformed == "trailing_byte":
+            with open(model, "wb") as handle:
+                write_tvb(handle, np.zeros((k, k, 2)))
+                write_tvb(handle, np.zeros((2, 3)))
+                handle.write(b"\0")
+            needle += ": bytes after the theta block"
         else:
             _, block, value = malformed.split("-")
             arrays = {"tensor": np.zeros((k, k, 2)), "theta": np.zeros((2, 3))}
@@ -1127,10 +1141,9 @@ class TestTrainPredictEval:
          (("experiment", "--which", "small-cv"), "reports/small_cv.csv"),
          (("experiment", "--which", "small-cv"), "reports/small_cv_splits_devour.jsonl"),
          (("train", "--verb", "devour"), "models/devour_k{k}.tvbm"),
-         (("train", "--verb", "devour"), "models/devour_k{k}.meta"),
-         (("train", "--verb", "devour"), "models/manifest.json")],
+         (("train", "--verb", "devour"), "models/manifest_devour_k{k}.json")],
         ids=["frequencies", "embeddings", "embeddings-sidecar", "dataset", "report", "splits",
-             "model", "model-meta", "manifest"],
+             "model", "manifest"],
     )
     def test_directory_in_place_of_an_output_file(self, built, tmp_path, caplog, capsys,
                                                   command, output):
@@ -1262,6 +1275,66 @@ class TestTrainPredictEval:
             assert run_cli("--config", built, "--out", out, "train", "--verb", verb) == 0
         name = f"{verb}_k{config.primary_k}.tvbm"
         assert sha256_file(out_a / "models" / name) == sha256_file(out_b / "models" / name)
+
+    def test_model_manifest_parameters_are_golden(self, built, tmp_path, monkeypatch):
+        """The verb, k, every training setting and the trace's exact floats."""
+        train_config = TrainConfig(learning_rate=0.125, adagrad_epsilon=1e-06, l2_lambda=0.0,
+                                   epochs=7, init_scale=0.5, seed=42)
+        source = load_config(built)
+        config = replace(source, output_dir=tmp_path / "out", train=train_config)
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(source.output_dir / subdir, config.output_dir / subdir)
+        k = config.primary_k
+        model = VerbTensorModel(np.zeros((k, k, 2)), np.zeros((2, 3)))
+        monkeypatch.setattr(pipeline.tm, "train",
+                            lambda *args: TrainResult(model, (1.5, 0.1 + 0.2)))
+        pipeline.train_verb(config, "devour")
+        manifest = json.loads((config.models_dir() / f"manifest_devour_k{k}.json").read_text())
+        assert manifest["command"] == "train"
+        assert manifest["parameters"] == {
+            "verb": "devour",
+            "k": k,
+            "train": {"learning_rate": 0.125, "adagrad_epsilon": 1e-06, "l2_lambda": 0.0,
+                      "epochs": 7, "init_scale": 0.5, "seed": 42},
+            "objective_trace": [1.5, 0.30000000000000004],
+        }
+
+    def test_every_artifact_has_one_manifest(self, built, tmp_path, monkeypatch):
+        """Each file under ``--out`` is the output of exactly one manifest, by sha256.
+
+        A manifest is a ``.json`` file, and its name starts with ``manifest``:
+        the benchmark tells manifests from artifacts by that prefix. Three
+        models, one of them at the other k, leave only their model files and
+        one manifest each, whose trace is the one training returned.
+        """
+        config, out = load_config(built), tmp_path / "out"
+        k, other = config.svd_dims
+        models = [("devour", k), ("assemble", k), ("devour", other)]
+        for command in (("build-vectors",), ("gen-data",), ("experiment", "--which", "small-cv")):
+            assert run_cli("--config", built, "--out", out, *command) == 0
+        results = []
+        train = pipeline.tm.train
+        monkeypatch.setattr(pipeline.tm, "train",
+                            lambda *args: results.append(train(*args)) or results[-1])
+        for verb, dim in models:
+            k_args = () if dim == k else ("--k", dim)
+            assert run_cli("--config", built, "--out", out, "train", "--verb", verb, *k_args) == 0
+        files = tree_hashes(out)
+        manifests = {path: json.loads((out / path).read_text())
+                     for path in files if path.endswith(".json")}
+        assert [path for path in manifests if not Path(path).name.startswith("manifest")] == []
+        outputs = sorted(key for manifest in manifests.values() for key in manifest["outputs"])
+        assert outputs == sorted(set(files) - set(manifests))
+        for manifest in manifests.values():
+            for key, digest in manifest["outputs"].items():
+                assert files[key] == digest, key
+
+        assert sorted(p.name for p in (out / "models").iterdir()) == sorted(
+            name for verb, dim in models
+            for name in (f"{verb}_k{dim}.tvbm", f"manifest_{verb}_k{dim}.json"))
+        assert [tuple(manifests[f"models/manifest_{verb}_k{dim}.json"]["parameters"]
+                      ["objective_trace"]) for verb, dim in models] \
+            == [result.objective_trace for result in results]
 
 
 def copy_fixture(small_fixture, tmp_path) -> Path:

@@ -72,20 +72,23 @@ def oracle_sentences(world) -> list:
     return sentences
 
 
-small_worlds = st.builds(
-    WorldConfig,
-    classes=st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]),
-    nouns_per_class=st.integers(1, 4),
-    contexts_per_class=st.integers(1, 5),
-    shared_contexts=st.integers(1, 5),
-    class_context_share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
-    context_tokens_per_sentence=st.integers(0, 9),
-    stopword_tokens_per_sentence=st.integers(0, 4),
-    max_noun_frequency=st.integers(0, 6),
-    rank_step=st.integers(1, 3),
-    min_noun_frequency=st.integers(0, 3),
-    verb_preferences=st.just({}),
-    seed=st.integers(0, 2**32),
+small_worlds = st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]).flatmap(
+    lambda classes: st.builds(
+        WorldConfig,
+        classes=st.just(classes),
+        # at least the two nouns a world needs
+        nouns_per_class=st.integers(2 if len(classes) == 1 else 1, 4),
+        contexts_per_class=st.integers(1, 5),
+        shared_contexts=st.integers(1, 5),
+        class_context_share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)),
+        context_tokens_per_sentence=st.integers(0, 9),
+        stopword_tokens_per_sentence=st.integers(0, 4),
+        max_noun_frequency=st.integers(0, 6),
+        rank_step=st.integers(1, 3),
+        min_noun_frequency=st.integers(0, 3),
+        verb_preferences=st.just({}),
+        seed=st.integers(0, 2**32),
+    )
 )
 
 
@@ -101,6 +104,10 @@ def test_default_world_sentences_match_the_oracle():
     assert generate_sentences(world) == oracle_sentences(world)
 
 
+# One class and no verbs: a single noun per class makes too small a world.
+ONE_CLASS = {"classes": ("person",), "verb_preferences": {}}
+
+
 @pytest.mark.parametrize("field, value", [
     ("nouns_per_class", 0),
     ("contexts_per_class", 0),
@@ -112,10 +119,13 @@ def test_default_world_sentences_match_the_oracle():
     ("class_context_share", 1.5),
     ("context_tokens_per_sentence", -1),
     ("stopword_tokens_per_sentence", -1),
+    ("positives_per_verb", -1),
+    ("classes", ()),
+    ("nouns_per_class", 1),
 ])
 def test_world_config_rejects_a_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
-        replace(small_world_config(), **{field: value})
+        replace(small_world_config(), **{**ONE_CLASS, field: value})
 
 
 def test_world_config_rejects_a_preference_for_an_unknown_class():
@@ -129,6 +139,8 @@ def test_world_config_rejects_a_preference_for_an_unknown_class():
     {"class_context_share": 1.0},
     {"context_tokens_per_sentence": 0, "stopword_tokens_per_sentence": 0},
     {"nouns_per_class": 1, "contexts_per_class": 1, "shared_contexts": 1, "rank_step": 1},
+    {"positives_per_verb": 0},
+    {"classes": ("person",), "nouns_per_class": 2, "verb_preferences": {}},
 ])
 def test_world_config_accepts_the_edges(changes):
     assert build_world(replace(small_world_config(), **changes)).config.seed == 7

@@ -651,34 +651,9 @@ class TestModelIo:
         dataset, embeddings = planted
         config = TrainConfig(epochs=2, seed=3)
         result = train(dataset.triples, embeddings, config)
-        base = tmp_path / "vex_k5"
-        save_model(base, "vex", result.model, config, result.objective_trace)
-        loaded = load_model(base)
+        path = tmp_path / "vex_k5.tvbm"
+        save_model(path, result.model)
+        loaded = load_model(path)
         np.testing.assert_array_equal(loaded.tensor, result.model.tensor)
         np.testing.assert_array_equal(loaded.theta, result.model.theta)
-        meta = (tmp_path / "vex_k5.meta").read_text()
-        assert meta.startswith("verb = vex\n")
-        assert "epoch,objective" in meta
-        assert f"k = {embeddings.dim}" in meta
-
-    def test_meta_text_is_golden(self, tmp_path):
-        config = TrainConfig(learning_rate=0.125, adagrad_epsilon=1e-06, l2_lambda=0.0,
-                             epochs=7, init_scale=0.5, seed=42)
-        model = VerbTensorModel(np.zeros((2, 2, 2)), np.zeros((2, 3)))
-        save_model(tmp_path / "vex_k2", "vex", model, config, (1.5, 0.1 + 0.2))
-        assert (tmp_path / "vex_k2.meta").read_bytes() == (
-            b"verb = vex\n"
-            b"k = 2\n"
-            b"s = 2\n"
-            b"learning_rate = 0.125\n"
-            b"adagrad_epsilon = 1e-06\n"
-            b"l2_lambda = 0.0\n"
-            b"epochs = 7\n"
-            b"init_scale = 0.5\n"
-            b"seed = 42\n"
-            b"\n"
-            b"[objective_trace]\n"
-            b"epoch,objective\n"
-            b"0,1.5\n"
-            b"1,0.30000000000000004\n"
-        )
+        assert [p.name for p in tmp_path.iterdir()] == ["vex_k5.tvbm"]
