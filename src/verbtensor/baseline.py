@@ -41,8 +41,7 @@ def train_baseline(positives, embeddings) -> KronBaselineModel:
     if not positives:
         raise DataError("no positive triples")
     ordered = sorted(positives, key=itemgetter(0, 2))  # by (subject, object)
-    subjects = embeddings.rows(t.subject for t in ordered)
-    objects_ = embeddings.rows(t.object for t in ordered)
+    subjects, objects_ = embeddings.pairs(ordered)
     return KronBaselineModel(avg_matrix=subjects.T @ objects_ / len(ordered))
 
 

@@ -180,8 +180,7 @@ def _confounder_options(noun: str, buckets: FrequencyBuckets, max_id: int) -> tu
     return options
 
 
-def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int,
-                    options=None) -> list:
+def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int, options) -> list:
     """One implausible triple per positive, both nouns confounded.
 
     Each confounder is one ``rng.choice`` over the noun's options (see
@@ -191,7 +190,6 @@ def gen_confounders(positives, buckets: FrequencyBuckets, rng_seed: int,
     adds the nouns it lacks, so calls that draw from the same buckets can
     share one map and build each noun's options once.
     """
-    options = {} if options is None else options
     max_id = max(buckets.members, default=0)
     nouns = list(chain.from_iterable(map(itemgetter(0, 2), positives)))  # draw order
     # the missing nouns' options, built in draw order before the draws, so
@@ -244,17 +242,11 @@ def make_5x2cv_splits(dataset: VerbDataset, seed: int) -> list:
     return splits
 
 
-def subsample(dataset: VerbDataset, n: int, seed: int) -> VerbDataset:
-    """Stratified sample of ``n`` triples without replacement (see ``subsample_indices``)."""
-    chosen = subsample_indices(dataset.triples, n, seed)
-    return VerbDataset(verb=dataset.verb, triples=[dataset.triples[i] for i in chosen])
-
-
-def subsample_indices(triples, n: int, seed: int) -> list:
-    """Sorted indices of a stratified sample of ``n`` triples without replacement.
+def subsample(triples, n: int, seed: int) -> list:
+    """A stratified sample of ``n`` triples without replacement, in their original order.
 
     Classes split n evenly; when n is odd the plausible class receives the
-    extra example. Sorted indices keep the original triple order.
+    extra example.
     """
     if n > len(triples):
         raise DataError(f"cannot sample {n} triples from a dataset of {len(triples)}")
@@ -267,7 +259,7 @@ def subsample_indices(triples, n: int, seed: int) -> list:
             f"{len(pos)} / {len(neg)} available"
         )
     rng = random.Random(derive_seed(seed, "subsample", n))
-    return sorted(rng.sample(pos, n_pos) + rng.sample(neg, n_neg))
+    return [triples[i] for i in sorted(rng.sample(pos, n_pos) + rng.sample(neg, n_neg))]
 
 
 def write_dataset_jsonl(path, dataset: VerbDataset) -> None:

@@ -7,12 +7,11 @@ freedom at ``F_TEST_ALPHA``. The drivers return plain values:
 ``learning_curve`` one ``(size, mean_auc, sd_auc)`` tuple per size and
 ``f_test_5x2cv`` the pair ``(F, significant)``.
 
-Both drivers map each triple to its subject and object embedding rows, its
-label and its class mask once per call (``_DatasetRows``); a fold then
-gathers its halves by integer index. The lookup never fails: a noun without
-an embedding fails the first fold or point that gathers it, with the error
-``EmbeddingTable.rows`` gives, as when each half was gathered from its
-triples. Each fold still hands ``tensor_model.train`` its train triples.
+A fold hands each method its train triples and the (subjects, objects)
+embedding rows of its test half. Every gather from triples to rows is one
+``EmbeddingTable.pairs`` call, which also decides which missing noun an
+error names: ``evaluate_on_splits`` gathers each fold's test half, and
+``learning_curve`` its fixed held-out half once per call.
 """
 
 import math
@@ -21,13 +20,13 @@ import statistics
 from collections import Counter
 from dataclasses import replace
 from itertools import compress, repeat
-from operator import eq, itemgetter
+from operator import eq
 
 import numpy as np
 
 from . import baseline as kron
 from . import tensor_model as tm
-from .data import PLAUSIBLE, VerbDataset, stratified_halves, subsample_indices
+from .data import PLAUSIBLE, VerbDataset, stratified_halves, subsample
 from .util import DataError, derive_seed
 
 METHOD_TENSOR = "tensor"
@@ -69,48 +68,11 @@ def f1_plausible(predicted_labels, gold_labels) -> float:
     return 2.0 * tp / denom
 
 
-class _DatasetRows:
-    """A dataset's triples, each mapped once to its embedding rows.
+def _fit_and_score(method, train_triples, test_rows, embeddings, train_config, fold_seed):
+    """Train ``METHOD_TENSOR``, or else the baseline, on ``train_triples`` and
+    score the test half whose ``(subjects, objects)`` rows are ``test_rows``.
 
-    ``subject_rows`` and ``object_rows`` hold each triple's row in
-    ``embeddings.matrix``, -1 for a noun without an embedding; ``plausible``
-    and ``labels`` hold each triple's class. A fold indexes these by its
-    halves' triple indices instead of looking the nouns up again.
-    """
-
-    def __init__(self, triples, embeddings):
-        self.triples, self.embeddings = triples, embeddings
-        row_of, n = embeddings.nouns.index.get, len(triples)
-        self.subject_rows = np.fromiter(map(row_of, [t.subject for t in triples], repeat(-1)),
-                                        np.intp, n)
-        self.object_rows = np.fromiter(map(row_of, [t.object for t in triples], repeat(-1)),
-                                       np.intp, n)
-        self.labels = [t.label for t in triples]
-        self.plausible = np.fromiter(map(eq, self.labels, repeat(PLAUSIBLE)), bool, n)
-
-    def pairs(self, indices):
-        """The (N, K) subject and object embeddings of the triples at ``indices``.
-
-        A noun without an embedding raises the ``DataError`` that
-        ``EmbeddingTable.rows`` raises for the same nouns, subjects first.
-        """
-        indices = np.asarray(indices, dtype=np.intp)
-        gathered = []
-        for rows, noun in ((self.subject_rows, itemgetter(0)), (self.object_rows, itemgetter(2))):
-            at = rows[indices]
-            if (at < 0).any():
-                # raises the DataError naming the first such noun
-                self.embeddings.rows(noun(self.triples[i]) for i in indices)
-            gathered.append(self.embeddings.matrix[at])
-        return gathered
-
-
-def _fit_and_score(method, data: _DatasetRows, train_indices, test_indices, train_config,
-                   fold_seed):
-    """Train ``METHOD_TENSOR``, or else the baseline, on the triples at
-    ``train_indices`` and score those at ``test_indices``.
-
-    Returns (scores, predicted_labels) aligned with ``test_indices``. Every
+    Returns (scores, predicted_labels) aligned with the test rows. Every
     scoring step is one batched call. The tensor ranks by its plausibility
     probability from one forward pass over the test half. The baseline ranks
     by ``cos(s ⊗ o, M) = sᵀ M o / (‖s‖ ‖o‖ ‖M‖_F)``: one ``kron.score`` call
@@ -118,15 +80,13 @@ def _fit_and_score(method, data: _DatasetRows, train_indices, test_indices, trai
     equal-error cutoff, and one ``predict_baseline`` call labels the test
     half.
     """
-    test_rows = data.pairs(test_indices)
-    train_triples = [data.triples[i] for i in train_indices]
     if method == METHOD_TENSOR:
-        result = tm.train(train_triples, data.embeddings, replace(train_config, seed=fold_seed))
+        result = tm.train(train_triples, embeddings, replace(train_config, seed=fold_seed))
         labels, scores = tm.predict_batch(result.model, *test_rows)
         return scores, labels
-    positive = data.plausible[np.asarray(train_indices, dtype=np.intp)]
-    model = kron.train_baseline(list(compress(train_triples, positive)), data.embeddings)
-    train_scores = kron.score(model, *data.pairs(train_indices))
+    positive = np.array([t.label == PLAUSIBLE for t in train_triples], dtype=bool)
+    model = kron.train_baseline(list(compress(train_triples, positive)), embeddings)
+    train_scores = kron.score(model, *embeddings.pairs(train_triples))
     kron.calibrate_cutoff(model, train_scores[positive], train_scores[~positive])
     labels, scores = kron.predict_baseline(model, *test_rows)
     return scores, labels
@@ -138,23 +98,24 @@ def evaluate_on_splits(method, dataset: VerbDataset, splits, embeddings, train_c
 
     Per-fold training seeds derive from (seed, repetition, fold), so two
     methods evaluated on the same splits with the same seed are directly
-    comparable by the paired F-test. The triples' embedding rows are looked
-    up once per call; a noun without an embedding fails the first fold that
-    holds it.
+    comparable by the paired F-test. A noun without an embedding fails the
+    first fold that holds it.
     """
-    data = _DatasetRows(dataset.triples, embeddings)
+    triples = dataset.triples
     aucs, f1s = [], []
     for split in splits:
         fold_seed = derive_seed(seed, "fold", split.repetition, split.fold)
+        test = [triples[i] for i in split.test]
         try:
             scores, predicted = _fit_and_score(
-                method, data, split.train, split.test, train_config, fold_seed
+                method, [triples[i] for i in split.train], embeddings.pairs(test), embeddings,
+                train_config, fold_seed,
             )
         except Exception as exc:
             raise RuntimeError(
                 f"{method} failed on repetition {split.repetition} fold {split.fold}: {exc}"
             ) from exc
-        gold = [data.labels[i] for i in split.test]
+        gold = [t.label for t in test]
         aucs.append(roc_auc(scores, gold))
         f1s.append(f1_plausible(predicted, gold))
     return aucs, f1s
@@ -197,10 +158,10 @@ def learning_curve(
 ) -> list:
     """AUC on a fixed held-out half as the training sample grows.
 
-    The dataset is halved once (``stratified_halves``, seeded) and its
-    triples' embedding rows are looked up once; every point subsamples the
-    first half to the requested size, trains, and scores the second. Each
-    size repeats with ``repeats`` distinct seeds; the result is one
+    The dataset is halved once (``stratified_halves``, seeded) and the second
+    half's embedding rows are gathered once; every point subsamples the first
+    half to the requested size, trains, and scores the second. Each size
+    repeats with ``repeats`` distinct seeds; the result is one
     ``(size, mean_auc, sd_auc)`` tuple per size, with the sample standard
     deviation (0 for one repeat).
     """
@@ -214,17 +175,17 @@ def learning_curve(
             f"largest train size {max(train_sizes)} exceeds the training half ({len(pool_idx)})"
         )
     pool = [triples[i] for i in pool_idx]
-    data = _DatasetRows(triples, embeddings)
-    held_labels = [data.labels[i] for i in held_idx]
+    held = [triples[i] for i in held_idx]
+    held_rows = embeddings.pairs(held)
+    held_labels = [t.label for t in held]
     points = []
     for size in train_sizes:
         aucs = []
         for rep in range(repeats):
-            sample = subsample_indices(pool, size, derive_seed(seed, "curve", size, rep))
+            sample = subsample(pool, size, derive_seed(seed, "curve", size, rep))
             fold_seed = derive_seed(seed, "curve-train", size, rep)
-            scores, _ = _fit_and_score(
-                method, data, [pool_idx[i] for i in sample], held_idx, train_config, fold_seed
-            )
+            scores, _ = _fit_and_score(method, sample, held_rows, embeddings, train_config,
+                                       fold_seed)
             aucs.append(roc_auc(scores, held_labels))
         sd = statistics.stdev(aucs) if len(aucs) > 1 else 0.0
         points.append((size, statistics.fmean(aucs), sd))

@@ -145,6 +145,15 @@ def _reject_zero_rows(path, embeddings, nouns) -> None:
         raise DataError(f"{path}: noun {noun!r} has a zero embedding (no cosine)")
 
 
+def _reject_unknown_nouns(dataset_path, emb_path, embeddings, triples) -> None:
+    """Raise ``DataError`` naming both files and the first noun of ``triples``
+    without an embedding, the noun ``EmbeddingTable.pairs`` names."""
+    try:
+        embeddings.pairs(triples)
+    except DataError as exc:
+        raise DataError(f"{dataset_path}: {exc} in {emb_path}") from None
+
+
 # ---------------------------------------------------------------------------
 # build-vectors
 # ---------------------------------------------------------------------------
@@ -430,20 +439,22 @@ def _experiment_verb_safe(args):
 def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
     """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``, and its splits.
 
-    A zero embedding row for a noun of the triples it evaluates raises
-    ``DataError`` naming the noun and the embeddings file.
+    A noun of the triples it evaluates with a zero embedding row, or with no
+    embedding, raises ``DataError`` naming the noun and the files.
     """
-    dataset = _read_dataset(config.datasets_dir() / f"{verb}.jsonl", verb)
+    dataset_path = config.datasets_dir() / f"{verb}.jsonl"
+    dataset = _read_dataset(dataset_path, verb)
     paths = {k: _embeddings_path(config, k)[1] for k in _experiment_dims(config, which)}
     embeddings = {k: _read_embeddings(path, k) for k, path in paths.items()}
     base = dataset
     if which == "small-cv":
-        base = data_mod.subsample(
-            dataset, config.small_cv_size, derive_seed(config.cv_seed, "small", verb)
-        )
+        base = data_mod.VerbDataset(verb, data_mod.subsample(
+            dataset.triples, config.small_cv_size, derive_seed(config.cv_seed, "small", verb)
+        ))
     nouns = [noun for t in base.triples for noun in (t.subject, t.object)]
     for k, table in embeddings.items():
         _reject_zero_rows(paths[k], table, nouns)
+        _reject_unknown_nouns(dataset_path, paths[k], table, base.triples)
 
     if which == "curves":
         k = config.primary_k
@@ -529,6 +540,7 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
         raise ValidationError(f"missing dataset {dataset_path} (run gen-data)")
     dataset = _read_dataset(dataset_path, verb)
     embeddings = _read_embeddings(emb_path, k)
+    _reject_unknown_nouns(dataset_path, emb_path, embeddings, dataset.triples)
     result = tm.train(dataset.triples, embeddings, config.train)
     out_dir = ensure_dir(config.models_dir())
     model_path = _model_path(config, verb, k)

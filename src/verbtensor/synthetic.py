@@ -54,6 +54,8 @@ class WorldConfig:
                      "positives_per_verb"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if len(set(self.classes)) < len(self.classes):
+            raise ValueError(f"classes must not repeat a name, got {self.classes}")
         n_nouns = len(self.classes) * self.nouns_per_class
         if n_nouns < 2:  # a dev pair samples two distinct nouns
             raise ValueError(f"classes and nouns_per_class give {n_nouns} noun(s), "

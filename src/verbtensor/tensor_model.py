@@ -243,7 +243,7 @@ class _Workspace:
         return run
 
 
-def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch=None) -> None:
+def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch) -> None:
     """In-place Adagrad update: accumulate squared gradient, scale the step.
 
     ``grad`` is overwritten with the step taken. ``scratch``, an array shaped
@@ -259,8 +259,7 @@ def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch=None)
 
 
 def _lookup_triples(triples, embeddings):
-    subjects = embeddings.rows(t.subject for t in triples)
-    objects_ = embeddings.rows(t.object for t in triples)
+    subjects, objects_ = embeddings.pairs(triples)
     plausible = np.fromiter([t.label == PLAUSIBLE for t in triples], bool, len(triples))
     targets = np.where(plausible[:, None], (1.0, 0.0), (0.0, 1.0))  # one-hot gold
     return subjects, objects_, targets

@@ -29,6 +29,7 @@ import io
 import logging
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,11 @@ class EmbeddingTable:
     """Dense K-dimensional embeddings for a fixed noun vocabulary."""
 
     nouns: Vocabulary
-    dim: int
     matrix: np.ndarray  # shape (len(nouns), dim)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __contains__(self, noun) -> bool:
         return noun in self.nouns
@@ -76,9 +80,19 @@ class EmbeddingTable:
         except KeyError as exc:
             raise DataError(f"noun {exc.args[0]!r} has no embedding") from None
 
+    def pairs(self, triples) -> tuple:
+        """``(subjects, objects)``: the (N, dim) rows of the triples' nouns, in order.
+
+        The one place that maps triples to embedding rows. Subjects are
+        gathered first, then objects, so a noun without an embedding raises
+        the ``DataError`` of ``rows`` for the first such subject, or else
+        for the first such object.
+        """
+        return self.rows(map(itemgetter(0), triples)), self.rows(map(itemgetter(2), triples))
+
     def leading(self, k: int) -> "EmbeddingTable":
         """The first k dimensions: rank-k embeddings of the same decomposition."""
-        return EmbeddingTable(self.nouns, k, np.ascontiguousarray(self.matrix[:, :k]))
+        return EmbeddingTable(self.nouns, np.ascontiguousarray(self.matrix[:, :k]))
 
 
 @dataclass(frozen=True)
@@ -132,15 +146,13 @@ def context_ranks(table: WeightedVectorTable) -> np.ndarray:
     return ranks
 
 
-def select_top_n(table: WeightedVectorTable, n: int, ranks=None) -> WeightedVectorTable:
+def select_top_n(table: WeightedVectorTable, n: int, ranks) -> WeightedVectorTable:
     """Keep only each noun's N highest-weighted contexts, zeroing the rest.
 
     A cell survives when its ``context_ranks`` rank is below N. ``ranks`` is
-    that ranking of ``table``, computed here when not given; the ranking does
-    not depend on N, so several N can share one.
+    that ranking of ``table``; it does not depend on N, so several N can
+    share one.
     """
-    if ranks is None:
-        ranks = context_ranks(table)
     out = table.weights.copy()
     out.data[ranks >= n] = 0.0
     out.eliminate_zeros()
@@ -165,7 +177,7 @@ def drop_zero_rows(table: WeightedVectorTable):
 
 
 def reduce_to_embeddings(table: WeightedVectorTable, k: int, top_n: int,
-                         ranks=None) -> EmbeddingTable:
+                         ranks) -> EmbeddingTable:
     """Run top-N context selection, row normalization and truncated SVD to K dimensions.
 
     Embeddings are the singular-value-scaled rows ``U @ diag(s)``, which
@@ -174,7 +186,7 @@ def reduce_to_embeddings(table: WeightedVectorTable, k: int, top_n: int,
     """
     table = select_top_n(table, top_n, ranks)
     u, s = truncated_svd(l2_normalize_rows(table.weights), k)
-    return EmbeddingTable(nouns=table.nouns, dim=k, matrix=u * s)
+    return EmbeddingTable(nouns=table.nouns, matrix=u * s)
 
 
 def spearman_similarity_eval(embeddings: EmbeddingTable, pairs) -> float:
@@ -342,7 +354,7 @@ def read_embeddings_tsv(path) -> EmbeddingTable:
     except (OSError, ValueError, struct.error) as exc:
         log.info("%s: parsing the text, no usable sidecar (%s)", path, exc)
         return _read_embeddings_lines(path)
-    return EmbeddingTable(nouns=nouns, dim=matrix.shape[1], matrix=matrix)
+    return EmbeddingTable(nouns=nouns, matrix=matrix)
 
 
 def _read_embeddings_lines(path) -> EmbeddingTable:
@@ -375,6 +387,4 @@ def _read_embeddings_lines(path) -> EmbeddingTable:
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise DataError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
-    return EmbeddingTable(
-        nouns=Vocabulary(tuple(index), index), dim=matrix.shape[1], matrix=matrix
-    )
+    return EmbeddingTable(nouns=Vocabulary(tuple(index), index), matrix=matrix)

@@ -35,7 +35,7 @@ def planted_embeddings(k: int = 5, per_cluster: int = 30, noise: float = 0.35, s
             names.append(f"{prefix}{i:03d}")
             rows.append(centers[prefix] + noise * rng.standard_normal(k))
     matrix = np.asarray(rows)
-    return EmbeddingTable(nouns=Vocabulary.from_words(names), dim=k, matrix=matrix)
+    return EmbeddingTable(nouns=Vocabulary.from_words(names), matrix=matrix)
 
 
 def planted_dataset(

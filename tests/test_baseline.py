@@ -16,7 +16,7 @@ from verbtensor.baseline import (
 )
 from verbtensor.corpus import Vocabulary
 from verbtensor.data import IMPLAUSIBLE, PLAUSIBLE, LabeledTriple, make_5x2cv_splits
-from verbtensor.evaluation import METHOD_BASELINE, _DatasetRows, _fit_and_score, f1_plausible
+from verbtensor.evaluation import METHOD_BASELINE, _fit_and_score, f1_plausible
 from verbtensor.linalg import cosine
 from verbtensor.util import DataError
 from verbtensor.vectors import EmbeddingTable
@@ -65,7 +65,7 @@ class TestKronecker:
 def embeddings_from(vectors):
     names = list(vectors)
     matrix = np.asarray([vectors[n] for n in names], dtype=float)
-    return EmbeddingTable(Vocabulary.from_words(names), matrix.shape[1], matrix)
+    return EmbeddingTable(Vocabulary.from_words(names), matrix)
 
 
 @pytest.fixture
@@ -124,7 +124,7 @@ class TestTrainBaseline:
 
 def one(embeddings, noun):
     """A (1, K) row: the one-pair case of the batched baseline calls."""
-    return embeddings.rows([noun])
+    return embeddings.vector(noun)[None]
 
 
 # finite entries, rows kept well away from zero norm below
@@ -218,8 +218,7 @@ class TestBatchedScoreOracle:
 
     def test_zero_row_raises(self, simple_embeddings):
         model = train_baseline([pos("s1", "o1")], simple_embeddings)
-        s = simple_embeddings.rows(["s1", "s2"])
-        o = simple_embeddings.rows(["o1", "o2"])
+        s, o = simple_embeddings.pairs([pos("s1", "o1"), pos("s2", "o2")])
         for subjects, objects_ in ((s * [[1.0], [0.0]], o), (s, o * [[0.0], [1.0]])):
             with pytest.raises(ValueError, match="zero vector"):
                 score(model, subjects, objects_)
@@ -374,12 +373,11 @@ class TestBatchedFold:
     @pytest.mark.parametrize("fixture", ["planted", "noisy_planted"])
     def test_matches_per_triple_path(self, fixture, request):
         dataset, embeddings = request.getfixturevalue(fixture)
-        data = _DatasetRows(dataset.triples, embeddings)
         for split in make_5x2cv_splits(dataset, seed=3)[:4]:
             train = [dataset.triples[i] for i in split.train]
             test = [dataset.triples[i] for i in split.test]
-            scores, labels = _fit_and_score(METHOD_BASELINE, data, split.train, split.test,
-                                            None, 0)
+            scores, labels = _fit_and_score(METHOD_BASELINE, train, embeddings.pairs(test),
+                                            embeddings, None, 0)
             ref_scores, ref_labels = per_triple_baseline(train, test, embeddings)
             assert labels == ref_labels
             np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-12)

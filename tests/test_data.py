@@ -110,7 +110,7 @@ class TestGenConfounders:
 
     def test_both_slots_replaced(self):
         positives = [LabeledTriple("n00", "comb", "n05", PLAUSIBLE)]
-        negatives = gen_confounders(positives, self.buckets, rng_seed=5)
+        negatives = gen_confounders(positives, self.buckets, rng_seed=5, options={})
         assert len(negatives) == 1
         neg = negatives[0]
         assert neg.label == IMPLAUSIBLE
@@ -120,7 +120,7 @@ class TestGenConfounders:
 
     def test_confounder_from_same_bucket(self):
         positives = [LabeledTriple("n01", "eat", "n10", PLAUSIBLE)] * 20
-        negatives = gen_confounders(positives, self.buckets, rng_seed=8)
+        negatives = gen_confounders(positives, self.buckets, rng_seed=8, options={})
         for neg in negatives:
             assert self.buckets.bucket_of[neg.subject] == self.buckets.bucket_of["n01"]
             assert self.buckets.bucket_of[neg.object] == self.buckets.bucket_of["n10"]
@@ -129,7 +129,7 @@ class TestGenConfounders:
         freqs = {"a": 9, "b": 8, "c": 7, "lonely": 1}
         buckets = make_buckets(freqs, bucket_size=3)  # {a,b,c} then {lonely}
         positives = [LabeledTriple("lonely", "eat", "a", PLAUSIBLE)]
-        negatives = gen_confounders(positives, buckets, rng_seed=1)
+        negatives = gen_confounders(positives, buckets, rng_seed=1, options={})
         assert negatives[0].subject in {"a", "b", "c"}
         home = buckets.bucket_of["lonely"]
         landed = buckets.bucket_of[negatives[0].subject]
@@ -139,10 +139,10 @@ class TestGenConfounders:
         positives = [
             LabeledTriple(f"n{i:02d}", "eat", f"n{11 - i:02d}", PLAUSIBLE) for i in range(6)
         ]
-        a = gen_confounders(positives, self.buckets, rng_seed=42)
-        b = gen_confounders(positives, self.buckets, rng_seed=42)
+        a = gen_confounders(positives, self.buckets, rng_seed=42, options={})
+        b = gen_confounders(positives, self.buckets, rng_seed=42, options={})
         assert a == b
-        c = gen_confounders(positives, self.buckets, rng_seed=43)
+        c = gen_confounders(positives, self.buckets, rng_seed=43, options={})
         assert a != c
 
     def test_balance_is_exact(self):
@@ -150,14 +150,14 @@ class TestGenConfounders:
             LabeledTriple(f"n{i:02d}", "eat", f"n{(i + 3) % 12:02d}", PLAUSIBLE)
             for i in range(9)
         ]
-        negatives = gen_confounders(positives, self.buckets, rng_seed=3)
+        negatives = gen_confounders(positives, self.buckets, rng_seed=3, options={})
         assert len(negatives) == len(positives) == 9
         assert all(not is_plausible(t) for t in negatives)
 
     def test_missing_bucket_is_an_error(self):
         positives = [LabeledTriple("unbucketed", "eat", "n00", PLAUSIBLE)]
         with pytest.raises(DataError, match="no frequency bucket"):
-            gen_confounders(positives, self.buckets, rng_seed=0)
+            gen_confounders(positives, self.buckets, rng_seed=0, options={})
 
     def test_shared_options_hold_each_noun_once_and_no_failing_noun(self):
         """A shared map is filled once per noun; a noun without options fails every call."""
@@ -175,7 +175,7 @@ class TestGenConfounders:
         buckets = make_buckets({"only": 5}, bucket_size=10)
         positives = [LabeledTriple("only", "eat", "only", PLAUSIBLE)]
         with pytest.raises(DataError, match="no confounder"):
-            gen_confounders(positives, buckets, rng_seed=0)
+            gen_confounders(positives, buckets, rng_seed=0, options={})
 
 
 def oracle_draw_confounder(noun, buckets, rng):
@@ -234,7 +234,7 @@ def confounder_cases(draw):
 def test_gen_confounders_matches_per_draw_oracle(case):
     positives, buckets, seed = case
     expected = outcome(oracle_gen_confounders, positives, buckets, seed)
-    assert outcome(gen_confounders, positives, buckets, seed) == expected
+    assert outcome(partial(gen_confounders, options={}), positives, buckets, seed) == expected
     # so does a call on an options map that a call on other positives filled
     shared = partial(gen_confounders, options={})
     outcome(shared, positives[1:], buckets, seed + 1)
@@ -255,7 +255,7 @@ def per_row_gen_confounders(positives, buckets, rng_seed):
 @given(confounder_cases())
 def test_gen_confounders_matches_per_row_construction(case):
     positives, buckets, seed = case
-    built = outcome(gen_confounders, positives, buckets, seed)
+    built = outcome(partial(gen_confounders, options={}), positives, buckets, seed)
     reference = outcome(per_row_gen_confounders, positives, buckets, seed)
     assert built == reference
     if isinstance(reference, list):
@@ -267,11 +267,11 @@ def test_singleton_buckets_match_oracle_when_widening():
     freqs = {f"n{i}": 20 - i for i in range(7)}
     buckets = make_buckets(freqs, bucket_size=1)  # every draw widens to a neighbour
     positives = [LabeledTriple(f"n{i}", "eat", f"n{6 - i}", PLAUSIBLE) for i in range(7)] * 3
-    assert gen_confounders(positives, buckets, 11) == oracle_gen_confounders(
+    assert gen_confounders(positives, buckets, 11, {}) == oracle_gen_confounders(
         positives, buckets, 11
     )
     empty = FrequencyBuckets(bucket_of={}, members={})
-    assert gen_confounders([], empty, 0) == []
+    assert gen_confounders([], empty, 0, {}) == []
 
 
 def balanced_dataset(n, verb="eat"):
@@ -331,28 +331,28 @@ class TestSplits:
 class TestSubsample:
     def test_full_size_returns_everything(self):
         dataset = balanced_dataset(12)
-        sub = subsample(dataset, 12, seed=3)
-        assert sorted(map(str, sub.triples)) == sorted(map(str, dataset.triples))
+        sub = subsample(dataset.triples, 12, seed=3)
+        assert sub == dataset.triples
 
     def test_stratification(self):
         dataset = balanced_dataset(400)
-        sub = subsample(dataset, 10, seed=3)
-        assert sum(map(is_plausible, sub.triples)) == 5
+        sub = subsample(dataset.triples, 10, seed=3)
+        assert sum(map(is_plausible, sub)) == 5
         assert len(sub) == 10
 
     def test_odd_sample_differs_by_one(self):
         dataset = balanced_dataset(40)
-        sub = subsample(dataset, 11, seed=3)
-        n_pos = sum(map(is_plausible, sub.triples))
+        sub = subsample(dataset.triples, 11, seed=3)
+        n_pos = sum(map(is_plausible, sub))
         assert n_pos - (11 - n_pos) == 1  # extra example goes to the plausible class
 
     def test_too_large(self):
         with pytest.raises(DataError, match="cannot sample"):
-            subsample(balanced_dataset(10), 11, seed=0)
+            subsample(balanced_dataset(10).triples, 11, seed=0)
 
     def test_deterministic(self):
         dataset = balanced_dataset(60)
-        assert subsample(dataset, 20, seed=5).triples == subsample(dataset, 20, seed=5).triples
+        assert subsample(dataset.triples, 20, seed=5) == subsample(dataset.triples, 20, seed=5)
 
 
 words = st.text(max_size=4)

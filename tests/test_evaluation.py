@@ -18,14 +18,12 @@ from verbtensor.data import (
     VerbDataset,
     make_5x2cv_splits,
     read_dataset_jsonl,
-    stratified_halves,
     subsample,
 )
 from verbtensor.evaluation import (
     F_CRITICAL_10_5,
     METHOD_BASELINE,
     METHOD_TENSOR,
-    _DatasetRows,
     _fit_and_score,
     evaluate_on_splits,
     f1_plausible,
@@ -53,10 +51,14 @@ def loop_f1(predicted_labels, gold_labels) -> float:
 
 def reference_fit_and_score(method, train_triples, test_triples, embeddings, train_config,
                             fold_seed):
-    """One fold that gathers each half's embedding rows from its own triples."""
+    """One fold that gathers each half's embedding rows one noun at a time."""
     def pair_rows(triples):
-        return (embeddings.rows(t.subject for t in triples),
-                embeddings.rows(t.object for t in triples))
+        # subjects first, then objects, as ``EmbeddingTable.pairs`` names a missing noun
+        for noun in [t.subject for t in triples] + [t.object for t in triples]:
+            if noun not in embeddings:
+                raise DataError(f"noun {noun!r} has no embedding")
+        return (np.array([embeddings.vector(t.subject) for t in triples]),
+                np.array([embeddings.vector(t.object) for t in triples]))
 
     test_rows = pair_rows(test_triples)
     if method == METHOD_TENSOR:
@@ -99,9 +101,9 @@ def reference_learning_curve(method, dataset, train_sizes, embeddings, train_con
     for size in train_sizes:
         aucs = []
         for rep in range(repeats):
-            sub = subsample(pool, size, derive_seed(seed, "curve", size, rep))
+            sub = subsample(pool.triples, size, derive_seed(seed, "curve", size, rep))
             scores, _ = reference_fit_and_score(
-                method, sub.triples, held.triples, embeddings, train_config,
+                method, sub, held.triples, embeddings, train_config,
                 derive_seed(seed, "curve-train", size, rep))
             aucs.append(roc_auc(scores, [t.label for t in held.triples]))
         sd = statistics.stdev(aucs) if len(aucs) > 1 else 0.0
@@ -310,11 +312,10 @@ class TestRun5x2cv:
     def test_batched_fold_scores_match_per_triple_predict(self, planted):
         dataset, embeddings = planted
         pool, held = holdout_halves(dataset, seed=5)
-        pool_idx, held_idx = stratified_halves(dataset.triples, random.Random(5))
         config = TrainConfig(epochs=5)
         scores, labels = _fit_and_score(
-            METHOD_TENSOR, _DatasetRows(dataset.triples, embeddings), pool_idx, held_idx,
-            config, fold_seed=77
+            METHOD_TENSOR, pool.triples, embeddings.pairs(held.triples), embeddings, config,
+            fold_seed=77
         )
         model = train(pool.triples, embeddings, TrainConfig(epochs=5, seed=77)).model
         single = [
@@ -356,10 +357,9 @@ class TestLearningCurve:
         points = learning_curve(
             METHOD_TENSOR, dataset, [size], embeddings, config, seed=seed, repeats=1
         )
-        sub = subsample(pool, size, derive_seed(seed, "curve", size, 0))
-        data = _DatasetRows(sub.triples + held.triples, embeddings)
+        sub = subsample(pool.triples, size, derive_seed(seed, "curve", size, 0))
         scores, _ = _fit_and_score(
-            METHOD_TENSOR, data, range(len(sub)), range(len(sub), len(data.triples)), config,
+            METHOD_TENSOR, sub, embeddings.pairs(held.triples), embeddings, config,
             derive_seed(seed, "curve-train", size, 0),
         )
         expected = roc_auc(scores, [t.label for t in held.triples])
@@ -400,8 +400,8 @@ def small_world(built):
 
 
 class TestPerCallGather:
-    """The drivers look each triple's rows up once per call; every fold and
-    point must still score exactly as when each half is gathered from its triples."""
+    """Every fold and point scores exactly as when each half's rows are
+    gathered one noun at a time, and fails on the same missing noun."""
 
     CONFIG = TrainConfig(epochs=3, seed=3)
 

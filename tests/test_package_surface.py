@@ -1,8 +1,9 @@
-"""Every public function, class and method of the package has a caller.
+"""Every function and class of the package, and every public method, has a caller.
 
-A public name (no leading underscore) defined at the top level of a module
-under ``src/verbtensor`` must be referenced from ``src/`` or ``perfbench/``,
-as a bare name or as an attribute. A public method or property of such a
+A name defined at the top level of a module under ``src/verbtensor``,
+public or private (leading underscore), must be referenced from ``src/`` or
+``perfbench/``, as a bare name or as an attribute, so a helper that only
+tests use cannot hide behind an underscore. A public method or property of a
 class must be referenced as an attribute (``obj.name``): a local variable
 that shares its name does not keep it alive. Imports do not count as
 references, so a re-export alone does not keep a name alive. Likewise every
@@ -23,12 +24,13 @@ CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def public_definitions(package: Path) -> dict:
-    """``module.name`` or ``module.Class.method`` -> (the bare name, whether a method)."""
+def checked_definitions(package: Path) -> dict:
+    """``module.name`` or ``module.Class.method`` -> (the bare name, whether a method),
+    for every top-level function and class and every public method."""
     found = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if not isinstance(node, DEFINITIONS) or node.name.startswith("_"):
+            if not isinstance(node, DEFINITIONS):
                 continue
             found[f"{path.stem}.{node.name}"] = (node.name, False)
             if isinstance(node, ast.ClassDef):
@@ -54,7 +56,7 @@ def referenced_names(dirs) -> tuple:
 def unreferenced(package: Path, dirs) -> list:
     names, attributes = referenced_names(dirs)
     return sorted(
-        q for q, (name, method) in public_definitions(package).items()
+        q for q, (name, method) in checked_definitions(package).items()
         if name not in attributes and (method or name not in names)
     )
 
@@ -103,14 +105,17 @@ def test_guard_flags_an_unused_function(tmp_path):
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("from .mod import used, unused\n")
     (package / "mod.py").write_text(
-        "def used():\n    total = Box().size()\n    return total\n\n\n"
+        "def used():\n    total = Box().size()\n    return _helper(total)\n\n\n"
         "def unused():\n    return used()\n\n\n"
+        "def _helper(value):\n    return value\n\n\n"
+        "def _spare_helper():\n    return 0\n\n\n"
+        "class _Hidden:\n    pass\n\n\n"
         "class Box:\n    def size(self):\n        return 1\n\n"
         "    def spare(self):\n        return 2\n\n"
         "    @property\n    def total(self):\n        return 3\n"
     )
     assert unreferenced(package, [tmp_path / "src"]) == [
-        "mod.Box.spare", "mod.Box.total", "mod.unused"
+        "mod.Box.spare", "mod.Box.total", "mod._Hidden", "mod._spare_helper", "mod.unused"
     ]
 
 

@@ -1536,7 +1536,8 @@ class TestMalformedInputs:
         out, dataset = self.devour_outputs(built, tmp_path, kind)
         assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") == EXIT_RUNTIME
         assert_clean_failure(caplog, {
-            "unknown_noun": "noun 'zzz_unknown' has no embedding",
+            "unknown_noun": f"{dataset}: noun 'zzz_unknown' has no embedding in "
+                            f"{out / 'vectors'}/embeddings_k{load_config(built).primary_k}.tsv",
             "header_only": f"{dataset}: dataset has a header and no triples",
             "record_verb": f"{dataset}:2: verb 'assemble' differs from the header's 'devour'",
         }[kind])
@@ -1582,13 +1583,13 @@ class TestMalformedInputs:
         out, _ = self.devour_outputs(built, tmp_path, "unknown_noun")
         assert run_cli("--config", built, "--out", out,
                        "experiment", "--which", "full-cv") == EXIT_RUNTIME
-        assert_clean_failure(caplog, "noun 'zzz_unknown' has no embedding")
+        # checked before any fold trains, against the first configured dim's file
+        message = ("DataError: datasets/devour.jsonl: noun 'zzz_unknown' has no embedding in "
+                   f"vectors/embeddings_k{load_config(built).svd_dims[0]}.tsv")
+        assert_clean_failure(caplog, message)
         manifest = json.loads((out / "reports" / "manifest_experiment-full-cv.json").read_text())
         assert manifest["parameters"]["verbs"] == ["assemble"]
-        assert manifest["parameters"]["failed_verbs"] == {
-            "devour": "DataError: baseline failed on repetition 1 fold 1: "
-                      "noun 'zzz_unknown' has no embedding"
-        }
+        assert manifest["parameters"]["failed_verbs"] == {"devour": message}
 
     def test_overflowing_accumulator_fails_train_and_experiment(self, built, tmp_path, caplog):
         """An l2_lambda whose squared gradient overflows would zero every step."""

@@ -121,6 +121,7 @@ ONE_CLASS = {"classes": ("person",), "verb_preferences": {}}
     ("stopword_tokens_per_sentence", -1),
     ("positives_per_verb", -1),
     ("classes", ()),
+    ("classes", ("person", "person")),
     ("nouns_per_class", 1),
 ])
 def test_world_config_rejects_a_bad_field(field, value):

@@ -404,8 +404,8 @@ class TestGradients:
                 continue
             before = objective(model, [example], lam)
             stepped = copy_model(model)
-            adagrad_step(stepped.tensor, grads.tensor, np.zeros_like(stepped.tensor), 1e-3, 1e-8)
-            adagrad_step(stepped.theta, grads.theta, np.zeros_like(stepped.theta), 1e-3, 1e-8)
+            for param, grad in ((stepped.tensor, grads.tensor), (stepped.theta, grads.theta)):
+                adagrad_step(param, grad, np.zeros_like(param), 1e-3, 1e-8, np.empty_like(param))
             after = objective(stepped, [example], lam)
             assert after < before
             checked += 1
@@ -485,7 +485,7 @@ class TestTrainingStep:
         grads = gradients(model, example, config.l2_lambda)
         for param, grad in ((model.tensor, grads.tensor), (model.theta, grads.theta)):
             adagrad_step(param, grad, np.zeros_like(param),
-                         config.learning_rate, config.adagrad_epsilon)
+                         config.learning_rate, config.adagrad_epsilon, np.empty_like(param))
         assert np.array_equal(trained.tensor, model.tensor)
         assert np.array_equal(trained.theta, model.theta)
 
@@ -571,8 +571,7 @@ class TestExampleStep:
 
     def test_saturated_sigmoid_trains_like_per_row_loop(self, monkeypatch):
         # z = -960 for both classes: exp(-z) overflows, and _sigmoid gives 0.0 as expit does
-        embeddings = EmbeddingTable(Vocabulary.from_words(["n0", "n1"]), 2,
-                                    np.full((2, 2), 2.0))
+        embeddings = EmbeddingTable(Vocabulary.from_words(["n0", "n1"]), np.full((2, 2), 2.0))
         dataset = VerbDataset("vex", [LabeledTriple("n0", "vex", "n1", PLAUSIBLE),
                                       LabeledTriple("n1", "vex", "n0", IMPLAUSIBLE)])
         config = TrainConfig(epochs=3, seed=5)

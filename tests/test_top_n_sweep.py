@@ -14,7 +14,8 @@ def choose_top_n_reference(config, weighted):
     """``_choose_top_n`` with one ``reduce_to_embeddings`` per candidate and no ranking shared."""
 
     def reduce(top_n):
-        return vec_mod.reduce_to_embeddings(weighted, max(config.svd_dims), top_n=top_n)
+        return vec_mod.reduce_to_embeddings(weighted, max(config.svd_dims), top_n,
+                                            vec_mod.context_ranks(weighted))
 
     if config.top_n is not None:
         return config.top_n, [], reduce(config.top_n)

@@ -152,30 +152,30 @@ class TestSelectTopN:
 
     def test_keeps_largest(self):
         weighted = self.make_weighted([[0.9, 0.1, 0.5]], contexts=["a", "b", "c"])
-        out = select_top_n(weighted, 2)
+        out = select_top_n(weighted, 2, context_ranks(weighted))
         assert weight(out, "n0", "a") == 0.9
         assert weight(out, "n0", "c") == 0.5
         assert weight(out, "n0", "b") == 0.0
 
     def test_noop_when_n_exceeds_nonzeros(self):
         weighted = self.make_weighted([[0.3, 0.0, 0.2]])
-        out = select_top_n(weighted, 5)
+        out = select_top_n(weighted, 5, context_ranks(weighted))
         assert (out.weights != weighted.weights).nnz == 0
 
     def test_zero_row_stays_zero(self):
         weighted = self.make_weighted([[0.0, 0.0, 0.0]])
-        out = select_top_n(weighted, 2)
+        out = select_top_n(weighted, 2, context_ranks(weighted))
         assert out.weights.nnz == 0
 
     def test_row_sparsity_bound(self):
         rng = np.random.default_rng(7)
         weighted = self.make_weighted(rng.uniform(0.01, 1.0, size=(6, 12)))
-        out = select_top_n(weighted, 4)
+        out = select_top_n(weighted, 4, context_ranks(weighted))
         assert np.all(np.diff(out.weights.indptr) <= 4)
 
     def test_ties_break_by_context_word(self):
         weighted = self.make_weighted([[0.5, 0.5, 0.5]], contexts=["zz", "aa", "mm"])
-        out = select_top_n(weighted, 2)
+        out = select_top_n(weighted, 2, context_ranks(weighted))
         assert weight(out, "n0", "aa") == 0.5
         assert weight(out, "n0", "mm") == 0.5
         assert weight(out, "n0", "zz") == 0.0
@@ -183,14 +183,14 @@ class TestSelectTopN:
     @settings(max_examples=300, deadline=None)
     @given(tied_weight_tables())
     def test_matches_loop_reference(self, case):
-        """Each N, whether it ranks the table itself or shares one ranking with every N."""
+        """Each N, with a ranking of its own or with one ranking shared by every N."""
         table, n = case
         ranks = context_ranks(table)
         # each row's cells hold the ranks 0, 1, ... in some order
         for start, end in zip(table.weights.indptr[:-1], table.weights.indptr[1:]):
             assert sorted(ranks[start:end]) == list(range(end - start))
         shared = [(m, select_top_n(table, m, ranks)) for m in range(1, table.weights.shape[1] + 2)]
-        for m, out in [(n, select_top_n(table, n))] + shared:
+        for m, out in [(n, select_top_n(table, n, context_ranks(table)))] + shared:
             expected = select_top_n_loop(table, m)
             np.testing.assert_array_equal(out.weights.indptr, expected.indptr)
             np.testing.assert_array_equal(out.weights.indices, expected.indices)
@@ -210,7 +210,7 @@ class TestReduce:
 
     def test_orthogonal_rows_stay_orthogonal(self):
         weighted = self.make_weighted(np.eye(4) * 0.7)
-        emb = reduce_to_embeddings(weighted, 4, top_n=weighted.weights.shape[1])
+        emb = reduce_to_embeddings(weighted, 4, weighted.weights.shape[1], context_ranks(weighted))
         for i in range(4):
             for j in range(i + 1, 4):
                 sim = cosine(emb.vector(f"n{i}"), emb.vector(f"n{j}"))
@@ -219,7 +219,7 @@ class TestReduce:
     def test_rank_one_table(self):
         base = np.array([1.0, 2.0, 0.5, 0.0])
         weighted = self.make_weighted(np.outer([1.0, -2.0, 0.5], base))
-        emb = reduce_to_embeddings(weighted, 1, top_n=weighted.weights.shape[1])
+        emb = reduce_to_embeddings(weighted, 1, weighted.weights.shape[1], context_ranks(weighted))
         sims = [
             cosine(emb.vector("n0"), emb.vector("n1")),
             cosine(emb.vector("n0"), emb.vector("n2")),
@@ -230,7 +230,7 @@ class TestReduce:
     def test_shapes_and_finiteness(self):
         rng = np.random.default_rng(5)
         weighted = self.make_weighted(rng.uniform(-0.2, 1.0, size=(40, 60)))
-        emb = reduce_to_embeddings(weighted, 20, top_n=weighted.weights.shape[1])
+        emb = reduce_to_embeddings(weighted, 20, weighted.weights.shape[1], context_ranks(weighted))
         assert emb.dim == 20
         assert emb.matrix.shape == (40, 20)
         assert np.isfinite(emb.matrix).all()
@@ -246,14 +246,14 @@ class TestReduce:
         normalized = normalized.toarray()
         assert np.linalg.norm(normalized - u @ (u.T @ normalized)) < 1e-8
         # scaled embeddings preserve inner products of the normalized table
-        emb = reduce_to_embeddings(weighted, 6, top_n=weighted.weights.shape[1])
+        emb = reduce_to_embeddings(weighted, 6, weighted.weights.shape[1], context_ranks(weighted))
         gram_emb = emb.matrix @ emb.matrix.T
         gram_src = normalized @ normalized.T
         np.testing.assert_allclose(gram_emb, gram_src, atol=1e-8)
 
     def test_top_n_applied_inside(self):
         weighted = self.make_weighted([[0.9, 0.5, 0.1], [0.1, 0.6, 0.8]])
-        emb = reduce_to_embeddings(weighted, 2, top_n=1)
+        emb = reduce_to_embeddings(weighted, 2, 1, context_ranks(weighted))
         assert emb.matrix.shape == (2, 2)
 
 
@@ -276,7 +276,7 @@ class TestSpearmanEval:
     def make_embeddings(self, vectors):
         names = list(vectors)
         matrix = np.asarray([vectors[n] for n in names], dtype=float)
-        return EmbeddingTable(Vocabulary.from_words(names), matrix.shape[1], matrix)
+        return EmbeddingTable(Vocabulary.from_words(names), matrix)
 
     def test_perfectly_monotone(self):
         emb = self.make_embeddings(
@@ -358,7 +358,7 @@ class TestSpearmanEval:
             golds = rng.choice(golds[:gold_pool], n)
         names = ["anchor"] + [f"n{i}" for i in range(n)]
         matrix = np.vstack([[1.0, 0.0], np.column_stack((np.cos(angles), np.sin(angles)))])
-        emb = EmbeddingTable(Vocabulary.from_words(names), 2, matrix)
+        emb = EmbeddingTable(Vocabulary.from_words(names), matrix)
         pairs = [SimilarityPair("anchor", f"n{i}", float(g)) for i, g in enumerate(golds)]
         sims = [cosine(emb.vector("anchor"), emb.vector(f"n{i}")) for i in range(n)]
         assume(len(set(sims)) > 1 and len(set(golds)) > 1)
@@ -380,7 +380,7 @@ class TestEmbeddingIo:
         rng = np.random.default_rng(13)
         matrix = rng.standard_normal((3, 3))
         matrix[2] = [-0.0, 5e-324, 1e308]
-        emb = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 3, matrix)
+        emb = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), matrix)
         path = tmp_path / "emb.tsv"
         write_embeddings_tsv({3: path}, emb)
         # each value is the repr of its float64, the shortest text that reads back exactly
@@ -397,7 +397,7 @@ class TestEmbeddingIo:
         """Each narrower TSV is the widest cut after k values; its sidecar holds matrix[:, :k]."""
         matrix = np.random.default_rng(17).standard_normal((3, 4))
         matrix[2] = [-0.0, 5e-324, 1e308, 1.0]
-        emb = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 4, matrix)
+        emb = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), matrix)
         paths = {k: tmp_path / f"emb_k{k}.tsv" for k in dims}
         sidecars = write_embeddings_tsv(paths, emb)
         assert sidecars == [path.with_suffix(".tvb") for path in paths.values()]
@@ -500,7 +500,7 @@ def embedding_tables(draw):
         nouns[draw(st.integers(0, n - 1))] = draw(st.sampled_from(UNSAFE_NOUNS))
     values = st.floats(allow_nan=False, allow_infinity=False)
     matrix = np.array(draw(st.lists(values, min_size=n * k, max_size=n * k)), dtype=np.float64)
-    table = EmbeddingTable(Vocabulary.from_words(nouns), k, matrix.reshape(n, k))
+    table = EmbeddingTable(Vocabulary.from_words(nouns), matrix.reshape(n, k))
     return table, len(set(nouns)) == n and not set(UNSAFE_NOUNS) & set(nouns)
 
 
@@ -578,7 +578,7 @@ def test_written_empty_table_fails_as_text(tmp_path, shape):
     path = tmp_path / "emb.tsv"
     nouns = Vocabulary.from_words(["x", "y"][: shape[0]])
     assert write_embeddings_tsv({shape[1]: path},
-                                EmbeddingTable(nouns, shape[1], np.zeros(shape))) == []
+                                EmbeddingTable(nouns, np.zeros(shape))) == []
     assert not path.with_suffix(".tvb").exists()
     message = read_outcome(_read_embeddings_lines, path)
     assert isinstance(message, str) and read_outcome(read_embeddings_tsv, path) == message
@@ -662,7 +662,7 @@ def test_unusable_sidecar_falls_back_to_text(tmp_path, caplog, fault):
     """One INFO line names the TSV and the check the sidecar failed; no traceback,
     no large allocation, the text's table."""
     path = tmp_path / "emb.tsv"
-    table = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]), 2,
+    table = EmbeddingTable(Vocabulary.from_words(["x", "y", "z"]),
                            np.arange(1.0, 7.0).reshape(3, 2))
     [sidecar] = write_embeddings_tsv({2: path}, table)
     make, reason = SIDECAR_FAULTS[fault]
@@ -690,7 +690,7 @@ def test_unusable_sidecar_falls_back_to_text(tmp_path, caplog, fault):
 def test_written_sidecar_layout(tmp_path):
     """Digest, length-prefixed nouns, TVB1 block: the digest covers the TSV and the rest."""
     path = tmp_path / "emb.tsv"
-    table = EmbeddingTable(Vocabulary.from_words(["x", "\u00e9t\u00e9", "z"]), 2,
+    table = EmbeddingTable(Vocabulary.from_words(["x", "\u00e9t\u00e9", "z"]),
                            np.arange(1.0, 7.0).reshape(3, 2))
     [sidecar] = write_embeddings_tsv({2: path}, table)
     payload = nouns_bytes(table.nouns.words) + tvb_bytes(table.matrix)
@@ -704,9 +704,9 @@ def test_written_sidecar_layout(tmp_path):
 def test_table_the_line_loop_misreads_gets_no_sidecar(tmp_path, noun):
     """The writer removes a stale sidecar and writes none; the reader parses the text."""
     path = tmp_path / "emb.tsv"
-    good = EmbeddingTable(Vocabulary.from_words(["p", "q"]), 2, np.ones((2, 2)))
+    good = EmbeddingTable(Vocabulary.from_words(["p", "q"]), np.ones((2, 2)))
     assert write_embeddings_tsv({2: path}, good) == [path.with_suffix(".tvb")]
-    table = EmbeddingTable(Vocabulary.from_words(["x", noun]), 2, np.zeros((2, 2)))
+    table = EmbeddingTable(Vocabulary.from_words(["x", noun]), np.zeros((2, 2)))
     assert write_embeddings_tsv({2: path}, table) == []
     assert not path.with_suffix(".tvb").exists()
     assert read_outcome(read_embeddings_tsv, path) == read_outcome(_read_embeddings_lines, path)
