@@ -13,30 +13,35 @@ the KL term is exactly the cross entropy -log p[correct], which is what the
 code computes. Gradients are exact chain-rule derivatives and updates use
 per-parameter Adagrad.
 
-One forward pass, one training kernel, one update. ``_forward`` runs the
-forward pass over a leading example axis (a GEMM with the tensor, then one
-batched product with the objects); it serves the per-epoch objective and
+One forward pass and one training kernel. ``_forward`` runs the forward
+pass over a leading example axis (a GEMM with the tensor, then one batched
+product with the objects); it serves the per-epoch objective and
 ``predict_batch``, of which ``predict`` is the one-row case. During training
-the tensor and theta are views into one flat parameter vector, so a step is
-a single in-place Adagrad update (``adagrad_step``) over all K*K*2 + 6
-values.
+the tensor and theta are views into one flat parameter vector, so a step's
+Adagrad update is one run of in-place ufunc calls over all K*K*2 + 6 values.
 
 An epoch is one call: ``_Workspace.epoch_runner`` returns a closure that
-runs the one-example step for every row, with the arrays and functions it
-uses bound as locals, so no Python call or argument unpacking happens per
-example besides the numpy calls. A step makes two vector-matrix products for
-the bilinear score, computes the two-class head in Python floats, and makes
-one outer-product GEMM for the tensor gradient, then the L2 add and
-``adagrad_step``. The tests hold it, bit for bit, to an N-example backward
-pass kept in ``tests/`` as an oracle, which the finite-difference tests pin
-in turn. Bit-identity fixes which operations stay numpy: the logits and
-dL/da are BLAS products (BLAS fuses multiply and add, a Python sum does
-not), the one non-trivial softmax exponential is ``np.exp`` (``math.exp``
-rounds differently). The kernel's sigmoid is ``_sigmoid`` on Python floats.
-``_forward`` computes the same ``1 / (1 + exp(-z))`` over an array: libm's
-``math.exp`` mapped over ``-z``, then numpy's add and divide, which round as
-Python's do; when an ``exp`` overflows it maps ``_sigmoid`` instead. The
-tests pin both to scipy's ``expit`` bit for bit.
+runs the one-example step for every row, with what it uses bound as locals,
+so no Python call happens per example besides the numpy calls. A step makes
+two vector-matrix products for the bilinear score, computes the two-class
+head in Python floats, makes one outer-product GEMM for the tensor gradient,
+then the L2 add and the Adagrad update, inline as seven ``out=`` ufunc
+calls. Call overhead sets a step's cost: the products are ``ndarray.dot``
+calls, as ``np.dot`` adds an ``__array_function__`` dispatcher per call, and
+lambda, the learning rate and epsilon are 0-d float64 arrays built once, as
+a ufunc converts a Python float operand on every call. The bits stay those
+of ``np.dot`` and Python floats: the same ufuncs and BLAS routines run in
+the same order on the same float64 values, an int setting included. The
+tests hold the kernel, bit for bit, to an N-example backward pass and
+Adagrad update kept in ``tests/`` as an oracle, which the finite-difference
+tests pin in turn. Bit-identity fixes which operations stay numpy: the
+logits and dL/da are BLAS products (BLAS fuses multiply and add, a Python
+sum does not), the one non-trivial softmax exponential is ``np.exp``
+(``math.exp`` rounds differently). The kernel's sigmoid is ``_sigmoid`` on
+Python floats. ``_forward`` computes the same ``1 / (1 + exp(-z))`` over an
+array: libm's ``math.exp`` mapped over ``-z``, then numpy's add and divide,
+which round as Python's do; when an ``exp`` overflows it maps ``_sigmoid``
+instead. The tests pin both to scipy's ``expit`` bit for bit.
 The objective trace comes from the GEMM forward pass rather than a
 three-operand ``einsum`` and may differ from it in the last ulp.
 
@@ -196,9 +201,10 @@ class _Workspace:
         through theta's weight block; dL/dz scales by the sigmoid derivative
         a(1-a); and the tensor gradient is the GEMM of the outer product
         s o^T, flattened to (K*K, 1), with dL/dz as (1, 2). The L2 term adds
-        lambda times every parameter, tensor and theta alike, then
-        ``adagrad_step`` applies the update. The two-class quantities are
-        Python floats.
+        lambda times every parameter, tensor and theta alike. Then, inline,
+        Adagrad adds grad^2 to ``acc`` and subtracts the step it leaves in
+        ``grad``, lr * grad / (sqrt(acc) + eps), from the parameters. The
+        two-class quantities are Python floats; lambda, lr and eps are 0-d arrays.
         """
         k = self.tensor.shape[0]
         tensor_2k = self.tensor.reshape(k, k * SENTENCE_DIM)
@@ -210,17 +216,20 @@ class _Workspace:
         pairs_kk = pairs.reshape(k, k)
         partial_2k = np.empty(k * SENTENCE_DIM)
         partial = partial_2k.reshape(k, SENTENCE_DIM)
-        g_tensor, params, grad, acc, scratch, l2_lambda = (
-            self.g_tensor, self.params, self.grad, self.acc, self.scratch, self.l2_lambda)
-        dot, exp, sigmoid = np.dot, np.exp, _sigmoid
+        g_tensor, params, grad, acc, scratch, regularize = (
+            self.g_tensor, self.params, self.grad, self.acc, self.scratch, bool(self.l2_lambda))
+        lam, lr, eps = (np.array(value, dtype=np.float64)
+                        for value in (self.l2_lambda, learning_rate, epsilon))
+        add, multiply, divide, subtract, sqrt, exp, sigmoid = (
+            np.add, np.multiply, np.divide, np.subtract, np.sqrt, np.exp, _sigmoid)
 
         def run(rows):
             for s, o, s_column, o_row, t0, t1 in rows:
-                dot(s, tensor_2k, out=partial_2k)
-                z0, z1 = dot(o, partial).tolist()
+                s.dot(tensor_2k, out=partial_2k)
+                z0, z1 = o.dot(partial).tolist()
                 a0 = a[0] = sigmoid(z0)
                 a1 = a[1] = sigmoid(z1)
-                l0, l1 = dot(a, theta_t).tolist()
+                l0, l1 = a.dot(theta_t).tolist()
                 # softmax: the larger logit's exponential is exp(0) = 1, and
                 # l - l + 1.0 is 1.0 too, or NaN for an infinite l as in _softmax
                 if l0 >= l1:
@@ -231,31 +240,22 @@ class _Workspace:
                 d0 = d_logit[0] = e0 / total - t0
                 d1 = d_logit[1] = e1 / total - t1
                 g_theta[:] = (d0 * a0, d0 * a1, d0, d1 * a0, d1 * a1, d1)
-                g0, g1 = dot(d_logit, theta_w).tolist()
+                g0, g1 = d_logit.dot(theta_w).tolist()
                 d_z[0, 0] = g0 * a0 * (1.0 - a0)
                 d_z[0, 1] = g1 * a1 * (1.0 - a1)
-                dot(s_column, o_row, out=pairs_kk)
-                dot(pairs, d_z, out=g_tensor)
-                if l2_lambda:
-                    np.add(grad, np.multiply(params, l2_lambda, out=scratch), out=grad)
-                adagrad_step(params, grad, acc, learning_rate, epsilon, scratch)
+                s_column.dot(o_row, out=pairs_kk)
+                pairs.dot(d_z, out=g_tensor)
+                if regularize:
+                    add(grad, multiply(params, lam, out=scratch), out=grad)
+                multiply(grad, grad, out=scratch)
+                add(acc, scratch, out=acc)
+                sqrt(acc, out=scratch)
+                add(scratch, eps, out=scratch)
+                multiply(grad, lr, out=grad)
+                divide(grad, scratch, out=grad)
+                subtract(params, grad, out=params)
 
         return run
-
-
-def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch) -> None:
-    """In-place Adagrad update: accumulate squared gradient, scale the step.
-
-    ``grad`` is overwritten with the step taken. ``scratch``, an array shaped
-    like ``param``, saves an allocation per call.
-    """
-    squared = np.multiply(grad, grad, out=scratch)
-    accumulator += squared
-    denominator = np.sqrt(accumulator, out=squared)
-    denominator += epsilon
-    grad *= learning_rate
-    grad /= denominator
-    param -= grad
 
 
 def _lookup_triples(triples, embeddings):

@@ -89,6 +89,22 @@ def dataset_negatives(dataset) -> list:
     return [t for t in dataset.triples if not is_plausible(t)]
 
 
+def rule_labelled_pairs(embeddings, world, verb: str):
+    """Every (subject, object) pair of the table's nouns, labelled by the
+    rule ``synthetic.build_world`` plants for ``verb``.
+
+    A pair is plausible when the verb prefers its subject's class as a
+    subject and its object's class as an object. Returns the (N, K) subject
+    and object rows, subjects varying slowest, and the N labels.
+    """
+    subject_classes, object_classes = world.config.verb_preferences[verb]
+    classes = [world.class_of[noun] for noun in embeddings.nouns.words]
+    n = len(classes)
+    labels = [PLAUSIBLE if s in subject_classes and o in object_classes else IMPLAUSIBLE
+              for s in classes for o in classes]
+    return np.repeat(embeddings.matrix, n, axis=0), np.tile(embeddings.matrix, (n, 1)), labels
+
+
 def holdout_halves(dataset, seed: int):
     """The two ``stratified_halves`` of a dataset, drawn with ``random.Random(seed)``."""
     halves = stratified_halves(dataset.triples, random.Random(seed))

@@ -24,7 +24,6 @@ from verbtensor.tensor_model import (
     _sigmoid,
     _split,
     _Workspace,
-    adagrad_step,
     init_model,
     load_model,
     predict,
@@ -38,9 +37,10 @@ ONE_HOT_TOP = np.array([1.0, 0.0])
 ONE_HOT_BOT = np.array([0.0, 1.0])
 
 
-# The N-example backward pass and the objective of a batch of
-# (subject, object, target) examples: the oracle that ``epoch_runner`` is
-# held to bit for bit. The finite-difference tests pin the oracle itself.
+# The N-example backward pass, the Adagrad update and the objective of a
+# batch of (subject, object, target) examples: the oracle that
+# ``epoch_runner`` is held to bit for bit. The finite-difference tests pin
+# the oracle itself.
 
 @dataclass(frozen=True)
 class Gradients:
@@ -67,6 +67,22 @@ class OracleWorkspace(_Workspace):
         np.dot(pairs.T, d_z, out=self.g_tensor)
         if self.l2_lambda:
             self.grad += np.multiply(self.params, self.l2_lambda, out=self.scratch)
+
+
+def adagrad_step(param, grad, accumulator, learning_rate, epsilon, scratch) -> None:
+    """In-place Adagrad update: accumulate squared gradient, scale the step.
+
+    ``grad`` is overwritten with the step taken. ``scratch``, an array shaped
+    like ``param``, saves an allocation per call. The oracle's own update:
+    the kernel inlines the same seven operations.
+    """
+    squared = np.multiply(grad, grad, out=scratch)
+    accumulator += squared
+    denominator = np.sqrt(accumulator, out=squared)
+    denominator += epsilon
+    grad *= learning_rate
+    grad /= denominator
+    param -= grad
 
 
 def _batch_arrays(batch):
@@ -510,14 +526,18 @@ class TestExampleStep:
         theta_scale=st.sampled_from([0.01, 1.0, 50.0, 1e3]),
         target=st.sampled_from([(1.0, 0.0), (0.0, 1.0)]),
         l2_lambda=st.sampled_from([0.0, 0.01]),
+        lr=st.sampled_from([0.0, 0.05, 1, 7.5]),
+        eps=st.sampled_from([1e-8, 1.0, 5e-324]),
         tie=st.booleans(),
         zeros=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_gradient_plus_adagrad(self, k, tensor_scale, theta_scale, target,
-                                           l2_lambda, tie, zeros, seed):
+                                           l2_lambda, lr, eps, tie, zeros, seed):
         # scales up to 1e3 saturate the sigmoid, past exp overflow; equal theta
-        # rows tie the logits exactly; zeroed entries give both signed zeros
+        # rows tie the logits exactly; zeroed entries give both signed zeros.
+        # The oracle takes lr and eps as Python numbers (1 an int, 5e-324 the
+        # least subnormal), the kernel as the 0-d arrays it builds from them
         rng = np.random.default_rng(seed)
         model = VerbTensorModel(rng.uniform(-tensor_scale, tensor_scale, (k, k, 2)),
                                 rng.uniform(-theta_scale, theta_scale, (2, 3)))
@@ -528,7 +548,6 @@ class TestExampleStep:
             s *= rng.random(k) < 0.5
             o *= rng.random(k) < 0.5
         accumulator = rng.uniform(0.0, 2.0, k * k * 2 + 6)
-        lr, eps = 0.05, 1e-8
 
         oracle = OracleWorkspace(model, l2_lambda)
         oracle.acc[:] = accumulator
