@@ -25,23 +25,26 @@ runs the one-example step for every row, with what it uses bound as locals,
 so no Python call happens per example besides the numpy calls. A step makes
 two vector-matrix products for the bilinear score, computes the two-class
 head in Python floats, makes one outer-product GEMM for the tensor gradient,
-then the L2 add and the Adagrad update, inline as seven ``out=`` ufunc
-calls. Call overhead sets a step's cost: the products are ``ndarray.dot``
-calls, as ``np.dot`` adds an ``__array_function__`` dispatcher per call, and
-lambda, the learning rate and epsilon are 0-d float64 arrays built once, as
-a ufunc converts a Python float operand on every call. The bits stay those
-of ``np.dot`` and Python floats: the same ufuncs and BLAS routines run in
-the same order on the same float64 values, an int setting included. The
-tests hold the kernel, bit for bit, to an N-example backward pass and
-Adagrad update kept in ``tests/`` as an oracle, which the finite-difference
-tests pin in turn. Bit-identity fixes which operations stay numpy: the
-logits and dL/da are BLAS products (BLAS fuses multiply and add, a Python
-sum does not), the one non-trivial softmax exponential is ``np.exp``
-(``math.exp`` rounds differently). The kernel's sigmoid is ``_sigmoid`` on
-Python floats. ``_forward`` computes the same ``1 / (1 + exp(-z))`` over an
-array: libm's ``math.exp`` mapped over ``-z``, then numpy's add and divide,
-which round as Python's do; when an ``exp`` overflows it maps ``_sigmoid``
-instead. The tests pin both to scipy's ``expit`` bit for bit.
+then the L2 add and the Adagrad update, inline as nine in-place ufunc calls.
+Call overhead sets a step's cost: the products are ``ndarray.dot`` calls, as
+``np.dot`` adds an ``__array_function__`` dispatcher per call, every output
+buffer is passed positionally, as parsing an ``out=`` keyword costs more
+than the call's arithmetic, and lambda, the learning rate and epsilon are
+0-d float64 arrays built once, as a ufunc converts a Python float operand on
+every call. The bits stay those of ``np.dot`` and Python floats: the same
+ufuncs and BLAS routines run in the same order on the same float64 values,
+an int setting included. The tests hold the kernel, bit for bit, to an
+N-example backward pass and Adagrad update kept in ``tests/`` as an oracle,
+which the finite-difference tests pin in turn. Bit-identity fixes which
+operations stay numpy: the logits and dL/da are BLAS products (BLAS fuses
+multiply and add, a Python sum does not), the one non-trivial softmax
+exponential is ``np.exp`` (``math.exp`` rounds differently). The kernel's
+sigmoid is ``_sigmoid`` inlined on Python floats, its overflow to 0.0
+included, which saves two Python frames a step. ``_forward`` computes the
+same ``1 / (1 + exp(-z))`` over an array: libm's ``math.exp`` mapped over
+``-z``, then numpy's add and divide, which round as Python's do; when an
+``exp`` overflows it maps ``_sigmoid`` instead. The tests pin both to
+scipy's ``expit`` bit for bit.
 The objective trace comes from the GEMM forward pass rather than a
 three-operand ``einsum`` and may differ from it in the last ulp.
 
@@ -205,6 +208,8 @@ class _Workspace:
         Adagrad adds grad^2 to ``acc`` and subtracts the step it leaves in
         ``grad``, lr * grad / (sqrt(acc) + eps), from the parameters. The
         two-class quantities are Python floats; lambda, lr and eps are 0-d arrays.
+        Every output buffer is passed positionally, and the sigmoid is
+        ``_sigmoid`` inlined, bit for bit.
         """
         k = self.tensor.shape[0]
         tensor_2k = self.tensor.reshape(k, k * SENTENCE_DIM)
@@ -220,15 +225,22 @@ class _Workspace:
             self.g_tensor, self.params, self.grad, self.acc, self.scratch, bool(self.l2_lambda))
         lam, lr, eps = (np.array(value, dtype=np.float64)
                         for value in (self.l2_lambda, learning_rate, epsilon))
-        add, multiply, divide, subtract, sqrt, exp, sigmoid = (
-            np.add, np.multiply, np.divide, np.subtract, np.sqrt, np.exp, _sigmoid)
+        add, multiply, divide, subtract, sqrt, exp, math_exp = (
+            np.add, np.multiply, np.divide, np.subtract, np.sqrt, np.exp, math.exp)
 
         def run(rows):
             for s, o, s_column, o_row, t0, t1 in rows:
-                s.dot(tensor_2k, out=partial_2k)
+                s.dot(tensor_2k, partial_2k)
                 z0, z1 = o.dot(partial).tolist()
-                a0 = a[0] = sigmoid(z0)
-                a1 = a[1] = sigmoid(z1)
+                try:  # _sigmoid, inline: exp(-z) overflows to inf, where expit gives 0.0
+                    a0 = 1.0 / (1.0 + math_exp(-z0))
+                except OverflowError:
+                    a0 = 0.0
+                try:
+                    a1 = 1.0 / (1.0 + math_exp(-z1))
+                except OverflowError:
+                    a1 = 0.0
+                a[0], a[1] = a0, a1
                 l0, l1 = a.dot(theta_t).tolist()
                 # softmax: the larger logit's exponential is exp(0) = 1, and
                 # l - l + 1.0 is 1.0 too, or NaN for an infinite l as in _softmax
@@ -239,21 +251,22 @@ class _Workspace:
                 total = e0 + e1
                 d0 = d_logit[0] = e0 / total - t0
                 d1 = d_logit[1] = e1 / total - t1
-                g_theta[:] = (d0 * a0, d0 * a1, d0, d1 * a0, d1 * a1, d1)
+                g_theta[0], g_theta[1], g_theta[2] = d0 * a0, d0 * a1, d0
+                g_theta[3], g_theta[4], g_theta[5] = d1 * a0, d1 * a1, d1
                 g0, g1 = d_logit.dot(theta_w).tolist()
                 d_z[0, 0] = g0 * a0 * (1.0 - a0)
                 d_z[0, 1] = g1 * a1 * (1.0 - a1)
-                s_column.dot(o_row, out=pairs_kk)
-                pairs.dot(d_z, out=g_tensor)
+                s_column.dot(o_row, pairs_kk)
+                pairs.dot(d_z, g_tensor)
                 if regularize:
-                    add(grad, multiply(params, lam, out=scratch), out=grad)
-                multiply(grad, grad, out=scratch)
-                add(acc, scratch, out=acc)
-                sqrt(acc, out=scratch)
-                add(scratch, eps, out=scratch)
-                multiply(grad, lr, out=grad)
-                divide(grad, scratch, out=grad)
-                subtract(params, grad, out=params)
+                    add(grad, multiply(params, lam, scratch), grad)
+                multiply(grad, grad, scratch)
+                add(acc, scratch, acc)
+                sqrt(acc, scratch)
+                add(scratch, eps, scratch)
+                multiply(grad, lr, grad)
+                divide(grad, scratch, grad)
+                subtract(params, grad, params)
 
         return run
 
@@ -324,7 +337,7 @@ def predict_batch(model: VerbTensorModel, subjects, objects_):
     """
     _, _, p = _forward(model.tensor, model.theta, subjects, objects_)
     p_plausible = p[:, PLAUSIBLE_INDEX]
-    labels = [PLAUSIBLE if value >= 0.5 else IMPLAUSIBLE for value in p_plausible]
+    labels = [PLAUSIBLE if value >= 0.5 else IMPLAUSIBLE for value in p_plausible.tolist()]
     return labels, p_plausible
 
 

@@ -27,6 +27,7 @@ from verbtensor.tensor_model import (
     init_model,
     load_model,
     predict,
+    predict_batch,
     save_model,
     train,
 )
@@ -295,7 +296,7 @@ class TestSigmoid:
     @example(x=-math.inf)
     @example(x=math.nan)
     def test_matches_expit_bit_for_bit(self, x):
-        # the training kernel calls _sigmoid on each pre-activation in place of expit
+        # the training kernel inlines _sigmoid on each pre-activation in place of expit
         got = np.float64(_sigmoid(x))
         assert bits(got) == bits(expit(np.float64(x)))
         if x <= -709.79:
@@ -561,6 +562,28 @@ class TestExampleStep:
         assert np.array_equal(bits(work.params), bits(oracle.params))
         assert np.array_equal(bits(work.acc), bits(oracle.acc))
 
+    @pytest.mark.parametrize("target", [(1.0, 0.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("z", [(-709.78, -709.79), (-709.79, -709.78)])
+    def test_sigmoid_at_exp_overflow_edge(self, z, target):
+        # K = 1 and s = o = (1.0,), so z is the tensor entry: math.exp(709.78)
+        # is finite and math.exp(709.79) overflows, one class on each side.
+        # No L2 term, an empty accumulator, lr 1 and the least subnormal eps
+        # turn a subnormal gradient into a step of order 1, so a sigmoid of
+        # 5e-324 in place of 0.0 moves the parameters
+        model = VerbTensorModel(np.array([[z]]), np.array([[3.0, -2.0, 0.1], [-4.0, 5.0, 0.2]]))
+        s, o = np.ones(1), np.ones(1)
+        _, a, _ = _forward(model.tensor, model.theta, s[None], o[None])
+        assert sorted(a[0, :SENTENCE_DIM] > 0.0) == [False, True]
+
+        oracle = OracleWorkspace(model, 0.0)
+        oracle.gradient(s[None], o[None], np.array([target]))
+        adagrad_step(oracle.params, oracle.grad, oracle.acc, 1.0, 5e-324, oracle.scratch)
+        work = _Workspace(model, 0.0)
+        work.epoch_runner(1.0, 5e-324)([(s, o, s[:, None], o[None], *target)])
+
+        assert np.array_equal(bits(work.params), bits(oracle.params))
+        assert np.array_equal(bits(work.acc), bits(oracle.acc))
+
     @pytest.mark.parametrize("rows", [(1e308, 0.0), (0.0, 1e308), (-1e308, 0.0),
                                       (1e308, 1e308), (-1e308, -1e308)])
     def test_infinite_logits_match_softmax(self, rows):
@@ -622,6 +645,15 @@ class TestPredict:
         swapped.theta = swapped.theta[::-1].copy()
         _, p_swapped = predict(swapped, s, o)
         assert p_swapped == pytest.approx(1.0 - p, abs=1e-12)
+
+    def test_nan_probability_is_implausible(self):
+        # s T o sums 1e308 entries to inf - inf for the first pair only
+        model = VerbTensorModel(np.full((2, 2, 2), 1e308), np.zeros((2, 3)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            labels, p = predict_batch(model, np.array([[1.0, 1.0], [1.0, 0.0]]),
+                                      np.array([[1.0, -1.0], [1.0, 0.0]]))
+        assert math.isnan(p[0]) and p[1] == 0.5
+        assert labels == [IMPLAUSIBLE, PLAUSIBLE]
 
     def test_held_out_auc_on_separable_data(self, planted):
         dataset, embeddings = planted
