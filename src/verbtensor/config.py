@@ -51,18 +51,6 @@ class PipelineConfig:
     def primary_k(self) -> int:
         return self.svd_dims[0]
 
-    def vectors_dir(self) -> Path:
-        return self.output_dir / "vectors"
-
-    def datasets_dir(self) -> Path:
-        return self.output_dir / "datasets"
-
-    def models_dir(self) -> Path:
-        return self.output_dir / "models"
-
-    def reports_dir(self) -> Path:
-        return self.output_dir / "reports"
-
 
 def _tuple_of(cast):
     """A parser of comma-separated ``cast`` values; blank entries are skipped."""

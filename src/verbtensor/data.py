@@ -338,14 +338,3 @@ def read_dataset_jsonl(path) -> VerbDataset:
         raise DataError(f"{path}: dataset has a header and no triples")
     return VerbDataset(verb=dataset_verb, triples=triples)
 
-
-def write_splits_jsonl(path, splits) -> None:
-    with open_output(path) as handle:
-        for s in splits:
-            record = {
-                "repetition": s.repetition,
-                "fold": s.fold,
-                "train": list(s.train),
-                "test": list(s.test),
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")

@@ -1,18 +1,30 @@
 """Pipeline commands behind the CLI: vectors, datasets, experiments, models.
 
-Every command writes its artifacts plus a manifest recording the parameters
-it used and sha256 checksums of the inputs it read and the outputs it wrote:
+Every artifact's path is a template under ``config.output_dir`` in one
+table, ``_LAYOUT``, which ``artifact_path`` fills in from the verb, the dim
+``k`` and the experiment kind ``which`` (``stem`` is ``which`` with ``_``):
 
-- ``build-vectors``: ``vectors/manifest.json``. Its outputs include each
-  embeddings TSV's sidecar, ``embeddings_k{k}.tvb``: the table's nouns and
-  values under one sha256 of the TSV and themselves, read in place of the
-  text while it matches (see ``vectors``);
-- ``gen-data``: ``datasets/manifest.json``;
-- ``experiment --which W``: ``reports/manifest_experiment-W.json``;
-- ``train --verb V --k K``: ``models/manifest_V_kK.json``, one per model,
-  whose only output is ``models/V_kK.tvbm``. Its parameters hold the full
-  training settings and the objective at initialization and after each
-  epoch.
+- ``frequencies``: ``vectors/frequencies.tsv``
+- ``embeddings``: ``vectors/embeddings_k{k}.tsv``
+- ``vectors-manifest``: ``vectors/manifest.json``
+- ``dataset``: ``datasets/{verb}.jsonl``
+- ``datasets-manifest``: ``datasets/manifest.json``
+- ``report``: ``reports/{stem}.csv``
+- ``comparisons``: ``reports/{stem}_comparisons.csv``
+- ``experiment-manifest``: ``reports/manifest_experiment-{which}.json``
+- ``model``: ``models/{verb}_k{k}.tvbm``
+- ``model-manifest``: ``models/manifest_{verb}_k{k}.json``
+
+Each command creates its manifest's directory, writes its artifacts there,
+then the manifest: the parameters it used and sha256 checksums of the
+inputs it read and the outputs it wrote. build-vectors' outputs include each
+embeddings TSV's sidecar, ``embeddings_k{k}.tvb``, which ``vectors`` names
+and reads in place of the text while it matches. A model's manifest holds
+the full training settings and the objective after each epoch. gen-data
+removes the old dataset of each verb it skips, once it has written one.
+The 5x2cv splits are not written: ``data.make_5x2cv_splits(base,
+derive_seed(cv_seed, which, verb))`` rebuilds them, ``base`` being the
+verb's dataset or, for small-cv, its ``small_cv_size`` subsample.
 
 Commands are pure functions of (config, input files, seeds),
 so for unchanged inputs and seeds every output, manifests included, is
@@ -28,7 +40,7 @@ under neither root by its absolute path. Roots and files are compared after
 run returns its formatted CSV rows, one list per report table of the kind
 (``_REPORT_TABLES``), and one loop writes every table's note line, header
 and rows. A verb that fails is recorded in ``failed_verbs`` by its error
-text, with its files named by manifest key.
+text, with its files under ``--out`` named by manifest key.
 """
 
 import csv
@@ -58,10 +70,26 @@ log = logging.getLogger(__name__)
 
 SD_NOTE = "# sd columns are sample standard deviations (ddof=1)"
 
+# artifact kind -> its path under config.output_dir (see the module docstring)
+_LAYOUT = {
+    "frequencies": "vectors/frequencies.tsv",
+    "embeddings": "vectors/embeddings_k{k}.tsv",
+    "vectors-manifest": "vectors/manifest.json",
+    "dataset": "datasets/{verb}.jsonl",
+    "datasets-manifest": "datasets/manifest.json",
+    "report": "reports/{stem}.csv",
+    "comparisons": "reports/{stem}_comparisons.csv",
+    "experiment-manifest": "reports/manifest_experiment-{which}.json",
+    "model": "models/{verb}_k{k}.tvbm",
+    "model-manifest": "models/manifest_{verb}_k{k}.json",
+}
 
-def _manifest_roots(config: PipelineConfig) -> tuple:
-    """The resolved roots manifest keys are relative to, in the order they are tried."""
-    return config.output_dir.resolve(), config.config_dir.resolve()
+
+def artifact_path(config: PipelineConfig, kind: str, verb: str | None = None,
+                  k: int | None = None, which: str | None = None) -> Path:
+    """The path of artifact ``kind``, a key of ``_LAYOUT``, under ``config.output_dir``."""
+    stem = which and which.replace("-", "_")
+    return config.output_dir / _LAYOUT[kind].format(verb=verb, k=k, which=which, stem=stem)
 
 
 def _manifest_key(path, roots: tuple) -> str:
@@ -81,7 +109,7 @@ def _write_manifest(config: PipelineConfig, path: Path, command: str,
     file relative to ``config.config_dir`` and a file under neither by its
     absolute path, so no key depends on where ``--out`` or the config lives.
     """
-    roots = _manifest_roots(config)
+    roots = config.output_dir.resolve(), config.config_dir.resolve()
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -98,11 +126,8 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-_EMBEDDINGS_FILE = "embeddings_k{}.tsv"
-
-
 def _embeddings_path(config: PipelineConfig, k: int | None = None) -> tuple:
-    """``(k, vectors/embeddings_k{k}.tsv)`` for a configured dim that has been built.
+    """``(k, path)`` of the embeddings of a configured dim that has been built.
 
     ``None`` means ``primary_k``; a ``k`` outside ``svd_dims`` or a missing
     file raises ``ValidationError``.
@@ -110,7 +135,7 @@ def _embeddings_path(config: PipelineConfig, k: int | None = None) -> tuple:
     k = config.primary_k if k is None else k
     if k not in config.svd_dims:
         raise ValidationError(f"k={k} is not one of the configured svd_dims {config.svd_dims}")
-    path = config.vectors_dir() / _EMBEDDINGS_FILE.format(k)
+    path = artifact_path(config, "embeddings", k=k)
     if not path.is_file():
         raise ValidationError(f"missing embeddings for k={k}: {path} (run build-vectors)")
     return k, path
@@ -161,7 +186,8 @@ def _reject_unknown_nouns(dataset_path, emb_path, embeddings, triples) -> None:
 def build_vectors(config: PipelineConfig) -> dict:
     """Corpus scan, tTest weighting, context selection, SVD, embedding export."""
     require_input_files(config, "corpus", "stopwords", "triples", "dev_pairs")
-    out_dir = ensure_dir(config.vectors_dir())
+    manifest_path = artifact_path(config, "vectors-manifest")
+    ensure_dir(manifest_path.parent)
     stopwords = corpus_mod.read_stopwords(config.stopwords)
     triple_rows = data_mod.read_triples_tsv(config.triples)
     targets = sorted({r[0] for r in triple_rows} | {r[2] for r in triple_rows})
@@ -188,12 +214,11 @@ def build_vectors(config: PipelineConfig) -> dict:
         )
     top_n, sweep_trace, reduced = _choose_top_n(config, weighted)
 
-    outputs = []
-    freq_path = out_dir / "frequencies.tsv"
+    freq_path = artifact_path(config, "frequencies")
     corpus_mod.write_frequency_tsv(freq_path, frequencies)
-    outputs.append(freq_path)
+    outputs = [freq_path]
 
-    tsv_paths = {k: out_dir / _EMBEDDINGS_FILE.format(k) for k in config.svd_dims}
+    tsv_paths = {k: artifact_path(config, "embeddings", k=k) for k in config.svd_dims}
     sidecars = vec_mod.write_embeddings_tsv(tsv_paths, reduced)
     for k, tsv_path in tsv_paths.items():
         outputs.append(tsv_path)
@@ -211,7 +236,7 @@ def build_vectors(config: PipelineConfig) -> dict:
         "dropped_nouns": dropped,
         "n_target_nouns": len(targets),
     }
-    manifest = _write_manifest(config, out_dir / "manifest.json", "build-vectors", parameters,
+    manifest = _write_manifest(config, manifest_path, "build-vectors", parameters,
                                inputs, outputs + sidecars)
     return {"top_n": top_n, "outputs": [str(p) for p in outputs], "manifest": str(manifest)}
 
@@ -277,13 +302,14 @@ def gen_data(config: PipelineConfig) -> dict:
     """
     require_input_files(config, "triples")
     k, emb_path = _embeddings_path(config)
-    freq_path = config.vectors_dir() / "frequencies.tsv"
+    freq_path = artifact_path(config, "frequencies")
     if not freq_path.is_file():
         raise ValidationError(f"missing {freq_path} (run build-vectors)")
     rows_by_verb = {}
     for row in data_mod.read_triples_tsv(config.triples):
         rows_by_verb.setdefault(row[1], []).append(row)
-    out_dir = ensure_dir(config.datasets_dir())
+    manifest_path = artifact_path(config, "datasets-manifest")
+    ensure_dir(manifest_path.parent)
     frequencies = corpus_mod.read_frequency_tsv(freq_path)
     embeddings = _read_embeddings(emb_path, k)
     known = set(embeddings.nouns.words)
@@ -307,7 +333,7 @@ def gen_data(config: PipelineConfig) -> dict:
             log.warning("verb %r skipped: %s", verb, exc)
             failures[verb] = str(exc)
             continue
-        path = out_dir / f"{verb}.jsonl"
+        path = artifact_path(config, "dataset", verb=verb)
         data_mod.write_dataset_jsonl(path, data_mod.VerbDataset(verb, positives + negatives))
         outputs.append(path)
         written.append(verb)
@@ -315,6 +341,12 @@ def gen_data(config: PipelineConfig) -> dict:
         log.info("verb %r: %d positives, %d negatives", verb, len(positives), len(negatives))
     if not written:
         raise VerbTensorError(f"no verb produced a dataset: {failures}")
+    for verb in failures:  # an earlier call's dataset would be read as this call's
+        stale = artifact_path(config, "dataset", verb=verb)
+        try:
+            stale.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot remove {stale}: {exc.strerror}") from None
 
     parameters = {
         "positive_cap": config.positive_cap,
@@ -324,7 +356,7 @@ def gen_data(config: PipelineConfig) -> dict:
         "verbs_skipped": failures,
         "oov_dropped": oov_dropped,
     }
-    manifest = _write_manifest(config, out_dir / "manifest.json", "gen-data", parameters,
+    manifest = _write_manifest(config, manifest_path, "gen-data", parameters,
                                [config.triples, freq_path, emb_path], outputs)
     return {"verbs": written, "skipped": failures, "manifest": str(manifest)}
 
@@ -336,16 +368,16 @@ def gen_data(config: PipelineConfig) -> dict:
 _METHODS = (eval_mod.METHOD_BASELINE, eval_mod.METHOD_TENSOR)
 _FOLD_COLUMNS = [f"r{rep}f{fold}" for rep in range(1, 6) for fold in (1, 2)]
 _CV_TABLES = (
-    ("", SD_NOTE, ["verb", "method", "k", "metric", "mean", "sd"] + _FOLD_COLUMNS),
-    ("_comparisons", "# f_statistic compares tensor minus baseline on aligned folds",
+    ("report", SD_NOTE, ["verb", "method", "k", "metric", "mean", "sd"] + _FOLD_COLUMNS),
+    ("comparisons", "# f_statistic compares tensor minus baseline on aligned folds",
      ["verb", "k", "metric", "f_statistic", "significant", "alpha"]),
 )
-# experiment kind -> its report tables as (file suffix, note line, header);
+# experiment kind -> its report tables as (artifact kind, note line, header);
 # _experiment_verb returns one list of rows per table, in this order
 _REPORT_TABLES = {
     "full-cv": _CV_TABLES,
     "small-cv": _CV_TABLES,
-    "curves": (("", SD_NOTE, ["verb", "method", "k", "size", "mean_auc", "sd_auc"]),),
+    "curves": (("report", SD_NOTE, ["verb", "method", "k", "size", "mean_auc", "sd_auc"]),),
 }
 EXPERIMENT_KINDS = tuple(_REPORT_TABLES)
 
@@ -363,14 +395,15 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     """
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
-    datasets_dir = config.datasets_dir()
-    verb_paths = {v: datasets_dir / f"{v}.jsonl" for v in sorted(config.verbs)}
+    verb_paths = {v: artifact_path(config, "dataset", verb=v) for v in sorted(config.verbs)}
     available = [v for v, p in verb_paths.items() if p.is_file()]
     if not available:
+        datasets_dir = next(iter(verb_paths.values())).parent
         raise ValidationError(f"no datasets under {datasets_dir} (run gen-data)")
     emb_paths = [_embeddings_path(config, k)[1] for k in _experiment_dims(config, which)]
 
-    out_dir = ensure_dir(config.reports_dir())
+    manifest_path = artifact_path(config, "experiment-manifest", which=which)
+    ensure_dir(manifest_path.parent)
     tasks = [(config, verb, which) for verb in available]
     # the pool starts all its workers at once, so never more than there are verbs
     workers = min(jobs, len(available))
@@ -380,7 +413,7 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
             outcomes = list(pool.map(_experiment_verb_safe, tasks))
     else:
         outcomes = map(_experiment_verb_safe, tasks)
-    results = {}  # verb -> (rows per report table, CV splits or None), in verb order
+    results = {}  # verb -> rows per report table, in verb order
     failures = {}
     for verb, payload, error in outcomes:
         if error is None:
@@ -391,7 +424,7 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     if not results:
         raise VerbTensorError(f"every verb failed: {failures}")
 
-    outputs = _write_reports(which, results, out_dir)
+    outputs = _write_reports(config, which, results)
     inputs = [verb_paths[v] for v in available] + emb_paths
     parameters = {
         "which": which,
@@ -404,8 +437,8 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
         "verbs": list(results),
         "failed_verbs": failures,
     }
-    manifest = _write_manifest(config, out_dir / f"manifest_experiment-{which}.json",
-                               f"experiment-{which}", parameters, inputs, outputs)
+    manifest = _write_manifest(config, manifest_path, f"experiment-{which}", parameters,
+                               inputs, outputs)
     if failures:
         raise VerbTensorError(
             f"{len(failures)} verb(s) failed: {sorted(failures)} (reports written for the rest)"
@@ -430,19 +463,18 @@ def _experiment_verb_safe(args):
         return verb, _experiment_verb(config, verb, which), None
     except Exception as exc:  # isolate per-verb failures
         message = f"{type(exc.__cause__ or exc).__name__}: {exc}"
-        roots = _manifest_roots(config)
-        for directory in (config.datasets_dir(), config.vectors_dir()):
-            message = message.replace(str(directory), _manifest_key(directory, roots))
-        return verb, None, message
+        # a file under the root prints as this prefix and then its manifest key
+        prefix = str(config.output_dir / "_")[:-1]
+        return verb, None, message.replace(prefix, "")
 
 
 def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
-    """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``, and its splits.
+    """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``.
 
     A noun of the triples it evaluates with a zero embedding row, or with no
     embedding, raises ``DataError`` naming the noun and the files.
     """
-    dataset_path = config.datasets_dir() / f"{verb}.jsonl"
+    dataset_path = artifact_path(config, "dataset", verb=verb)
     dataset = _read_dataset(dataset_path, verb)
     paths = {k: _embeddings_path(config, k)[1] for k in _experiment_dims(config, which)}
     embeddings = {k: _read_embeddings(path, k) for k, path in paths.items()}
@@ -467,7 +499,7 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
                 repeats=config.curve_repeats,
             )
         ]
-        return (rows,), None
+        return (rows,)
 
     splits = data_mod.make_5x2cv_splits(base, derive_seed(config.cv_seed, which, verb))
     rows, comparisons = [], []
@@ -492,27 +524,21 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
             comparisons.append(
                 [verb, k, metric, _fmt(f_stat), str(significant).lower(), eval_mod.F_TEST_ALPHA]
             )
-    return (rows, comparisons), splits
+    return rows, comparisons
 
 
-def _write_reports(which: str, results: dict, out_dir: Path) -> list:
-    """Write each report table (note line, header, every verb's rows), then the splits."""
-    stem = which.replace("-", "_")
+def _write_reports(config: PipelineConfig, which: str, results: dict) -> list:
+    """Write each report table: its note line, its header and every verb's rows."""
     outputs = []
-    for i, (suffix, note, header) in enumerate(_REPORT_TABLES[which]):
-        path = out_dir / f"{stem}{suffix}.csv"
+    for i, (kind, note, header) in enumerate(_REPORT_TABLES[which]):
+        path = artifact_path(config, kind, which=which)
         with open_output(path, newline="") as handle:
             handle.write(note + "\n")
             writer = csv.writer(handle)
             writer.writerow(header)
-            for tables, _ in results.values():
+            for tables in results.values():
                 writer.writerows(tables[i])
         outputs.append(path)
-    for verb, (_, splits) in results.items():
-        if splits is not None:
-            split_path = out_dir / f"{stem}_splits_{verb}.jsonl"
-            data_mod.write_splits_jsonl(split_path, splits)
-            outputs.append(split_path)
     return outputs
 
 
@@ -526,29 +552,24 @@ def _require_verb(config: PipelineConfig, verb: str) -> None:
         raise ValidationError(f"verb {verb!r} is not in the config's [experiment] verbs")
 
 
-def _model_path(config: PipelineConfig, verb: str, k: int) -> Path:
-    """``models/{verb}_k{k}.tvbm``, the file ``train`` writes and ``predict`` reads."""
-    return config.models_dir() / f"{verb}_k{k}.tvbm"
-
-
 def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
     """Train one verb's tensor model on its full dataset; save it and its manifest."""
     _require_verb(config, verb)
     k, emb_path = _embeddings_path(config, k)
-    dataset_path = config.datasets_dir() / f"{verb}.jsonl"
+    dataset_path = artifact_path(config, "dataset", verb=verb)
     if not dataset_path.is_file():
         raise ValidationError(f"missing dataset {dataset_path} (run gen-data)")
     dataset = _read_dataset(dataset_path, verb)
     embeddings = _read_embeddings(emb_path, k)
     _reject_unknown_nouns(dataset_path, emb_path, embeddings, dataset.triples)
     result = tm.train(dataset.triples, embeddings, config.train)
-    out_dir = ensure_dir(config.models_dir())
-    model_path = _model_path(config, verb, k)
+    model_path = artifact_path(config, "model", verb=verb, k=k)
+    ensure_dir(model_path.parent)
     tm.save_model(model_path, result.model)
     parameters = {"verb": verb, "k": k, "train": asdict(config.train),
                   "objective_trace": result.objective_trace}
-    manifest = _write_manifest(config, out_dir / f"manifest_{verb}_k{k}.json", "train",
-                               parameters, [dataset_path, emb_path], [model_path])
+    manifest = _write_manifest(config, artifact_path(config, "model-manifest", verb=verb, k=k),
+                               "train", parameters, [dataset_path, emb_path], [model_path])
     return {
         "verb": verb,
         "k": k,
@@ -563,7 +584,7 @@ def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: in
     """Load a trained model and classify one subject-object pair."""
     _require_verb(config, verb)
     k, emb_path = _embeddings_path(config, k)
-    model_path = _model_path(config, verb, k)
+    model_path = artifact_path(config, "model", verb=verb, k=k)
     if not model_path.is_file():
         raise ValidationError(f"no trained model at {model_path} (run train --verb {verb} --k {k})")
     embeddings = _read_embeddings(emb_path, k)

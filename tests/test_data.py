@@ -23,7 +23,6 @@ from verbtensor.data import (
     read_triples_tsv,
     subsample,
     write_dataset_jsonl,
-    write_splits_jsonl,
     _confounder_options,
 )
 from verbtensor.util import DataError
@@ -456,13 +455,6 @@ class TestJsonl:
         with pytest.raises(DataError,
                            match=r"eat\.jsonl:3: verb 'drink' differs from the header's 'eat'$"):
             read_dataset_jsonl(path)
-
-    def test_splits_file_is_deterministic(self, tmp_path):
-        dataset = balanced_dataset(16)
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_splits_jsonl(a, make_5x2cv_splits(dataset, seed=2))
-        write_splits_jsonl(b, make_5x2cv_splits(dataset, seed=2))
-        assert a.read_bytes() == b.read_bytes()
 
 
 

@@ -393,8 +393,8 @@ class TestSplitsCoverage:
 def small_world(built):
     """The small world's ``devour`` and ``assemble`` datasets and its k=6 embeddings."""
     config = load_config(built)
-    embeddings = read_embeddings_tsv(config.vectors_dir() / "embeddings_k6.tsv")
-    datasets = [read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+    embeddings = read_embeddings_tsv(config.output_dir / "vectors" / "embeddings_k6.tsv")
+    datasets = [read_dataset_jsonl(config.output_dir / "datasets" / f"{verb}.jsonl")
                 for verb in sorted(config.verbs)]
     return datasets, embeddings
 

@@ -35,9 +35,9 @@ def test_full_data_model_ranks_the_planted_rule(built_world, method):
     world, config = built_world
     aucs = {}
     for verb in config.verbs:
-        dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+        dataset = read_dataset_jsonl(config.output_dir / "datasets" / f"{verb}.jsonl")
         for k in config.svd_dims:
-            embeddings = read_embeddings_tsv(config.vectors_dir() / f"embeddings_k{k}.tsv")
+            embeddings = read_embeddings_tsv(config.output_dir / "vectors" / f"embeddings_k{k}.tsv")
             subjects, objects_, labels = rule_labelled_pairs(embeddings, world, verb)
             if method == METHOD_TENSOR:
                 model = tm.train(dataset.triples, embeddings, config.train).model

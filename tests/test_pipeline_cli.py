@@ -432,7 +432,7 @@ class TestCollectorPause:
 class TestBuildVectors:
     def test_outputs_exist_with_configured_dims(self, built):
         config = load_config(built)
-        out = config.vectors_dir()
+        out = config.output_dir / "vectors"
         for k in config.svd_dims:
             assert (out / f"embeddings_k{k}.tsv").is_file()
             assert (out / f"embeddings_k{k}.tvb").is_file()
@@ -440,7 +440,7 @@ class TestBuildVectors:
 
     def test_manifest_checksums_match_inputs(self, built):
         config = load_config(built)
-        manifest = json.loads((config.vectors_dir() / "manifest.json").read_text())
+        manifest = json.loads((config.output_dir / "vectors" / "manifest.json").read_text())
         assert manifest["command"] == "build-vectors"
         assert set(manifest["inputs"]) == {
             "corpus.txt", "stopwords.txt", "triples.tsv", "dev_pairs.tsv"
@@ -463,15 +463,15 @@ class TestBuildVectors:
         config = load_config(built)
         from verbtensor.vectors import read_embeddings_tsv
 
-        emb = read_embeddings_tsv(config.vectors_dir() / f"embeddings_k{config.primary_k}.tsv")
+        emb = read_embeddings_tsv(config.output_dir / "vectors" / f"embeddings_k{config.primary_k}.tsv")
         assert emb.dim == config.primary_k
 
     def test_smaller_dims_are_leading_columns(self, built):
         """Every embedding file comes from one decomposition of the chosen table."""
         config = load_config(built)
         small, large = sorted(config.svd_dims)
-        low = read_embeddings_tsv(config.vectors_dir() / f"embeddings_k{small}.tsv")
-        high = read_embeddings_tsv(config.vectors_dir() / f"embeddings_k{large}.tsv")
+        low = read_embeddings_tsv(config.output_dir / "vectors" / f"embeddings_k{small}.tsv")
+        high = read_embeddings_tsv(config.output_dir / "vectors" / f"embeddings_k{large}.tsv")
         assert low.nouns.words == high.nouns.words
         np.testing.assert_array_equal(low.matrix, high.matrix[:, :small])
 
@@ -501,7 +501,7 @@ class TestGenData:
         change to the data (its rows, its draws or its format) moves these.
         """
         out = tmp_path / "out"
-        shutil.copytree(load_config(built).vectors_dir(), out / "vectors")
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
         assert run_cli("--config", built, "--out", out, "gen-data") == EXIT_OK
         assert {verb: sha256_file(out / "datasets" / f"{verb}.jsonl")
                 for verb in ("assemble", "devour")} == {
@@ -516,7 +516,7 @@ class TestGenData:
         monkeypatch.setattr(data_mod, "_confounder_options",
                             lambda noun, *args: built_for.append(noun) or options(noun, *args))
         out = tmp_path / "out"
-        shutil.copytree(load_config(built).vectors_dir(), out / "vectors")
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
         assert run_cli("--config", built, "--out", out, "gen-data") == EXIT_OK
         drawn = set()
         for verb in ("assemble", "devour"):
@@ -527,24 +527,24 @@ class TestGenData:
     def test_datasets_balanced(self, built):
         config = load_config(built)
         for verb in config.verbs:
-            dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+            dataset = read_dataset_jsonl(config.output_dir / "datasets" / f"{verb}.jsonl")
             assert len(dataset_positives(dataset)) == len(dataset_negatives(dataset))
 
     def test_cap_respected(self, built):
         config = load_config(built)
         for verb in config.verbs:
-            dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+            dataset = read_dataset_jsonl(config.output_dir / "datasets" / f"{verb}.jsonl")
             assert len(dataset_positives(dataset)) <= config.positive_cap
 
     def test_confounders_from_buckets(self, built):
         config = load_config(built)
         embeddings = read_embeddings_tsv(
-            config.vectors_dir() / f"embeddings_k{config.primary_k}.tsv")
+            config.output_dir / "vectors" / f"embeddings_k{config.primary_k}.tsv")
         buckets = corpus_mod.frequency_buckets(
-            corpus_mod.read_frequency_tsv(config.vectors_dir() / "frequencies.tsv"),
+            corpus_mod.read_frequency_tsv(config.output_dir / "vectors" / "frequencies.tsv"),
             embeddings.nouns.words, config.bucket_size)
         for verb in config.verbs:
-            dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+            dataset = read_dataset_jsonl(config.output_dir / "datasets" / f"{verb}.jsonl")
             positives = dataset_positives(dataset)
             negatives = dataset_negatives(dataset)
             for p, n in zip(positives, negatives):
@@ -594,7 +594,7 @@ class TestGenData:
         with open(inputs / "triples.tsv", "a", encoding="utf-8") as handle:
             handle.write(f"unembedded\t{verb}\t{obj}\t1\n{subject}\t{verb}\tunembedded\t1\n")
         out = tmp_path / "out"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
         calls = []
         read = data_mod.read_triples_tsv
         monkeypatch.setattr(data_mod, "read_triples_tsv",
@@ -606,7 +606,43 @@ class TestGenData:
         assert parameters["oov_dropped"] == {v: 2 if v == verb else 0 for v in config.verbs}
         for name in parameters["verbs_written"]:
             assert (out / "datasets" / f"{name}.jsonl").read_bytes() \
-                == (config.datasets_dir() / f"{name}.jsonl").read_bytes()
+                == (config.output_dir / "datasets" / f"{name}.jsonl").read_bytes()
+
+    def test_skipped_verb_leaves_no_old_dataset(self, built, tmp_path):
+        """A verb that yields no dataset on a rerun loses its old one, so no command reads it.
+
+        A call in which every verb fails writes nothing and removes nothing.
+        """
+        inputs, out = copy_fixture(built, tmp_path), tmp_path / "out"
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
+        args = ("--config", inputs / "config.ini", "--out", out)
+        assert run_cli(*args, "gen-data") == EXIT_OK
+        drop_triples_of(inputs, "assemble")
+        assert run_cli(*args, "gen-data") == EXIT_OK
+        assert sorted(p.name for p in (out / "datasets").iterdir()) \
+            == ["devour.jsonl", "manifest.json"]
+        manifest = json.loads((out / "datasets" / "manifest.json").read_text())
+        assert list(manifest["parameters"]["verbs_skipped"]) == ["assemble"]
+        assert run_cli(*args, "experiment", "--which", "small-cv") == EXIT_OK
+        manifest = json.loads((out / "reports" / "manifest_experiment-small-cv.json").read_text())
+        assert manifest["parameters"]["verbs"] == ["devour"]
+
+        (inputs / "triples.tsv").write_text("person01\tunheard\tfood01\t1\n")
+        before = tree_hashes(out)
+        assert run_cli(*args, "gen-data") == EXIT_RUNTIME
+        assert tree_hashes(out) == before
+
+    def test_unremovable_old_dataset_fails_validation(self, built, tmp_path, caplog, capsys):
+        """A skipped verb's dataset that cannot be removed fails cleanly, naming it."""
+        inputs, out = copy_fixture(built, tmp_path), tmp_path / "out"
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
+        blocker = out / "datasets" / "assemble.jsonl"
+        blocker.mkdir(parents=True)
+        drop_triples_of(inputs, "assemble")
+        assert run_cli("--config", inputs / "config.ini", "--out", out, "gen-data") \
+            == EXIT_VALIDATION
+        assert_clean_failure(caplog, f"cannot remove {blocker}")
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_mixed_case_verb_keeps_its_case(self, tmp_path):
         """A verb spelt ``Devour`` in triples.tsv and the config gets a dataset and a model."""
@@ -624,7 +660,7 @@ class TestGenData:
     def test_log_level_holds_for_each_call(self, built, tmp_path, caplog):
         """A second call in one process logs at its own ``--log-level``."""
         out = tmp_path / "out"
-        shutil.copytree(load_config(built).vectors_dir(), out / "vectors")
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
         counted = []
         for level in ("INFO", "WARNING"):
             assert run_cli("--config", built, "--out", out, "--log-level", level,
@@ -642,7 +678,7 @@ class TestGenData:
 class TestExperimentReports:
     def test_full_cv_csv_schema(self, experimented):
         config = load_config(experimented)
-        path = config.reports_dir() / "full_cv.csv"
+        path = config.output_dir / "reports" / "full_cv.csv"
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         rows = list(csv.DictReader(lines[1:]))
@@ -666,12 +702,12 @@ class TestExperimentReports:
         """
         config = load_config(experimented)
         world = build_world(small_world_config(seed=7))
-        lines = (config.reports_dir() / "full_cv.csv").read_text().splitlines()[1:]
+        lines = (config.output_dir / "reports" / "full_cv.csv").read_text().splitlines()[1:]
         means = {(row["verb"], row["method"], int(row["k"]), row["metric"]): float(row["mean"])
                  for row in csv.DictReader(lines)}
         for verb in sorted(config.verbs):
             subjects, objects_ = world.config.verb_preferences[verb]
-            dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+            dataset = read_dataset_jsonl(config.output_dir / "datasets" / f"{verb}.jsonl")
             triples = dataset.triples
             splits = data_mod.make_5x2cv_splits(
                 dataset, derive_seed(config.cv_seed, "full-cv", verb))
@@ -689,7 +725,7 @@ class TestExperimentReports:
 
     def test_comparisons_schema(self, experimented):
         config = load_config(experimented)
-        path = config.reports_dir() / "full_cv_comparisons.csv"
+        path = config.output_dir / "reports" / "full_cv_comparisons.csv"
         lines = path.read_text().splitlines()
         rows = list(csv.DictReader(lines[1:]))
         assert list(rows[0].keys()) == ["verb", "k", "metric", "f_statistic", "significant", "alpha"]
@@ -697,17 +733,31 @@ class TestExperimentReports:
         for row in rows:
             assert row["significant"] in ("true", "false")
 
-    def test_small_cv_uses_configured_size(self, experimented):
-        config = load_config(experimented)
-        splits = (config.reports_dir() / "small_cv_splits_devour.jsonl").read_text()
-        records = [json.loads(line) for line in splits.splitlines()]
-        assert len(records) == 10
-        for record in records:
-            assert len(record["train"]) + len(record["test"]) == config.small_cv_size
+    def test_small_cv_uses_configured_size(self, built, tmp_path, monkeypatch):
+        """small-cv evaluates each verb on ``small_cv_size`` triples, split in ten halvings."""
+        config, out = load_config(built), tmp_path / "out"
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(config.output_dir / subdir, out / subdir)
+        evaluated = []  # (verb, base size, train + test size of each split)
+        evaluate = pipeline.eval_mod.evaluate_on_splits
+
+        def spy(method, dataset, splits, *args):
+            evaluated.append((dataset.verb, len(dataset.triples),
+                              [len(s.train) + len(s.test) for s in splits]))
+            return evaluate(method, dataset, splits, *args)
+
+        monkeypatch.setattr(pipeline.eval_mod, "evaluate_on_splits", spy)
+        assert run_cli("--config", built, "--out", out, "experiment", "--which", "small-cv") == 0
+        n = config.small_cv_size
+        assert n < min(len(read_dataset_jsonl(out / "datasets" / f"{verb}.jsonl").triples)
+                       for verb in config.verbs)
+        # each verb at each svd dim, for both methods
+        assert sorted(verb for verb, _, _ in evaluated) == sorted(config.verbs * 4)
+        assert all(size == n and sizes == [n] * 10 for _, size, sizes in evaluated), evaluated
 
     def test_curves_schema(self, experimented):
         config = load_config(experimented)
-        lines = (config.reports_dir() / "curves.csv").read_text().splitlines()
+        lines = (config.output_dir / "reports" / "curves.csv").read_text().splitlines()
         rows = list(csv.DictReader(lines[1:]))
         assert list(rows[0].keys()) == ["verb", "method", "k", "size", "mean_auc", "sd_auc"]
         sizes = sorted({int(r["size"]) for r in rows})
@@ -718,7 +768,7 @@ class TestExperimentReports:
     def test_experiment_manifest_lists_inputs(self, experimented):
         config = load_config(experimented)
         manifest = json.loads(
-            (config.reports_dir() / "manifest_experiment-full-cv.json").read_text()
+            (config.output_dir / "reports" / "manifest_experiment-full-cv.json").read_text()
         )
         assert manifest["parameters"]["which"] == "full-cv"
         assert set(manifest["inputs"]) == {
@@ -748,7 +798,7 @@ class TestExperimentReports:
     def test_experiment_manifest_train_block(self, experimented):
         config = load_config(experimented)
         manifest = json.loads(
-            (config.reports_dir() / "manifest_experiment-full-cv.json").read_text()
+            (config.output_dir / "reports" / "manifest_experiment-full-cv.json").read_text()
         )
         train = manifest["parameters"]["train"]
         assert train == {
@@ -842,7 +892,6 @@ class TestExperimentReports:
                            "experiment", "--which", "small-cv") == EXIT_RUNTIME
             rows = (out / "reports" / "small_cv.csv").read_text().splitlines()[2:]
             assert rows and all(row.startswith("devour,") for row in rows)
-            assert (out / "reports" / "small_cv_splits_devour.jsonl").is_file()
         assert tree_hashes(outs[1] / "reports") == tree_hashes(outs[2] / "reports")
         manifest = json.loads(
             (outs[1] / "reports" / "manifest_experiment-small-cv.json").read_text()
@@ -1003,8 +1052,8 @@ class TestTrainPredictEval:
         assert run_cli("--config", built, "train", "--verb", verb) == 0
         for name in (f"{verb}_k{config.primary_k}.tvbm",
                      f"manifest_{verb}_k{config.primary_k}.json"):
-            assert (config.models_dir() / name).is_file()
-        dataset = read_dataset_jsonl(config.datasets_dir() / f"{verb}.jsonl")
+            assert (config.output_dir / "models" / name).is_file()
+        dataset = read_dataset_jsonl(config.output_dir / "datasets" / f"{verb}.jsonl")
         triple = dataset_positives(dataset)[0]
         capsys.readouterr()
         rc = run_cli(
@@ -1019,7 +1068,7 @@ class TestTrainPredictEval:
     def test_predict_without_model_fails_validation(self, built, tmp_path, caplog):
         """The hint names the ``--k`` of the missing model, not only the verb."""
         config, out = load_config(built), tmp_path / "nomodel"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
         k = config.svd_dims[-1]
         assert k != config.primary_k
         rc = run_cli(
@@ -1036,7 +1085,7 @@ class TestTrainPredictEval:
         config = load_config(built)
         k, other = config.svd_dims
         out = tmp_path / "badmodel"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
         model = out / "models" / f"devour_k{k}.tvbm"
         model.parent.mkdir()
         needle = f"malformed model file {model}"
@@ -1139,11 +1188,10 @@ class TestTrainPredictEval:
          (("build-vectors",), "vectors/embeddings_k{k}.tvb"),
          (("gen-data",), "datasets/devour.jsonl"),
          (("experiment", "--which", "small-cv"), "reports/small_cv.csv"),
-         (("experiment", "--which", "small-cv"), "reports/small_cv_splits_devour.jsonl"),
          (("train", "--verb", "devour"), "models/devour_k{k}.tvbm"),
          (("train", "--verb", "devour"), "models/manifest_devour_k{k}.json")],
-        ids=["frequencies", "embeddings", "embeddings-sidecar", "dataset", "report", "splits",
-             "model", "manifest"],
+        ids=["frequencies", "embeddings", "embeddings-sidecar", "dataset", "report", "model",
+             "manifest"],
     )
     def test_directory_in_place_of_an_output_file(self, built, tmp_path, caplog, capsys,
                                                   command, output):
@@ -1212,8 +1260,8 @@ class TestTrainPredictEval:
         process pool is loaded only by the ``--jobs 2`` experiment.
         """
         config, out = load_config(built), tmp_path / "out"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
-        triple = dataset_positives(read_dataset_jsonl(config.datasets_dir() / "devour.jsonl"))[0]
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
+        triple = dataset_positives(read_dataset_jsonl(config.output_dir / "datasets" / "devour.jsonl"))[0]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
@@ -1252,7 +1300,7 @@ class TestTrainPredictEval:
         from verbtensor.vectors import read_embeddings_tsv
 
         emb = read_embeddings_tsv(
-            config.vectors_dir() / f"embeddings_k{config.primary_k}.tsv"
+            config.output_dir / "vectors" / f"embeddings_k{config.primary_k}.tsv"
         )
         words = list(emb.nouns.words)[:4]
         pairs = tmp_path / "pairs.tsv"
@@ -1289,7 +1337,7 @@ class TestTrainPredictEval:
         monkeypatch.setattr(pipeline.tm, "train",
                             lambda *args: TrainResult(model, (1.5, 0.1 + 0.2)))
         pipeline.train_verb(config, "devour")
-        manifest = json.loads((config.models_dir() / f"manifest_devour_k{k}.json").read_text())
+        manifest = json.loads((config.output_dir / "models" / f"manifest_devour_k{k}.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["parameters"] == {
             "verb": "devour",
@@ -1344,6 +1392,13 @@ def copy_fixture(small_fixture, tmp_path) -> Path:
     return broken_dir
 
 
+def drop_triples_of(inputs: Path, verb: str) -> None:
+    """Remove ``verb``'s rows from the ``triples.tsv`` under ``inputs``."""
+    triples = inputs / "triples.tsv"
+    rows = triples.read_text().splitlines(keepends=True)
+    triples.write_text("".join(row for row in rows if row.split("\t")[1] != verb))
+
+
 def assert_clean_failure(caplog, needle):
     """One logged error names ``needle``, and no record carries a traceback."""
     assert not any(record.exc_info for record in caplog.records)
@@ -1383,7 +1438,7 @@ class TestMalformedInputs:
         subject, verb, obj, _ = lines[0].split("\t")
         triples.write_text("\n".join(lines + [f"{subject}\t{verb}\t{obj}\t1"]) + "\n")
         out = tmp_path / "out"
-        shutil.copytree(load_config(built).vectors_dir(), out / "vectors")
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
         assert run_cli("--config", broken / "config.ini", "--out", out, "gen-data") \
             == EXIT_RUNTIME
         assert_clean_failure(caplog, f"triples.tsv:{len(lines) + 1}: triple "
@@ -1393,7 +1448,7 @@ class TestMalformedInputs:
     def test_non_finite_embedding_fails_gen_data(self, built, tmp_path, caplog):
         config = load_config(built)
         out = tmp_path / "nanvec"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
         emb = out / "vectors" / f"embeddings_k{config.primary_k}.tsv"
         lines = emb.read_text().splitlines()
         noun, _, rest = lines[1].split("\t", 2)
@@ -1407,8 +1462,8 @@ class TestMalformedInputs:
     def test_embeddings_not_k_wide_fail_train(self, built, tmp_path, caplog, kind):
         config = load_config(built)
         out = tmp_path / kind
-        shutil.copytree(config.vectors_dir(), out / "vectors")
-        shutil.copytree(config.datasets_dir(), out / "datasets")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
+        shutil.copytree(config.output_dir / "datasets", out / "datasets")
         k, other = config.svd_dims
         emb = out / "vectors" / f"embeddings_k{k}.tsv"
         if kind == "other-k-file":
@@ -1446,8 +1501,8 @@ class TestMalformedInputs:
     def test_truncated_dataset_line_fails_train(self, built, tmp_path, caplog):
         config = load_config(built)
         out = tmp_path / "cut"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
-        shutil.copytree(config.datasets_dir(), out / "datasets")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
+        shutil.copytree(config.output_dir / "datasets", out / "datasets")
         dataset = out / "datasets" / "devour.jsonl"
         lines = dataset.read_text().splitlines()
         lines[3] = lines[3][: len(lines[3]) // 2]
@@ -1458,8 +1513,8 @@ class TestMalformedInputs:
     def test_non_utf8_dataset_fails_train(self, built, tmp_path, caplog):
         config = load_config(built)
         out = tmp_path / "bytes"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
-        shutil.copytree(config.datasets_dir(), out / "datasets")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
+        shutil.copytree(config.output_dir / "datasets", out / "datasets")
         dataset = out / "datasets" / "devour.jsonl"
         lines = dataset.read_bytes().splitlines(keepends=True)
         lines[2] = b"\xff" + lines[2]
@@ -1478,7 +1533,7 @@ class TestMalformedInputs:
     def test_unusable_eval_inputs_fail_cleanly(self, built, tmp_path, caplog, kind):
         config = load_config(built)
         out = tmp_path / "out"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
         emb = out / "vectors" / f"embeddings_k{config.primary_k}.tsv"
         lines = emb.read_text().splitlines()
         nouns = [line.split("\t")[0] for line in lines]
@@ -1514,8 +1569,8 @@ class TestMalformedInputs:
         """
         config = load_config(built)
         out = tmp_path / kind
-        shutil.copytree(config.vectors_dir(), out / "vectors")
-        shutil.copytree(config.datasets_dir(), out / "datasets")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
+        shutil.copytree(config.output_dir / "datasets", out / "datasets")
         dataset = out / "datasets" / "devour.jsonl"
         lines = dataset.read_text().splitlines()
         if kind == "header_only":
@@ -1562,8 +1617,8 @@ class TestMalformedInputs:
         """A zero row for a dataset noun is a ``DataError`` naming the noun and file."""
         config = load_config(built)
         out = tmp_path / "zero"
-        shutil.copytree(config.vectors_dir(), out / "vectors")
-        shutil.copytree(config.datasets_dir(), out / "datasets")
+        shutil.copytree(config.output_dir / "vectors", out / "vectors")
+        shutil.copytree(config.output_dir / "datasets", out / "datasets")
         for k in config.svd_dims:
             emb = out / "vectors" / f"embeddings_k{k}.tsv"
             emb.write_text("".join(
