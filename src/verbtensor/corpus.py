@@ -10,6 +10,8 @@ the context vocabulary chosen from the frequencies.
 
 The corpus format is deliberately dumb: UTF-8 text, one sentence per line,
 whitespace-separated tokens that are already lemmatized and lowercased.
+``iter_corpus_lines`` streams it; the stopword and frequency files are read
+whole through ``util.read_lines``.
 Everything linguistic (tokenization, parsing, lemmatization) happens upstream
 of this package.
 """
@@ -21,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .util import DataError, numbered_lines, open_output, read_lines
+from .util import DataError, not_utf8_error, open_output, read_lines
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,20 @@ class FrequencyBuckets:
 
 
 def iter_corpus_lines(path):
-    """Yield raw sentence lines from a corpus file.
+    """Yield raw sentence lines from a corpus file, one at a time, never the whole file.
 
     A file that is not UTF-8 raises ``DataError`` naming the file and the
     first line that does not decode; so does a file with no non-blank line,
     naming its last line.
     """
     lineno, blank = 0, True
-    for lineno, line in numbered_lines(path, "corpus"):
-        blank = blank and line.isspace()
-        yield line
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                blank = blank and line.isspace()
+                yield line
+    except UnicodeDecodeError as exc:
+        raise not_utf8_error(path, "corpus", exc) from None
     if blank:
         raise DataError(f"{path}:{lineno}: empty corpus: no non-blank sentences found")
 
@@ -215,7 +221,7 @@ def frequency_buckets(frequencies, nouns, bucket_size: int) -> FrequencyBuckets:
 
 def read_stopwords(path) -> set:
     """One stopword per line; blank lines ignored."""
-    return {line.strip() for _, line in numbered_lines(path) if line.strip()}
+    return {line.strip() for line in read_lines(path) if line.strip()}
 
 
 def write_frequency_tsv(path, frequencies) -> None:

@@ -26,6 +26,12 @@ The 5x2cv splits are not written: ``data.make_5x2cv_splits(base,
 derive_seed(cv_seed, which, verb))`` rebuilds them, ``base`` being the
 verb's dataset or, for small-cv, its ``small_cv_size`` subsample.
 
+The embeddings and a verb's dataset enter a command only through
+``_load_embeddings`` and ``_load_dataset``, which check that the file exists,
+read it and check it against the dim or verb it was looked up by; a check
+against the manifest of the command that wrote it belongs there too.
+``experiment`` loads each dim's embeddings once, before any verb runs.
+
 Commands are pure functions of (config, input files, seeds),
 so for unchanged inputs and seeds every output, manifests included, is
 byte-identical whatever ``--out`` and ``--jobs`` are.
@@ -126,11 +132,12 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _embeddings_path(config: PipelineConfig, k: int | None = None) -> tuple:
-    """``(k, path)`` of the embeddings of a configured dim that has been built.
+def _load_embeddings(config: PipelineConfig, k: int | None = None) -> tuple:
+    """``(k, path, table)``: the embeddings of a configured dim, read and checked.
 
-    ``None`` means ``primary_k``; a ``k`` outside ``svd_dims`` or a missing
-    file raises ``ValidationError``.
+    ``None`` means ``primary_k``. A ``k`` outside ``svd_dims`` or a missing
+    file raises ``ValidationError``; then the reader's ``DataError``, and one
+    if the table's width is not ``k``.
     """
     k = config.primary_k if k is None else k
     if k not in config.svd_dims:
@@ -138,23 +145,25 @@ def _embeddings_path(config: PipelineConfig, k: int | None = None) -> tuple:
     path = artifact_path(config, "embeddings", k=k)
     if not path.is_file():
         raise ValidationError(f"missing embeddings for k={k}: {path} (run build-vectors)")
-    return k, path
-
-
-def _read_embeddings(path, k: int):
-    """Read an embeddings file, whose width must be the ``k`` in its name."""
     table = vec_mod.read_embeddings_tsv(path)
     if table.dim != k:
         raise DataError(f"{path}: {table.dim}-dim embeddings in the file for k={k}")
-    return table
+    return k, path, table
 
 
-def _read_dataset(path, verb: str):
-    """Read ``verb``'s dataset file, whose header must name ``verb``."""
+def _load_dataset(config: PipelineConfig, verb: str) -> tuple:
+    """``(path, dataset)``: ``verb``'s dataset, read and checked.
+
+    A missing file raises ``ValidationError``; then the reader's
+    ``DataError``, and one if the header names another verb.
+    """
+    path = artifact_path(config, "dataset", verb=verb)
+    if not path.is_file():
+        raise ValidationError(f"missing dataset {path} (run gen-data)")
     dataset = data_mod.read_dataset_jsonl(path)
     if dataset.verb != verb:
         raise DataError(f"{path}: the dataset is for verb {dataset.verb!r}, not {verb!r}")
-    return dataset
+    return path, dataset
 
 
 def _reject_zero_rows(path, embeddings, nouns) -> None:
@@ -301,7 +310,7 @@ def gen_data(config: PipelineConfig) -> dict:
     ``sha256_file`` then reads each input again for the manifest.
     """
     require_input_files(config, "triples")
-    k, emb_path = _embeddings_path(config)
+    _, emb_path, embeddings = _load_embeddings(config)
     freq_path = artifact_path(config, "frequencies")
     if not freq_path.is_file():
         raise ValidationError(f"missing {freq_path} (run build-vectors)")
@@ -311,7 +320,6 @@ def gen_data(config: PipelineConfig) -> dict:
     manifest_path = artifact_path(config, "datasets-manifest")
     ensure_dir(manifest_path.parent)
     frequencies = corpus_mod.read_frequency_tsv(freq_path)
-    embeddings = _read_embeddings(emb_path, k)
     known = set(embeddings.nouns.words)
     buckets = corpus_mod.frequency_buckets(frequencies, known, config.bucket_size)
 
@@ -382,11 +390,6 @@ _REPORT_TABLES = {
 EXPERIMENT_KINDS = tuple(_REPORT_TABLES)
 
 
-def _experiment_dims(config: PipelineConfig, which: str) -> tuple:
-    """The embedding dims an experiment reads: ``primary_k`` for curves, else every svd dim."""
-    return (config.primary_k,) if which == "curves" else config.svd_dims
-
-
 def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     """Run one of the three experiment protocols and write report CSVs.
 
@@ -400,11 +403,17 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
     if not available:
         datasets_dir = next(iter(verb_paths.values())).parent
         raise ValidationError(f"no datasets under {datasets_dir} (run gen-data)")
-    emb_paths = [_embeddings_path(config, k)[1] for k in _experiment_dims(config, which)]
+    missing = [v for v in verb_paths if v not in available]
+    if missing:
+        log.warning("verbs without a dataset skipped: %s (run gen-data)",
+                    ", ".join(f"{v!r} ({verb_paths[v]})" for v in missing))
+    # k -> (path, table), read once for every verb: curves read primary_k only
+    dims = (config.primary_k,) if which == "curves" else config.svd_dims
+    embeddings = {k: _load_embeddings(config, k)[1:] for k in dims}
 
     manifest_path = artifact_path(config, "experiment-manifest", which=which)
     ensure_dir(manifest_path.parent)
-    tasks = [(config, verb, which) for verb in available]
+    tasks = [(config, verb, which, embeddings) for verb in available]
     # the pool starts all its workers at once, so never more than there are verbs
     workers = min(jobs, len(available))
     if workers > 1:
@@ -425,7 +434,7 @@ def experiment(config: PipelineConfig, which: str, jobs: int = 1) -> dict:
         raise VerbTensorError(f"every verb failed: {failures}")
 
     outputs = _write_reports(config, which, results)
-    inputs = [verb_paths[v] for v in available] + emb_paths
+    inputs = [verb_paths[v] for v in available] + [path for path, _ in embeddings.values()]
     parameters = {
         "which": which,
         "svd_dims": list(config.svd_dims),
@@ -458,9 +467,9 @@ def _experiment_verb_safe(args):
     fold's error, which ``evaluate_on_splits`` wraps with its method,
     repetition and fold, keeps its own class name.
     """
-    config, verb, which = args
+    config, verb, which, embeddings = args
     try:
-        return verb, _experiment_verb(config, verb, which), None
+        return verb, _experiment_verb(config, verb, which, embeddings), None
     except Exception as exc:  # isolate per-verb failures
         message = f"{type(exc.__cause__ or exc).__name__}: {exc}"
         # a file under the root prints as this prefix and then its manifest key
@@ -468,25 +477,23 @@ def _experiment_verb_safe(args):
         return verb, None, message.replace(prefix, "")
 
 
-def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
+def _experiment_verb(config: PipelineConfig, verb: str, which: str, embeddings: dict) -> tuple:
     """One verb's formatted rows for each table of ``_REPORT_TABLES[which]``.
 
-    A noun of the triples it evaluates with a zero embedding row, or with no
-    embedding, raises ``DataError`` naming the noun and the files.
+    ``embeddings`` maps each dim the experiment reads to its ``(path,
+    table)``. A noun of the triples it evaluates with a zero embedding row,
+    or with no embedding, raises ``DataError`` naming the noun and the files.
     """
-    dataset_path = artifact_path(config, "dataset", verb=verb)
-    dataset = _read_dataset(dataset_path, verb)
-    paths = {k: _embeddings_path(config, k)[1] for k in _experiment_dims(config, which)}
-    embeddings = {k: _read_embeddings(path, k) for k, path in paths.items()}
+    dataset_path, dataset = _load_dataset(config, verb)
     base = dataset
     if which == "small-cv":
         base = data_mod.VerbDataset(verb, data_mod.subsample(
             dataset.triples, config.small_cv_size, derive_seed(config.cv_seed, "small", verb)
         ))
     nouns = [noun for t in base.triples for noun in (t.subject, t.object)]
-    for k, table in embeddings.items():
-        _reject_zero_rows(paths[k], table, nouns)
-        _reject_unknown_nouns(dataset_path, paths[k], table, base.triples)
+    for path, table in embeddings.values():
+        _reject_zero_rows(path, table, nouns)
+        _reject_unknown_nouns(dataset_path, path, table, base.triples)
 
     if which == "curves":
         k = config.primary_k
@@ -495,7 +502,7 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
             [verb, method, k, size, _fmt(mean), _fmt(sd)]
             for method in _METHODS
             for size, mean, sd in eval_mod.learning_curve(
-                method, dataset, config.curve_sizes, embeddings[k], config.train, seed,
+                method, dataset, config.curve_sizes, embeddings[k][1], config.train, seed,
                 repeats=config.curve_repeats,
             )
         ]
@@ -503,7 +510,7 @@ def _experiment_verb(config: PipelineConfig, verb: str, which: str) -> tuple:
 
     splits = data_mod.make_5x2cv_splits(base, derive_seed(config.cv_seed, which, verb))
     rows, comparisons = [], []
-    for k, table in embeddings.items():
+    for k, (_, table) in embeddings.items():
         folds = {}  # method -> {metric: fold values in split order}
         for method in _METHODS:
             aucs, f1s = eval_mod.evaluate_on_splits(
@@ -555,12 +562,8 @@ def _require_verb(config: PipelineConfig, verb: str) -> None:
 def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
     """Train one verb's tensor model on its full dataset; save it and its manifest."""
     _require_verb(config, verb)
-    k, emb_path = _embeddings_path(config, k)
-    dataset_path = artifact_path(config, "dataset", verb=verb)
-    if not dataset_path.is_file():
-        raise ValidationError(f"missing dataset {dataset_path} (run gen-data)")
-    dataset = _read_dataset(dataset_path, verb)
-    embeddings = _read_embeddings(emb_path, k)
+    k, emb_path, embeddings = _load_embeddings(config, k)
+    dataset_path, dataset = _load_dataset(config, verb)
     _reject_unknown_nouns(dataset_path, emb_path, embeddings, dataset.triples)
     result = tm.train(dataset.triples, embeddings, config.train)
     model_path = artifact_path(config, "model", verb=verb, k=k)
@@ -583,11 +586,10 @@ def train_verb(config: PipelineConfig, verb: str, k: int | None = None) -> dict:
 def predict_one(config: PipelineConfig, verb: str, subject: str, obj: str, k: int | None = None) -> dict:
     """Load a trained model and classify one subject-object pair."""
     _require_verb(config, verb)
-    k, emb_path = _embeddings_path(config, k)
+    k, _, embeddings = _load_embeddings(config, k)
     model_path = artifact_path(config, "model", verb=verb, k=k)
     if not model_path.is_file():
         raise ValidationError(f"no trained model at {model_path} (run train --verb {verb} --k {k})")
-    embeddings = _read_embeddings(emb_path, k)
     for noun, role in ((subject, "subject"), (obj, "object")):
         if noun not in embeddings:
             raise ValidationError(f"{role} {noun!r} has no embedding")
@@ -613,13 +615,12 @@ def eval_vectors(config: PipelineConfig, pairs_path=None, k: int | None = None) 
     A zero embedding row for a noun of a usable pair, fewer than 2 usable
     pairs or a constant ranking raise ``DataError`` naming the file at fault.
     """
-    k, emb_path = _embeddings_path(config, k)
+    k, emb_path, embeddings = _load_embeddings(config, k)
     pairs_path = Path(pairs_path) if pairs_path else config.dev_pairs
     if pairs_path is None:
         raise ValidationError("no pairs file given and no dev_pairs in the config")
     if not Path(pairs_path).is_file():
         raise ValidationError(f"pairs file not found: {pairs_path}")
-    embeddings = _read_embeddings(emb_path, k)
     pairs = vec_mod.read_pairs_tsv(pairs_path)
     usable = [p for p in pairs if p.word_a in embeddings and p.word_b in embeddings]
     _reject_zero_rows(emb_path, embeddings, (w for p in usable for w in (p.word_a, p.word_b)))

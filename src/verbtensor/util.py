@@ -1,4 +1,4 @@
-"""Seed derivation, seeded draws and file hashing helpers used across the pipeline.
+"""Seed derivation, seeded draws, file reading and hashing helpers used across the pipeline.
 
 Every random decision in the pipeline flows from named integer seeds, and
 sub-seeds are derived by hashing, never by wall-clock entropy, so that any
@@ -7,6 +7,10 @@ command re-run on unchanged inputs reproduces its outputs byte for byte.
 one ``random.Random.shuffle`` in a single Python frame: the same picks, the
 same permutation and the same generator state afterwards as the stdlib's,
 without its two Python calls per draw.
+
+``read_lines`` is the line source of every finite text input and reads it
+whole. Only the corpus streams: ``corpus.iter_corpus_lines`` opens it and
+reports an undecodable line through ``not_utf8_error``, as ``read_lines`` does.
 """
 
 import hashlib
@@ -88,47 +92,32 @@ class TrainingDiverged(VerbTensorError):
     """The training objective became non-finite."""
 
 
-def numbered_lines(path, kind: str = "file"):
-    """Yield ``(lineno, line)`` for the lines of a UTF-8 text file, from 1.
-
-    A file that is not UTF-8 raises ``DataError`` naming the file, the first
-    line that does not decode and ``kind``, what the file holds.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            yield from enumerate(handle, start=1)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, kind, exc) from None
-
-
 def read_lines(path) -> list:
     """The lines of a UTF-8 text file without their newlines, read in one pass.
 
     Newlines are translated as in text mode, so item ``i`` is line ``i + 1``
     of the file, and a file that ends in a newline ends in ``""``. A file
-    that is not UTF-8 raises ``DataError`` as ``numbered_lines`` does.
+    that is not UTF-8 raises the ``DataError`` of ``not_utf8_error``, of kind "file".
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read().split("\n")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, "file", exc) from None
+        raise not_utf8_error(path, "file", exc) from None
 
 
-def _not_utf8(path, kind: str, exc: UnicodeDecodeError) -> DataError:
-    lineno = _first_undecodable_line(path)
-    return DataError(f"{path}:{lineno}: {kind} is not UTF-8 ({exc.reason})")
-
-
-def _first_undecodable_line(path) -> int:
-    """1-based number of the first line that is not UTF-8, or 0 if none."""
+def not_utf8_error(path, kind: str, exc: UnicodeDecodeError) -> DataError:
+    """``DataError`` naming the file, its first line that is not UTF-8 (0 if
+    none is) and ``kind``, what the file holds."""
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
-                return lineno
-    return 0
+                break
+        else:
+            lineno = 0
+    return DataError(f"{path}:{lineno}: {kind} is not UTF-8 ({exc.reason})")
 
 
 def ensure_dir(path) -> Path:

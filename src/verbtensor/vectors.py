@@ -36,7 +36,7 @@ import numpy as np
 
 from .corpus import CooccurrenceTable, Vocabulary
 from .linalg import cosine, l2_normalize_rows, read_tvb, truncated_svd, write_tvb
-from .util import DataError, numbered_lines, open_output
+from .util import DataError, open_output, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -240,8 +240,7 @@ def read_pairs_tsv(path) -> list:
     that repeats its word raises ``DataError`` naming the file and line.
     """
     pairs = []
-    for lineno, line in numbered_lines(path):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -361,8 +360,7 @@ def _read_embeddings_lines(path) -> EmbeddingTable:
     """``read_embeddings_tsv`` one line at a time, raising at the first fault."""
     index, rows, linenos = {}, [], []
     width = None
-    for lineno, line in numbered_lines(path):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         parts = line.split("\t")

@@ -349,6 +349,12 @@ class TestSubsample:
         with pytest.raises(DataError, match="cannot sample"):
             subsample(balanced_dataset(10).triples, 11, seed=0)
 
+    def test_short_of_one_class(self):
+        triples = balanced_dataset(8).triples[:5]  # 4 plausible, 1 implausible
+        with pytest.raises(DataError, match=r"^cannot draw 2 positive / 2 negative "
+                                            r"from 4 / 1 available$"):
+            subsample(triples, 4, seed=0)
+
     def test_deterministic(self):
         dataset = balanced_dataset(60)
         assert subsample(dataset.triples, 20, seed=5) == subsample(dataset.triples, 20, seed=5)
@@ -438,6 +444,18 @@ class TestJsonl:
         old.write_text('{"metadata": {"concreteness": 4.4, "corpus_frequency": 0}, '
                        '"verb": "eat"}\n' + "".join(records), encoding="utf-8")
         assert read_dataset_jsonl(old) == dataset
+
+    def test_header_without_verb_is_a_data_error(self, tmp_path):
+        path = tmp_path / "eat.jsonl"
+        path.write_text('\n{"metadata": {}}\n', encoding="utf-8")
+        with pytest.raises(DataError, match=r"eat\.jsonl:2: header has no verb$"):
+            read_dataset_jsonl(path)
+
+    def test_empty_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "eat.jsonl"
+        path.write_text("\n \n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"^empty dataset file eat\.jsonl$"):
+            read_dataset_jsonl(path)
 
     def test_unhashable_label_is_a_data_error(self, tmp_path):
         path = tmp_path / "eat.jsonl"

@@ -145,6 +145,24 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="training"):
             load_config(bad)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("corpus = corpus.txt\n", "", "config is missing [paths] corpus"),
+         ("epochs = 25", "epochs = two", "bad value for [training] epochs: 'two'")],
+        ids=["missing-paths-key", "badly-typed-value"],
+    )
+    def test_malformed_config_fails_validation(self, small_fixture, tmp_path, caplog,
+                                               old, new, message):
+        text = Path(small_fixture).read_text()
+        assert old in text
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(ValidationError) as raised:
+            load_config(bad)
+        assert str(raised.value) == message
+        assert run_cli("--config", bad, "build-vectors") == EXIT_VALIDATION
+        assert_clean_failure(caplog, message)
+
     def test_relative_config_and_out_paths(self, small_fixture, tmp_path, monkeypatch):
         """Paths in the config follow the config file; --out follows the working directory."""
         shutil.copytree(Path(small_fixture).parent, tmp_path / "sub",
@@ -452,6 +470,52 @@ class TestBuildVectors:
         assert_manifest_digests(config, manifest["outputs"])
         assert manifest["parameters"]["top_n"] >= 1
 
+    def test_input_outside_both_roots_is_keyed_by_its_absolute_path(self, small_fixture,
+                                                                    tmp_path):
+        inputs, out = copy_fixture(small_fixture, tmp_path), tmp_path / "out"
+        elsewhere = tmp_path / "elsewhere" / "dev_pairs.tsv"
+        elsewhere.parent.mkdir()
+        (inputs / "dev_pairs.tsv").rename(elsewhere)
+        text = (inputs / "config.ini").read_text()
+        assert "dev_pairs = dev_pairs.tsv\n" in text
+        (inputs / "config.ini").write_text(
+            text.replace("dev_pairs = dev_pairs.tsv\n", f"dev_pairs = {elsewhere}\n"))
+        assert run_cli("--config", inputs / "config.ini", "--out", out, "build-vectors") == 0
+        manifest = json.loads((out / "vectors" / "manifest.json").read_text())
+        key = elsewhere.resolve().as_posix()
+        assert Path(key).is_absolute()
+        assert set(manifest["inputs"]) == {"corpus.txt", "stopwords.txt", "triples.tsv", key}
+        assert_manifest_digests(load_config(inputs / "config.ini", out_override=out),
+                                manifest["inputs"])
+
+    def test_noun_without_cooccurrences_is_dropped(self, small_fixture, tmp_path, caplog):
+        """A triple's noun that the corpus never holds gets no embedding row."""
+        inputs, out = copy_fixture(small_fixture, tmp_path), tmp_path / "out"
+        with open(inputs / "triples.tsv", "a", encoding="utf-8") as handle:
+            handle.write("ghost01\tdevour\tfood01\t5\n")
+        args = ("--config", inputs / "config.ini", "--out", out, "--log-level", "INFO")
+        assert run_cli(*args, "build-vectors") == EXIT_OK
+        assert "dropped 1 nouns with no informative co-occurrences" in caplog.text
+        manifest = json.loads((out / "vectors" / "manifest.json").read_text())
+        assert manifest["parameters"]["dropped_nouns"] == ["ghost01"]
+        for k in load_config(small_fixture).svd_dims:
+            assert "ghost01" not in read_embeddings_tsv(out / "vectors" / f"embeddings_k{k}.tsv")
+        assert run_cli(*args, "gen-data") == EXIT_OK
+        manifest = json.loads((out / "datasets" / "manifest.json").read_text())
+        assert manifest["parameters"]["oov_dropped"]["devour"] == 1
+
+    def test_no_dev_pairs_takes_the_default_top_n(self, small_fixture, tmp_path):
+        inputs, out = copy_fixture(small_fixture, tmp_path), tmp_path / "out"
+        text = (inputs / "config.ini").read_text()
+        assert "dev_pairs = dev_pairs.tsv\n" in text
+        (inputs / "config.ini").write_text(text.replace("dev_pairs = dev_pairs.tsv\n", ""))
+        assert run_cli("--config", inputs / "config.ini", "--out", out, "build-vectors") == 0
+        manifest = json.loads((out / "vectors" / "manifest.json").read_text())
+        assert {key: manifest["parameters"][key] for key in
+                ("top_n", "top_n_source", "top_n_sweep")} \
+            == {"top_n": 200, "top_n_source": "default", "top_n_sweep": []}
+        assert "dev_pairs.tsv" not in manifest["inputs"]
+
     def test_rerun_is_byte_identical(self, small_fixture, tmp_path):
         out = tmp_path / "vec_repro"
         assert run_cli("--config", small_fixture, "--out", out, "build-vectors") == 0
@@ -674,6 +738,15 @@ class TestGenData:
             "--config", small_fixture, "--out", tmp_path / "fresh", "gen-data"
         ) == 1
 
+    def test_gen_data_requires_frequencies(self, built, tmp_path, caplog):
+        out = tmp_path / "out"
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
+        frequencies = out / "vectors" / "frequencies.tsv"
+        frequencies.unlink()
+        assert run_cli("--config", built, "--out", out, "gen-data") == EXIT_VALIDATION
+        assert_clean_failure(caplog, f"missing {frequencies} (run build-vectors)")
+        assert not (out / "datasets").exists()
+
 
 class TestExperimentReports:
     def test_full_cv_csv_schema(self, experimented):
@@ -789,7 +862,8 @@ class TestExperimentReports:
 
         monkeypatch.setattr(pipeline.vec_mod, "read_embeddings_tsv", counting_read)
         assert run_cli("--config", built, "--out", out, "experiment", "--which", "curves") == 0
-        assert read == [f"embeddings_k{config.primary_k}.tsv"] * len(config.verbs)
+        # read once for the call, not once per verb
+        assert read == [f"embeddings_k{config.primary_k}.tsv"]
         manifest = json.loads((out / "reports" / "manifest_experiment-curves.json").read_text())
         assert set(manifest["inputs"]) == {
             f"datasets/{verb}.jsonl" for verb in config.verbs
@@ -823,6 +897,39 @@ class TestExperimentReports:
         assert run_cli("--config", small_fixture, "--out", out, "build-vectors") == 0
         rc = run_cli("--config", small_fixture, "--out", out, "experiment", "--which", "full-cv")
         assert rc == 1
+
+    def test_verb_without_dataset_is_warned_about(self, built, tmp_path, caplog):
+        """A configured verb with no dataset is named once, and the others still report."""
+        out = tmp_path / "out"
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(load_config(built).output_dir / subdir, out / subdir)
+        missing = out / "datasets" / "assemble.jsonl"
+        missing.unlink()
+        assert run_cli("--config", built, "--out", out, "experiment", "--which", "small-cv") \
+            == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"verbs without a dataset skipped: 'assemble' ({missing}) "
+                            "(run gen-data)"]
+        parameters = json.loads(
+            (out / "reports" / "manifest_experiment-small-cv.json").read_text())["parameters"]
+        assert (parameters["verbs"], parameters["failed_verbs"]) == (["devour"], {})
+
+    def test_unreadable_embeddings_fail_once_before_any_verb(self, built, tmp_path, caplog,
+                                                             monkeypatch):
+        config, out = load_config(built), tmp_path / "out"
+        for subdir in ("vectors", "datasets"):
+            shutil.copytree(config.output_dir / subdir, out / subdir)
+        emb = out / "vectors" / f"embeddings_k{config.svd_dims[-1]}.tsv"
+        emb.write_bytes(emb.read_bytes().replace(b"\t", b"\t\xff", 1))
+
+        def no_verb(args):
+            raise AssertionError("a verb ran despite unreadable embeddings")
+
+        monkeypatch.setattr(pipeline, "_experiment_verb_safe", no_verb)
+        assert run_cli("--config", built, "--out", out, "experiment", "--which", "full-cv") \
+            == EXIT_RUNTIME
+        assert_clean_failure(caplog, f"{emb}:1: file is not UTF-8")
+        assert not (out / "reports" / "manifest_experiment-full-cv.json").exists()
 
     def test_parallel_jobs_match_serial(self, built, tmp_path):
         out_serial = tmp_path / "serial"
@@ -1078,9 +1185,34 @@ class TestTrainPredictEval:
         assert rc == EXIT_VALIDATION
         assert_clean_failure(caplog, f"(run train --verb devour --k {k})")
 
+    def test_train_requires_its_dataset(self, built, tmp_path, caplog):
+        out = tmp_path / "out"
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
+        assert run_cli("--config", built, "--out", out, "train", "--verb", "devour") \
+            == EXIT_VALIDATION
+        assert_clean_failure(
+            caplog, f"missing dataset {out / 'datasets' / 'devour.jsonl'} (run gen-data)")
+        assert not (out / "models").exists()
+
+    @pytest.mark.parametrize("kind", ["no-dev-pairs", "missing-pairs-file"])
+    def test_eval_vectors_requires_a_pairs_file(self, built, tmp_path, caplog, kind):
+        inputs, out = copy_fixture(built, tmp_path), tmp_path / "out"
+        shutil.copytree(load_config(built).output_dir / "vectors", out / "vectors")
+        args = ["--config", inputs / "config.ini", "--out", out, "eval-vectors"]
+        if kind == "no-dev-pairs":
+            text = (inputs / "config.ini").read_text()
+            (inputs / "config.ini").write_text(text.replace("dev_pairs = dev_pairs.tsv\n", ""))
+            needle = "no pairs file given and no dev_pairs in the config"
+        else:
+            args += ["--pairs", tmp_path / "nope.tsv"]
+            needle = f"pairs file not found: {tmp_path / 'nope.tsv'}"
+        assert run_cli(*args) == EXIT_VALIDATION
+        assert_clean_failure(caplog, needle)
+
     @pytest.mark.parametrize("malformed", [
         "huge_header", "wrong_shapes", "non_finite-tensor-nan", "non_finite-tensor-inf",
-        "non_finite-theta-nan", "non_finite-theta-inf", "other_k", "trailing_byte"])
+        "non_finite-theta-nan", "non_finite-theta-inf", "other_k", "trailing_byte",
+        "order_4"])
     def test_predict_malformed_model_fails_cleanly(self, built, tmp_path, caplog, malformed):
         config = load_config(built)
         k, other = config.svd_dims
@@ -1106,6 +1238,9 @@ class TestTrainPredictEval:
                 write_tvb(handle, np.zeros((2, 3)))
                 handle.write(b"\0")
             needle += ": bytes after the theta block"
+        elif malformed == "order_4":
+            model.write_bytes(TVB_MAGIC + struct.pack("<5Q", 4, 1, 1, 1, 1) + b"\0" * 8)
+            needle += ": unsupported tensor order 4"
         else:
             _, block, value = malformed.split("-")
             arrays = {"tensor": np.zeros((k, k, 2)), "theta": np.zeros((2, 3))}
@@ -1429,6 +1564,14 @@ class TestMalformedInputs:
                      "build-vectors")
         assert rc == EXIT_RUNTIME
         assert_clean_failure(caplog, "triples.tsv:3: count 'x1' is not an integer")
+
+    def test_triples_of_blank_lines_fail_build_vectors(self, small_fixture, tmp_path, caplog):
+        broken = copy_fixture(small_fixture, tmp_path)
+        (broken / "triples.tsv").write_text("\n\n")
+        rc = run_cli("--config", broken / "config.ini", "--out", tmp_path / "out",
+                     "build-vectors")
+        assert rc == EXIT_VALIDATION
+        assert_clean_failure(caplog, f"no triples found in {broken / 'triples.tsv'}")
 
     def test_repeated_triple_fails_gen_data(self, built, tmp_path, caplog):
         """A (subject, verb, object) given twice would be two identical positives."""

@@ -438,6 +438,15 @@ class TestEmbeddingIo:
         pairs = read_pairs_tsv(path)
         assert pairs[1] == SimilarityPair("c", "d", 0.25)
 
+    def test_blank_pairs_line_skipped(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a\tb\t0.5\n\nc\td\tx\n")
+        with pytest.raises(DataError, match=r"pairs\.tsv:3: could not convert"):
+            read_pairs_tsv(path)
+        path.write_text("a\tb\t0.5\n\nc\td\t0.25\n\n")
+        assert read_pairs_tsv(path) == [SimilarityPair("a", "b", 0.5),
+                                        SimilarityPair("c", "d", 0.25)]
+
 
 BAD_VALUES = ["nan", "NaN", "inf", "-inf", "1e999", "", "x1", "0x10", "1,5"]
 
