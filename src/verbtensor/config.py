@@ -12,8 +12,9 @@ the fallback ``load_config`` passes when it reads the key.
 
 Each input is checked once, where it enters: settings here, in
 ``load_config``, ``_check_static`` and ``TrainConfig``; file contents in the
-readers (``read_*`` and ``load_model``); command-line arguments in argparse
-and the ``pipeline`` entry points. Code below ``pipeline`` trusts its
+readers (``read_*`` and ``load_model``), the row rules of every tab-separated
+one in ``util.read_rows``; command-line arguments in argparse and the
+``pipeline`` entry points. Code below ``pipeline`` trusts its
 in-package callers and does not check again.
 """
 
@@ -174,8 +175,8 @@ def _check_static(config: PipelineConfig) -> None:
         raise ValidationError("top_n must be positive when set")
     if config.small_cv_size < 4:
         raise ValidationError("small_cv_size must be at least 4")
-    if any(n < 1 for n in config.top_n_sweep):
-        raise ValidationError(f"top_n_sweep entries must be positive, got {config.top_n_sweep}")
+    if not config.top_n_sweep or any(n < 1 for n in config.top_n_sweep):
+        raise ValidationError(f"[vectors] top_n_sweep needs positive sizes: {config.top_n_sweep}")
     if not config.curve_sizes or any(n < 2 for n in config.curve_sizes):
         raise ValidationError(
             f"curve_sizes needs at least one size, each at least 2, got {config.curve_sizes}"

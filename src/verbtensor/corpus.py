@@ -10,8 +10,8 @@ the context vocabulary chosen from the frequencies.
 
 The corpus format is deliberately dumb: UTF-8 text, one sentence per line,
 whitespace-separated tokens that are already lemmatized and lowercased.
-``iter_corpus_lines`` streams it; the stopword and frequency files are read
-whole through ``util.read_lines``.
+``iter_corpus_lines`` streams it; the stopword file is read whole through
+``util.read_lines`` and the frequency file through ``util.read_rows``.
 Everything linguistic (tokenization, parsing, lemmatization) happens upstream
 of this package.
 """
@@ -23,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .util import DataError, not_utf8_error, open_output, read_lines
+from .util import DataError, not_utf8_error, open_output, read_lines, read_rows
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,13 @@ def frequency_buckets(frequencies, nouns, bucket_size: int) -> FrequencyBuckets:
 
 
 def read_stopwords(path) -> set:
-    """One stopword per line; blank lines ignored."""
-    return {line.strip() for line in read_lines(path) if line.strip()}
+    """One stopword per line, stripped; blank lines are skipped, and a line of
+    two or more words raises ``DataError`` naming the file and line."""
+    lines = [line.split() for line in read_lines(path)]
+    for lineno, words in enumerate(lines, start=1):
+        if len(words) > 1:
+            raise DataError(f"{path}:{lineno}: expected one stopword, got {len(words)}")
+    return {word for words in lines for word in words}
 
 
 def write_frequency_tsv(path, frequencies) -> None:
@@ -233,33 +238,6 @@ def write_frequency_tsv(path, frequencies) -> None:
 
 
 def read_frequency_tsv(path) -> Counter:
-    """Read ``word<TAB>count`` rows.
-
-    Blank lines are skipped. A row without two fields, with a word an earlier
-    row already gave or with a count that is not one or more ASCII digits
-    raises ``DataError`` naming the file and line.
-    """
-    freq: Counter = Counter()
-    linenos = {}  # word -> the line that gave it
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
-        try:
-            word, count = line.split("\t")
-        except ValueError:
-            fields = len(line.split("\t"))
-            raise DataError(
-                f"{path}:{lineno}: expected 2 tab-separated fields, got {fields}"
-            ) from None
-        if word in linenos:
-            raise DataError(f"{path}:{lineno}: word {word!r} repeats line {linenos[word]}")
-        try:
-            if not (count.isascii() and count.isdigit()):
-                raise ValueError
-            freq[word] = int(count)  # int() fails past 4300 digits
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: count {count!r} is not an integer of ASCII digits"
-            ) from None
-        linenos[word] = lineno
-    return freq
+    """Read ``word<TAB>count`` rows under ``util.read_rows``'s rules, keyed by word."""
+    words, counts = read_rows(path, 2, key=("word", 1), count=True)
+    return Counter(dict(zip(words, counts)))

@@ -15,8 +15,8 @@ the TSV once (``read_triples_tsv``) and hands each verb its own rows
 once per set of buckets, before its first draw (``gen_confounders`` takes a
 map that its callers share across verbs), and
 ``write_dataset_jsonl`` JSON-encodes each distinct string once per file.
-Each reader reads its file's text in one pass and checks every line, naming
-the file and line of the first one that is malformed.
+The triples TSV keeps the row rules of ``util.read_rows``; the dataset
+reader names the file and line of the first malformed line.
 """
 
 import json
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import FrequencyBuckets
-from .util import DataError, choose, derive_seed, open_output, read_lines, shuffle
+from .util import DataError, choose, derive_seed, open_output, read_lines, read_rows, shuffle
 
 log = logging.getLogger(__name__)
 
@@ -93,40 +93,15 @@ class CvSplit:
 
 
 def read_triples_tsv(path) -> list:
-    """Read ``subject<TAB>verb<TAB>object<TAB>count`` rows as tuples, in file order.
+    """``subject<TAB>verb<TAB>object<TAB>count`` rows as tuples, in file order, keyed
+    by the triple under ``util.read_rows``; an empty subject, verb or object is a fault."""
+    return read_rows(path, 4, key=("triple", 3), count=True, parse=_triples)
 
-    Blank lines are skipped. A row without four fields, with an empty
-    subject, verb or object, with a (subject, verb, object) an earlier row
-    already gave or with a count that is not one or more ASCII digits raises
-    ``DataError`` naming the file and line.
-    """
-    rows = []
-    linenos = {}  # (subject, verb, object) -> the line that gave it
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
-        try:
-            subject, verb, obj, count = line.split("\t")
-        except ValueError:
-            fields = len(line.split("\t"))
-            raise DataError(
-                f"{path}:{lineno}: expected 4 tab-separated fields, got {fields}"
-            ) from None
-        if not (subject and verb and obj):
-            raise DataError(f"{path}:{lineno}: empty subject, verb or object")
-        key = (subject, verb, obj)
-        if key in linenos:
-            raise DataError(f"{path}:{lineno}: triple {key!r} repeats line {linenos[key]}")
-        try:
-            if not (count.isascii() and count.isdigit()):
-                raise ValueError
-            rows.append((subject, verb, obj, int(count)))  # int() fails past 4300 digits
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: count {count!r} is not an integer of ASCII digits"
-            ) from None
-        linenos[key] = lineno
-    return rows
+
+def _triples(subjects, verbs, objects, counts) -> list:
+    if not (all(subjects) and all(verbs) and all(objects)):
+        raise ValueError("empty subject, verb or object")
+    return list(zip(subjects, verbs, objects, counts))
 
 
 def load_positives(rows, verb: str, source, cap: int, known_nouns) -> tuple:

@@ -11,6 +11,9 @@ without its two Python calls per draw.
 ``read_lines`` is the line source of every finite text input and reads it
 whole. Only the corpus streams: ``corpus.iter_corpus_lines`` opens it and
 reports an undecodable line through ``not_utf8_error``, as ``read_lines`` does.
+``read_rows`` holds the row rules of every tab-separated input: empty lines
+are skipped, fields are split on tabs, the field count is exact, a count is
+one or more ASCII digits and a repeated key is named with its earlier line.
 """
 
 import hashlib
@@ -104,6 +107,73 @@ def read_lines(path) -> list:
             return handle.read().split("\n")
     except UnicodeDecodeError as exc:
         raise not_utf8_error(path, "file", exc) from None
+
+
+def read_rows(path, width, key=None, count=False, parse=None):
+    """The columns of a tab-separated file's rows, each row checked in this order:
+    ``width`` fields (with ``None``, the first row's: a key and its values);
+    with ``key=(name, n)``, first ``n`` fields that no earlier row has; with
+    ``count``, a count in the last field; and ``parse(*columns)``, which maps
+    the columns of any run of rows to the reader's value and raises
+    ``ValueError`` for a row at fault. Last, with ``width=None``, the first
+    row must hold a value. ``DataError`` names the file and the first line at
+    fault, so ``parse`` must judge each row on its own. The result is
+    ``parse``'s value, or else the columns, the counts as a list of ints.
+    """
+    lines = read_lines(path)
+    rows = [line.split("\t") for line in lines if line]
+    fault = None  # (row index, message) of the first row at fault; later rows are cut
+
+    def line(i):
+        return [lineno for lineno, text in enumerate(lines, start=1) if text][i]
+
+    def counts(texts):
+        try:
+            if "".join(texts).isascii() and all(map(str.isdigit, texts)):
+                return list(map(int, texts))  # int() fails past 4300 digits
+        except ValueError:
+            pass
+        raise ValueError(f"count {texts[0]!r} is not an integer of ASCII digits")
+
+    widths = list(map(len, rows))
+    expected = width or (widths[0] if rows else 1)
+    if widths.count(expected) != len(rows):
+        i = next(i for i, n in enumerate(widths) if n != expected)
+        fault = i, (f"expected {width} tab-separated fields, got {widths[i]}" if width
+                    else f"expected {expected - 1} values, got {widths[i] - 1}")
+        del rows[i:]
+    columns = list(zip(*rows)) or [()] * expected
+    if key:
+        name, n = key
+        keys = list(zip(*columns[:n])) if n > 1 else columns[0]
+        if len(set(keys)) != len(keys):
+            first = {}
+            i = next(i for i, k in enumerate(keys) if first.setdefault(k, i) != i)
+            fault = i, f"{name} {keys[i]!r} repeats line {line(first[keys[i]])}"
+            columns = [column[:i] for column in columns]
+    if count:
+        ints, fault = _apply(counts, columns[-1:], fault)
+        columns = [column[:len(ints)] for column in columns[:-1]] + [ints]
+    value, fault = _apply(parse, columns, fault) if parse else (columns, fault)
+    if fault is None and width is None and expected == 1 and rows:
+        fault = 0, "row has no values"
+    if fault:
+        raise DataError(f"{path}:{line(fault[0])}: {fault[1]}")
+    return value
+
+
+def _apply(func, columns, fault):
+    """``func(*columns)`` and ``fault``, or if ``func`` rejects a row, its value
+    on the rows before the first such row and that row's index and message."""
+    try:
+        return func(*columns), fault
+    except ValueError:
+        for i, row in enumerate(zip(*columns)):
+            try:
+                func(*([field] for field in row))
+            except ValueError as exc:
+                return func(*(column[:i] for column in columns)), (i, str(exc))
+        raise
 
 
 def not_utf8_error(path, kind: str, exc: UnicodeDecodeError) -> DataError:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .corpus import CooccurrenceTable, Vocabulary
 from .linalg import cosine, l2_normalize_rows, read_tvb, truncated_svd, write_tvb
-from .util import DataError, open_output, read_lines
+from .util import DataError, open_output, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -234,25 +234,16 @@ def _average_ranks(values) -> np.ndarray:
 
 
 def read_pairs_tsv(path) -> list:
-    """Read ``word_a<TAB>word_b<TAB>score`` similarity pairs.
+    """``word_a<TAB>word_b<TAB>score`` similarity pairs under ``util.read_rows``; a
+    score that is not a finite float or a pair that repeats its word is a fault."""
+    return read_rows(path, 3, parse=_similarity_pairs)
 
-    A row without three fields, a score that is not a finite float or a pair
-    that repeats its word raises ``DataError`` naming the file and line.
-    """
-    pairs = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        try:
-            pair = SimilarityPair(parts[0], parts[1], float(parts[2]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+
+def _similarity_pairs(words_a, words_b, scores) -> list:
+    pairs = list(map(SimilarityPair, words_a, words_b, map(float, scores)))
+    for pair, score in zip(pairs, scores):
         if not np.isfinite(pair.gold_score):
-            raise DataError(f"{path}:{lineno}: score {parts[2]!r} is not finite")
-        pairs.append(pair)
+            raise ValueError(f"score {score!r} is not finite")
     return pairs
 
 
@@ -317,15 +308,15 @@ def _sidecar_digest(data, payload) -> bytes:
 def read_embeddings_tsv(path) -> EmbeddingTable:
     """Read ``noun<TAB>v1<TAB>...<TAB>vK`` rows, one noun per line.
 
-    A row wider or narrower than the first, rows with no values, a value
-    that is not a finite float, a repeated noun or a file without rows
+    The rows keep ``util.read_rows``'s rules, each as wide as the first and
+    keyed by noun; a value that is not a finite float or a file without rows
     raises ``DataError`` naming the file (and the line, where there is one).
 
     The TSV is authoritative. The table comes from its sidecar only when the
     sidecar's digest is that of the TSV's bytes followed by its payload, and
     the payload is well formed: one distinct UTF-8 noun per row of a finite
     2-D block, and no byte after it. The writer seals only a table that the
-    line loop reads back exactly, so the text is not parsed then. Otherwise
+    text reads back as exactly, so the text is not parsed then. Otherwise
     one INFO line names the file and ``_read_embeddings_lines`` runs. A
     length or header that claims more bytes than the sidecar holds is
     rejected before anything is allocated for it.
@@ -357,32 +348,16 @@ def read_embeddings_tsv(path) -> EmbeddingTable:
 
 
 def _read_embeddings_lines(path) -> EmbeddingTable:
-    """``read_embeddings_tsv`` one line at a time, raising at the first fault."""
-    index, rows, linenos = {}, [], []
-    width = None
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise DataError(f"{path}:{lineno}: expected {width - 1} values, got {len(parts) - 1}")
-        noun = parts[0]
-        if noun in index:
-            raise DataError(f"{path}:{lineno}: noun {noun!r} repeats line {linenos[index[noun]]}")
-        try:
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        index[noun] = len(linenos)
-        linenos.append(lineno)
-    if not rows:
+    """``read_embeddings_tsv`` from the text, every row as wide as the first."""
+    nouns, matrix = read_rows(path, None, key=("noun", 1), parse=_noun_vectors)
+    if not nouns:
         raise DataError(f"no embeddings found in {path}")
-    if width == 1:
-        raise DataError(f"{path}:{linenos[0]}: row has no values")
-    matrix = np.asarray(rows, dtype=np.float64)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise DataError(f"{path}:{linenos[int(np.argmin(finite))]}: non-finite value")
-    return EmbeddingTable(nouns=Vocabulary(tuple(index), index), matrix=matrix)
+    return EmbeddingTable(nouns=Vocabulary.from_words(nouns), matrix=matrix)
+
+
+def _noun_vectors(nouns, *values) -> tuple:
+    """``nouns`` and the matrix of their ``values`` columns as finite floats."""
+    matrix = np.array([list(map(float, column)) for column in values], dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        raise ValueError("non-finite value")
+    return nouns, np.ascontiguousarray(matrix.T)

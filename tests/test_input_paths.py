@@ -6,7 +6,8 @@ the manifest of the command that wrote the file) cannot be bypassed. In
 ``src/`` a file is opened for text reading only by ``util.read_lines``, the
 line source of every finite text input, ``corpus.iter_corpus_lines``, the
 one streaming reader, and ``config.load_config``, which hands the handle to
-``configparser``.
+``configparser``. Only ``util.read_rows`` splits a row on tabs or reads a
+count's digits, so the row rules of the tab-separated readers are written once.
 """
 
 import ast
@@ -45,16 +46,22 @@ def mode_of(call: ast.Call, default: str):
     return mode.value if isinstance(mode, ast.Constant) else None
 
 
-def calls_in_package():
-    """``(where, name, call)`` for every call in the package, ``where`` being
+def nodes_in_package():
+    """``(where, node)`` for every AST node in the package, ``where`` being
     ``module.function`` of the top-level function or class around it."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = enclosing_functions(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                yield f"{path.stem}.{owner[id(node)]}", name, node
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                yield f"{path.stem}.{owner[id(node)]}", node
+
+
+def calls_in_package():
+    """``(where, name, call)`` for every call in the package."""
+    for where, node in nodes_in_package():
+        if isinstance(node, ast.Call):
+            yield where, getattr(node.func, "attr", getattr(node.func, "id", None)), node
 
 
 def test_text_files_are_read_in_three_places():
@@ -74,3 +81,15 @@ def test_text_files_are_read_in_three_places():
     # the one open with a variable mode is the writer's, and its callers all write
     assert variable_modes == {"util.open_output"}
     assert output_modes and set(output_modes) <= {"w", "wb"}
+
+
+def test_tab_separated_rows_are_split_in_one_place():
+    splits_on_tab = {
+        where for where, name, call in calls_in_package()
+        if name in ("split", "rsplit")
+        and any(isinstance(arg, ast.Constant) and arg.value == "\t"
+                for arg in [*call.args, *(kw.value for kw in call.keywords)])
+    }
+    reads_digits = {where for where, node in nodes_in_package()
+                    if isinstance(node, ast.Attribute) and node.attr == "isdigit"}
+    assert splits_on_tab == reads_digits == {"util.read_rows"}

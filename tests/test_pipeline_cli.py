@@ -219,6 +219,7 @@ class TestConfigValidation:
             ("curve_sizes = 8,16", "curve_sizes = 1", ("experiment", "--which", "curves")),
             ("curve_sizes = 8,16", "curve_sizes = ,", ("experiment", "--which", "curves")),
             ("top_n_sweep = 20,60", "top_n_sweep = 0, 5", ("build-vectors",)),
+            ("top_n_sweep = 20,60", "top_n_sweep = ,", ("build-vectors",)),
             ("init_scale = 0.01", "init_scale = inf", ("train", "--verb", "devour")),
             ("init_scale = 0.01", "init_scale = 1e308", ("train", "--verb", "devour")),
             ("learning_rate = 0.05", "learning_rate = nan", ("train", "--verb", "devour")),
@@ -240,7 +241,7 @@ class TestConfigValidation:
             ("svd_dims = 6,10", "svd_dims = 6,100000", ("build-vectors",)),
         ],
         ids=["curve-repeats-0", "curve-size-1", "no-curve-sizes", "top-n-sweep-0",
-             "init-scale-inf", "init-scale-overflow", "learning-rate-nan", "adagrad-epsilon-nan",
+             "no-top-n-sweep", "init-scale-inf", "init-scale-overflow", "learning-rate-nan", "adagrad-epsilon-nan",
              "l2-lambda-nan", "repeated-verbs", "old-verbs-section", "repeated-svd-dims",
              "repeated-curve-sizes", "repeated-top-n-sweep", "positive-cap-0", "bucket-size-0",
              "context-vocab-size-0", "top-n-0", "small-cv-size-3", "svd-dims-0",
